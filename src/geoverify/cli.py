@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -35,7 +34,6 @@ from .grid import (
     FieldCube,
     GridSpec,
     VariableCatalog,
-    VariableId,
     latitude_weights,
     parse_variable_token,
     select_channel,
@@ -104,12 +102,17 @@ def _load_forecast_cube(directory, t0: datetime, lead: int) -> FieldCube:
     return cube
 
 
-def _load_reference_cube(directory, t0: datetime, lead: int) -> FieldCube:
-    valid = t0 + timedelta(hours=lead)
-    path = reference_path(directory, valid)
-    if not path.exists():
-        raise MissingCube(t0, lead, str(path))
-    return cubeio.read_cube(path)
+def _output_grid(directory, eval_set, variables) -> GridSpec:
+    """Grid of the first forecast cube; ValueError if a variable is input-only.
+
+    Runs before the evaluation pass, so a bad variable fails before any pair
+    is scored, and the cube is dropped on return rather than held through it.
+    """
+    cube = _load_forecast_cube(directory, eval_set.init_times[0], eval_set.lead_hours[0])
+    for name, level in variables:
+        if cube.catalog.get((name, level)).role != "input-output":
+            raise ValueError(f"variable {name} is input-only and carries no skill metrics")
+    return cube.spec
 
 
 # --- verify -------------------------------------------------------------------
@@ -122,10 +125,9 @@ def cmd_verify(args) -> int:
     bad = set(wanted) - {"rmse", "acc"}
     if bad or not wanted:
         raise ValueError(f"--metrics must be drawn from rmse,acc; got {args.metrics!r}")
-    init_times = read_init_times(args.init_times)
-    leads = parse_leads(args.leads)
+    eval_set = metrics.EvaluationSet(read_init_times(args.init_times), parse_leads(args.leads))
 
-    clim = None
+    clim_fields = None
     if "acc" in wanted:
         if not args.climatology:
             raise ValueError("computing acc requires --climatology MANIFEST")
@@ -135,52 +137,19 @@ def cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_DATA
-        clim = clim_mod.Climatology.load(args.climatology)
+        clim_fields = clim_mod.Climatology.load(args.climatology).lookup_channel
 
-    def task(pair):
-        t0, lead = pair
-        fc = _load_forecast_cube(args.forecast, t0, lead)
-        ref = _load_reference_cube(args.reference, t0, lead)
-        weights = latitude_weights(fc.spec)
-        out = {}
-        for name, level in variables:
-            f2 = select_channel(fc, (name, level))
-            r2 = select_channel(ref, (name, level))
-            if "rmse" in wanted:
-                out[(name, level, lead, "rmse", t0)] = metrics.weighted_rmse(f2, r2, weights)
-            if clim is not None:
-                m2 = clim.lookup_channel(fc.valid_time, (name, level))
-                out[(name, level, lead, "acc", t0)] = metrics.weighted_acc(f2, r2, m2, weights)
-        return out
-
-    pairs = [(t0, lead) for t0 in sorted(init_times) for lead in leads]
-    probe = _load_forecast_cube(args.forecast, *pairs[0])
-    for name, level in variables:
-        if probe.catalog.get((name, level)).role != "input-output":
-            raise ValueError(f"variable {name} is input-only and carries no skill metrics")
-    results: dict = {}
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            for chunk in pool.map(task, pairs):
-                results.update(chunk)
-    else:
-        for pair in pairs:
-            results.update(task(pair))
-
-    records = []
-    n = len(init_times)
-    for name, level in variables:
-        for lead in leads:
-            for metric in wanted:
-                if metric == "acc" and clim is None:
-                    continue
-                total = 0.0
-                for t0 in sorted(init_times):
-                    total += results[(name, level, lead, metric, t0)]
-                records.append(
-                    metrics.MetricRecord(VariableId(name, level), lead, metric, total / n, n)
-                )
-
+    spec = _output_grid(args.forecast, eval_set, variables)
+    records, rmse_maps = metrics.evaluate_set(
+        lambda t0, lead: _load_forecast_cube(args.forecast, t0, lead),
+        lambda valid: cubeio.read_cube(reference_path(args.reference, valid)),
+        eval_set,
+        variables,
+        rmse="rmse" in wanted,
+        clim_fields=clim_fields,
+        maps=bool(args.map_dir),
+        threads=args.threads,
+    )
     params = {
         "forecast": args.forecast,
         "reference": args.reference,
@@ -193,39 +162,24 @@ def cmd_verify(args) -> int:
     cubeio.write_report(records, args.out, params)
 
     if args.map_dir:
-        _write_rmse_maps(args, variables, sorted(init_times), leads)
-    return 0
-
-
-def _write_rmse_maps(args, variables, init_times, leads) -> None:
-    """Per-gridpoint unweighted RMSE maps, one single-channel cube per (var, lead)."""
-    out_dir = Path(args.map_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, level in variables:
-        for lead in leads:
-            fields_f = []
-            fields_r = []
-            spec = None
-            for t0 in init_times:
-                fc = _load_forecast_cube(args.forecast, t0, lead)
-                ref = _load_reference_cube(args.reference, t0, lead)
-                spec = fc.spec
-                fields_f.append(select_channel(fc, (name, level)))
-                fields_r.append(select_channel(ref, (name, level)))
-            rmse_map = metrics.pointwise_rmse(fields_f, fields_r)
-            var = VariableId(name, level)
+        out_dir = Path(args.map_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for (var, lead), rmse_map in rmse_maps.items():
             cube = FieldCube(
                 spec,
                 VariableCatalog([var]),
-                init_times[0] + timedelta(hours=lead),
+                eval_set.init_times[0] + timedelta(hours=lead),
                 rmse_map[None].astype(np.float32),
             )
             cubeio.write_cube(cube, out_dir / f"rmsemap_{var.token}_{lead}.gvc")
+    return 0
 
 
 # --- downscale-eval -------------------------------------------------------------
 
 def cmd_downscale_eval(args) -> int:
+    if args.psnr_peak is not None and not args.psnr_peak > 0.0:
+        raise ValueError(f"--psnr-peak must be positive; got {args.psnr_peak}")
     truth_paths = cubeio.cube_paths(args.truth)
     if not truth_paths:
         print(f"geoverify: no truth cubes in {args.truth}", file=sys.stderr)
@@ -252,7 +206,7 @@ def cmd_downscale_eval(args) -> int:
             if var.role != "input-output":
                 continue
             t2 = select_channel(truth, var)
-            peak = args.psnr_peak if args.psnr_peak else metrics.dynamic_range(t2)
+            peak = metrics.dynamic_range(t2) if args.psnr_peak is None else args.psnr_peak
             for method, cube in (("bilinear", baseline), ("model", model)):
                 c2 = select_channel(cube, var)
                 rmse = metrics.weighted_rmse(c2, t2, weights)
@@ -277,18 +231,15 @@ def cmd_downscale_eval(args) -> int:
         "coarse": args.coarse,
         "truth": args.truth,
         "model": args.model,
-        "psnr_peak": args.psnr_peak if args.psnr_peak else "reference-range",
+        "psnr_peak": "reference-range" if args.psnr_peak is None else args.psnr_peak,
     }
     rows.sort(key=lambda r: (r[0], r[1].token, r[2], r[3]))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# params: {' '.join(f'{k}={v}' for k, v in params.items())}\n")
-        f.write("time,variable,level,method,metric,value,peak\n")
-        for t, var, method, metric, value, peak in rows:
-            level = "surface" if var.level is None else var.level
-            f.write(
-                f"{cubeio.format_time(t)},{var.name},{level},{method},{metric},"
-                f"{format(value, '.6g')},{format(peak, '.6g')}\n"
-            )
+    cubeio.write_csv(
+        args.out, params, ["time", "variable", "level", "method", "metric", "value", "peak"],
+        ((cubeio.format_time(t), var.name, "surface" if var.level is None else var.level,
+          method, metric, format(value, ".6g"), format(peak, ".6g"))
+         for t, var, method, metric, value, peak in rows),
+    )
 
     out_base = Path(args.out)
     var_tokens = sorted({key[0] for key in samples})
@@ -381,57 +332,39 @@ def cmd_tc_eval(args) -> int:
         return EXIT_DATA
     ref_by_id = {t.storm_id: t for t in reference}
 
-    lines = []  # (source, storm_id, lead_label, metric, value, n)
+    scorers = (
+        ("track_mae", tc.track_errors_km, tc.mean),
+        ("ws10m_rmse", tc.intensity_errors, tc.rms),
+    )
+    rows = []  # (source, storm_id, lead_label, metric, value, n)
     for name in source_names:
         fc_by_id = {t.storm_id: t for t in tracks_by_source[name]}
-        track_pairs: list[tuple[int, float]] = []
-        wind_pairs: list[tuple[int, float]] = []
-        for storm_id, matched_times in sorted(matched.items()):
-            fc, ref = fc_by_id[storm_id], ref_by_id[storm_id]
-            storm_dist = []
-            storm_wind = []
-            for t in matched_times:
-                fp, rp = fc.point_at(t), ref.point_at(t)
-                lead = int(round((t - fc.points[0].time).total_seconds() / 3600.0))
-                storm_dist.append((lead, tc.great_circle_km((fp.lat, fp.lon), (rp.lat, rp.lon))))
-                storm_wind.append((lead, fp.ws_max - rp.ws_max))
-            track_pairs += storm_dist
-            wind_pairs += storm_wind
-            lines.append(
-                (name, storm_id, "pooled", "track_mae",
-                 float(np.mean([d for _, d in storm_dist])), len(storm_dist))
-            )
-            lines.append(
-                (name, storm_id, "pooled", "ws10m_rmse",
-                 float(np.sqrt(np.mean(np.square([w for _, w in storm_wind])))), len(storm_wind))
-            )
-
-        def aggregate(pairs, reduce_fn, metric):
-            lines.append((name, "ALL", "pooled", metric,
-                          reduce_fn([v for _, v in pairs]), len(pairs)))
-            leads = sorted({lead for lead, _ in pairs})
-            per_lead = []
-            for lead in leads:
-                vals = [v for l, v in pairs if l == lead]
-                value = reduce_fn(vals)
-                per_lead.append(value)
-                lines.append((name, "ALL", str(lead), metric, value, len(vals)))
-            lines.append((name, "ALL", "per_lead_mean", metric,
-                          float(np.mean(per_lead)), len(per_lead)))
-
-        aggregate(track_pairs, lambda v: float(np.mean(v)), "track_mae")
-        aggregate(wind_pairs, lambda v: float(np.sqrt(np.mean(np.square(v)))), "ws10m_rmse")
+        pooled = {metric: [] for metric, _, _ in scorers}
+        for storm_id, times in sorted(matched.items()):
+            for metric, errors_of, reduce in scorers:
+                errors = errors_of(fc_by_id[storm_id], ref_by_id[storm_id], times)
+                pooled[metric] += errors
+                rows.append((name, storm_id, "pooled", metric,
+                             reduce([e for _, e in errors]), len(errors)))
+        for metric, _, reduce in scorers:
+            errors = pooled[metric]
+            rows.append((name, "ALL", "pooled", metric,
+                         reduce([e for _, e in errors]), len(errors)))
+            per_lead = [(lead, reduce(values), len(values))
+                        for lead, values in tc.group_by_lead(errors)]
+            rows += [(name, "ALL", str(lead), metric, value, n) for lead, value, n in per_lead]
+            rows.append((name, "ALL", "per_lead_mean", metric,
+                         tc.mean([value for _, value, _ in per_lead]), len(per_lead)))
 
     params = {
         "forecast": args.forecast,
         "reference": args.reference,
         "sources": ",".join(source_names),
     }
-    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# params: {' '.join(f'{k}={v}' for k, v in params.items())}\n")
-        f.write("source,storm_id,lead_hours,metric,value,n_samples\n")
-        for source, storm, lead, metric, value, n in lines:
-            f.write(f"{source},{storm},{lead},{metric},{format(value, '.6g')},{n}\n")
+    cubeio.write_csv(
+        args.out, params, ["source", "storm_id", "lead_hours", "metric", "value", "n_samples"],
+        (row[:4] + (format(row[4], ".6g"), row[5]) for row in rows),
+    )
     return 0
 
 
@@ -463,11 +396,10 @@ def cmd_tc_filter(args) -> int:
         "comparable_tol": args.comparable_tol,
         "track_threshold_km": args.track_threshold_km,
     }
-    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# params: {' '.join(f'{k}={v}' for k, v in params.items())}\n")
-        f.write("case_id,decision,reason\n")
-        for d in decisions:
-            f.write(f"{d.case_id},{d.decision},{d.reason}\n")
+    cubeio.write_csv(
+        args.out, params, ["case_id", "decision", "reason"],
+        ((d.case_id, d.decision, d.reason) for d in decisions),
+    )
     return 0
 
 

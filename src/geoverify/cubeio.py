@@ -24,6 +24,7 @@ Text outputs are UTF-8 with "\\n" line endings.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from datetime import datetime, timezone
 from pathlib import Path
@@ -115,8 +116,11 @@ def read_cube(path) -> FieldCube:
         offset += 2
         if offset + length > len(raw):
             raise TruncatedPayload(f"{path}: truncated catalog entry")
-        name, level, role = raw[offset:offset + length].decode("utf-8").split(",")
-        entries.append(VariableId(name, _parse_level(level), role))
+        try:
+            name, level, role = raw[offset:offset + length].decode("utf-8").split(",")
+            entries.append(VariableId(name, _parse_level(level), role))
+        except ValueError as e:  # includes UnicodeDecodeError
+            raise CorruptHeader(f"{path}: bad catalog entry: {e}") from None
         offset += length
 
     if (lat_step < 0) != bool(orientation):
@@ -210,17 +214,37 @@ def read_tracks(path) -> list[TcTrack]:
     return tracks
 
 
+def write_csv(path, params: Mapping | None, header: Sequence[str], rows: Iterable) -> None:
+    """Write a CSV: a "# params:" line when params are given, the header, the rows.
+
+    Each row is a sequence of fields joined with commas after ``str()``, so
+    callers format numbers themselves.  The text goes to a temporary file in
+    the target directory that replaces ``path`` only once every row is
+    written: a failure leaves an existing file unchanged and no partial or
+    temporary file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+            if params:
+                f.write(f"# params: {' '.join(f'{k}={v}' for k, v in params.items())}\n")
+            f.write(",".join(header) + "\n")
+            for row in rows:
+                f.write(",".join(str(field) for field in row) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_tracks(tracks: Sequence[TcTrack], path, params: Mapping | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        _write_params_line(f, params)
-        f.write(",".join(TRACK_COLUMNS) + "\n")
-        for track in tracks:
-            for p in track.points:
-                msl = "" if p.msl_min is None else format(p.msl_min, ".6g")
-                f.write(
-                    f"{track.storm_id},{track.name},{format_time(p.time)},"
-                    f"{p.lat:.4f},{p.lon:.4f},{format(p.ws_max, '.6g')},{msl}\n"
-                )
+    write_csv(path, params, TRACK_COLUMNS, (
+        (track.storm_id, track.name, format_time(p.time), f"{p.lat:.4f}", f"{p.lon:.4f}",
+         format(p.ws_max, ".6g"), "" if p.msl_min is None else format(p.msl_min, ".6g"))
+        for track in tracks
+        for p in track.points
+    ))
 
 
 # --- report CSV --------------------------------------------------------------
@@ -230,12 +254,6 @@ REPORT_COLUMNS = ["variable", "level", "lead_hours", "metric", "value"]
 
 def _level_sort_key(level: int | None) -> int:
     return -1 if level is None else level
-
-
-def _write_params_line(f, params: Mapping | None) -> None:
-    if params:
-        rendered = " ".join(f"{k}={params[k]}" for k in params)
-        f.write(f"# params: {rendered}\n")
 
 
 def write_report(records: Iterable, path, params: Mapping | None = None) -> None:
@@ -256,14 +274,11 @@ def write_report(records: Iterable, path, params: Mapping | None = None) -> None
             r.n_samples,
         ),
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        _write_params_line(f, params)
-        f.write(",".join(REPORT_COLUMNS) + "\n")
-        for r in rows:
-            f.write(
-                f"{r.variable.name},{_format_level(r.variable.level)},"
-                f"{r.lead_hours},{r.metric},{format(r.value, '.6g')}\n"
-            )
+    write_csv(path, params, REPORT_COLUMNS, (
+        (r.variable.name, _format_level(r.variable.level), r.lead_hours, r.metric,
+         format(r.value, ".6g"))
+        for r in rows
+    ))
 
 
 MATRIX_COLUMNS = ["month", "h00", "h06", "h12", "h18"]
@@ -274,12 +289,10 @@ def write_month_hour_matrix(matrix, path, params: Mapping | None = None) -> None
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.shape != (12, 4):
         raise ValueError(f"matrix shape {arr.shape} != (12, 4)")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        _write_params_line(f, params)
-        f.write(",".join(MATRIX_COLUMNS) + "\n")
-        for month in range(12):
-            cells = ["NA" if np.isnan(v) else format(v, ".6g") for v in arr[month]]
-            f.write(f"{month + 1}," + ",".join(cells) + "\n")
+    write_csv(path, params, MATRIX_COLUMNS, (
+        [month + 1] + ["NA" if np.isnan(v) else format(v, ".6g") for v in arr[month]]
+        for month in range(12)
+    ))
 
 
 def read_csv_rows(path) -> list[tuple[int, list[str]]]:

@@ -19,6 +19,7 @@ are reproducible bit-for-bit at any thread count.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Callable, Iterable, Sequence
@@ -34,10 +35,7 @@ from .errors import (
     ZeroAnomalyVariance,
     ZeroBaseline,
 )
-from .grid import FieldCube, VariableId, latitude_weights, select_channel
-
-#: Canonical metric names used in report CSVs.
-METRIC_NAMES = frozenset({"rmse", "acc", "mse", "mae", "mbe", "psnr", "norm_diff"})
+from .grid import FieldCube, VariableId, latitude_weights, parse_variable_token, select_channel
 
 #: UTC hours of the 6-hourly verification cadence, matrix column order.
 SYNOPTIC_HOURS = (0, 6, 12, 18)
@@ -55,6 +53,9 @@ class EvaluationSet:
             raise ValueError("evaluation set must have init times and leads")
         if any(lead <= 0 for lead in self.lead_hours):
             raise ValueError("lead times must be positive")
+        for label, values in (("init time", self.init_times), ("lead", self.lead_hours)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate {label} in evaluation set")
         object.__setattr__(self, "init_times", tuple(sorted(self.init_times)))
         object.__setattr__(self, "lead_hours", tuple(sorted(self.lead_hours)))
 
@@ -186,30 +187,97 @@ def pointwise_rmse(forecasts: Sequence[np.ndarray], references: Sequence[np.ndar
         raise ShapeMismatch("need equal, nonzero numbers of forecast/reference fields")
     acc = None
     for f, r in zip(forecasts, references):
-        d = _diff64(f, r)
-        acc = d * d if acc is None else acc + d * d
+        acc = _add(acc, _squared_diff(f, r))
     return np.sqrt(acc / len(forecasts))
 
 
-# --- evaluation-set drivers ---------------------------------------------------
+def _squared_diff(forecast, reference) -> np.ndarray:
+    d = _diff64(forecast, reference)
+    return d * d
+
+
+def _add(acc: np.ndarray | None, term: np.ndarray) -> np.ndarray:
+    """Running sum that starts from the first term, as pointwise_rmse defines."""
+    return term if acc is None else acc + term
+
+
+# --- evaluation-set pass ---------------------------------------------------
 
 CubeForecastSource = Callable[[datetime, int], FieldCube]
 CubeReferenceSource = Callable[[datetime], FieldCube]
 
 
-def _load_pair(
+def evaluate_set(
     forecasts: CubeForecastSource,
     references: CubeReferenceSource,
-    t0: datetime,
-    lead: int,
-) -> tuple[FieldCube, FieldCube]:
-    valid = t0 + timedelta(hours=lead)
-    try:
-        fc = forecasts(t0, lead)
-        ref = references(valid)
-    except (KeyError, FileNotFoundError) as e:
-        raise MissingCube(t0, lead, str(e)) from None
-    return fc, ref
+    eval_set: EvaluationSet,
+    variables: Sequence,
+    *,
+    rmse: bool = True,
+    clim_fields: Callable[[datetime, VariableId], np.ndarray] | None = None,
+    maps: bool = False,
+    threads: int = 1,
+) -> tuple[list[MetricRecord], dict[tuple[VariableId, int], np.ndarray]]:
+    """Score every (init, lead) pair of an evaluation set in one pass.
+
+    ``forecasts(t0, lead)`` and ``references(valid_time)`` load a pair's
+    cubes; a KeyError or FileNotFoundError from either becomes MissingCube.
+    Each variable gets the weighted RMSE when ``rmse``, the ACC when
+    ``clim_fields(valid_time, var)`` gives the 2-D climatology, and with
+    ``maps`` a pointwise-RMSE map summed exactly as ``pointwise_rmse`` does.
+
+    Returns one MetricRecord per (variable, lead, metric), the mean of the
+    per-pair values, and the float64 maps keyed by (variable, lead).  Pairs
+    are scored on up to ``threads`` workers and reduced in sorted (init,
+    lead) order, so results are bitwise identical at any thread count.
+    """
+    var_ids = [_resolve_var(v) for v in variables]
+    pairs = [(t0, lead) for t0 in eval_set.init_times for lead in eval_set.lead_hours]
+
+    def score(pair):
+        t0, lead = pair
+        try:
+            fc, ref = forecasts(t0, lead), references(t0 + timedelta(hours=lead))
+        except (KeyError, FileNotFoundError) as e:
+            raise MissingCube(t0, lead, str(e)) from None
+        weights = latitude_weights(fc.spec)
+        out = []
+        for var in var_ids:
+            f2, r2 = select_channel(fc, var), select_channel(ref, var)
+            values = {}
+            if rmse:
+                values["rmse"] = weighted_rmse(f2, r2, weights)
+            if clim_fields is not None:
+                values["acc"] = weighted_acc(
+                    f2, r2, clim_fields(fc.valid_time, var), weights
+                )
+            out.append((values, _squared_diff(f2, r2) if maps else None))
+        return out
+
+    totals: dict[tuple[VariableId, int, str], float] = {}
+    sums: dict[tuple[VariableId, int], np.ndarray] = {}
+
+    def accumulate(results):
+        for (_, lead), per_var in zip(pairs, results):
+            for var, (values, sq) in zip(var_ids, per_var):
+                for metric, value in values.items():
+                    key = (var, lead, metric)
+                    totals[key] = totals.get(key, 0.0) + value
+                if sq is not None:
+                    sums[(var, lead)] = _add(sums.get((var, lead)), sq)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            accumulate(pool.map(score, pairs))
+    else:
+        accumulate(map(score, pairs))
+
+    n = len(eval_set.init_times)
+    records = [
+        MetricRecord(var, lead, metric, total / n, n)
+        for (var, lead, metric), total in totals.items()
+    ]
+    return records, {key: np.sqrt(acc / n) for key, acc in sums.items()}
 
 
 def rmse_over_set(
@@ -223,19 +291,7 @@ def rmse_over_set(
     This is the mean-of-roots form: each (t0, lead) pair contributes its own
     square root before averaging over the set.
     """
-    records = []
-    for lead in eval_set.lead_hours:
-        total = 0.0
-        weights = None
-        for t0 in eval_set.init_times:
-            fc, ref = _load_pair(forecasts, references, t0, lead)
-            if weights is None:
-                weights = latitude_weights(fc.spec)
-            total += weighted_rmse(select_channel(fc, var), select_channel(ref, var), weights)
-        n = len(eval_set.init_times)
-        var_id = _resolve_var(var)
-        records.append(MetricRecord(var_id, lead, "rmse", total / n, n))
-    return records
+    return evaluate_set(forecasts, references, eval_set, [var])[0]
 
 
 def acc_over_set(
@@ -250,29 +306,15 @@ def acc_over_set(
     ``clim_fields(valid_time)`` must return the 2-D climatological mean for
     the evaluated variable at that valid time.
     """
-    records = []
-    for lead in eval_set.lead_hours:
-        total = 0.0
-        weights = None
-        for t0 in eval_set.init_times:
-            fc, ref = _load_pair(forecasts, references, t0, lead)
-            if weights is None:
-                weights = latitude_weights(fc.spec)
-            clim = clim_fields(fc.valid_time)
-            total += weighted_acc(
-                select_channel(fc, var), select_channel(ref, var), clim, weights
-            )
-        n = len(eval_set.init_times)
-        var_id = _resolve_var(var)
-        records.append(MetricRecord(var_id, lead, "acc", total / n, n))
-    return records
+    return evaluate_set(
+        forecasts, references, eval_set, [var],
+        rmse=False, clim_fields=lambda valid, _var: clim_fields(valid),
+    )[0]
 
 
 def _resolve_var(var) -> VariableId:
     if isinstance(var, VariableId):
         return var
-    from .grid import parse_variable_token
-
     name, level = parse_variable_token(var) if isinstance(var, str) else var
     return VariableId(name, level)
 

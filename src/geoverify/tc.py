@@ -187,8 +187,6 @@ def track_cyclone(
         ws_patch = cube.values[i_ws][np.ix_(disk_rows, disk_cols)]
         ws_max = float(ws_patch[disk_dist <= intensity_radius_km].max())
 
-        step_km = great_circle_km((lat_prev, lon_prev), (lat_c, lon_c))
-        assert step_km <= search_radius_km + 1e-6
         points.append(TcPoint(cube.valid_time, lat_c, lon_c, ws_max, msl_c))
         lat_prev, lon_prev = lat_c, lon_c
 
@@ -215,22 +213,58 @@ def _lead_hours(track: TcTrack, time: datetime) -> int:
     return int(round((time - track.points[0].time).total_seconds() / 3600.0))
 
 
-def track_errors_km(forecast: TcTrack, reference: TcTrack) -> list[tuple[int, float]]:
-    """(lead hours, great-circle error km) per matched valid time."""
-    out = []
-    for t in _matched_times(forecast, reference):
-        f, r = forecast.point_at(t), reference.point_at(t)
-        out.append((_lead_hours(forecast, t), great_circle_km((f.lat, f.lon), (r.lat, r.lon))))
-    return out
+def _errors(forecast, reference, times, error) -> list[tuple[int, float]]:
+    if times is None:
+        times = _matched_times(forecast, reference)
+    return [(_lead_hours(forecast, t), error(forecast.point_at(t), reference.point_at(t)))
+            for t in times]
 
 
-def intensity_errors(forecast: TcTrack, reference: TcTrack) -> list[tuple[int, float]]:
-    """(lead hours, forecast ws_max - reference ws_max) per matched valid time."""
-    out = []
-    for t in _matched_times(forecast, reference):
-        f, r = forecast.point_at(t), reference.point_at(t)
-        out.append((_lead_hours(forecast, t), f.ws_max - r.ws_max))
-    return out
+def track_errors_km(
+    forecast: TcTrack, reference: TcTrack, times: Sequence[datetime] | None = None
+) -> list[tuple[int, float]]:
+    """(lead hours, great-circle error km) per valid time.
+
+    ``times`` defaults to the valid times the two tracks share.
+    """
+    return _errors(forecast, reference, times,
+                   lambda f, r: great_circle_km((f.lat, f.lon), (r.lat, r.lon)))
+
+
+def intensity_errors(
+    forecast: TcTrack, reference: TcTrack, times: Sequence[datetime] | None = None
+) -> list[tuple[int, float]]:
+    """(lead hours, forecast ws_max - reference ws_max) per valid time.
+
+    ``times`` defaults to the valid times the two tracks share.
+    """
+    return _errors(forecast, reference, times, lambda f, r: f.ws_max - r.ws_max)
+
+
+def mean(values) -> float:
+    """Arithmetic mean: the track-error reduction."""
+    return float(np.mean(values))
+
+
+def rms(values) -> float:
+    """Root mean square: the intensity-error reduction."""
+    return float(np.sqrt(np.mean(np.square(values))))
+
+
+def group_by_lead(errors: Sequence[tuple[int, float]]) -> list[tuple[int, list[float]]]:
+    """(lead, values) groups of (lead, value) errors, leads ascending."""
+    leads = sorted({lead for lead, _ in errors})
+    return [(lead, [v for l, v in errors if l == lead]) for lead in leads]
+
+
+def _skill(errors, var: VariableId, metric: str, reduce, by_lead: bool):
+    from .metrics import MetricRecord
+
+    if by_lead:
+        return [MetricRecord(var, lead, metric, reduce(v), len(v))
+                for lead, v in group_by_lead(errors)]
+    values = [e for _, e in errors]
+    return MetricRecord(var, 0, metric, reduce(values), len(values))
 
 
 def track_mae(forecast: TcTrack, reference: TcTrack, by_lead: bool = False):
@@ -239,36 +273,12 @@ def track_mae(forecast: TcTrack, reference: TcTrack, by_lead: bool = False):
     Returns a list of MetricRecord per lead when ``by_lead``, else one
     pooled MetricRecord (lead_hours 0).
     """
-    from .metrics import MetricRecord
-
-    errors = track_errors_km(forecast, reference)
-    var = VariableId("TRACK")
-    if not by_lead:
-        values = [e for _, e in errors]
-        return MetricRecord(var, 0, "mae", float(np.mean(values)), len(values))
-    records = []
-    for lead in sorted({lead for lead, _ in errors}):
-        values = [e for l, e in errors if l == lead]
-        records.append(MetricRecord(var, lead, "mae", float(np.mean(values)), len(values)))
-    return records
+    return _skill(track_errors_km(forecast, reference), VariableId("TRACK"), "mae", mean, by_lead)
 
 
 def intensity_rmse(forecast: TcTrack, reference: TcTrack, by_lead: bool = False):
     """RMSE of ws_max (m/s) over matched points; pooled or per lead."""
-    from .metrics import MetricRecord
-
-    errors = intensity_errors(forecast, reference)
-    var = VariableId("WS10M")
-    if not by_lead:
-        values = [e for _, e in errors]
-        rmse = float(np.sqrt(np.mean(np.square(values))))
-        return MetricRecord(var, 0, "rmse", rmse, len(values))
-    records = []
-    for lead in sorted({lead for lead, _ in errors}):
-        values = [e for l, e in errors if l == lead]
-        rmse = float(np.sqrt(np.mean(np.square(values))))
-        records.append(MetricRecord(var, lead, "rmse", rmse, len(values)))
-    return records
+    return _skill(intensity_errors(forecast, reference), VariableId("WS10M"), "rmse", rms, by_lead)
 
 
 def concurrent_match(

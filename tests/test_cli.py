@@ -169,6 +169,37 @@ class TestVerify:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("side", ["forecast", "reference"])
+    def test_corrupt_catalog_entry_exits_2(self, tmp_path, side):
+        """One flipped byte turns the catalog entry Z,500 into Zx500: a data error."""
+        init_times = [utc(2024, 1, 1, 0)]
+        fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6])
+        [path] = (fdir if side == "forecast" else rdir).glob("*.gvc")
+        data = path.read_bytes()
+        assert data.count(b"Z,500") == 1
+        path.write_bytes(data.replace(b"Z,500", b"Zx500"))
+        code = main([
+            "verify", "--forecast", str(fdir), "--reference", str(rdir),
+            "--variables", "Z500", "--metrics", "rmse",
+            "--init-times", str(times_file), "--leads", "6",
+            "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 2
+
+    def test_duplicate_init_time_exits_4(self, tmp_path, capsys):
+        init_times = [utc(2024, 1, 1, 0), utc(2024, 1, 1, 12)]
+        fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6])
+        times_file.write_text(times_file.read_text() + f"{init_times[0].isoformat()}\n")
+        out = tmp_path / "r.csv"
+        code = main([
+            "verify", "--forecast", str(fdir), "--reference", str(rdir),
+            "--variables", "Z500", "--metrics", "rmse",
+            "--init-times", str(times_file), "--leads", "6", "--out", str(out),
+        ])
+        assert code == 4
+        assert "duplicate init time" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_leads_spec_exits_4(self, tmp_path):
         init_times = [utc(2024, 1, 1, 0)]
         fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6])
@@ -238,6 +269,39 @@ class TestVerify:
         cube = read_cube(map_dir / "rmsemap_Z500_6.gvc")
         assert cube.values.shape == (1, 5, 8)
         assert (np.asarray(cube.values) >= 0).all()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rmse_maps_equal_pointwise_rmse_bitwise(self, tmp_path, threads):
+        from datetime import timedelta
+
+        from geoverify import pointwise_rmse, select_channel
+        from geoverify.cubeio import read_cube
+
+        init_times = [utc(2024, 1, 2, 0), utc(2024, 1, 1, 0), utc(2024, 1, 1, 12)]
+        leads = [6, 12]
+        fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, leads)
+        map_dir = tmp_path / "maps"
+        code = main([
+            "verify", "--forecast", str(fdir), "--reference", str(rdir),
+            "--climatology", str(manifest), "--variables", "Z500,T2M",
+            "--init-times", str(times_file), "--leads", "6,12",
+            "--threads", str(threads), "--out", str(tmp_path / "r.csv"),
+            "--map-dir", str(map_dir),
+        ])
+        assert code == 0
+        first = min(init_times)
+        for token, var in (("Z500", ("Z", 500)), ("T2M", ("T2M", None))):
+            for lead in leads:
+                fcs, refs = [], []
+                for t0 in sorted(init_times):
+                    fcs.append(select_channel(
+                        read_cube(fdir / f"{time_stem(t0)}_{lead}.gvc"), var))
+                    refs.append(select_channel(read_cube(
+                        rdir / f"{time_stem(t0 + timedelta(hours=lead))}.gvc"), var))
+                expected = pointwise_rmse(fcs, refs)[None].astype(np.float32)
+                cube = read_cube(map_dir / f"rmsemap_{token}_{lead}.gvc")
+                assert cube.values.tobytes() == expected.tobytes()
+                assert cube.valid_time == first + timedelta(hours=lead)
 
 
 class TestDownscaleEval:
@@ -318,6 +382,23 @@ class TestDownscaleEval:
         times_in_report = {line.split(",")[0] for line in out.read_text().splitlines()[2:]}
         assert times_in_report == {"2024-07-01T06:00:00Z"}
 
+    @pytest.mark.parametrize("peak, code", [("-1", 4), ("0", 4), ("2.5", 0)])
+    def test_psnr_peak_must_be_positive(self, tmp_path, peak, code):
+        times = [utc(2024, 2, 2, 18)]
+        coarse, truth, model = self._write_fixture(tmp_path, times, "bilinear")
+        out = tmp_path / "ds.csv"
+        assert main([
+            "downscale-eval", "--coarse", str(coarse), "--truth", str(truth),
+            "--model", str(model), f"--psnr-peak={peak}", "--out", str(out),
+        ]) == code
+        if code:
+            assert not out.exists()
+        else:
+            lines = out.read_text().splitlines()
+            assert lines[0].endswith("psnr_peak=2.5")
+            assert all(line.endswith(",2.5") for line in lines[2:])
+            assert sum(",psnr," in line for line in lines) == 4
+
     def test_bilinear_vs_bilinear_gives_zero_cells(self, tmp_path):
         times = [utc(2024, 2, 2, 18), utc(2024, 7, 1, 6)]
         coarse, truth, model = self._write_fixture(tmp_path, times, "bilinear")
@@ -375,6 +456,39 @@ class TestTcSubcommands:
         ]
         assert len(pooled) == 2
         assert all(line.split(",")[4] == "0" for line in pooled)
+
+    def test_tc_eval_scores_every_source_on_concurrent_pairs_only(self, tmp_path):
+        """Source b lacks the last fix, so source a is scored on 3 of its 4 fixes too."""
+        from geoverify import TcPoint, TcTrack, track_mae
+        from geoverify.cubeio import write_tracks
+        from conftest import hour_sequence
+
+        times = hour_sequence(utc(2024, 9, 1), 4)
+
+        def track(lons, ws):
+            return TcTrack("A", tuple(
+                TcPoint(t, 15.0, lon, w) for t, lon, w in zip(times, lons, ws)))
+
+        reference = track([130.0, 131.0, 132.0, 133.0], [20.0, 25.0, 30.0, 35.0])
+        a = track([130.5, 131.5, 132.0, 140.0], [22.0, 25.0, 27.0, 60.0])
+        b = track([130.0, 132.0, 133.0], [20.0, 21.0, 30.0])
+        for name, t in (("ref", reference), ("a", a), ("b", b)):
+            write_tracks([t], tmp_path / f"{name}.csv")
+        out = tmp_path / "eval.csv"
+        assert main([
+            "tc-eval", "--forecast", f"{tmp_path / 'a.csv'},{tmp_path / 'b.csv'}",
+            "--reference", str(tmp_path / "ref.csv"), "--out", str(out),
+        ]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert {r[2] for r in rows} == {"pooled", "0", "6", "12", "per_lead_mean"}
+        pooled = {(r[0], r[1], r[3]): r for r in rows if r[2] == "pooled"}
+        a3 = TcTrack("A", a.points[:3])
+        assert pooled[("a", "A", "track_mae")][4:] == [
+            format(track_mae(a3, reference).value, ".6g"), "3"]
+        assert pooled[("a", "ALL", "ws10m_rmse")][4:] == [
+            format(float(np.sqrt(np.mean(np.square([2.0, 0.0, -3.0])))), ".6g"), "3"]
+        assert pooled[("b", "A", "ws10m_rmse")][4:] == [
+            format(float(np.sqrt(np.mean(np.square([0.0, -4.0, 0.0])))), ".6g"), "3"]
 
     def test_tc_filter_rule_exemplars(self, tmp_path):
         cases = tmp_path / "cases.csv"

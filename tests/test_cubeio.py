@@ -7,6 +7,7 @@ from geoverify import MetricRecord, VariableId
 from geoverify.cubeio import (
     read_cube,
     read_tracks,
+    write_csv,
     write_cube,
     write_month_hour_matrix,
     write_report,
@@ -94,6 +95,18 @@ class TestCubeRoundTrip:
         data[6] ^= 1
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptHeader, match="orientation"):
+            read_cube(path)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [b"\xff,500,input-output", b"Zx500,input-output", b"Z,5x0,input-output"],
+        ids=["bad-utf8", "field-count", "non-integer-level"],
+    )
+    def test_bad_catalog_entry_is_corrupt_header(self, make_cube, tmp_path, entry):
+        path = tmp_path / "cube.gvc"
+        write_cube(make_cube(), path)
+        path.write_bytes(path.read_bytes().replace(b"Z,500,input-output", entry, 1))
+        with pytest.raises(CorruptHeader, match="catalog entry"):
             read_cube(path)
 
 
@@ -207,6 +220,26 @@ class TestWriteReport:
         path = tmp_path / "report.csv"
         write_report([], path, params={"leads": "6:24:6", "threads_seen": 8})
         assert path.read_text().splitlines()[0] == "# params: leads=6:24:6 threads_seen=8"
+
+
+class TestWriteCsv:
+    def test_params_header_and_rows(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, {"a": 1, "b": "x"}, ["h1", "h2"], [(1, "p"), ("q", 2.5)])
+        assert path.read_text() == "# params: a=1 b=x\nh1,h2\n1,p\nq,2.5\n"
+
+    def test_failure_leaves_existing_report_and_no_stray_file(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text("# params: run=1\nold,report\n")
+
+        def rows():
+            yield ("new", "row")
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_csv(path, {"run": 2}, ["new", "report"], rows())
+        assert path.read_text() == "# params: run=1\nold,report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
 
 class TestMatrixWriter:

@@ -1,6 +1,7 @@
 """Tests for skill scores, with naive-loop oracles for the weighted metrics."""
 
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from geoverify import (
     GridSpec,
     VariableCatalog,
     VariableId,
+    acc_over_set,
     latitude_weights,
     mbe,
     month_hour_matrix,
@@ -320,6 +322,15 @@ class TestRmseOverSet:
             expected /= len(t0s)
             assert record.value == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "init_times, leads, label",
+        [((utc(2024, 1, 1), utc(2024, 1, 1)), (6,), "init time"),
+         ((utc(2024, 1, 1),), (6, 6), "lead")],
+    )
+    def test_duplicates_rejected(self, init_times, leads, label):
+        with pytest.raises(ValueError, match=f"duplicate {label}"):
+            EvaluationSet(init_times, leads)
+
     def test_missing_cube(self):
         spec = GridSpec(2, 4, 45.0, -90.0, 0.0, 90.0)
         catalog = VariableCatalog([VariableId("T2M")])
@@ -333,6 +344,48 @@ class TestRmseOverSet:
 
         with pytest.raises(MissingCube):
             rmse_over_set(forecasts, references, EvaluationSet((t0,), (6,)), "T2M")
+
+
+class TestAccOverSet:
+    def test_matches_naive_per_pair_loop(self):
+        rng = np.random.default_rng(21)
+        spec = GridSpec(3, 4, 60.0, -60.0, 0.0, 90.0)
+        catalog = VariableCatalog([VariableId("Z", 500), VariableId("T2M")])
+        t0s = hour_sequence(utc(2024, 3, 1, 0), 3, step_hours=12)
+        leads = (6, 12)
+        fc_values = {
+            (t0, lead): rng.normal(size=(2, 3, 4)).astype(np.float32)
+            for t0 in t0s for lead in leads
+        }
+        valids = {t0 + timedelta(hours=lead) for t0 in t0s for lead in leads}
+        ref_values = {v: rng.normal(size=(2, 3, 4)).astype(np.float32) for v in valids}
+        clim_values = {v: rng.normal(scale=0.1, size=(3, 4)) for v in valids}
+
+        def forecasts(t0, lead):
+            return FieldCube(spec, catalog, t0 + timedelta(hours=lead), fc_values[(t0, lead)])
+
+        def references(valid):
+            return FieldCube(spec, catalog, valid, ref_values[valid])
+
+        # Unsorted init times: the set sorts them, the loop below does too.
+        eval_set = EvaluationSet(tuple(reversed(t0s)), leads)
+        records = acc_over_set(forecasts, references, clim_values.__getitem__, eval_set, "T2M")
+
+        w = latitude_weights(spec)
+        assert [r.lead_hours for r in records] == list(leads)
+        for record in records:
+            total = 0.0
+            for t0 in sorted(t0s):
+                valid = t0 + timedelta(hours=record.lead_hours)
+                pair = (fc_values[(t0, record.lead_hours)][1], ref_values[valid][1],
+                        clim_values[valid], w)
+                value = weighted_acc(*pair)
+                assert value == pytest.approx(oracle_weighted_acc(*pair), rel=1e-12)
+                total += value
+            assert record.variable == VariableId("T2M")
+            assert record.metric == "acc"
+            assert record.n_samples == len(t0s)
+            assert record.value == total / len(t0s)
 
 
 class TestPointwiseRmse:
