@@ -23,7 +23,6 @@ from .errors import (
     GeoverifyError,
     InvalidFlags,
     MisalignedRange,
-    MissingCube,
     NonMonotonicTime,
     NonPositivePeak,
     ParseError,
@@ -43,15 +42,9 @@ EXIT_DATA = 2
 EXIT_PARSE = 3
 EXIT_CONFIG = 4
 
-_STEM_FORMAT = "%Y%m%dT%H%M%SZ"
-
 
 def time_stem(t: datetime) -> str:
-    return t.astimezone(timezone.utc).strftime(_STEM_FORMAT)
-
-
-def parse_stem(stem: str) -> datetime:
-    return datetime.strptime(stem, _STEM_FORMAT).replace(tzinfo=timezone.utc)
+    return t.astimezone(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
 
 
 def forecast_path(directory, t0: datetime, lead: int) -> Path:
@@ -92,8 +85,6 @@ def read_init_times(path) -> list[datetime]:
 
 def _load_forecast_cube(directory, t0: datetime, lead: int) -> FieldCube:
     path = forecast_path(directory, t0, lead)
-    if not path.exists():
-        raise MissingCube(t0, lead, str(path))
     cube = cubeio.read_cube(path)
     if cube.valid_time != t0 + timedelta(hours=lead):
         raise CorruptHeader(
@@ -105,19 +96,23 @@ def _load_forecast_cube(directory, t0: datetime, lead: int) -> FieldCube:
 def _output_grid(directory, eval_set, variables) -> GridSpec:
     """Grid of the first forecast cube; ValueError if a variable is input-only.
 
-    Runs before the evaluation pass, so a bad variable fails before any pair
-    is scored, and the cube is dropped on return rather than held through it.
+    Reads only the cube's header, before the evaluation pass, so a bad
+    variable fails before any pair is scored.
     """
-    cube = _load_forecast_cube(directory, eval_set.init_times[0], eval_set.lead_hours[0])
+    spec, catalog, _ = cubeio.read_header(
+        forecast_path(directory, eval_set.init_times[0], eval_set.lead_hours[0])
+    )
     for name, level in variables:
-        if cube.catalog.get((name, level)).role != "input-output":
+        if catalog.get((name, level)).role != "input-output":
             raise ValueError(f"variable {name} is input-only and carries no skill metrics")
-    return cube.spec
+    return spec
 
 
 # --- verify -------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1; got {args.threads}")
     variables = [parse_variable_token(tok) for tok in args.variables.split(",") if tok]
     if not variables:
         raise ValueError("--variables is empty")
@@ -131,12 +126,6 @@ def cmd_verify(args) -> int:
     if "acc" in wanted:
         if not args.climatology:
             raise ValueError("computing acc requires --climatology MANIFEST")
-        if not Path(args.climatology).exists():
-            print(
-                f"geoverify: climatology manifest not found: {args.climatology}",
-                file=sys.stderr,
-            )
-            return EXIT_DATA
         clim_fields = clim_mod.Climatology.load(args.climatology).lookup_channel
 
     spec = _output_grid(args.forecast, eval_set, variables)
@@ -369,14 +358,9 @@ def cmd_tc_eval(args) -> int:
 
 
 def cmd_tc_filter(args) -> int:
-    rows = cubeio.read_csv_rows(args.cases)
-    expected = ["case_id", "model_mbe", "wrf_mbe", "both_under", "both_over", "track_err_km"]
-    if not rows or rows[0][1] != expected:
-        raise ParseError(1, f"expected header {','.join(expected)}")
+    columns = ["case_id", "model_mbe", "wrf_mbe", "both_under", "both_over", "track_err_km"]
     decisions = []
-    for row_no, row in rows[1:]:
-        if len(row) != len(expected):
-            raise ParseError(row_no, f"expected {len(expected)} fields, got {len(row)}")
+    for row_no, row in cubeio.read_csv_rows(args.cases, columns):
         try:
             decision = tc.filter_case(
                 model_mbe=float(row[1]),

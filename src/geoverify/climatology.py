@@ -8,20 +8,21 @@ non-leap lookups never touch it.
 
 from __future__ import annotations
 
-import csv
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyInput, MissingKey, SpecMismatch
+from . import cubeio
+from .errors import EmptyInput, MissingKey, ParseError, SpecMismatch
 from .grid import FieldCube, GridSpec, VariableCatalog
 
 #: Hours of day that carry climatology keys (6-hourly synoptic times).
 KEY_HOURS = (0, 6, 12, 18)
 
 MANIFEST_NAME = "manifest.csv"
+MANIFEST_COLUMNS = ["doy", "hour", "n_samples", "filename"]
 
 
 def climatology_key(valid_time: datetime) -> tuple[int, int]:
@@ -61,52 +62,48 @@ class Climatology:
         return self.lookup(valid_time)[self.catalog.index_of(var)]
 
     def save(self, directory) -> Path:
-        """One cube file per key plus a manifest CSV; returns the manifest path."""
+        """One cube file per key, then a manifest CSV naming them; returns its path.
+
+        The manifest is written last and atomically: a failed save leaves none.
+        """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        from .cubeio import write_cube
-
+        rows = []
+        for (doy, hour) in sorted(self.means):
+            filename = f"clim_d{doy:03d}_h{hour:02d}.gvc"
+            stamp = datetime(2000, 1, 1, hour, tzinfo=timezone.utc) + timedelta(days=doy - 1)
+            cube = FieldCube(
+                self.spec, self.catalog, stamp, self.means[(doy, hour)].astype(np.float32)
+            )
+            cubeio.write_cube(cube, directory / filename)
+            rows.append((doy, hour, self.counts[(doy, hour)], filename))
         manifest = directory / MANIFEST_NAME
-        with open(manifest, "w", encoding="utf-8", newline="\n") as f:
-            f.write("doy,hour,n_samples,filename\n")
-            for (doy, hour) in sorted(self.means):
-                filename = f"clim_d{doy:03d}_h{hour:02d}.gvc"
-                stamp = datetime(2000, 1, 1, hour, tzinfo=timezone.utc) + _doy_offset(doy)
-                cube = FieldCube(
-                    self.spec, self.catalog, stamp, self.means[(doy, hour)].astype(np.float32)
-                )
-                write_cube(cube, directory / filename)
-                f.write(f"{doy},{hour},{self.counts[(doy, hour)]},{filename}\n")
+        cubeio.write_csv(manifest, None, MANIFEST_COLUMNS, rows)
         return manifest
 
     @classmethod
     def load(cls, manifest_path) -> "Climatology":
-        from .cubeio import read_cube
-
+        """Read a manifest and its key cubes; means keep the cubes' float32 values."""
         manifest_path = Path(manifest_path)
         means: dict[tuple[int, int], np.ndarray] = {}
         counts: dict[tuple[int, int], int] = {}
         spec = catalog = None
-        with open(manifest_path, "r", encoding="utf-8", newline="") as f:
-            reader = csv.DictReader(f)
-            for row in reader:
-                key = (int(row["doy"]), int(row["hour"]))
-                cube = read_cube(manifest_path.parent / row["filename"])
-                if spec is None:
-                    spec, catalog = cube.spec, cube.catalog
-                elif cube.spec != spec or cube.catalog != catalog:
-                    raise SpecMismatch(f"climatology file {row['filename']} mismatches manifest")
-                means[key] = cube.values.astype(np.float64)
-                counts[key] = int(row["n_samples"])
+        rows = cubeio.read_csv_rows(manifest_path, MANIFEST_COLUMNS)
+        for row_no, (doy, hour, n_samples, filename) in rows:
+            try:
+                key, count = (int(doy), int(hour)), int(n_samples)
+            except ValueError as e:
+                raise ParseError(row_no, str(e)) from None
+            cube = cubeio.read_cube(manifest_path.parent / filename)
+            if spec is None:
+                spec, catalog = cube.spec, cube.catalog
+            elif cube.spec != spec or cube.catalog != catalog:
+                raise SpecMismatch(f"climatology file {filename} mismatches manifest")
+            means[key] = cube.values
+            counts[key] = count
         if spec is None:
             raise EmptyInput(f"manifest {manifest_path} lists no keys")
         return cls(spec, catalog, means, counts)
-
-
-def _doy_offset(doy: int):
-    from datetime import timedelta
-
-    return timedelta(days=doy - 1)
 
 
 def build_climatology(cubes: Iterable[FieldCube]) -> Climatology:

@@ -93,37 +93,39 @@ def write_cube(cube: FieldCube, path) -> None:
         f.write(payload)
 
 
-def read_cube(path) -> FieldCube:
-    """Read a GVC1 cube file, validating header consistency and finiteness."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != MAGIC:
-        raise BadMagic(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < _FIXED_HEADER.size:
+def _read_header(f, path) -> tuple[GridSpec, VariableCatalog, datetime]:
+    """Spec, catalog and valid time from ``f``'s header, leaving ``f`` at the payload.
+
+    Any fault, including a payload length that disagrees with the file size,
+    raises a CubeFormatError.
+    """
+    fixed = f.read(_FIXED_HEADER.size)
+    if fixed[:4] != MAGIC:
+        raise BadMagic(f"{path}: bad magic {fixed[:4]!r}")
+    if len(fixed) < _FIXED_HEADER.size:
         raise TruncatedPayload(f"{path}: truncated header")
     (_, version, orientation, n_lat, n_lon, n_chan,
      lat_start, lat_step, lon_start, lon_step,
-     epoch_s, n_entries) = _FIXED_HEADER.unpack_from(raw, 0)
+     epoch_s, n_entries) = _FIXED_HEADER.unpack(fixed)
     if version != VERSION:
         raise UnsupportedVersion(f"{path}: version {version}")
 
-    offset = _FIXED_HEADER.size
     entries = []
     for _ in range(n_entries):
-        if offset + 2 > len(raw):
+        prefix = f.read(2)
+        if len(prefix) < 2:
             raise TruncatedPayload(f"{path}: truncated catalog")
-        (length,) = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        if offset + length > len(raw):
+        (length,) = struct.unpack("<H", prefix)
+        entry = f.read(length)
+        if len(entry) < length:
             raise TruncatedPayload(f"{path}: truncated catalog entry")
         try:
-            name, level, role = raw[offset:offset + length].decode("utf-8").split(",")
+            name, level, role = entry.decode("utf-8").split(",")
             entries.append(VariableId(name, _parse_level(level), role))
         except ValueError as e:  # includes UnicodeDecodeError
             raise CorruptHeader(f"{path}: bad catalog entry: {e}") from None
-        offset += length
 
-    if (lat_step < 0) != bool(orientation):
+    if orientation != (1 if lat_step < 0 else 0):
         raise CorruptHeader(f"{path}: orientation flag disagrees with lat_step sign")
     if n_chan != n_entries:
         raise CorruptHeader(f"{path}: n_chan {n_chan} != catalog length {n_entries}")
@@ -132,18 +134,37 @@ def read_cube(path) -> FieldCube:
         catalog = VariableCatalog(entries)
     except ValueError as e:
         raise CorruptHeader(f"{path}: {e}") from None
+    try:
+        valid_time = datetime.fromtimestamp(epoch_s, tz=timezone.utc)
+    except (ValueError, OverflowError, OSError) as e:
+        raise CorruptHeader(f"{path}: valid time {epoch_s}: {e}") from None
 
+    payload = os.fstat(f.fileno()).st_size - f.tell()
     expected = 4 * n_chan * n_lat * n_lon
-    if len(raw) - offset != expected:
-        raise TruncatedPayload(
-            f"{path}: payload is {len(raw) - offset} bytes, header implies {expected}"
-        )
-    values = np.frombuffer(raw, dtype="<f4", count=n_chan * n_lat * n_lon, offset=offset)
-    values = values.reshape(n_chan, n_lat, n_lon)
-    if not np.isfinite(values).all():
-        raise NonFiniteValue(f"{path}: payload contains NaN/Inf")
-    valid_time = datetime.fromtimestamp(epoch_s, tz=timezone.utc)
-    return FieldCube(spec, catalog, valid_time, values)
+    if payload != expected:
+        raise TruncatedPayload(f"{path}: payload is {payload} bytes, header implies {expected}")
+    return spec, catalog, valid_time
+
+
+def read_header(path) -> tuple[GridSpec, VariableCatalog, datetime]:
+    """Grid spec, catalog and valid time of a cube file, without reading its payload.
+
+    The header is validated exactly as ``read_cube`` validates it."""
+    with open(path, "rb") as f:
+        return _read_header(f, path)
+
+
+def read_cube(path) -> FieldCube:
+    """Read a GVC1 cube file, validating header consistency and finiteness."""
+    with open(path, "rb") as f:
+        spec, catalog, valid_time = _read_header(f, path)
+        values = np.empty((len(catalog), spec.n_lat, spec.n_lon), dtype="<f4")
+        if f.readinto(values) != values.nbytes:
+            raise TruncatedPayload(f"{path}: file shrank while its payload was read")
+    try:
+        return FieldCube(spec, catalog, valid_time, values)
+    except ValueError as e:  # the one finiteness scan is FieldCube's
+        raise NonFiniteValue(f"{path}: {e}") from None
 
 
 # --- track CSV ---------------------------------------------------------------
@@ -165,44 +186,26 @@ def format_time(t: datetime) -> str:
 def read_tracks(path) -> list[TcTrack]:
     """Read a track CSV into one TcTrack per storm, points sorted by time.
 
-    Leading '#' comment lines are skipped.  Malformed rows raise ParseError
-    with the 1-based physical row number; duplicate or unevenly spaced
+    Rows are read by ``read_csv_rows``; a row whose values do not parse
+    raises ParseError with its row number, and duplicate or unevenly spaced
     times within a storm raise NonMonotonicTime.
     """
     groups: dict[str, list[TcPoint]] = {}
     names: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = None
-        row_no = 0
-        for row in reader:
-            row_no += 1
-            if row and row[0].startswith("#"):
-                continue
-            if header is None:
-                header = row
-                if header != TRACK_COLUMNS:
-                    raise ParseError(row_no, f"expected header {','.join(TRACK_COLUMNS)}")
-                continue
-            if not row:
-                continue
-            if len(row) != len(TRACK_COLUMNS):
-                raise ParseError(row_no, f"expected {len(TRACK_COLUMNS)} fields, got {len(row)}")
-            storm_id, name, time_s, lat_s, lon_s, ws_s, msl_s = row
-            try:
-                point = TcPoint(
-                    time=parse_time(time_s),
-                    lat=float(lat_s),
-                    lon=float(lon_s),
-                    ws_max=float(ws_s),
-                    msl_min=float(msl_s) if msl_s.strip() else None,
-                )
-            except (ValueError, OverflowError) as e:
-                raise ParseError(row_no, str(e)) from None
-            groups.setdefault(storm_id, []).append(point)
-            names.setdefault(storm_id, name)
-    if header is None:
-        raise ParseError(1, "missing header row")
+    for row_no, row in read_csv_rows(path, TRACK_COLUMNS):
+        storm_id, name, time_s, lat_s, lon_s, ws_s, msl_s = row
+        try:
+            point = TcPoint(
+                time=parse_time(time_s),
+                lat=float(lat_s),
+                lon=float(lon_s),
+                ws_max=float(ws_s),
+                msl_min=float(msl_s) if msl_s.strip() else None,
+            )
+        except (ValueError, OverflowError) as e:
+            raise ParseError(row_no, str(e)) from None
+        groups.setdefault(storm_id, []).append(point)
+        names.setdefault(storm_id, name)
 
     tracks = []
     for storm_id, points in groups.items():
@@ -295,15 +298,30 @@ def write_month_hour_matrix(matrix, path, params: Mapping | None = None) -> None
     ))
 
 
-def read_csv_rows(path) -> list[tuple[int, list[str]]]:
-    """Generic CSV reader: (1-based row number, fields) pairs, '#' lines skipped."""
-    out = []
+def read_csv_rows(path, columns: list[str]) -> list[tuple[int, list[str]]]:
+    """The data rows of a CSV table with header ``columns``, as (row number, fields).
+
+    Rows are numbered from 1 as they appear in the file; blank rows and rows
+    whose first field starts with '#' are skipped.  A header other than
+    ``columns``, a row without one field per column, or text that is not
+    UTF-8 CSV raises ParseError with the row's number.
+    """
+    rows = []
+    row_no = 0
     with open(path, "r", encoding="utf-8", newline="") as f:
-        for row_no, row in enumerate(csv.reader(f), start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            out.append((row_no, row))
-    return out
+        try:
+            for row_no, row in enumerate(csv.reader(f), start=1):
+                if row and not row[0].startswith("#"):
+                    rows.append((row_no, row))
+        except (csv.Error, UnicodeDecodeError) as e:
+            raise ParseError(row_no + 1, str(e)) from None
+    if not rows or rows[0][1] != columns:
+        raise ParseError(rows[0][0] if rows else row_no + 1,
+                         f"expected header {','.join(columns)}")
+    for row_no, row in rows[1:]:
+        if len(row) != len(columns):
+            raise ParseError(row_no, f"expected {len(columns)} fields, got {len(row)}")
+    return rows[1:]
 
 
 def cube_paths(directory) -> list[Path]:

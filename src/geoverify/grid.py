@@ -120,6 +120,10 @@ class VariableId:
     level: int | None = None
     role: str = ROLE_INPUT_OUTPUT
 
+    def __post_init__(self):
+        if self.role not in (ROLE_INPUT_OUTPUT, ROLE_INPUT_ONLY):
+            raise ValueError(f"unknown role {self.role!r} for {self.token}")
+
     @property
     def key(self) -> tuple[str, int | None]:
         return (self.name, self.level)

@@ -19,6 +19,7 @@ are reproducible bit-for-bit at any thread count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -227,8 +228,8 @@ def evaluate_set(
     ``maps`` a pointwise-RMSE map summed exactly as ``pointwise_rmse`` does.
 
     Returns one MetricRecord per (variable, lead, metric), the mean of the
-    per-pair values, and the float64 maps keyed by (variable, lead).  Pairs
-    are scored on up to ``threads`` workers and reduced in sorted (init,
+    per-pair values, and the float64 maps keyed by (variable, lead).  Pairs are
+    scored on min(threads, pairs, CPUs) workers and reduced in sorted (init,
     lead) order, so results are bitwise identical at any thread count.
     """
     var_ids = [_resolve_var(v) for v in variables]
@@ -266,8 +267,9 @@ def evaluate_set(
                 if sq is not None:
                     sums[(var, lead)] = _add(sums.get((var, lead)), sq)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(pairs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             accumulate(pool.map(score, pairs))
     else:
         accumulate(map(score, pairs))

@@ -23,6 +23,7 @@ from .errors import (
     UnknownVariable,
 )
 from .grid import FieldCube, GridSpec, VariableCatalog, VariableId
+from .metrics import MetricRecord
 
 EARTH_RADIUS_KM = 6371.0
 KM_PER_DEG = math.pi * EARTH_RADIUS_KM / 180.0
@@ -258,8 +259,6 @@ def group_by_lead(errors: Sequence[tuple[int, float]]) -> list[tuple[int, list[f
 
 
 def _skill(errors, var: VariableId, metric: str, reduce, by_lead: bool):
-    from .metrics import MetricRecord
-
     if by_lead:
         return [MetricRecord(var, lead, metric, reduce(v), len(v))
                 for lead, v in group_by_lead(errors)]

@@ -11,7 +11,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from . import cubeio
 from .errors import EmptyGroundTruth, EmptySet, ParseError
+from .grid import VariableId
+from .metrics import MetricRecord
 
 QUESTION_TYPES = ("open", "closed")
 
@@ -83,15 +86,8 @@ VQA_COLUMNS = ["question_id", "type", "prediction", "ground_truth"]
 
 def read_vqa_items(path) -> list[VqaItem]:
     """Read items from a CSV with columns question_id,type,prediction,ground_truth."""
-    from .cubeio import read_csv_rows
-
-    rows = read_csv_rows(path)
-    if not rows or rows[0][1] != VQA_COLUMNS:
-        raise ParseError(1, f"expected header {','.join(VQA_COLUMNS)}")
     items = []
-    for row_no, row in rows[1:]:
-        if len(row) != len(VQA_COLUMNS):
-            raise ParseError(row_no, f"expected {len(VQA_COLUMNS)} fields, got {len(row)}")
+    for row_no, row in cubeio.read_csv_rows(path, VQA_COLUMNS):
         try:
             items.append(VqaItem(*row))
         except ValueError as e:
@@ -105,9 +101,6 @@ def score_items(items, benchmark: str = "vqa"):
     The report's variable column carries the benchmark name; lead_hours is
     not meaningful for VQA and is recorded as 0.
     """
-    from .grid import VariableId
-    from .metrics import MetricRecord
-
     var = VariableId(benchmark.upper())
     records = []
     closed = [it for it in items if it.question_type == "closed"]

@@ -186,6 +186,72 @@ class TestVerify:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("side", ["forecast", "reference"])
+    def test_unknown_catalog_role_exits_2(self, tmp_path, side):
+        """One changed byte in a role is a data error, not a cube with an unknown role."""
+        init_times = [utc(2024, 1, 1, 0)]
+        fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6])
+        [path] = (fdir if side == "forecast" else rdir).glob("*.gvc")
+        path.write_bytes(path.read_bytes().replace(b"Z,500,input-output", b"Z,500,input-outpuX"))
+        code = main([
+            "verify", "--forecast", str(fdir), "--reference", str(rdir),
+            "--variables", "Z500", "--metrics", "rmse",
+            "--init-times", str(times_file), "--leads", "6",
+            "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 2
+
+    @pytest.mark.parametrize("side", ["forecast", "reference"])
+    def test_out_of_range_valid_time_exits_2(self, tmp_path, side):
+        """A valid-time epoch of 10**12 s (year ~33658) is a corrupt header."""
+        import struct
+
+        init_times = [utc(2024, 1, 1, 0)]
+        fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6])
+        [path] = (fdir if side == "forecast" else rdir).glob("*.gvc")
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<q", data, 51, 10**12)  # i64 valid time after the 51-byte prefix
+        path.write_bytes(bytes(data))
+        code = main([
+            "verify", "--forecast", str(fdir), "--reference", str(rdir),
+            "--variables", "Z500", "--metrics", "rmse",
+            "--init-times", str(times_file), "--leads", "6",
+            "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "manifest_text, row",
+        [("doy,hour,filename\n1,6,clim_d001_h06.gvc\n", 1),
+         ("doy,hour,n_samples,filename\n1,6,two,clim_d001_h06.gvc\n", 2)],
+        ids=["missing-column", "non-integer-n_samples"],
+    )
+    def test_malformed_climatology_manifest_exits_3(self, tmp_path, capsys, manifest_text, row):
+        init_times = [utc(2024, 1, 1, 0)]
+        fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6])
+        manifest.write_text(manifest_text)
+        code = main([
+            "verify", "--forecast", str(fdir), "--reference", str(rdir),
+            "--climatology", str(manifest), "--variables", "Z500",
+            "--init-times", str(times_file), "--leads", "6",
+            "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 3
+        assert f"parse error: row {row}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_4(self, tmp_path, threads):
+        init_times = [utc(2024, 1, 1, 0)]
+        fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6])
+        out = tmp_path / "r.csv"
+        code = main([
+            "verify", "--forecast", str(fdir), "--reference", str(rdir),
+            "--variables", "Z500", "--metrics", "rmse", "--threads", threads,
+            "--init-times", str(times_file), "--leads", "6", "--out", str(out),
+        ])
+        assert code == 4
+        assert not out.exists()
+
     def test_duplicate_init_time_exits_4(self, tmp_path, capsys):
         init_times = [utc(2024, 1, 1, 0), utc(2024, 1, 1, 12)]
         fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6])

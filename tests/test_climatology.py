@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from geoverify import build_climatology, climatology_key
+from geoverify import build_climatology, climatology_key, cubeio
 from geoverify.climatology import Climatology
 from geoverify.errors import EmptyInput, MissingKey, SpecMismatch
 from conftest import random_cube, utc
@@ -114,3 +114,34 @@ class TestClimatologySerialization:
             np.testing.assert_array_equal(
                 back.means[key], clim.means[key].astype(np.float32).astype(np.float64)
             )
+
+    def test_manifest_bytes(self, tmp_path):
+        rng = np.random.default_rng(9)
+        cubes = [random_cube(rng, valid_time=utc(year, 6, 1, hour))
+                 for year in (2019, 2020) for hour in (12, 18)]
+        manifest = build_climatology(cubes).save(tmp_path / "clim")
+        assert manifest.read_bytes() == (
+            b"doy,hour,n_samples,filename\n"
+            b"153,12,2,clim_d153_h12.gvc\n"
+            b"153,18,2,clim_d153_h18.gvc\n"
+        )
+
+    def test_failed_save_leaves_no_manifest(self, tmp_path, monkeypatch):
+        """The manifest is written last, so it never names a cube a failed save lacks."""
+        rng = np.random.default_rng(9)
+        clim = build_climatology(
+            [random_cube(rng, valid_time=utc(2020, 6, 1, hour)) for hour in (12, 18)]
+        )
+        write_cube = cubeio.write_cube
+        calls = []
+
+        def failing_second_write(cube, path):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            write_cube(cube, path)
+
+        monkeypatch.setattr(cubeio, "write_cube", failing_second_write)
+        with pytest.raises(OSError, match="disk full"):
+            clim.save(tmp_path / "clim")
+        assert [p.name for p in (tmp_path / "clim").iterdir()] == ["clim_d153_h12.gvc"]

@@ -5,7 +5,9 @@ import pytest
 
 from geoverify import MetricRecord, VariableId
 from geoverify.cubeio import (
+    read_csv_rows,
     read_cube,
+    read_header,
     read_tracks,
     write_csv,
     write_cube,
@@ -108,6 +110,52 @@ class TestCubeRoundTrip:
         path.write_bytes(path.read_bytes().replace(b"Z,500,input-output", entry, 1))
         with pytest.raises(CorruptHeader, match="catalog entry"):
             read_cube(path)
+
+
+class TestReadHeader:
+    def test_header_without_payload_scan(self, make_cube, tmp_path):
+        """read_header gives read_cube's header but never looks at payload values."""
+        cube = make_cube()
+        path = tmp_path / "cube.gvc"
+        write_cube(cube, path)
+        data = bytearray(path.read_bytes())
+        data[-4:] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(data))
+        assert read_header(path) == (cube.spec, cube.catalog, cube.valid_time)
+        with pytest.raises(NonFiniteValue):
+            read_cube(path)
+
+    def test_payload_length_checked_against_file_size(self, make_cube, tmp_path):
+        path = tmp_path / "cube.gvc"
+        write_cube(make_cube(), path)
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(TruncatedPayload, match="header implies"):
+            read_header(path)
+
+
+class TestReadCsvRows:
+    def test_comment_and_blank_rows_skipped_with_physical_row_numbers(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# params: x=1\n\na,b\n1,2\n\n# note\n3,4\n")
+        assert read_csv_rows(path, ["a", "b"]) == [(4, ["1", "2"]), (7, ["3", "4"])]
+
+    @pytest.mark.parametrize(
+        "text, row",
+        [("# params: x=1\na,c\n1,2\n", 2), ("a,b\n1,2\n3\n", 3), ("# only\n", 2)],
+        ids=["wrong-header", "short-row", "no-header"],
+    )
+    def test_parse_error_names_the_row(self, tmp_path, text, row):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_csv_rows(path, ["a", "b"])
+        assert err.value.row == row
+
+    def test_text_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\n\xff,2\n")
+        with pytest.raises(ParseError):
+            read_csv_rows(path, ["a", "b"])
 
 
 class TestReadTracks:

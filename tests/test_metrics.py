@@ -6,6 +6,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
+from geoverify import metrics
 from geoverify import (
     EvaluationSet,
     FieldCube,
@@ -344,6 +345,39 @@ class TestRmseOverSet:
 
         with pytest.raises(MissingCube):
             rmse_over_set(forecasts, references, EvaluationSet((t0,), (6,)), "T2M")
+
+    @pytest.mark.parametrize(
+        "threads, cpus, workers",
+        [(64, 8, [3]), (64, 2, [2]), (2, 8, [2]), (64, None, []), (1, 8, [])],
+    )
+    def test_workers_bounded_by_pairs_and_cpus(self, monkeypatch, threads, cpus, workers):
+        """A pool gets min(threads, pairs, cpus) workers; one worker scores serially."""
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(metrics, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(metrics.os, "cpu_count", lambda: cpus)
+        spec = GridSpec(2, 4, 45.0, -90.0, 0.0, 90.0)
+        catalog = VariableCatalog([VariableId("T2M")])
+        t0s = hour_sequence(utc(2024, 1, 1, 0), 3, step_hours=24)
+        forecasts, references = self._sources(dict.fromkeys(t0s, 1.0), spec, catalog)
+        records, _ = metrics.evaluate_set(
+            forecasts, references, EvaluationSet(tuple(t0s), (6,)), ["T2M"], threads=threads
+        )
+        assert seen == workers
+        assert records[0].value == 1.0
 
 
 class TestAccOverSet:

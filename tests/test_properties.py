@@ -22,7 +22,8 @@ from geoverify import (
     weighted_acc,
     weighted_rmse,
 )
-from geoverify.cubeio import read_cube, write_cube, write_report
+from geoverify.cubeio import read_cube, read_header, write_cube, write_report
+from geoverify.errors import CubeFormatError
 from conftest import utc
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -161,6 +162,46 @@ class TestCubeRoundTripProperty:
         assert back.spec == cube.spec and back.catalog == cube.catalog
         assert back.valid_time == cube.valid_time
         np.testing.assert_array_equal(back.values, cube.values)
+
+
+class TestCubeBytesProperty:
+    """A truncated or single-byte-changed cube file never escapes the format errors.
+
+    Each read either returns a cube whose roles are all known or raises
+    CubeFormatError.  A changed payload or name byte can still give a valid
+    cube that differs from the original: the format carries no checksum.
+    """
+
+    CATALOG = VariableCatalog(
+        [VariableId("Z", 500), VariableId("T2M"), VariableId("LSM", role="input-only")]
+    )
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_truncation_or_byte_change_reads_as_cube_or_format_error(
+        self, tmp_path_factory, data
+    ):
+        path = tmp_path_factory.getbasetemp() / "mutated.gvc"
+        values = np.arange(3 * 2 * 3, dtype=np.float32).reshape(3, 2, 3)
+        write_cube(
+            FieldCube(GridSpec(2, 3, 45.0, -90.0, 0.0, 120.0), self.CATALOG,
+                      utc(2024, 5, 5, 6), values),
+            path,
+        )
+        raw = bytearray(path.read_bytes())
+        pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+        if data.draw(st.booleans(), label="truncate"):
+            del raw[pos:]
+        else:
+            raw[pos] ^= data.draw(st.integers(1, 255), label="xor mask")
+        path.write_bytes(bytes(raw))
+
+        for read, catalog_of in ((read_cube, lambda c: c.catalog), (read_header, lambda h: h[1])):
+            try:
+                result = read(path)
+            except CubeFormatError:
+                continue
+            assert {v.role for v in catalog_of(result)} <= {"input-output", "input-only"}
 
 
 class TestReportDeterminismProperty:
