@@ -72,20 +72,28 @@ def parse_leads(spec: str) -> list[int]:
 
 
 def read_init_times(path) -> list[datetime]:
+    """Init times, one per "\n"-ended line; blank and '#' lines are skipped.
+
+    A line that is not UTF-8 or not an ISO time raises ParseError with its
+    1-based number; lines are decoded one by one so that number is exact.
+    """
     times = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                times.append(cubeio.parse_time(line))
+    with open(path, "rb") as f:
+        for line_no, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if line and not line.startswith("#"):
+                    times.append(cubeio.parse_time(line))
+            except (ValueError, OverflowError) as e:  # includes UnicodeDecodeError
+                raise ParseError(line_no, str(e)) from None
     if not times:
         raise ValueError(f"no init times in {path}")
     return times
 
 
-def _load_forecast_cube(directory, t0: datetime, lead: int) -> FieldCube:
+def _load_forecast_cube(directory, t0: datetime, lead: int, variables) -> FieldCube:
     path = forecast_path(directory, t0, lead)
-    cube = cubeio.read_cube(path)
+    cube = cubeio.read_cube(path, variables)
     if cube.valid_time != t0 + timedelta(hours=lead):
         raise CorruptHeader(
             f"{path}: valid_time {cube.valid_time} != init {t0} + {lead}h"
@@ -126,12 +134,12 @@ def cmd_verify(args) -> int:
     if "acc" in wanted:
         if not args.climatology:
             raise ValueError("computing acc requires --climatology MANIFEST")
-        clim_fields = clim_mod.Climatology.load(args.climatology).lookup_channel
+        clim_fields = clim_mod.Climatology.load(args.climatology, variables).lookup_channel
 
     spec = _output_grid(args.forecast, eval_set, variables)
     records, rmse_maps = metrics.evaluate_set(
-        lambda t0, lead: _load_forecast_cube(args.forecast, t0, lead),
-        lambda valid: cubeio.read_cube(reference_path(args.reference, valid)),
+        lambda t0, lead: _load_forecast_cube(args.forecast, t0, lead, variables),
+        lambda valid: cubeio.read_cube(reference_path(args.reference, valid), variables),
         eval_set,
         variables,
         rmse="rmse" in wanted,

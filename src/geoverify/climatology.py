@@ -82,22 +82,29 @@ class Climatology:
         return manifest
 
     @classmethod
-    def load(cls, manifest_path) -> "Climatology":
-        """Read a manifest and its key cubes; means keep the cubes' float32 values."""
+    def load(cls, manifest_path, variables=None) -> "Climatology":
+        """Read a manifest and its key cubes; means keep the cubes' float32 values.
+
+        With ``variables``, each key keeps only those channels, read as
+        ``cubeio.read_cube(path, variables)`` reads them; every key cube is
+        still validated in full and must share the first one's whole catalog.
+        """
         manifest_path = Path(manifest_path)
         means: dict[tuple[int, int], np.ndarray] = {}
         counts: dict[tuple[int, int], int] = {}
-        spec = catalog = None
+        spec = catalog = first_file_catalog = None
         rows = cubeio.read_csv_rows(manifest_path, MANIFEST_COLUMNS)
         for row_no, (doy, hour, n_samples, filename) in rows:
             try:
                 key, count = (int(doy), int(hour)), int(n_samples)
             except ValueError as e:
                 raise ParseError(row_no, str(e)) from None
-            cube = cubeio.read_cube(manifest_path.parent / filename)
+            path = manifest_path.parent / filename
+            cube = cubeio.read_cube(path, variables)
+            file_catalog = cube.catalog if variables is None else cubeio.read_header(path)[1]
             if spec is None:
-                spec, catalog = cube.spec, cube.catalog
-            elif cube.spec != spec or cube.catalog != catalog:
+                spec, catalog, first_file_catalog = cube.spec, cube.catalog, file_catalog
+            elif cube.spec != spec or file_catalog != first_file_catalog:
                 raise SpecMismatch(f"climatology file {filename} mismatches manifest")
             means[key] = cube.values
             counts[key] = count

@@ -24,8 +24,10 @@ Text outputs are UTF-8 with "\\n" line endings.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import struct
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -41,7 +43,14 @@ from .errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
-from .grid import FieldCube, GridSpec, VariableCatalog, VariableId
+from .grid import (
+    FINITE_SCAN_VALUES,
+    FieldCube,
+    GridSpec,
+    VariableCatalog,
+    VariableId,
+    all_finite,
+)
 from .tc import TcPoint, TcTrack
 
 MAGIC = b"GVC1"
@@ -66,8 +75,26 @@ def _encode_catalog(catalog: VariableCatalog) -> bytes:
     return b"".join(parts)
 
 
+@contextmanager
+def _replacing(path, mode: str, **open_args):
+    """A file opened on a temporary name in ``path``'s directory that replaces ``path``.
+
+    ``path`` is replaced only when the block exits without an exception; a
+    failure leaves an existing file unchanged and no temporary file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_args) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_cube(cube: FieldCube, path) -> None:
-    """Write a cube; read_cube(write_cube(c)) is bit-identical to c."""
+    """Write a cube atomically; read_cube(write_cube(c)) is bit-identical to c."""
     spec = cube.spec
     ts = cube.valid_time.astimezone(timezone.utc)
     if ts.microsecond != 0:
@@ -86,11 +113,10 @@ def write_cube(cube: FieldCube, path) -> None:
         int(ts.timestamp()),
         len(cube.catalog),
     )
-    payload = np.ascontiguousarray(cube.values, dtype="<f4").tobytes()
-    with open(path, "wb") as f:
+    with _replacing(path, "wb") as f:
         f.write(header)
         f.write(_encode_catalog(cube.catalog))
-        f.write(payload)
+        f.write(np.ascontiguousarray(cube.values, dtype="<f4").data)
 
 
 def _read_header(f, path) -> tuple[GridSpec, VariableCatalog, datetime]:
@@ -154,16 +180,50 @@ def read_header(path) -> tuple[GridSpec, VariableCatalog, datetime]:
         return _read_header(f, path)
 
 
-def read_cube(path) -> FieldCube:
-    """Read a GVC1 cube file, validating header consistency and finiteness."""
+def _fill(f, path, out: np.ndarray) -> None:
+    if f.readinto(out) != out.nbytes:
+        raise TruncatedPayload(f"{path}: file shrank while its payload was read")
+
+
+def read_cube(path, variables=None) -> FieldCube:
+    """Read a GVC1 cube file, validating header consistency and finiteness.
+
+    With ``variables``, the cube keeps only the channels of the file's
+    catalog named there (as tokens, (name, level) pairs or VariableIds), in
+    file order; a variable the file lacks is not kept, so ``select_channel``
+    raises UnknownVariable for it as after a full read.  Every other channel
+    still streams through one reused buffer of at most FINITE_SCAN_VALUES
+    values and is checked for NaN/Inf: a file is accepted or rejected
+    exactly as by a full read.
+    """
     with open(path, "rb") as f:
         spec, catalog, valid_time = _read_header(f, path)
-        values = np.empty((len(catalog), spec.n_lat, spec.n_lon), dtype="<f4")
-        if f.readinto(values) != values.nbytes:
-            raise TruncatedPayload(f"{path}: file shrank while its payload was read")
+        n_chan = len(catalog)
+        keep = set(range(n_chan))
+        if variables is not None:
+            keep = {catalog.index_of(v) for v in variables if v in catalog}
+            catalog = VariableCatalog([catalog.entries[i] for i in sorted(keep)])
+        plane = spec.n_lat * spec.n_lon
+        values = np.empty((len(keep), spec.n_lat, spec.n_lon), dtype="<f4")
+        kept = values.reshape(-1)
+        scan = np.empty(min(FINITE_SCAN_VALUES, plane * (n_chan - len(keep))), dtype="<f4")
+        pos, finite = 0, True
+        # One readinto per run of adjacent kept channels: a full read is one call.
+        for is_kept, run in itertools.groupby(range(n_chan), keep.__contains__):
+            count = plane * len(list(run))
+            if is_kept:
+                _fill(f, path, kept[pos:pos + count])
+                pos += count
+                continue
+            for start in range(0, count, scan.size):
+                block = scan[:min(scan.size, count - start)]
+                _fill(f, path, block)
+                finite = finite and all_finite(block)
+        if not finite:
+            raise NonFiniteValue(f"{path}: cube values must be finite")
     try:
         return FieldCube(spec, catalog, valid_time, values)
-    except ValueError as e:  # the one finiteness scan is FieldCube's
+    except ValueError as e:  # the finiteness scan of the kept channels is FieldCube's
         raise NonFiniteValue(f"{path}: {e}") from None
 
 
@@ -218,27 +278,18 @@ def read_tracks(path) -> list[TcTrack]:
 
 
 def write_csv(path, params: Mapping | None, header: Sequence[str], rows: Iterable) -> None:
-    """Write a CSV: a "# params:" line when params are given, the header, the rows.
+    """Write a CSV atomically: a "# params:" line when params are given, the header, the rows.
 
     Each row is a sequence of fields joined with commas after ``str()``, so
-    callers format numbers themselves.  The text goes to a temporary file in
-    the target directory that replaces ``path`` only once every row is
-    written: a failure leaves an existing file unchanged and no partial or
-    temporary file behind.
+    callers format numbers themselves.  A failure leaves an existing file
+    unchanged and no partial or temporary file behind.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-            if params:
-                f.write(f"# params: {' '.join(f'{k}={v}' for k, v in params.items())}\n")
-            f.write(",".join(header) + "\n")
-            for row in rows:
-                f.write(",".join(str(field) for field in row) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _replacing(path, "w", encoding="utf-8", newline="\n") as f:
+        if params:
+            f.write(f"# params: {' '.join(f'{k}={v}' for k, v in params.items())}\n")
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(str(field) for field in row) + "\n")
 
 
 def write_tracks(tracks: Sequence[TcTrack], path, params: Mapping | None = None) -> None:

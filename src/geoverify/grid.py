@@ -8,6 +8,7 @@ orientation is recorded explicitly in every cube file.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -39,6 +40,10 @@ ROLE_INPUT_ONLY = "input-only"
 
 _ALIGN_TOL_DEG = 1e-6
 
+#: Values per block of a finiteness scan: 1 MiB of float32.  A scan never
+#: holds more than one block's flags, whatever the size of the array.
+FINITE_SCAN_VALUES = 1 << 18
+
 
 def _as_utc(t: datetime) -> datetime:
     if t.tzinfo is None:
@@ -67,9 +72,12 @@ class GridSpec:
             raise ValueError(f"n_lat must be >= 2, got {self.n_lat}")
         if self.n_lon < 1:
             raise ValueError(f"n_lon must be >= 1, got {self.n_lon}")
+        for name in ("lat_start", "lat_step", "lon_start", "lon_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lat_step == 0.0:
             raise ValueError("lat_step must be nonzero (latitudes strictly monotonic)")
-        if self.lon_step <= 0.0:
+        if not self.lon_step > 0.0:
             raise ValueError("lon_step must be positive (west-to-east storage)")
         lat_end = self.lat_start + (self.n_lat - 1) * self.lat_step
         if not (-90.0 - 1e-9 <= self.lat_start <= 90.0 + 1e-9):
@@ -230,7 +238,7 @@ class FieldCube:
         expected = (len(self.catalog), self.spec.n_lat, self.spec.n_lon)
         if arr.shape != expected:
             raise ValueError(f"values shape {arr.shape} != (C,H,W) {expected}")
-        if not np.isfinite(arr).all():
+        if not all_finite(arr):
             raise ValueError("cube values must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -239,6 +247,15 @@ class FieldCube:
     @property
     def n_channels(self) -> int:
         return len(self.catalog)
+
+
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every value is finite, scanned in blocks of FINITE_SCAN_VALUES."""
+    flat = values.reshape(-1)
+    return all(
+        np.isfinite(flat[start:start + FINITE_SCAN_VALUES]).all()
+        for start in range(0, flat.size, FINITE_SCAN_VALUES)
+    )
 
 
 def latitude_weights(spec_or_lats: GridSpec | Sequence[float] | np.ndarray) -> np.ndarray:

@@ -336,6 +336,113 @@ class TestVerify:
         assert cube.values.shape == (1, 5, 8)
         assert (np.asarray(cube.values) >= 0).all()
 
+    def test_keeping_scored_channels_changes_no_output_byte(self, tmp_path, monkeypatch):
+        """Report and maps are the bytes that full reads of every cube give."""
+        from geoverify import cubeio
+
+        init_times = [utc(2024, 1, 1, 0), utc(2024, 1, 1, 12)]
+        fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6, 12])
+        outputs = []
+        for name in ("selective", "full"):
+            if name == "full":
+                read_cube = cubeio.read_cube
+                monkeypatch.setattr(cubeio, "read_cube", lambda path, variables=None: read_cube(path))
+            code = main([
+                "verify", "--forecast", str(fdir), "--reference", str(rdir),
+                "--climatology", str(manifest), "--variables", "T2M",
+                "--init-times", str(times_file), "--leads", "6,12",
+                "--out", str(tmp_path / f"{name}.csv"), "--map-dir", str(tmp_path / name),
+            ])
+            assert code == 0
+            outputs.append([(tmp_path / f"{name}.csv").read_bytes()] + [
+                p.read_bytes() for p in sorted((tmp_path / name).iterdir())])
+        assert len(outputs[0]) == 3
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("side", ["forecast", "reference", "climatology"])
+    def test_non_finite_value_in_an_unscored_channel_exits_2(self, tmp_path, capsys, side):
+        """verify keeps only Z500 but still checks T2M, the channel it does not score."""
+        init_times = [utc(2024, 1, 1, 0)]
+        fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6])
+        [path] = {"forecast": fdir, "reference": rdir, "climatology": manifest.parent}[side] \
+            .glob("*.gvc")
+        data = bytearray(path.read_bytes())
+        data[-4:] = np.float32(np.nan).tobytes()  # last value of T2M, the last channel
+        path.write_bytes(bytes(data))
+        out = tmp_path / "r.csv"
+        code = main([
+            "verify", "--forecast", str(fdir), "--reference", str(rdir),
+            "--climatology", str(manifest), "--variables", "Z500",
+            "--init-times", str(times_file), "--leads", "6", "--out", str(out),
+        ])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_variable_missing_from_a_reference_cube_exits_4(self, tmp_path, capsys):
+        from geoverify.cubeio import read_cube
+
+        init_times = [utc(2024, 1, 1, 0)]
+        fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6])
+        [path] = rdir.glob("*.gvc")
+        ref = read_cube(path)
+        write_cube(FieldCube(SPEC, VariableCatalog([VariableId("Z", 500)]), ref.valid_time,
+                             ref.values[:1]), path)
+        code = main([
+            "verify", "--forecast", str(fdir), "--reference", str(rdir),
+            "--variables", "Z500,T2M", "--metrics", "rmse",
+            "--init-times", str(times_file), "--leads", "6",
+            "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 4
+        assert "T2M not in catalog" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["forecast", "reference"])
+    def test_nan_lon_step_exits_2(self, tmp_path, side):
+        import struct
+
+        init_times = [utc(2024, 1, 1, 0)]
+        fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6])
+        [path] = (fdir if side == "forecast" else rdir).glob("*.gvc")
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, 43, float("nan"))  # lon_step, the fourth f64 at byte 19
+        path.write_bytes(bytes(data))
+        code = main([
+            "verify", "--forecast", str(fdir), "--reference", str(rdir),
+            "--variables", "Z500", "--metrics", "rmse",
+            "--init-times", str(times_file), "--leads", "6",
+            "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 2
+
+    @pytest.mark.parametrize("line", [b"not-a-time", b"\xff2024-01-02T00:00:00Z"],
+                             ids=["not-a-time", "not-utf8"])
+    def test_malformed_init_time_line_exits_3(self, tmp_path, capsys, line):
+        init_times = [utc(2024, 1, 1, 0)]
+        fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6])
+        times_file.write_bytes(b"# inits\n%s\r\n%s\n" % (init_times[0].isoformat().encode(), line))
+        code = main([
+            "verify", "--forecast", str(fdir), "--reference", str(rdir),
+            "--variables", "Z500", "--metrics", "rmse",
+            "--init-times", str(times_file), "--leads", "6",
+            "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 3
+        assert "parse error: row 3:" in capsys.readouterr().err
+
+    def test_init_times_file_without_times_exits_4(self, tmp_path, capsys):
+        init_times = [utc(2024, 1, 1, 0)]
+        fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6])
+        times_file.write_text("# no times yet\n\n")
+        code = main([
+            "verify", "--forecast", str(fdir), "--reference", str(rdir),
+            "--variables", "Z500", "--metrics", "rmse",
+            "--init-times", str(times_file), "--leads", "6",
+            "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 4
+        assert "no init times" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_rmse_maps_equal_pointwise_rmse_bitwise(self, tmp_path, threads):
         from datetime import timedelta

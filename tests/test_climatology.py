@@ -145,3 +145,34 @@ class TestClimatologySerialization:
         with pytest.raises(OSError, match="disk full"):
             clim.save(tmp_path / "clim")
         assert [p.name for p in (tmp_path / "clim").iterdir()] == ["clim_d153_h12.gvc"]
+
+
+class TestSelectiveLoad:
+    """Climatology.load(manifest, variables) keeps some channels of every key."""
+
+    def _save(self, tmp_path):
+        rng = np.random.default_rng(10)
+        cubes = [random_cube(rng, n_chan=4, valid_time=utc(2020, 6, 1, hour))
+                 for hour in (12, 18)]
+        return build_climatology(cubes).save(tmp_path / "clim")
+
+    def test_lookup_channel_bitwise_equal_to_full_load(self, tmp_path):
+        manifest = self._save(tmp_path)
+        full = Climatology.load(manifest)
+        part = Climatology.load(manifest, ["V3", "V1", "V3"])
+        assert [v.token for v in part.catalog] == ["V1", "V3"]
+        assert part.spec == full.spec and part.counts == full.counts
+        for hour in (12, 18):
+            for var in ("V1", "V3"):
+                t = utc(2024, 6, 1, hour)
+                assert part.lookup_channel(t, var).tobytes() == \
+                    full.lookup_channel(t, var).tobytes()
+
+    def test_key_cubes_must_share_the_whole_catalog(self, tmp_path):
+        """Key cubes that differ only in a channel not kept still mismatch."""
+        manifest = self._save(tmp_path)
+        second = manifest.parent / "clim_d153_h18.gvc"
+        second.write_bytes(second.read_bytes().replace(b"V,4,", b"W,4,"))
+        for variables in (None, ["V1"]):
+            with pytest.raises(SpecMismatch):
+                Climatology.load(manifest, variables)

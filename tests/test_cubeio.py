@@ -1,9 +1,12 @@
 """Tests for the GVC1 cube format and the CSV readers/writers."""
 
+import os
+import struct
+
 import numpy as np
 import pytest
 
-from geoverify import MetricRecord, VariableId
+from geoverify import MetricRecord, VariableId, cubeio, select_channel
 from geoverify.cubeio import (
     read_csv_rows,
     read_cube,
@@ -22,10 +25,12 @@ from geoverify.errors import (
     NonMonotonicTime,
     ParseError,
     TruncatedPayload,
+    UnknownVariable,
     UnsupportedVersion,
 )
+from geoverify.grid import FINITE_SCAN_VALUES
 from geoverify.tc import TcPoint, TcTrack
-from conftest import utc
+from conftest import random_cube, utc
 
 
 class TestCubeRoundTrip:
@@ -110,6 +115,125 @@ class TestCubeRoundTrip:
         path.write_bytes(path.read_bytes().replace(b"Z,500,input-output", entry, 1))
         with pytest.raises(CorruptHeader, match="catalog entry"):
             read_cube(path)
+
+
+    def test_nan_lon_step_is_corrupt_header(self, make_cube, tmp_path):
+        path = tmp_path / "cube.gvc"
+        write_cube(make_cube(), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, 43, float("nan"))  # lon_step, the fourth f64 at byte 19
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptHeader, match="lon_step"):
+            read_cube(path)
+
+
+class TestWriteCube:
+    def test_failure_leaves_existing_cube_and_no_stray_file(self, make_cube, tmp_path,
+                                                           monkeypatch):
+        path = tmp_path / "cube.gvc"
+        write_cube(make_cube(), path)
+        before = path.read_bytes()
+
+        def failing_catalog(catalog):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cubeio, "_encode_catalog", failing_catalog)
+        with pytest.raises(OSError, match="disk full"):
+            write_cube(make_cube(valid_time=utc(2024, 1, 2)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cube.gvc"]
+
+
+class TestSelectiveRead:
+    """read_cube(path, variables) keeps some channels and still validates all of them."""
+
+    # Six 30 x 40 channels: a 28 KiB payload, more than the reader's 8 KiB buffer holds.
+    PLANE = 30 * 40
+    SELECTION = ["V2", "V5"]
+
+    @pytest.fixture
+    def cube_path(self, tmp_path):
+        path = tmp_path / "cube.gvc"
+        write_cube(random_cube(np.random.default_rng(12), n_chan=6, n_lat=30, n_lon=40), path)
+        return path
+
+    def _poison(self, path, index, value):
+        """Write ``value`` over the payload's float32 number ``index``."""
+        data = bytearray(path.read_bytes())
+        offset = len(data) - 6 * self.PLANE * 4 + 4 * index
+        data[offset:offset + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(data))
+
+    @pytest.mark.parametrize(
+        "selection",
+        [["V2", "V3", "V5"], ["V5", "V3", "V2"], ["V3", "V2", "V5", "V3"],
+         [VariableId("V", 5), ("V", 2), "V3"]],
+        ids=["catalog-order", "reverse", "repeated", "mixed-forms"],
+    )
+    @pytest.mark.parametrize("block", [7, FINITE_SCAN_VALUES])
+    def test_channels_bitwise_equal_to_full_read(self, cube_path, monkeypatch, selection, block):
+        monkeypatch.setattr(cubeio, "FINITE_SCAN_VALUES", block)
+        full = read_cube(cube_path)
+        part = read_cube(cube_path, selection)
+        assert [v.token for v in part.catalog] == ["V2", "V3", "V5"]
+        assert (part.spec, part.valid_time) == (full.spec, full.valid_time)
+        for var in selection:
+            assert select_channel(part, var).tobytes() == select_channel(full, var).tobytes()
+
+    def test_every_channel_named_is_the_full_read(self, cube_path):
+        full = read_cube(cube_path)
+        part = read_cube(cube_path, [v.token for v in full.catalog][::-1])
+        assert part.catalog == full.catalog
+        assert part.values.tobytes() == full.values.tobytes()
+
+    def test_variable_the_file_lacks_is_not_kept(self, cube_path):
+        part = read_cube(cube_path, ["V2", "Z500"])
+        assert [v.token for v in part.catalog] == ["V2"]
+        with pytest.raises(UnknownVariable):
+            select_channel(part, "Z500")
+
+    @pytest.mark.parametrize(
+        "index",
+        [0, 2 * PLANE + 7, 6 * PLANE - 1, PLANE + 3],
+        ids=["first-value", "inside-V3", "last-value", "kept-V2"],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.parametrize("block", [7, FINITE_SCAN_VALUES])
+    def test_non_finite_value_in_any_channel_raises(self, cube_path, monkeypatch,
+                                                    index, bad, block):
+        monkeypatch.setattr(cubeio, "FINITE_SCAN_VALUES", block)
+        self._poison(cube_path, index, bad)
+        for variables in (None, self.SELECTION):
+            with pytest.raises(NonFiniteValue, match="finite"):
+                read_cube(cube_path, variables)
+
+    @pytest.mark.parametrize("variables", [None, SELECTION, ["V6"]],
+                             ids=["full", "last-channel-scanned", "last-channel-kept"])
+    def test_file_shrinking_mid_read_is_truncated(self, cube_path, monkeypatch, variables):
+        read_header = cubeio._read_header
+
+        def read_header_then_shrink(f, path):
+            header = read_header(f, path)  # the length check passes here
+            os.truncate(path, os.path.getsize(path) - 4)
+            return header
+
+        monkeypatch.setattr(cubeio, "_read_header", read_header_then_shrink)
+        with pytest.raises(TruncatedPayload, match="shrank"):
+            read_cube(cube_path, variables)
+
+    @pytest.mark.parametrize(
+        "damage, error",
+        [(lambda d: b"XXXX" + d[4:], BadMagic),
+         (lambda d: d[:-5], TruncatedPayload),
+         (lambda d: d + b"\0\0", TruncatedPayload),
+         (lambda d: d.replace(b"V,3,input-output", b"V,3,input-outpuX"), CorruptHeader)],
+        ids=["magic", "short", "trailing-bytes", "role-of-unkept-channel"],
+    )
+    def test_header_faults_raise_as_on_a_full_read(self, cube_path, damage, error):
+        cube_path.write_bytes(damage(cube_path.read_bytes()))
+        for variables in (None, self.SELECTION):
+            with pytest.raises(error):
+                read_cube(cube_path, variables)
 
 
 class TestReadHeader:

@@ -54,6 +54,16 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="outside"):
             GridSpec(5, 4, 90.0, 10.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("field", ["lat_start", "lat_step", "lon_start", "lon_step"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_fields(self, field, bad):
+        """A NaN compares false both ways, so `lon_step <= 0` alone let it through."""
+        fields = dict(n_lat=3, n_lon=4, lat_start=45.0, lat_step=-45.0,
+                      lon_start=0.0, lon_step=90.0)
+        fields[field] = bad
+        with pytest.raises(ValueError, match=field):
+            GridSpec(**fields)
+
 
 class TestVariableCatalog:
     def test_weather_catalog_has_70_channels(self):
@@ -154,6 +164,20 @@ class TestFieldCube:
         with pytest.raises(ValueError, match="finite"):
             from geoverify import FieldCube
 
+            FieldCube(small_spec, small_catalog, utc(2024, 1, 1), values)
+
+    @pytest.mark.parametrize("index", [0, 17, 35])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_block_scan_finds_every_position(self, small_spec, small_catalog, monkeypatch,
+                                             index, bad):
+        """With 5-value blocks, 36 values end in a partial block; every block is scanned."""
+        from geoverify import FieldCube, grid
+
+        monkeypatch.setattr(grid, "FINITE_SCAN_VALUES", 5)
+        values = np.zeros((3, 3, 4), dtype=np.float32)
+        FieldCube(small_spec, small_catalog, utc(2024, 1, 1), values.copy())
+        values.reshape(-1)[index] = bad
+        with pytest.raises(ValueError, match="finite"):
             FieldCube(small_spec, small_catalog, utc(2024, 1, 1), values)
 
     def test_rejects_wrong_shape(self, small_spec, small_catalog):
