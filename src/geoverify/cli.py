@@ -206,18 +206,15 @@ def cmd_downscale_eval(args) -> int:
             peak = metrics.dynamic_range(t2) if args.psnr_peak is None else args.psnr_peak
             for method, cube in (("bilinear", baseline), ("model", model)):
                 c2 = select_channel(cube, var)
-                rmse = metrics.weighted_rmse(c2, t2, weights)
-                rows.append((truth.valid_time, var, method, "rmse", rmse, peak))
-                samples.setdefault((var.token, "rmse", method), []).append(
-                    (truth.valid_time, rmse)
-                )
+                scores = {"rmse": metrics.weighted_rmse(c2, t2, weights)}
                 if peak > 0.0:
                     try:
-                        value = metrics.psnr(c2, t2, peak)
+                        scores["psnr"] = metrics.psnr(c2, t2, peak)
                     except PerfectMatch:
-                        value = float("inf")
-                    rows.append((truth.valid_time, var, method, "psnr", value, peak))
-                    samples.setdefault((var.token, "psnr", method), []).append(
+                        scores["psnr"] = float("inf")
+                for metric, value in scores.items():
+                    rows.append((truth.valid_time, var, method, metric, value, peak))
+                    samples.setdefault((var.token, metric, method), []).append(
                         (truth.valid_time, value)
                     )
     if not rows:

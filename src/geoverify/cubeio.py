@@ -24,6 +24,7 @@ Text outputs are UTF-8 with "\\n" line endings.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import os
 import struct
@@ -357,15 +358,18 @@ def read_csv_rows(path, columns: list[str]) -> list[tuple[int, list[str]]]:
     ``columns``, a row without one field per column, or text that is not
     UTF-8 CSV raises ParseError with the row's number.
     """
+    data = Path(path).read_bytes()
     rows = []
     row_no = 0
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        try:
-            for row_no, row in enumerate(csv.reader(f), start=1):
-                if row and not row[0].startswith("#"):
-                    rows.append((row_no, row))
-        except (csv.Error, UnicodeDecodeError) as e:
-            raise ParseError(row_no + 1, str(e)) from None
+    try:
+        lines = io.StringIO(data.decode("utf-8"), newline="")
+        for row_no, row in enumerate(csv.reader(lines), start=1):
+            if row and not row[0].startswith("#"):
+                rows.append((row_no, row))
+    except UnicodeDecodeError as e:
+        raise ParseError(data[:e.start].count(b"\n") + 1, str(e)) from None
+    except csv.Error as e:
+        raise ParseError(row_no + 1, str(e)) from None
     if not rows or rows[0][1] != columns:
         raise ParseError(rows[0][0] if rows else row_no + 1,
                          f"expected header {','.join(columns)}")

@@ -16,7 +16,7 @@ from .grid import FieldCube, GridSpec
 _EDGE_TOL = 1e-9
 
 
-def _lat_coeffs(source: GridSpec, target: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def _lat_coeffs(source: GridSpec, target: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     frac = (target.latitudes - source.lat_start) / source.lat_step
     lo, hi = -_EDGE_TOL, source.n_lat - 1 + _EDGE_TOL
     outside = (frac < lo) | (frac > hi)
@@ -28,7 +28,7 @@ def _lat_coeffs(source: GridSpec, target: GridSpec) -> tuple[np.ndarray, np.ndar
         frac = np.clip(frac, 0.0, source.n_lat - 1)
     i0 = np.clip(np.floor(frac).astype(int), 0, source.n_lat - 2)
     t = np.clip(frac - i0, 0.0, 1.0)
-    return i0, t
+    return i0, i0 + 1, t
 
 
 def _lon_coeffs(source: GridSpec, target: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -55,21 +55,20 @@ def bilinear_upsample(cube: FieldCube, target: GridSpec) -> FieldCube:
     and on such sources target latitudes beyond the first/last source row
     clamp to the nearest row.
     """
-    i0, t = _lat_coeffs(cube.spec, target)
+    i0, i1, t = _lat_coeffs(cube.spec, target)
     j0, j1, u = _lon_coeffs(cube.spec, target)
-    i1 = np.minimum(i0 + 1, cube.spec.n_lat - 1)
-    t2 = t[None, :, None]
-    u2 = u[None, None, :]
+    t2, u2 = t[:, None], u[None, :]
+    w00, w01 = (1.0 - t2) * (1.0 - u2), (1.0 - t2) * u2
+    w10, w11 = t2 * (1.0 - u2), t2 * u2
 
-    vals = cube.values.astype(np.float64)
-    v00 = vals[:, i0[:, None], j0[None, :]]
-    v01 = vals[:, i0[:, None], j1[None, :]]
-    v10 = vals[:, i1[:, None], j0[None, :]]
-    v11 = vals[:, i1[:, None], j1[None, :]]
-    blended = (
-        (1.0 - t2) * (1.0 - u2) * v00
-        + (1.0 - t2) * u2 * v01
-        + t2 * (1.0 - u2) * v10
-        + t2 * u2 * v11
-    )
-    return FieldCube(target, cube.catalog, cube.valid_time, blended.astype(np.float32))
+    # Per channel: gather columns on the source rows, then rows; sum the four
+    # w*v terms left to right in float64, then round once: this order fixes the bits.
+    out = np.empty((cube.values.shape[0], target.n_lat, target.n_lon), np.float32)
+    blend, term = np.empty(out.shape[1:]), np.empty(out.shape[1:])
+    for src, dst in zip(cube.values, out):
+        cols0, cols1 = src.take(j0, axis=1), src.take(j1, axis=1)
+        np.multiply(w00, cols0.take(i0, axis=0), out=blend)
+        for w, cols, rows in ((w01, cols1, i0), (w10, cols0, i1), (w11, cols1, i1)):
+            blend += np.multiply(w, cols.take(rows, axis=0), out=term)
+        dst[...] = blend
+    return FieldCube(target, cube.catalog, cube.valid_time, out)

@@ -281,6 +281,13 @@ class TestReadCsvRows:
         with pytest.raises(ParseError):
             read_csv_rows(path, ["a", "b"])
 
+    def test_non_utf8_byte_names_its_own_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\n1,2\n\xff,3\n")
+        with pytest.raises(ParseError) as err:
+            read_csv_rows(path, ["a", "b"])
+        assert err.value.row == 3
+
 
 class TestReadTracks:
     HEADER = "storm_id,name,time,lat,lon,ws_max,msl_min\n"

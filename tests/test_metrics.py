@@ -1,7 +1,11 @@
 """Tests for skill scores, with naive-loop oracles for the weighted metrics."""
 
 import math
+import os
+import subprocess
+import sys
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +246,33 @@ class TestPsnr:
         rng = np.random.default_rng(14)
         c, r = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
         assert psnr(c, r, 7.0) == pytest.approx(oracle_psnr(c, r, 7.0), rel=1e-12)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="a second BLAS thread needs a second CPU")
+    def test_same_bits_at_any_blas_thread_count(self):
+        """OpenBLAS splits a long dot product across its threads; mse must not.
+
+        Unit-variance fields, so the squared differences do not all sum exactly
+        and a different summation order shows in the last bits.
+        """
+        script = (
+            "import numpy as np\n"
+            "from geoverify.metrics import mse, psnr\n"
+            "rng = np.random.default_rng(15)\n"
+            "r = rng.normal(size=(401, 601)).astype(np.float32)\n"
+            "c = rng.normal(size=r.shape).astype(np.float32)\n"
+            "print(mse(c, r).hex(), psnr(c, r, 40.0).hex())\n"
+        )
+        src = str(Path(metrics.__file__).resolve().parents[1])
+        outputs = []
+        for blas_threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestNormalizedDifference:

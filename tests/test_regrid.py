@@ -5,6 +5,7 @@ import pytest
 
 from geoverify import FieldCube, GridSpec, VariableCatalog, VariableId, bilinear_upsample
 from geoverify.errors import OutOfExtent
+from geoverify.regrid import _lat_coeffs, _lon_coeffs
 from conftest import utc
 
 
@@ -15,6 +16,27 @@ def _cube_on(spec, field):
 
 COARSE = GridSpec(20, 40, 50.0, -1.5, 100.0, 1.5)          # 1.5 degree regional
 FINE = GridSpec(109, 229, 49.0, -0.25, 101.0, 0.25)        # 0.25 degree inside it
+
+
+def four_gather_blend(cube, target):
+    """Reference: the whole-cube blend with four 2-D fancy-index gathers."""
+    i0, _, t = _lat_coeffs(cube.spec, target)
+    j0, j1, u = _lon_coeffs(cube.spec, target)
+    i1 = np.minimum(i0 + 1, cube.spec.n_lat - 1)
+    t2 = t[None, :, None]
+    u2 = u[None, None, :]
+    vals = cube.values.astype(np.float64)
+    v00 = vals[:, i0[:, None], j0[None, :]]
+    v01 = vals[:, i0[:, None], j1[None, :]]
+    v10 = vals[:, i1[:, None], j0[None, :]]
+    v11 = vals[:, i1[:, None], j1[None, :]]
+    blended = (
+        (1.0 - t2) * (1.0 - u2) * v00
+        + (1.0 - t2) * u2 * v01
+        + t2 * (1.0 - u2) * v10
+        + t2 * u2 * v11
+    )
+    return blended.astype(np.float32)
 
 
 class TestBilinearUpsample:
@@ -88,3 +110,31 @@ class TestBilinearUpsample:
         out = bilinear_upsample(cube, FINE)
         np.testing.assert_array_equal(out.values[0], 1.0)
         np.testing.assert_array_equal(out.values[1], 2.0)
+
+
+class TestBitwisePinned:
+    """bilinear_upsample keeps the bits of the four-gather blend."""
+
+    @pytest.mark.parametrize(
+        "source, target, n_chan",
+        [
+            # global 10 degree source; target columns cross the 0/360 seam
+            (GridSpec(17, 36, 80.0, -10.0, 5.0, 10.0), GridSpec(33, 97, 78.0, -4.75, 352.5, 3.75), 1),
+            # global source; target rows run beyond its first and last rows
+            (GridSpec(36, 72, 87.5, -5.0, 0.0, 5.0), GridSpec(181, 144, 90.0, -1.0, 1.25, 2.5), 1),
+            (COARSE, FINE, 1),
+            (COARSE, FINE, 4),
+            # 1.5 to 0.7 degrees: no integer ratio between the grids
+            (COARSE, GridSpec(40, 81, 49.9, -0.7, 100.3, 0.7), 2),
+        ],
+        ids=["seam-wrap", "pole-clamp", "regional", "multi-channel", "non-integer-ratio"],
+    )
+    def test_equals_four_gather_blend(self, source, target, n_chan):
+        rng = np.random.default_rng(22)
+        catalog = VariableCatalog([VariableId(f"V{k}") for k in range(n_chan)])
+        values = rng.normal(280.0, 15.0, size=(n_chan, source.n_lat, source.n_lon))
+        cube = FieldCube(source, catalog, utc(2024, 7, 1, 12), values.astype(np.float32))
+        out = bilinear_upsample(cube, target)
+        expected = four_gather_blend(cube, target)
+        assert out.values.shape == expected.shape
+        np.testing.assert_array_equal(out.values.view(np.uint32), expected.view(np.uint32))
