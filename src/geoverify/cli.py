@@ -9,8 +9,8 @@ same inputs and flags yields byte-identical files.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -20,14 +20,11 @@ from . import climatology as clim_mod
 from . import cubeio, metrics, regrid, tc, vqa
 from .errors import (
     CorruptHeader,
+    EmptyInput,
     GeoverifyError,
     InvalidFlags,
-    MisalignedRange,
-    NonMonotonicTime,
-    NonPositivePeak,
     ParseError,
     PerfectMatch,
-    UnknownVariable,
 )
 from .grid import (
     FieldCube,
@@ -38,9 +35,17 @@ from .grid import (
     select_channel,
 )
 
-EXIT_DATA = 2
-EXIT_PARSE = 3
-EXIT_CONFIG = 4
+#: stderr label of each exit code that errors.py assigns.
+_CATEGORY = {2: "data", 3: "parse", 4: "config"}
+
+
+@contextmanager
+def _flag_values():
+    """Turns a ValueError from a value the CLI builds out of flags into InvalidFlags."""
+    try:
+        yield
+    except (ValueError, OverflowError) as e:
+        raise InvalidFlags(str(e)) from None
 
 
 def time_stem(t: datetime) -> str:
@@ -68,7 +73,7 @@ def parse_leads(spec: str) -> list[int]:
             raise ValueError
         return leads
     except ValueError:
-        raise ValueError(f"bad leads spec {spec!r}; use '6:24:6' or '6,12'") from None
+        raise InvalidFlags(f"bad leads spec {spec!r}; use '6:24:6' or '6,12'") from None
 
 
 def read_init_times(path) -> list[datetime]:
@@ -87,7 +92,7 @@ def read_init_times(path) -> list[datetime]:
             except (ValueError, OverflowError) as e:  # includes UnicodeDecodeError
                 raise ParseError(line_no, str(e)) from None
     if not times:
-        raise ValueError(f"no init times in {path}")
+        raise InvalidFlags(f"no init times in {path}")
     return times
 
 
@@ -102,7 +107,7 @@ def _load_forecast_cube(directory, t0: datetime, lead: int, variables) -> FieldC
 
 
 def _output_grid(directory, eval_set, variables) -> GridSpec:
-    """Grid of the first forecast cube; ValueError if a variable is input-only.
+    """Grid of the first forecast cube; InvalidFlags if a variable is input-only.
 
     Reads only the cube's header, before the evaluation pass, so a bad
     variable fails before any pair is scored.
@@ -112,7 +117,7 @@ def _output_grid(directory, eval_set, variables) -> GridSpec:
     )
     for name, level in variables:
         if catalog.get((name, level)).role != "input-output":
-            raise ValueError(f"variable {name} is input-only and carries no skill metrics")
+            raise InvalidFlags(f"variable {name} is input-only and carries no skill metrics")
     return spec
 
 
@@ -120,20 +125,21 @@ def _output_grid(directory, eval_set, variables) -> GridSpec:
 
 def cmd_verify(args) -> int:
     if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1; got {args.threads}")
+        raise InvalidFlags(f"--threads must be at least 1; got {args.threads}")
     variables = [parse_variable_token(tok) for tok in args.variables.split(",") if tok]
     if not variables:
-        raise ValueError("--variables is empty")
+        raise InvalidFlags("--variables is empty")
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     bad = set(wanted) - {"rmse", "acc"}
     if bad or not wanted:
-        raise ValueError(f"--metrics must be drawn from rmse,acc; got {args.metrics!r}")
-    eval_set = metrics.EvaluationSet(read_init_times(args.init_times), parse_leads(args.leads))
+        raise InvalidFlags(f"--metrics must be drawn from rmse,acc; got {args.metrics!r}")
+    with _flag_values():
+        eval_set = metrics.EvaluationSet(read_init_times(args.init_times), parse_leads(args.leads))
 
     clim_fields = None
     if "acc" in wanted:
         if not args.climatology:
-            raise ValueError("computing acc requires --climatology MANIFEST")
+            raise InvalidFlags("computing acc requires --climatology MANIFEST")
         clim_fields = clim_mod.Climatology.load(args.climatology, variables).lookup_channel
 
     spec = _output_grid(args.forecast, eval_set, variables)
@@ -156,9 +162,7 @@ def cmd_verify(args) -> int:
         "leads": args.leads,
         "metrics": ",".join(wanted),
     }
-    cubeio.write_report(records, args.out, params)
-
-    if args.map_dir:
+    if args.map_dir:  # the maps go first, so a failure to write one leaves no report
         out_dir = Path(args.map_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for (var, lead), rmse_map in rmse_maps.items():
@@ -169,6 +173,7 @@ def cmd_verify(args) -> int:
                 rmse_map[None].astype(np.float32),
             )
             cubeio.write_cube(cube, out_dir / f"rmsemap_{var.token}_{lead}.gvc")
+    cubeio.write_report(records, args.out, params)
     return 0
 
 
@@ -176,11 +181,10 @@ def cmd_verify(args) -> int:
 
 def cmd_downscale_eval(args) -> int:
     if args.psnr_peak is not None and not args.psnr_peak > 0.0:
-        raise ValueError(f"--psnr-peak must be positive; got {args.psnr_peak}")
+        raise InvalidFlags(f"--psnr-peak must be positive; got {args.psnr_peak}")
     truth_paths = cubeio.cube_paths(args.truth)
     if not truth_paths:
-        print(f"geoverify: no truth cubes in {args.truth}", file=sys.stderr)
-        return EXIT_DATA
+        raise EmptyInput(f"no truth cubes in {args.truth}")
 
     rows = []          # (time, var_token, level, method, metric, value, peak)
     samples: dict = {} # (var token, metric, method) -> list of (time, value)
@@ -218,8 +222,13 @@ def cmd_downscale_eval(args) -> int:
                         (truth.valid_time, value)
                     )
     if not rows:
-        print("geoverify: no downscaling samples evaluated", file=sys.stderr)
-        return EXIT_DATA
+        raise EmptyInput("no downscaling samples evaluated")
+
+    # Every matrix is built before any file is written: a failure leaves no partial report.
+    matrices = [
+        (token, metric, metrics.month_hour_matrix(values, samples[token, metric, "bilinear"]))
+        for (token, metric, method), values in samples.items() if method == "model"
+    ]
 
     params = {
         "coarse": args.coarse,
@@ -236,20 +245,13 @@ def cmd_downscale_eval(args) -> int:
     )
 
     out_base = Path(args.out)
-    var_tokens = sorted({key[0] for key in samples})
-    for token in var_tokens:
-        for metric in ("rmse", "psnr"):
-            model_s = samples.get((token, metric, "model"))
-            base_s = samples.get((token, metric, "bilinear"))
-            if not model_s or not base_s:
-                continue
-            matrix = metrics.month_hour_matrix(model_s, base_s)
-            capped = int(np.isinf(matrix).sum())
-            matrix[np.isposinf(matrix)] = 1.0
-            matrix[np.isneginf(matrix)] = -1.0
-            matrix_params = dict(params, variable=token, metric=metric, capped_cells=capped)
-            path = out_base.with_name(f"{out_base.stem}_nd_{token}_{metric}.csv")
-            cubeio.write_month_hour_matrix(matrix, path, matrix_params)
+    for token, metric, matrix in matrices:
+        capped = int(np.isinf(matrix).sum())
+        matrix[np.isposinf(matrix)] = 1.0
+        matrix[np.isneginf(matrix)] = -1.0
+        matrix_params = dict(params, variable=token, metric=metric, capped_cells=capped)
+        path = out_base.with_name(f"{out_base.stem}_nd_{token}_{metric}.csv")
+        cubeio.write_month_hour_matrix(matrix, path, matrix_params)
 
     if failures:
         print(f"geoverify: {failures} sample(s) skipped", file=sys.stderr)
@@ -259,10 +261,13 @@ def cmd_downscale_eval(args) -> int:
 # --- tropical cyclones ------------------------------------------------------------
 
 def cmd_tc_track(args) -> int:
+    for flag in ("search_radius_km", "intensity_radius_km", "ring_width_km"):
+        value = getattr(args, flag)
+        if not value > 0.0:
+            raise InvalidFlags(f"--{flag.replace('_', '-')} must be positive; got {value}")
     cubes = [cubeio.read_cube(p) for p in cubeio.cube_paths(args.cubes)]
     if not cubes:
-        print(f"geoverify: no cubes in {args.cubes}", file=sys.stderr)
-        return EXIT_DATA
+        raise EmptyInput(f"no cubes in {args.cubes}")
     cubes.sort(key=lambda c: c.valid_time)
     times = [c.valid_time for c in cubes]
     if len(set(times)) != len(times):
@@ -309,21 +314,22 @@ def cmd_tc_track(args) -> int:
 
 def cmd_tc_eval(args) -> int:
     forecast_paths = [p for p in args.forecast.split(",") if p]
+    if not forecast_paths:
+        raise InvalidFlags(f"--forecast names no track CSV; got {args.forecast!r}")
     source_names = (
         [s for s in args.sources.split(",") if s]
         if args.sources
         else [Path(p).stem for p in forecast_paths]
     )
     if len(source_names) != len(forecast_paths):
-        raise ValueError("--sources must name each --forecast CSV")
+        raise InvalidFlags("--sources must name each --forecast CSV")
     reference = cubeio.read_tracks(args.reference)
     tracks_by_source = {
         name: cubeio.read_tracks(path) for name, path in zip(source_names, forecast_paths)
     }
     matched = tc.concurrent_match(tracks_by_source, reference)
     if not matched:
-        print("geoverify: no concurrently detected (storm, time) pairs", file=sys.stderr)
-        return EXIT_DATA
+        raise EmptyInput("no concurrently detected (storm, time) pairs")
     ref_by_id = {t.storm_id: t for t in reference}
 
     scorers = (
@@ -402,7 +408,10 @@ def cmd_climatology(args) -> int:
     return 0
 
 
+@_flag_values()  # every value synth-vortex uses comes from a flag
 def cmd_synth_vortex(args) -> int:
+    if args.steps < 1:
+        raise InvalidFlags(f"--steps must be at least 1; got {args.steps}")
     spec = GridSpec(
         n_lat=args.n_lat,
         n_lon=args.n_lon,
@@ -412,6 +421,8 @@ def cmd_synth_vortex(args) -> int:
         lon_step=args.lon_step,
     )
     start = cubeio.parse_time(args.start_time)
+    if start.microsecond:
+        raise InvalidFlags(f"--start-time must be whole seconds; got {args.start_time!r}")
     cubes, truth = tc.synthetic_vortex_series(
         spec,
         start,
@@ -466,12 +477,12 @@ def cmd_vqa_score(args) -> int:
 # --- argument plumbing ----------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage errors exit with the config code."""
+    """ArgumentParser whose usage errors exit with the code of InvalidFlags."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
-        sys.exit(EXIT_CONFIG)
+        sys.exit(InvalidFlags.exit_code)
 
 
 def _parse_bool(text: str) -> bool:
@@ -481,14 +492,6 @@ def _parse_bool(text: str) -> bool:
     if norm in ("0", "false", "no"):
         return False
     raise ValueError(f"bad boolean {text!r}")
-
-
-def _default_threads() -> int:
-    value = os.environ.get("GEOVERIFY_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -504,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leads", required=True, help="lead hours: '6:240:6' or '6,12'")
     p.add_argument("--metrics", default="rmse,acc", help="subset of rmse,acc")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--map-dir", default=None, help="also write per-gridpoint RMSE map cubes")
     p.set_defaults(func=cmd_verify)
 
@@ -580,19 +583,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, NonMonotonicTime) as e:
-        print(f"geoverify: parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except (MisalignedRange, UnknownVariable, InvalidFlags, NonPositivePeak, ValueError) as e:
-        print(f"geoverify: config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (GeoverifyError, OSError) as e:
-        print(f"geoverify: data error: {e}", file=sys.stderr)
-        return EXIT_DATA
+    except GeoverifyError as e:
+        code, error = e.exit_code, e
+    except OSError as e:  # a file that cannot be read or written is a data error
+        code, error = GeoverifyError.exit_code, e
+    print(f"geoverify: {_CATEGORY[code]} error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

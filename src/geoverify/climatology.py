@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from . import cubeio
-from .errors import EmptyInput, MissingKey, ParseError, SpecMismatch
+from .errors import EmptyInput, MissingKey, NonSynopticTime, ParseError, SpecMismatch
 from .grid import FieldCube, GridSpec, VariableCatalog
 
 #: Hours of day that carry climatology keys (6-hourly synoptic times).
@@ -29,7 +29,7 @@ def climatology_key(valid_time: datetime) -> tuple[int, int]:
     """(day-of-year on the 366-day calendar, hour) for a synoptic valid time."""
     t = valid_time.astimezone(timezone.utc) if valid_time.tzinfo else valid_time
     if t.hour not in KEY_HOURS or t.minute or t.second or t.microsecond:
-        raise ValueError(f"{valid_time} is not a 6-hourly synoptic time")
+        raise NonSynopticTime(f"{valid_time} is not a 6-hourly synoptic time")
     # Year 2000 is a leap year, so (month, day) -> 1..366 with Feb 29 = 60.
     doy = datetime(2000, t.month, t.day).timetuple().tm_yday
     return doy, t.hour

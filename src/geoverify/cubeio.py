@@ -84,6 +84,8 @@ def _replacing(path, mode: str, **open_args):
     failure leaves an existing file unchanged and no temporary file behind.
     """
     path = Path(path)
+    if not path.name:  # "", "." or "/"
+        raise IsADirectoryError(f"{str(path)!r} is a directory")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **open_args) as f:

@@ -1,12 +1,13 @@
 """Exception types raised across the toolkit.
 
-Every error that callers are expected to branch on gets its own class so
-batch drivers can map failure categories onto exit codes.
+Every error that callers are expected to branch on gets its own class, whose
+``exit_code`` is the CLI's exit status for it: 2 data (the default), 3 parse, 4 config.
 """
 
 
 class GeoverifyError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; a data error unless a subclass says otherwise."""
+    exit_code = 2
 
 
 # --- grid geometry ---------------------------------------------------------
@@ -17,10 +18,12 @@ class ZeroWeightSum(GeoverifyError):
 
 class UnknownVariable(GeoverifyError):
     """Requested variable is not in the catalog."""
+    exit_code = 4
 
 
 class MisalignedRange(GeoverifyError):
     """Crop bound does not land on a grid node."""
+    exit_code = 4
 
 
 class EmptyRegion(GeoverifyError):
@@ -59,6 +62,7 @@ class CorruptHeader(CubeFormatError):
 
 class ParseError(GeoverifyError):
     """A CSV row could not be parsed.  Carries the 1-based row number."""
+    exit_code = 3
 
     def __init__(self, row: int, message: str):
         super().__init__(f"row {row}: {message}")
@@ -67,6 +71,7 @@ class ParseError(GeoverifyError):
 
 class NonMonotonicTime(GeoverifyError):
     """Track times are not strictly increasing at a fixed cadence."""
+    exit_code = 3
 
     def __init__(self, storm_id: str, message: str = ""):
         detail = f": {message}" if message else ""
@@ -86,6 +91,10 @@ class EmptyInput(GeoverifyError):
 
 class MissingKey(GeoverifyError):
     """No climatology was built for the requested (day-of-year, hour)."""
+
+
+class NonSynopticTime(GeoverifyError, ValueError):
+    """A valid time is not on the 6-hourly synoptic cadence (00, 06, 12, 18 UTC)."""
 
 
 # --- metrics ----------------------------------------------------------------
@@ -114,6 +123,7 @@ class PerfectMatch(GeoverifyError):
 
 class NonPositivePeak(GeoverifyError):
     """PSNR peak value must be positive."""
+    exit_code = 4
 
 
 class ZeroBaseline(GeoverifyError):
@@ -141,7 +151,8 @@ class NoOverlap(GeoverifyError):
 
 
 class InvalidFlags(GeoverifyError):
-    """both_under and both_over cannot be simultaneously true."""
+    """An invalid flag value or combination."""
+    exit_code = 4
 
 
 # --- VQA ----------------------------------------------------------------------

@@ -224,8 +224,9 @@ def weather_catalog(include_input_only: bool = False) -> VariableCatalog:
 class FieldCube:
     """One time step of C channels on an H x W grid.
 
-    Values are 32-bit floats, shape (C, H, W), finite, and read-only after
-    construction; cubes are safe to share across threads.
+    Values are 32-bit floats, shape (C, H, W), finite, and a read-only view
+    (of the caller's array when it is already C-ordered float32, which stays
+    writeable); cubes are safe to share across threads.
     """
 
     spec: GridSpec
@@ -234,7 +235,7 @@ class FieldCube:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.float32)
+        arr = np.ascontiguousarray(self.values, dtype=np.float32).view()
         expected = (len(self.catalog), self.spec.n_lat, self.spec.n_lon)
         if arr.shape != expected:
             raise ValueError(f"values shape {arr.shape} != (C,H,W) {expected}")

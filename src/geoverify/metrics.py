@@ -31,6 +31,7 @@ from .errors import (
     EmptySeries,
     MissingCube,
     NonPositivePeak,
+    NonSynopticTime,
     PerfectMatch,
     ShapeMismatch,
     ZeroAnomalyVariance,
@@ -166,9 +167,9 @@ def psnr(candidate, reference, peak: float) -> float:
 
 
 def dynamic_range(reference) -> float:
-    """max - min of a field: the default PSNR peak convention."""
-    arr = np.asarray(reference, dtype=np.float64)
-    return float(arr.max() - arr.min())
+    """max - min of a field in float64: the default PSNR peak convention (no copy)."""
+    arr = np.asarray(reference)
+    return float(arr.max()) - float(arr.min())
 
 
 def normalized_difference(model_metric: float, baseline_metric: float) -> float:
@@ -341,7 +342,7 @@ def month_hour_matrix(
         counts = np.zeros((12, 4), dtype=int)
         for t, value in samples:
             if t.hour not in col:
-                raise ValueError(f"sample hour {t.hour} not a synoptic hour {SYNOPTIC_HOURS}")
+                raise NonSynopticTime(f"sample hour {t.hour} not a synoptic hour {SYNOPTIC_HOURS}")
             i, j = t.month - 1, col[t.hour]
             sums[i, j] += value
             counts[i, j] += 1

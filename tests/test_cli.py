@@ -1,7 +1,13 @@
 """End-to-end tests of the batch CLI: subcommands, exit codes, determinism."""
 
+import argparse
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from geoverify import (
     FieldCube,
@@ -11,8 +17,9 @@ from geoverify import (
     bilinear_upsample,
     build_climatology,
 )
-from geoverify.cli import main, time_stem
+from geoverify.cli import build_parser, main, parse_leads, time_stem
 from geoverify.cubeio import read_tracks, write_cube
+from geoverify.errors import InvalidFlags
 from conftest import utc
 
 
@@ -308,16 +315,6 @@ class TestVerify:
             "--out", str(tmp_path / "r.csv"),
         ])
         assert code == 4
-
-    def test_env_var_sets_default_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GEOVERIFY_THREADS", "4")
-        from geoverify.cli import build_parser
-
-        args = build_parser().parse_args([
-            "verify", "--forecast", "f", "--reference", "r", "--variables", "Z500",
-            "--init-times", "t", "--leads", "6", "--out", "o",
-        ])
-        assert args.threads == 4
 
     def test_rmse_map_output(self, tmp_path):
         from geoverify.cubeio import read_cube
@@ -733,3 +730,453 @@ class TestVqaCommand:
         items.write_text("question_id,type,prediction,ground_truth\nq1,weird,a,b\n")
         assert main(["vqa-score", "--items", str(items),
                      "--out", str(tmp_path / "s.csv")]) == 3
+
+
+# --- failure table: one row per documented failure of each subcommand -------------
+#
+# Each row builds its inputs under tmp_path and returns the argv of a run that
+# must fail.  The run must exit with the row's code, end stderr with exactly one
+# "geoverify: <category> error:" line, and leave every file under tmp_path as it
+# was: a failed run writes no report, partial or whole.
+
+CATEGORY = {2: "data", 3: "parse", 4: "config"}
+FAILURES = []
+
+
+def failure(code, fragment):
+    """Registers ``build(tmp_path) -> argv`` as a row that exits ``code``, naming ``fragment``."""
+    def register(build):
+        FAILURES.append(pytest.param(build, code, fragment, id=build.__name__))
+        return build
+    return register
+
+
+def _argv(command, **flags):
+    """``command --flag-name=value ...``; a flag whose value is None is left out."""
+    return [command] + [f"--{k.replace('_', '-')}={v}" for k, v in flags.items() if v is not None]
+
+
+def _poison(path):
+    """Overwrites the last float32 of a cube file's payload with NaN."""
+    data = bytearray(path.read_bytes())
+    data[-4:] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(data))
+
+
+def _verify(tmp, **flags):
+    fdir, rdir, manifest, times_file = make_verify_fixture(tmp, [utc(2024, 1, 1, 0)], [6])
+    args = dict(forecast=fdir, reference=rdir, climatology=manifest, variables="Z500,T2M",
+                init_times=times_file, leads="6", out=tmp / "r.csv", map_dir=tmp / "maps")
+    return _argv("verify", **dict(args, **flags))
+
+
+@failure(2, "missing cube")
+def verify_missing_forecast_cube(tmp):
+    argv = _verify(tmp)
+    (tmp / "inits.txt").write_text("2024-01-01T00:00:00Z\n2024-01-02T00:00:00Z\n")
+    return argv
+
+
+@failure(2, "finite")
+def verify_nan_in_a_reference_cube(tmp):
+    argv = _verify(tmp)
+    [path] = (tmp / "reference").glob("*.gvc")
+    _poison(path)
+    return argv
+
+
+@failure(2, "synoptic")
+def verify_acc_at_a_non_synoptic_valid_time(tmp):
+    argv = _verify(tmp)
+    rng = np.random.default_rng(4)
+    for path in (tmp / "forecast" / f"{time_stem(utc(2024, 1, 1, 3))}_6.gvc",
+                 tmp / "reference" / f"{time_stem(utc(2024, 1, 1, 9))}.gvc"):
+        write_cube(_random_field_cube(rng, utc(2024, 1, 1, 9)), path)
+    (tmp / "inits.txt").write_text("2024-01-01T03:00:00Z\n")
+    return argv
+
+
+@failure(3, "row 2")
+def verify_bad_init_time_line(tmp):
+    argv = _verify(tmp)
+    (tmp / "inits.txt").write_text("2024-01-01T00:00:00Z\nyesterday\n")
+    return argv
+
+
+@failure(3, "row 2")
+def verify_bad_climatology_manifest_row(tmp):
+    argv = _verify(tmp)
+    (tmp / "clim" / "manifest.csv").write_text("doy,hour,n_samples,filename\n1,x,1,a.gvc\n")
+    return argv
+
+
+@failure(4, "--threads")
+def verify_zero_threads(tmp):
+    return _verify(tmp, threads=0)
+
+
+@failure(4, "leads")
+def verify_bad_leads(tmp):
+    return _verify(tmp, leads="6:x")
+
+
+@failure(4, "--climatology")
+def verify_acc_without_climatology(tmp):
+    return _verify(tmp, climatology="")
+
+
+@failure(4, "not in catalog")
+def verify_unknown_variable(tmp):
+    return _verify(tmp, variables="Q700")
+
+
+@failure(2, "File exists")
+def verify_map_dir_is_a_file(tmp):
+    (tmp / "maps").write_text("not a directory\n")
+    return _verify(tmp)
+
+
+def _downscale(tmp, times, **flags):
+    coarse, truth, model = TestDownscaleEval()._write_fixture(tmp, times, "bilinear")
+    args = dict(coarse=coarse, truth=truth, model=model, out=tmp / "ds.csv")
+    return _argv("downscale-eval", **dict(args, **flags))
+
+
+@failure(2, "synoptic")
+def downscale_truth_at_a_non_synoptic_time(tmp):
+    return _downscale(tmp, [utc(2024, 2, 2, 3)])
+
+
+@failure(2, "no truth cubes")
+def downscale_no_truth_cubes(tmp):
+    argv = _downscale(tmp, [utc(2024, 2, 2, 18)])
+    for path in (tmp / "truth").glob("*.gvc"):
+        path.unlink()
+    return argv
+
+
+@failure(2, "no downscaling samples")
+def downscale_missing_model_cube(tmp):
+    argv = _downscale(tmp, [utc(2024, 2, 2, 18)])
+    for path in (tmp / "model").glob("*.gvc"):
+        path.unlink()
+    return argv
+
+
+@failure(2, "no downscaling samples")
+def downscale_nan_in_the_truth_cube(tmp):
+    argv = _downscale(tmp, [utc(2024, 2, 2, 18)])
+    [path] = (tmp / "truth").glob("*.gvc")
+    _poison(path)
+    return argv
+
+
+@failure(4, "--psnr-peak")
+def downscale_zero_psnr_peak(tmp):
+    return _downscale(tmp, [utc(2024, 2, 2, 18)], psnr_peak=0)
+
+
+SMALL_VORTEX = dict(steps=3, n_lat=21, n_lon=31, lat_start=35, lat_step=-0.5,
+                    lon_start=125, lon_step=0.5, center_lat=30, center_lon=130)
+
+
+def _vortex(tmp):
+    """A three-step synthetic vortex in tmp/vortex: cubes, seeds.csv and truth.csv."""
+    assert main(_argv("synth-vortex", out=tmp / "vortex", **SMALL_VORTEX)) == 0
+    return tmp / "vortex"
+
+
+def _tc_track(tmp, **flags):
+    vortex = _vortex(tmp)
+    args = dict(cubes=vortex, seeds=vortex / "seeds.csv", out=tmp / "track.csv")
+    return _argv("tc-track", **dict(args, **flags))
+
+
+@failure(2, "no cubes")
+def tc_track_no_cubes(tmp):
+    (tmp / "empty").mkdir()
+    return _tc_track(tmp, cubes=tmp / "empty")
+
+
+@failure(2, "finite")
+def tc_track_nan_in_a_cube(tmp):
+    argv = _tc_track(tmp)
+    _poison(sorted((tmp / "vortex").glob("*.gvc"))[-1])
+    return argv
+
+
+@failure(2, "matches no cube")
+def tc_track_seed_time_matches_no_cube(tmp):
+    argv = _tc_track(tmp)
+    seeds = tmp / "vortex" / "seeds.csv"
+    seeds.write_text(seeds.read_text().replace("2024-09-01T00:00:00Z", "2024-09-02T00:00:00Z"))
+    return argv
+
+
+@failure(3, "row 2")
+def tc_track_bad_seed_row(tmp):
+    argv = _tc_track(tmp)
+    (tmp / "vortex" / "seeds.csv").write_text(
+        "storm_id,name,time,lat,lon,ws_max,msl_min\nS,,2024-09-01T00:00:00Z,north,130,40,\n")
+    return argv
+
+
+@failure(4, "--search-radius-km")
+def tc_track_nonpositive_radius(tmp):
+    return _tc_track(tmp, search_radius_km=0)
+
+
+def _tc_eval(tmp, **flags):
+    truth = _vortex(tmp) / "truth.csv"
+    return _argv("tc-eval", **dict(dict(forecast=truth, reference=truth, out=tmp / "e.csv"),
+                                   **flags))
+
+
+@failure(4, "--forecast")
+def tc_eval_forecast_list_names_no_csv(tmp):
+    return _tc_eval(tmp, forecast=",")
+
+
+@failure(4, "--sources")
+def tc_eval_sources_do_not_match_forecasts(tmp):
+    return _tc_eval(tmp, sources="a,b")
+
+
+@failure(2, "No such file")
+def tc_eval_missing_forecast_csv(tmp):
+    return _tc_eval(tmp, forecast=tmp / "nowhere.csv")
+
+
+@failure(3, "row 2")
+def tc_eval_bad_reference_row(tmp):
+    bad = tmp / "bad.csv"
+    bad.write_text("storm_id,name,time,lat,lon,ws_max,msl_min\nS,,noon,30,130,40,\n")
+    return _tc_eval(tmp, reference=bad)
+
+
+@failure(3, "storm S")
+def tc_eval_uneven_track_times(tmp):
+    bad = tmp / "bad.csv"
+    bad.write_text("storm_id,name,time,lat,lon,ws_max,msl_min\n"
+                   + "".join(f"S,,2024-09-01T{h:02d}:00:00Z,30,130,40,\n" for h in (0, 6, 18)))
+    return _tc_eval(tmp, reference=bad)
+
+
+@failure(2, "no concurrently detected")
+def tc_eval_no_concurrent_pairs(tmp):
+    other = tmp / "other.csv"
+    other.write_text("storm_id,name,time,lat,lon,ws_max,msl_min\n"
+                     "OTHER,,2024-09-01T00:00:00Z,30,130,40,\n")
+    return _tc_eval(tmp, reference=other)
+
+
+def _tc_filter(tmp, row):
+    cases = tmp / "cases.csv"
+    cases.write_text(f"case_id,model_mbe,wrf_mbe,both_under,both_over,track_err_km\n{row}\n")
+    return _argv("tc-filter", cases=cases, out=tmp / "d.csv")
+
+
+@failure(3, "row 2")
+def tc_filter_bad_number(tmp):
+    return _tc_filter(tmp, "c1,-2,lots,true,false,5")
+
+
+@failure(3, "row 2")
+def tc_filter_both_under_and_over(tmp):
+    return _tc_filter(tmp, "c1,-2,-5,true,true,5")
+
+
+@failure(2, "No such file")
+def tc_filter_missing_cases(tmp):
+    return _argv("tc-filter", cases=tmp / "cases.csv", out=tmp / "d.csv")
+
+
+def _climatology(tmp, *times):
+    cubes = tmp / "cubes"
+    cubes.mkdir()
+    rng = np.random.default_rng(8)
+    for t in times:
+        write_cube(_random_field_cube(rng, t), cubes / f"{time_stem(t)}.gvc")
+    return _argv("climatology", cubes=cubes, out=tmp / "clim")
+
+
+@failure(2, "synoptic")
+def climatology_cube_at_a_non_synoptic_time(tmp):
+    return _climatology(tmp, utc(2024, 1, 1, 0), utc(2024, 1, 1, 3))
+
+
+@failure(2, "no cubes")
+def climatology_no_cubes(tmp):
+    return _climatology(tmp)
+
+
+@failure(2, "finite")
+def climatology_nan_in_a_cube(tmp):
+    argv = _climatology(tmp, utc(2024, 1, 1, 0))
+    [path] = (tmp / "cubes").glob("*.gvc")
+    _poison(path)
+    return argv
+
+
+def _synth(tmp, **flags):
+    return _argv("synth-vortex", out=tmp / "vortex", **dict(SMALL_VORTEX, **flags))
+
+
+@failure(4, "--steps")
+def synth_vortex_zero_steps(tmp):
+    return _synth(tmp, steps=0)
+
+
+@failure(4, "n_lat")
+def synth_vortex_one_latitude(tmp):
+    return _synth(tmp, n_lat=1)
+
+
+@failure(4, "isoformat")
+def synth_vortex_bad_start_time(tmp):
+    return _synth(tmp, start_time="noon")
+
+
+@failure(4, "whole seconds")
+def synth_vortex_fractional_start_time(tmp):
+    return _synth(tmp, start_time="2024-09-01T00:00:00.5Z")
+
+
+def _vqa(tmp, rows):
+    items = tmp / "items.csv"
+    items.write_text("question_id,type,prediction,ground_truth\n" + rows)
+    return _argv("vqa-score", items=items, out=tmp / "s.csv")
+
+
+@failure(3, "row 2")
+def vqa_unknown_question_type(tmp):
+    return _vqa(tmp, "q1,weird,a,b\n")
+
+
+@failure(2, "no items")
+def vqa_no_items(tmp):
+    return _vqa(tmp, "")
+
+
+@failure(2, "No such file")
+def vqa_missing_items(tmp):
+    return _argv("vqa-score", items=tmp / "items.csv", out=tmp / "s.csv")
+
+
+def _tree(root):
+    """Every path under root with its bytes, None for a directory."""
+    return {p: (p.read_bytes() if p.is_file() else None) for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("build, code, fragment", FAILURES)
+def test_failure_exits_with_its_code_and_writes_nothing(tmp_path, capsys, build, code, fragment):
+    argv = build(tmp_path)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert [line for line in lines if " error: " in line] == lines[-1:]
+    assert lines[-1].startswith(f"geoverify: {CATEGORY[code]} error: ")
+    assert fragment in lines[-1]
+    assert _tree(tmp_path) == before
+
+
+# --- flag fuzz: any value of any flag exits 0, 2, 3 or 4 ---------------------------
+
+#: Caps on what a drawn value asks for, so no draw allocates a large array or
+#: starts many threads: the value of an integer flag, the number of leads.
+SIZE_CAPS = {"n_lat": 64, "n_lon": 64, "steps": 8, "threads": 8, "leads": 8}
+
+#: Flag values other than the valid one.  Random text has no "/", so a drawn
+#: path names a file in the run's own empty directory or, as "..", its parent.
+OTHER_VALUES = st.one_of(
+    st.sampled_from(["", "0", "-1", "nan", "inf"]),
+    st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00/"), max_size=12),
+)
+
+
+def _small(flag, value):
+    """Whether a drawn value stays under its flag's size cap; one that does not parse does."""
+    if flag not in SIZE_CAPS:
+        return True
+    try:
+        size = len(parse_leads(value)) if flag == "leads" else int(value)
+    except (ValueError, InvalidFlags):
+        return True
+    return size <= SIZE_CAPS[flag]
+
+
+def _option_dests():
+    """{subcommand: the dest of each of its options}, as the parser defines them."""
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {command: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
+            for command, p in sub.choices.items()}
+
+
+@pytest.fixture(scope="module")
+def valid_flags(tmp_path_factory):
+    """Valid flag values of every subcommand, over inputs in one module-wide directory."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "in").mkdir()
+    (root / "out").mkdir()
+    (root / "runs").mkdir()
+    fdir, rdir, manifest, times_file = make_verify_fixture(root / "in", [utc(2024, 1, 1, 0)], [6])
+    (root / "in" / "ds").mkdir()
+    coarse, truth, model = TestDownscaleEval()._write_fixture(
+        root / "in" / "ds", [utc(2024, 2, 2, 18)], "bilinear")
+    vortex = _vortex(root / "in")
+    cases = root / "in" / "cases.csv"
+    cases.write_text("case_id,model_mbe,wrf_mbe,both_under,both_over,track_err_km\n"
+                     "c1,-2,-5,true,false,5\nc2,-6,-3,false,true,15\n")
+    items = root / "in" / "items.csv"
+    items.write_text("question_id,type,prediction,ground_truth\nq1,closed,yes,Yes\n"
+                     "q2,open,left lobe,left lower lobe\n")
+    out = root / "out"
+    flags = {
+        "verify": dict(forecast=fdir, reference=rdir, climatology=manifest,
+                       variables="Z500,T2M", init_times=times_file, leads="6",
+                       metrics="rmse,acc", out=out / "r.csv", threads=2, map_dir=out / "maps"),
+        "downscale-eval": dict(coarse=coarse, truth=truth, model=model, psnr_peak=2.5,
+                               out=out / "ds.csv"),
+        "tc-track": dict(cubes=vortex, seeds=vortex / "seeds.csv", search_radius_km=250,
+                         intensity_radius_km=250, closed_low_hpa=0.5, ring_width_km=100,
+                         out=out / "track.csv"),
+        "tc-eval": dict(forecast=vortex / "truth.csv", reference=vortex / "truth.csv",
+                        sources="model", out=out / "eval.csv"),
+        "tc-filter": dict(cases=cases, comparable_tol=1, track_threshold_km=10,
+                          out=out / "decisions.csv"),
+        "climatology": dict(cubes=rdir, out=out / "clim"),
+        "synth-vortex": dict(SMALL_VORTEX, out=out / "vortex", start_time="2024-09-01T00:00:00Z",
+                             dlat_per_step=0.5, dlon_per_step=1, background_hpa=1013,
+                             depth_hpa=30, r0_km=150, ws_peak=40, ring_km=100, storm_id="S1"),
+        "vqa-score": dict(items=items, benchmark="vqa-rad", out=out / "scores.csv"),
+    }
+    return root / "runs", {command: {k: str(v) for k, v in f.items()} for command, f in flags.items()}
+
+
+def test_fuzz_covers_every_option_of_every_subcommand(valid_flags):
+    _, flags = valid_flags
+    assert {command: set(values) for command, values in flags.items()} == _option_dests()
+
+
+@pytest.mark.parametrize("command", sorted(_option_dests()))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_flag_values_exit_with_a_documented_code(valid_flags, command, data):
+    runs, flags = valid_flags
+    drawn = dict(flags[command])
+    for flag in data.draw(st.sets(st.sampled_from(sorted(drawn)), max_size=3), label="changed"):
+        drawn[flag] = data.draw(OTHER_VALUES.filter(lambda v, f=flag: _small(f, v)), label=flag)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(dir=runs) as run_dir:
+        os.chdir(run_dir)
+        try:
+            code = main(_argv(command, **drawn))
+        except SystemExit as e:  # argparse rejected a value
+            code = e.code
+        finally:
+            os.chdir(cwd)
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4)

@@ -5,7 +5,7 @@ import pytest
 
 from geoverify import build_climatology, climatology_key, cubeio
 from geoverify.climatology import Climatology
-from geoverify.errors import EmptyInput, MissingKey, SpecMismatch
+from geoverify.errors import EmptyInput, MissingKey, NonSynopticTime, SpecMismatch
 from conftest import random_cube, utc
 
 
@@ -25,6 +25,11 @@ class TestClimatologyKey:
     def test_off_synoptic_hour_rejected(self):
         with pytest.raises(ValueError, match="synoptic"):
             climatology_key(utc(2024, 1, 1, 3))
+
+    def test_off_synoptic_hour_is_a_data_error(self):
+        with pytest.raises(NonSynopticTime) as err:
+            climatology_key(utc(2024, 1, 1, 3))
+        assert err.value.exit_code == 2
 
 
 class TestBuildClimatology:

@@ -186,6 +186,19 @@ class TestFieldCube:
         with pytest.raises(ValueError, match="shape"):
             FieldCube(small_spec, small_catalog, utc(2024, 1, 1), np.zeros((3, 4, 3)))
 
+    def test_freezes_a_view_not_the_callers_array(self, small_spec, small_catalog):
+        """A C-contiguous float32 input is shared, and only the cube's view is read-only."""
+        from geoverify import FieldCube
+
+        values = np.zeros((3, 3, 4), dtype=np.float32)
+        cube = FieldCube(small_spec, small_catalog, utc(2024, 1, 1), values)
+        assert np.shares_memory(cube.values, values)
+        assert values.flags.writeable
+        assert not cube.values.flags.writeable
+        values[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            cube.values[0, 0, 0] = 2.0
+
 
 class TestRegionalCrop:
     def _global_quarter(self, make_cube):

@@ -32,6 +32,7 @@ from geoverify.errors import (
     EmptySeries,
     MissingCube,
     NonPositivePeak,
+    NonSynopticTime,
     PerfectMatch,
     ShapeMismatch,
     ZeroAnomalyVariance,
@@ -275,6 +276,15 @@ class TestPsnr:
         assert outputs[0] == outputs[1]
 
 
+class TestDynamicRange:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_as_the_float64_formula(self, dtype):
+        field = np.random.default_rng(16).normal(loc=280.0, scale=30.0, size=(33, 47)).astype(dtype)
+        as64 = np.asarray(field, dtype=np.float64)
+        expected = float(as64.max() - as64.min())
+        assert metrics.dynamic_range(field).hex() == expected.hex()
+
+
 class TestNormalizedDifference:
     def test_equal_metrics(self):
         assert normalized_difference(2.0, 2.0) == 0.0
@@ -489,3 +499,9 @@ class TestMonthHourMatrix:
         t = utc(2024, 1, 1, 5)
         with pytest.raises(ValueError, match="synoptic"):
             month_hour_matrix([(t, 1.0)], [(t, 1.0)])
+
+    def test_off_synoptic_hour_is_a_data_error(self):
+        t = utc(2024, 1, 1, 3)
+        with pytest.raises(NonSynopticTime) as err:
+            month_hour_matrix([(t, 1.0)], [(t, 1.0)])
+        assert err.value.exit_code == 2
