@@ -9,6 +9,7 @@ same inputs and flags yields byte-identical files.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
@@ -180,8 +181,8 @@ def cmd_verify(args) -> int:
 # --- downscale-eval -------------------------------------------------------------
 
 def cmd_downscale_eval(args) -> int:
-    if args.psnr_peak is not None and not args.psnr_peak > 0.0:
-        raise InvalidFlags(f"--psnr-peak must be positive; got {args.psnr_peak}")
+    if args.psnr_peak is not None and not 0.0 < args.psnr_peak < math.inf:
+        raise InvalidFlags(f"--psnr-peak must be positive and finite; got {args.psnr_peak}")
     truth_paths = cubeio.cube_paths(args.truth)
     if not truth_paths:
         raise EmptyInput(f"no truth cubes in {args.truth}")
@@ -323,6 +324,8 @@ def cmd_tc_eval(args) -> int:
     )
     if len(source_names) != len(forecast_paths):
         raise InvalidFlags("--sources must name each --forecast CSV")
+    if len(set(source_names)) != len(source_names):
+        raise InvalidFlags(f"source names must differ (set --sources); got {','.join(source_names)}")
     reference = cubeio.read_tracks(args.reference)
     tracks_by_source = {
         name: cubeio.read_tracks(path) for name, path in zip(source_names, forecast_paths)

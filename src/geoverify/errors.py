@@ -122,7 +122,7 @@ class PerfectMatch(GeoverifyError):
 
 
 class NonPositivePeak(GeoverifyError):
-    """PSNR peak value must be positive."""
+    """PSNR peak value must be positive and finite."""
     exit_code = 4
 
 

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    GeoverifyError,
     InvalidFlags,
     MissingChannel,
     NoOverlap,
@@ -187,6 +188,8 @@ def track_cyclone(
         disk_dist = _haversine_grid(lat_c, lon_c, lats[disk_rows], lons[disk_cols])
         ws_patch = cube.values[i_ws][np.ix_(disk_rows, disk_cols)]
         ws_max = float(ws_patch[disk_dist <= intensity_radius_km].max())
+        if ws_max < 0.0:
+            raise GeoverifyError(f"WS10M max {ws_max} m/s near {cube.valid_time} is negative")
 
         points.append(TcPoint(cube.valid_time, lat_c, lon_c, ws_max, msl_c))
         lat_prev, lon_prev = lat_c, lon_c

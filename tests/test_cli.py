@@ -18,7 +18,7 @@ from geoverify import (
     build_climatology,
 )
 from geoverify.cli import build_parser, main, parse_leads, time_stem
-from geoverify.cubeio import read_tracks, write_cube
+from geoverify.cubeio import read_cube, read_tracks, write_cube
 from geoverify.errors import InvalidFlags
 from conftest import utc
 
@@ -552,7 +552,8 @@ class TestDownscaleEval:
         times_in_report = {line.split(",")[0] for line in out.read_text().splitlines()[2:]}
         assert times_in_report == {"2024-07-01T06:00:00Z"}
 
-    @pytest.mark.parametrize("peak, code", [("-1", 4), ("0", 4), ("2.5", 0)])
+    @pytest.mark.parametrize("peak, code", [("-1", 4), ("0", 4), ("inf", 4), ("-inf", 4),
+                                            ("nan", 4), ("2.5", 0)])
     def test_psnr_peak_must_be_positive(self, tmp_path, peak, code):
         times = [utc(2024, 2, 2, 18)]
         coarse, truth, model = self._write_fixture(tmp_path, times, "bilinear")
@@ -876,6 +877,11 @@ def downscale_zero_psnr_peak(tmp):
     return _downscale(tmp, [utc(2024, 2, 2, 18)], psnr_peak=0)
 
 
+@failure(4, "--psnr-peak")
+def downscale_infinite_psnr_peak(tmp):
+    return _downscale(tmp, [utc(2024, 2, 2, 18)], psnr_peak="inf")
+
+
 SMALL_VORTEX = dict(steps=3, n_lat=21, n_lon=31, lat_start=35, lat_step=-0.5,
                     lon_start=125, lon_step=0.5, center_lat=30, center_lon=130)
 
@@ -926,6 +932,17 @@ def tc_track_nonpositive_radius(tmp):
     return _tc_track(tmp, search_radius_km=0)
 
 
+@failure(2, "negative")
+def tc_track_negative_wind(tmp):
+    argv = _tc_track(tmp)
+    for path in (tmp / "vortex").glob("*.gvc"):
+        cube = read_cube(path)
+        values = np.array(cube.values)
+        values[cube.catalog.index_of(("WS10M", None))] = -1.0
+        write_cube(FieldCube(cube.spec, cube.catalog, cube.valid_time, values), path)
+    return argv
+
+
 def _tc_eval(tmp, **flags):
     truth = _vortex(tmp) / "truth.csv"
     return _argv("tc-eval", **dict(dict(forecast=truth, reference=truth, out=tmp / "e.csv"),
@@ -940,6 +957,18 @@ def tc_eval_forecast_list_names_no_csv(tmp):
 @failure(4, "--sources")
 def tc_eval_sources_do_not_match_forecasts(tmp):
     return _tc_eval(tmp, sources="a,b")
+
+
+# The CSVs named below do not exist: the repeated names are rejected before any is read.
+
+@failure(4, "source names must differ")
+def tc_eval_repeated_forecast_csv(tmp):
+    return _tc_eval(tmp, forecast=f"{tmp / 'a.csv'},{tmp / 'a.csv'}")
+
+
+@failure(4, "source names must differ")
+def tc_eval_repeated_source_name(tmp):
+    return _tc_eval(tmp, forecast=f"{tmp / 'a.csv'},{tmp / 'b.csv'}", sources="m,m")
 
 
 @failure(2, "No such file")

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from datetime import timedelta
 from pathlib import Path
 
@@ -141,6 +142,10 @@ class TestWeightedRmse:
         with pytest.raises(ShapeMismatch):
             weighted_rmse(np.zeros((3, 4)), np.zeros((3, 4)), np.ones(4))
 
+    def test_non_2d_fields(self):
+        with pytest.raises(ShapeMismatch, match="2-D"):
+            weighted_rmse(np.zeros(4), np.zeros(4), np.ones(4))
+
 
 class TestWeightedAcc:
     def test_perfect_forecast(self):
@@ -197,6 +202,100 @@ class TestWeightedAcc:
         scaled = weighted_acc(m + 3.0 * fa, m + 3.0 * ra, m, w)
         assert scaled == pytest.approx(base, abs=1e-12)
 
+    def test_shape_mismatch(self):
+        w = np.ones(3)
+        with pytest.raises(ShapeMismatch):
+            weighted_acc(np.zeros((3, 4)), np.zeros((3, 4)), np.zeros((3, 5)), w)
+        with pytest.raises(ShapeMismatch):
+            weighted_acc(np.zeros((3, 5)), np.zeros((3, 4)), np.zeros((3, 4)), w)
+        with pytest.raises(ShapeMismatch, match="2-D"):
+            weighted_acc(np.zeros((1, 3, 4)), np.zeros((1, 3, 4)), np.zeros((1, 3, 4)), w)
+
+    def test_rounding_spill_is_clamped(self):
+        """Proportional anomalies have ACC 1 up to rounding, which spills above 1 in draw 6."""
+        rng = np.random.default_rng(17)
+        w = np.linspace(0.5, 1.5, 3)
+        values = []
+        for _ in range(10):
+            m, a = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+            values.append(weighted_acc(m + a, m + rng.uniform(0.1, 10.0) * a, m, w))
+        assert max(values) == 1.0
+
+
+# Today's whole-field formulas, which the row-blocked kernel replaced: a float64
+# difference of the whole field, whole-array einsum row sums, then dot.
+
+def _diff64(forecast, reference):
+    d = np.asarray(forecast).astype(np.float64)
+    d -= reference
+    return d
+
+
+def whole_field_rmse(forecast, reference, weights):
+    d = _diff64(forecast, reference)
+    return math.sqrt(float(np.dot(weights, np.einsum("ij,ij->i", d, d))) / d.size)
+
+
+def whole_field_acc(forecast, reference, clim, weights):
+    fa, ra = _diff64(forecast, clim), _diff64(reference, clim)
+    num = float(np.dot(weights, np.einsum("ij,ij->i", fa, ra)))
+    den_f = float(np.dot(weights, np.einsum("ij,ij->i", fa, fa)))
+    den_r = float(np.dot(weights, np.einsum("ij,ij->i", ra, ra)))
+    return min(1.0, max(-1.0, num / math.sqrt(den_f * den_r)))
+
+
+def whole_field_mse(forecast, reference):
+    d = np.atleast_1d(_diff64(forecast, reference))
+    return float(np.einsum("...j,...j->...", d, d).sum()) / d.size
+
+
+def _fields(shape, n, seed, dtype=np.float32):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(280.0, 20.0, size=shape).astype(dtype) for _ in range(n)]
+
+
+class TestRowBlockedKernel:
+    """weighted_rmse, weighted_acc and mse keep the bits of the whole-field formulas."""
+
+    @pytest.mark.parametrize("shape", [
+        (100, 1440),   # n_lat not a multiple of the 45 rows a 1440-wide block holds
+        (1, 1440),     # a single row
+        (1, 70000),    # a lone row longer than the block
+        (5, 70000),    # rows longer than the block: the fewest rows a block takes
+        (321, 481),    # the downscale grid
+        (721, 1440),   # one 0.25 deg channel
+    ], ids=lambda shape: "x".join(map(str, shape)))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weighted_scores_equal_whole_field_formulas(self, shape, dtype):
+        f, r, c = _fields(shape, 3, seed=shape[0] + shape[1], dtype=dtype)
+        w = np.random.default_rng(18).uniform(0.0, 2.0, size=shape[0])
+        assert weighted_rmse(f, r, w) == whole_field_rmse(f, r, w)
+        assert weighted_acc(f, r, c, w) == whole_field_acc(f, r, c, w)
+
+    @pytest.mark.parametrize("shape", [(1,), (1000,), (100000,), (321, 481), (3, 50, 481)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_mse_equals_whole_field_formula(self, shape):
+        f, r = _fields(shape, 2, seed=len(shape))
+        assert metrics.mse(f, r) == whole_field_mse(f, r)
+
+    @pytest.mark.parametrize("score", ["rmse", "acc", "mse"])
+    def test_no_full_size_float64_temporary(self, score):
+        """One 721 x 1440 float64 copy is 7.9 MiB; the kernel holds a block or two."""
+        f, r, c = _fields((721, 1440), 3, seed=19)
+        w = latitude_weights(np.linspace(90.0, -90.0, 721))
+        call = {
+            "rmse": lambda: weighted_rmse(f, r, w),
+            "acc": lambda: weighted_acc(f, r, c, w),
+            "mse": lambda: metrics.mse(f, r),
+        }[score]
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
 
 class TestMbe:
     def test_identical_series(self):
@@ -237,6 +336,11 @@ class TestPsnr:
     def test_nonpositive_peak(self):
         with pytest.raises(NonPositivePeak):
             psnr(np.ones((2, 2)), np.zeros((2, 2)), peak=0.0)
+
+    @pytest.mark.parametrize("peak", [math.inf, -math.inf, math.nan])
+    def test_non_finite_peak(self, peak):
+        with pytest.raises(NonPositivePeak):
+            psnr(np.ones((2, 2)), np.zeros((2, 2)), peak=peak)
 
     def test_decreases_with_mse(self):
         r = np.zeros((4, 4))
