@@ -15,7 +15,6 @@ from .grid import (
 from .metrics import (
     EvaluationSet,
     MetricRecord,
-    acc_over_set,
     mae,
     mbe,
     month_hour_matrix,
@@ -23,7 +22,6 @@ from .metrics import (
     normalized_difference,
     pointwise_rmse,
     psnr,
-    rmse_over_set,
     weighted_acc,
     weighted_rmse,
 )
@@ -35,10 +33,8 @@ from .tc import (
     concurrent_match,
     filter_case,
     great_circle_km,
-    intensity_rmse,
     synthetic_vortex_series,
     track_cyclone,
-    track_mae,
 )
 from .vqa import VqaItem, closed_accuracy, open_token_recall
 
@@ -56,7 +52,6 @@ __all__ = [
     "VariableCatalog",
     "VariableId",
     "VqaItem",
-    "acc_over_set",
     "bilinear_upsample",
     "build_climatology",
     "climatology_key",
@@ -64,7 +59,6 @@ __all__ = [
     "concurrent_match",
     "filter_case",
     "great_circle_km",
-    "intensity_rmse",
     "latitude_weights",
     "mae",
     "mbe",
@@ -76,11 +70,9 @@ __all__ = [
     "pointwise_rmse",
     "psnr",
     "regional_crop",
-    "rmse_over_set",
     "select_channel",
     "synthetic_vortex_series",
     "track_cyclone",
-    "track_mae",
     "weather_catalog",
     "weighted_acc",
     "weighted_rmse",

@@ -49,6 +49,18 @@ def _flag_values():
         raise InvalidFlags(str(e)) from None
 
 
+#: Range rules for float flags; NaN breaks both.
+_RULES = {"positive": lambda v: v > 0.0, "non-negative": lambda v: v >= 0.0}
+
+
+def _check_flags(args, rule: str, *flags) -> None:
+    """InvalidFlags naming the first of ``flags`` whose value breaks ``rule``."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if not _RULES[rule](value):
+            raise InvalidFlags(f"--{flag.replace('_', '-')} must be {rule}; got {value}")
+
+
 def time_stem(t: datetime) -> str:
     return t.astimezone(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
 
@@ -187,7 +199,7 @@ def cmd_downscale_eval(args) -> int:
     if not truth_paths:
         raise EmptyInput(f"no truth cubes in {args.truth}")
 
-    rows = []          # (time, var_token, level, method, metric, value, peak)
+    rows = []          # (time, var, method, metric, value, peak)
     samples: dict = {} # (var token, metric, method) -> list of (time, value)
     failures = 0
     for truth_path in truth_paths:
@@ -196,6 +208,11 @@ def cmd_downscale_eval(args) -> int:
             truth = cubeio.read_cube(truth_path)
             coarse = cubeio.read_cube(Path(args.coarse) / truth_path.name)
             model = cubeio.read_cube(Path(args.model) / truth_path.name)
+            for side, cube in (("coarse", coarse), ("model", model)):
+                missing = [var.token for var in truth.catalog
+                           if var.role == "input-output" and var not in cube.catalog]
+                if missing:
+                    raise GeoverifyError(f"{side} cube lacks {','.join(missing)} for {stem}")
             baseline = regrid.bilinear_upsample(coarse, truth.spec)
             if model.spec != truth.spec:
                 raise GeoverifyError(f"model grid differs from truth grid for {stem}")
@@ -262,10 +279,7 @@ def cmd_downscale_eval(args) -> int:
 # --- tropical cyclones ------------------------------------------------------------
 
 def cmd_tc_track(args) -> int:
-    for flag in ("search_radius_km", "intensity_radius_km", "ring_width_km"):
-        value = getattr(args, flag)
-        if not value > 0.0:
-            raise InvalidFlags(f"--{flag.replace('_', '-')} must be positive; got {value}")
+    _check_flags(args, "positive", "search_radius_km", "intensity_radius_km", "ring_width_km")
     cubes = [cubeio.read_cube(p) for p in cubeio.cube_paths(args.cubes)]
     if not cubes:
         raise EmptyInput(f"no cubes in {args.cubes}")
@@ -330,34 +344,7 @@ def cmd_tc_eval(args) -> int:
     tracks_by_source = {
         name: cubeio.read_tracks(path) for name, path in zip(source_names, forecast_paths)
     }
-    matched = tc.concurrent_match(tracks_by_source, reference)
-    if not matched:
-        raise EmptyInput("no concurrently detected (storm, time) pairs")
-    ref_by_id = {t.storm_id: t for t in reference}
-
-    scorers = (
-        ("track_mae", tc.track_errors_km, tc.mean),
-        ("ws10m_rmse", tc.intensity_errors, tc.rms),
-    )
-    rows = []  # (source, storm_id, lead_label, metric, value, n)
-    for name in source_names:
-        fc_by_id = {t.storm_id: t for t in tracks_by_source[name]}
-        pooled = {metric: [] for metric, _, _ in scorers}
-        for storm_id, times in sorted(matched.items()):
-            for metric, errors_of, reduce in scorers:
-                errors = errors_of(fc_by_id[storm_id], ref_by_id[storm_id], times)
-                pooled[metric] += errors
-                rows.append((name, storm_id, "pooled", metric,
-                             reduce([e for _, e in errors]), len(errors)))
-        for metric, _, reduce in scorers:
-            errors = pooled[metric]
-            rows.append((name, "ALL", "pooled", metric,
-                         reduce([e for _, e in errors]), len(errors)))
-            per_lead = [(lead, reduce(values), len(values))
-                        for lead, values in tc.group_by_lead(errors)]
-            rows += [(name, "ALL", str(lead), metric, value, n) for lead, value, n in per_lead]
-            rows.append((name, "ALL", "per_lead_mean", metric,
-                         tc.mean([value for _, value, _ in per_lead]), len(per_lead)))
+    rows = tc.skill_rows(tracks_by_source, reference)
 
     params = {
         "forecast": args.forecast,
@@ -372,6 +359,7 @@ def cmd_tc_eval(args) -> int:
 
 
 def cmd_tc_filter(args) -> int:
+    _check_flags(args, "non-negative", "comparable_tol", "track_threshold_km")
     columns = ["case_id", "model_mbe", "wrf_mbe", "both_under", "both_over", "track_err_km"]
     decisions = []
     for row_no, row in cubeio.read_csv_rows(args.cases, columns):
@@ -415,6 +403,7 @@ def cmd_climatology(args) -> int:
 def cmd_synth_vortex(args) -> int:
     if args.steps < 1:
         raise InvalidFlags(f"--steps must be at least 1; got {args.steps}")
+    _check_flags(args, "positive", "r0_km", "ring_km")
     spec = GridSpec(
         n_lat=args.n_lat,
         n_lon=args.n_lon,

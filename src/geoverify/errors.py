@@ -146,10 +146,6 @@ class SeedOutsideGrid(GeoverifyError):
     """Tracker seed position is not inside the grid."""
 
 
-class NoOverlap(GeoverifyError):
-    """Tracks share no common valid times."""
-
-
 class InvalidFlags(GeoverifyError):
     """An invalid flag value or combination."""
     exit_code = 4

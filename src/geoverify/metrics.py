@@ -261,13 +261,9 @@ def _add(acc: np.ndarray | None, term: np.ndarray) -> np.ndarray:
 
 # --- evaluation-set pass ---------------------------------------------------
 
-CubeForecastSource = Callable[[datetime, int], FieldCube]
-CubeReferenceSource = Callable[[datetime], FieldCube]
-
-
 def evaluate_set(
-    forecasts: CubeForecastSource,
-    references: CubeReferenceSource,
+    forecasts: Callable[[datetime, int], FieldCube],
+    references: Callable[[datetime], FieldCube],
     eval_set: EvaluationSet,
     variables: Sequence,
     *,
@@ -337,38 +333,6 @@ def evaluate_set(
         for (var, lead, metric), total in totals.items()
     ]
     return records, {key: np.sqrt(acc / n) for key, acc in sums.items()}
-
-
-def rmse_over_set(
-    forecasts: CubeForecastSource,
-    references: CubeReferenceSource,
-    eval_set: EvaluationSet,
-    var,
-) -> list[MetricRecord]:
-    """Mean over init times of the per-time weighted RMSE, one record per lead.
-
-    This is the mean-of-roots form: each (t0, lead) pair contributes its own
-    square root before averaging over the set.
-    """
-    return evaluate_set(forecasts, references, eval_set, [var])[0]
-
-
-def acc_over_set(
-    forecasts: CubeForecastSource,
-    references: CubeReferenceSource,
-    clim_fields: Callable[[datetime], np.ndarray],
-    eval_set: EvaluationSet,
-    var,
-) -> list[MetricRecord]:
-    """Mean over init times of the per-time ACC, one record per lead.
-
-    ``clim_fields(valid_time)`` must return the 2-D climatological mean for
-    the evaluated variable at that valid time.
-    """
-    return evaluate_set(
-        forecasts, references, eval_set, [var],
-        rmse=False, clim_fields=lambda valid, _var: clim_fields(valid),
-    )[0]
 
 
 def _resolve_var(var) -> VariableId:

@@ -16,15 +16,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    EmptyInput,
     GeoverifyError,
     InvalidFlags,
     MissingChannel,
-    NoOverlap,
     SeedOutsideGrid,
     UnknownVariable,
 )
 from .grid import FieldCube, GridSpec, VariableCatalog, VariableId
-from .metrics import MetricRecord
 
 EARTH_RADIUS_KM = 6371.0
 KM_PER_DEG = math.pi * EARTH_RADIUS_KM / 180.0
@@ -206,42 +205,27 @@ def track_cyclone(
 
 # --- track and intensity skill -------------------------------------------------
 
-def _matched_times(forecast: TcTrack, reference: TcTrack) -> list[datetime]:
-    common = set(forecast.times) & set(reference.times)
-    if not common:
-        raise NoOverlap(f"tracks for {forecast.storm_id} share no valid times")
-    return sorted(common)
-
-
 def _lead_hours(track: TcTrack, time: datetime) -> int:
     return int(round((time - track.points[0].time).total_seconds() / 3600.0))
 
 
 def _errors(forecast, reference, times, error) -> list[tuple[int, float]]:
-    if times is None:
-        times = _matched_times(forecast, reference)
     return [(_lead_hours(forecast, t), error(forecast.point_at(t), reference.point_at(t)))
             for t in times]
 
 
 def track_errors_km(
-    forecast: TcTrack, reference: TcTrack, times: Sequence[datetime] | None = None
+    forecast: TcTrack, reference: TcTrack, times: Sequence[datetime]
 ) -> list[tuple[int, float]]:
-    """(lead hours, great-circle error km) per valid time.
-
-    ``times`` defaults to the valid times the two tracks share.
-    """
+    """(lead hours, great-circle error km) at each of ``times``."""
     return _errors(forecast, reference, times,
                    lambda f, r: great_circle_km((f.lat, f.lon), (r.lat, r.lon)))
 
 
 def intensity_errors(
-    forecast: TcTrack, reference: TcTrack, times: Sequence[datetime] | None = None
+    forecast: TcTrack, reference: TcTrack, times: Sequence[datetime]
 ) -> list[tuple[int, float]]:
-    """(lead hours, forecast ws_max - reference ws_max) per valid time.
-
-    ``times`` defaults to the valid times the two tracks share.
-    """
+    """(lead hours, forecast ws_max - reference ws_max) at each of ``times``."""
     return _errors(forecast, reference, times, lambda f, r: f.ws_max - r.ws_max)
 
 
@@ -259,28 +243,6 @@ def group_by_lead(errors: Sequence[tuple[int, float]]) -> list[tuple[int, list[f
     """(lead, values) groups of (lead, value) errors, leads ascending."""
     leads = sorted({lead for lead, _ in errors})
     return [(lead, [v for l, v in errors if l == lead]) for lead in leads]
-
-
-def _skill(errors, var: VariableId, metric: str, reduce, by_lead: bool):
-    if by_lead:
-        return [MetricRecord(var, lead, metric, reduce(v), len(v))
-                for lead, v in group_by_lead(errors)]
-    values = [e for _, e in errors]
-    return MetricRecord(var, 0, metric, reduce(values), len(values))
-
-
-def track_mae(forecast: TcTrack, reference: TcTrack, by_lead: bool = False):
-    """Mean great-circle track error (km) over matched points.
-
-    Returns a list of MetricRecord per lead when ``by_lead``, else one
-    pooled MetricRecord (lead_hours 0).
-    """
-    return _skill(track_errors_km(forecast, reference), VariableId("TRACK"), "mae", mean, by_lead)
-
-
-def intensity_rmse(forecast: TcTrack, reference: TcTrack, by_lead: bool = False):
-    """RMSE of ws_max (m/s) over matched points; pooled or per lead."""
-    return _skill(intensity_errors(forecast, reference), VariableId("WS10M"), "rmse", rms, by_lead)
 
 
 def concurrent_match(
@@ -303,6 +265,51 @@ def concurrent_match(
         if times:
             matched[ref.storm_id] = sorted(times)
     return matched
+
+
+#: (metric, errors per valid time, reduction) of each TC skill score.
+_SCORERS = (
+    ("track_mae", track_errors_km, mean),
+    ("ws10m_rmse", intensity_errors, rms),
+)
+
+
+def skill_rows(
+    tracks_by_source: Mapping[str, Sequence[TcTrack]],
+    reference: Sequence[TcTrack],
+) -> list[tuple[str, str, str, str, float, int]]:
+    """(source, storm, lead label, metric, value, n) rows of every source's TC skill.
+
+    Each source is scored on the (storm, time) pairs of ``concurrent_match``:
+    one "pooled" row per storm, then per metric over all storms ("ALL") the
+    pooled value, one row per lead hour, and the mean of the per-lead values
+    ("per_lead_mean", n = number of leads).  Raises EmptyInput when no pair
+    is concurrent.
+    """
+    matched = concurrent_match(tracks_by_source, reference)
+    if not matched:
+        raise EmptyInput("no concurrently detected (storm, time) pairs")
+    ref_by_id = {t.storm_id: t for t in reference}
+    rows = []
+    for source, tracks in tracks_by_source.items():
+        fc_by_id = {t.storm_id: t for t in tracks}
+        pooled = {metric: [] for metric, _, _ in _SCORERS}
+        for storm_id, times in sorted(matched.items()):
+            for metric, errors_of, reduce in _SCORERS:
+                errors = errors_of(fc_by_id[storm_id], ref_by_id[storm_id], times)
+                pooled[metric] += errors
+                rows.append((source, storm_id, "pooled", metric,
+                             reduce([e for _, e in errors]), len(errors)))
+        for metric, _, reduce in _SCORERS:
+            errors = pooled[metric]
+            rows.append((source, "ALL", "pooled", metric,
+                         reduce([e for _, e in errors]), len(errors)))
+            per_lead = [(lead, reduce(values), len(values))
+                        for lead, values in group_by_lead(errors)]
+            rows += [(source, "ALL", str(lead), metric, value, n) for lead, value, n in per_lead]
+            rows.append((source, "ALL", "per_lead_mean", metric,
+                         mean([value for _, value, _ in per_lead]), len(per_lead)))
+    return rows
 
 
 # --- WRF pair filtering ---------------------------------------------------------

@@ -28,7 +28,6 @@ from geoverify import (
     mbe,
     open_token_recall,
     psnr,
-    rmse_over_set,
     synthetic_vortex_series,
     track_cyclone,
     weighted_acc,
@@ -36,6 +35,7 @@ from geoverify import (
 )
 from geoverify.cli import main, time_stem
 from geoverify.cubeio import write_cube
+from geoverify.metrics import evaluate_set
 from geoverify.tc import tracker_catalog
 from conftest import utc
 
@@ -147,7 +147,7 @@ def test_criterion_02_mean_of_roots_structure():
         def references(valid):
             return FieldCube(spec, catalog, valid, zeros)
 
-        [record] = rmse_over_set(forecasts, references, EvaluationSet(t0s, (6,)), "T2M")
+        [record], _ = evaluate_set(forecasts, references, EvaluationSet(t0s, (6,)), ["T2M"])
         assert record.value == 2.0, f"expected exactly 2.0, got {record.value!r}"
         ok = True
     finally:

@@ -2,13 +2,17 @@
 
 import argparse
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import geoverify
 from geoverify import (
     FieldCube,
     GridSpec,
@@ -552,6 +556,22 @@ class TestDownscaleEval:
         times_in_report = {line.split(",")[0] for line in out.read_text().splitlines()[2:]}
         assert times_in_report == {"2024-07-01T06:00:00Z"}
 
+    @pytest.mark.parametrize("side", ["coarse", "model"])
+    def test_cube_lacking_a_channel_skips_the_sample(self, tmp_path, capsys, side):
+        times = [utc(2024, 2, 2, 18), utc(2024, 7, 1, 6)]
+        dirs = dict(zip(("coarse", "truth", "model"),
+                        self._write_fixture(tmp_path, times, "bilinear")))
+        _drop_last_channel(dirs[side] / f"{time_stem(times[0])}.gvc")
+        out = tmp_path / "ds.csv"
+        assert main(_argv("downscale-eval", out=out, **dirs)) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"geoverify: skipping {time_stem(times[0])}: {side} cube lacks WS10M"
+            f" for {time_stem(times[0])}",
+            "geoverify: 1 sample(s) skipped",
+        ]
+        times_in_report = {line.split(",")[0] for line in out.read_text().splitlines()[2:]}
+        assert times_in_report == {"2024-07-01T06:00:00Z"}
+
     @pytest.mark.parametrize("peak, code", [("-1", 4), ("0", 4), ("inf", 4), ("-inf", 4),
                                             ("nan", 4), ("2.5", 0)])
     def test_psnr_peak_must_be_positive(self, tmp_path, peak, code):
@@ -630,8 +650,9 @@ class TestTcSubcommands:
 
     def test_tc_eval_scores_every_source_on_concurrent_pairs_only(self, tmp_path):
         """Source b lacks the last fix, so source a is scored on 3 of its 4 fixes too."""
-        from geoverify import TcPoint, TcTrack, track_mae
+        from geoverify import TcPoint, TcTrack
         from geoverify.cubeio import write_tracks
+        from geoverify.tc import track_errors_km
         from conftest import hour_sequence
 
         times = hour_sequence(utc(2024, 9, 1), 4)
@@ -653,13 +674,29 @@ class TestTcSubcommands:
         rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
         assert {r[2] for r in rows} == {"pooled", "0", "6", "12", "per_lead_mean"}
         pooled = {(r[0], r[1], r[3]): r for r in rows if r[2] == "pooled"}
-        a3 = TcTrack("A", a.points[:3])
+        a_errors = [e for _, e in track_errors_km(a, reference, times[:3])]
         assert pooled[("a", "A", "track_mae")][4:] == [
-            format(track_mae(a3, reference).value, ".6g"), "3"]
+            format(float(np.mean(a_errors)), ".6g"), "3"]
         assert pooled[("a", "ALL", "ws10m_rmse")][4:] == [
             format(float(np.sqrt(np.mean(np.square([2.0, 0.0, -3.0])))), ".6g"), "3"]
         assert pooled[("b", "A", "ws10m_rmse")][4:] == [
             format(float(np.sqrt(np.mean(np.square([0.0, -4.0, 0.0])))), ".6g"), "3"]
+
+    @pytest.mark.parametrize("flag, value", [("--r0-km", "0"), ("--ring-km", "-50")])
+    def test_synth_vortex_radius_must_be_positive(self, tmp_path, flag, value):
+        """The one stderr line names the flag; no numpy warning is printed before it."""
+        src = str(Path(geoverify.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = "import sys; from geoverify.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", script, "synth-vortex", "--out", str(tmp_path / "v"),
+             "--steps", "2", f"{flag}={value}"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 4
+        assert done.stderr.splitlines() == [
+            f"geoverify: config error: {flag} must be positive; got {float(value)}"]
+        assert not (tmp_path / "v").exists()
 
     def test_tc_filter_rule_exemplars(self, tmp_path):
         cases = tmp_path / "cases.csv"
@@ -764,6 +801,13 @@ def _poison(path):
     path.write_bytes(bytes(data))
 
 
+def _drop_last_channel(path):
+    """Rewrites a cube file without its last channel."""
+    cube = read_cube(path)
+    write_cube(FieldCube(cube.spec, VariableCatalog(list(cube.catalog)[:-1]), cube.valid_time,
+                         cube.values[:-1]), path)
+
+
 def _verify(tmp, **flags):
     fdir, rdir, manifest, times_file = make_verify_fixture(tmp, [utc(2024, 1, 1, 0)], [6])
     args = dict(forecast=fdir, reference=rdir, climatology=manifest, variables="Z500,T2M",
@@ -861,6 +905,14 @@ def downscale_missing_model_cube(tmp):
     argv = _downscale(tmp, [utc(2024, 2, 2, 18)])
     for path in (tmp / "model").glob("*.gvc"):
         path.unlink()
+    return argv
+
+
+@failure(2, "no downscaling samples")
+def downscale_model_cube_lacks_a_channel(tmp):
+    argv = _downscale(tmp, [utc(2024, 2, 2, 18)])
+    [path] = (tmp / "model").glob("*.gvc")
+    _drop_last_channel(path)
     return argv
 
 
@@ -999,10 +1051,10 @@ def tc_eval_no_concurrent_pairs(tmp):
     return _tc_eval(tmp, reference=other)
 
 
-def _tc_filter(tmp, row):
+def _tc_filter(tmp, row, **flags):
     cases = tmp / "cases.csv"
     cases.write_text(f"case_id,model_mbe,wrf_mbe,both_under,both_over,track_err_km\n{row}\n")
-    return _argv("tc-filter", cases=cases, out=tmp / "d.csv")
+    return _argv("tc-filter", cases=cases, out=tmp / "d.csv", **flags)
 
 
 @failure(3, "row 2")
@@ -1013,6 +1065,31 @@ def tc_filter_bad_number(tmp):
 @failure(3, "row 2")
 def tc_filter_both_under_and_over(tmp):
     return _tc_filter(tmp, "c1,-2,-5,true,true,5")
+
+
+# An Exclude case (comparable MBEs, 50 km track error) that a NaN or negative
+# tolerance or a NaN threshold would turn into Strengthen.
+EXCLUDE_CASE = "c1,3,2.5,true,false,50"
+
+
+@failure(4, "--comparable-tol")
+def tc_filter_nan_comparable_tol(tmp):
+    return _tc_filter(tmp, EXCLUDE_CASE, comparable_tol="nan")
+
+
+@failure(4, "--comparable-tol")
+def tc_filter_negative_comparable_tol(tmp):
+    return _tc_filter(tmp, EXCLUDE_CASE, comparable_tol=-1)
+
+
+@failure(4, "--track-threshold-km")
+def tc_filter_nan_track_threshold(tmp):
+    return _tc_filter(tmp, EXCLUDE_CASE, track_threshold_km="nan")
+
+
+@failure(4, "--track-threshold-km")
+def tc_filter_negative_track_threshold(tmp):
+    return _tc_filter(tmp, EXCLUDE_CASE, track_threshold_km=-1)
 
 
 @failure(2, "No such file")
@@ -1054,6 +1131,16 @@ def _synth(tmp, **flags):
 @failure(4, "--steps")
 def synth_vortex_zero_steps(tmp):
     return _synth(tmp, steps=0)
+
+
+@failure(4, "--r0-km")
+def synth_vortex_zero_r0(tmp):
+    return _synth(tmp, r0_km=0)
+
+
+@failure(4, "--ring-km")
+def synth_vortex_negative_ring(tmp):
+    return _synth(tmp, ring_km=-50)
 
 
 @failure(4, "n_lat")

@@ -18,14 +18,12 @@ from geoverify import (
     GridSpec,
     VariableCatalog,
     VariableId,
-    acc_over_set,
     latitude_weights,
     mbe,
     month_hour_matrix,
     normalized_difference,
     pointwise_rmse,
     psnr,
-    rmse_over_set,
     weighted_acc,
     weighted_rmse,
 )
@@ -425,7 +423,7 @@ class TestRmseOverSet:
         t0 = utc(2024, 1, 1, 0)
         forecasts, references = self._sources({t0: 2.0}, spec, catalog)
         eval_set = EvaluationSet((t0,), (6,))
-        records = rmse_over_set(forecasts, references, eval_set, "T2M")
+        records, _ = metrics.evaluate_set(forecasts, references, eval_set, ["T2M"])
         w = latitude_weights(spec)
         expected = weighted_rmse(
             np.full((2, 4), 2.0), np.zeros((2, 4)), w
@@ -440,7 +438,7 @@ class TestRmseOverSet:
         t0s = hour_sequence(utc(2024, 1, 1, 0), 2, step_hours=24)
         forecasts, references = self._sources({t0s[0]: 1.0, t0s[1]: 3.0}, spec, catalog)
         eval_set = EvaluationSet(tuple(t0s), (6,))
-        records = rmse_over_set(forecasts, references, eval_set, "T2M")
+        records, _ = metrics.evaluate_set(forecasts, references, eval_set, ["T2M"])
         assert records[0].value == 2.0
 
     def test_matches_quadruple_loop_oracle(self):
@@ -458,7 +456,7 @@ class TestRmseOverSet:
             return FieldCube(spec, catalog, valid, ref_field[None])
 
         eval_set = EvaluationSet(tuple(t0s), (6, 12))
-        records = rmse_over_set(forecasts, references, eval_set, "T2M")
+        records, _ = metrics.evaluate_set(forecasts, references, eval_set, ["T2M"])
 
         w = latitude_weights(spec)
         for record in records:
@@ -489,7 +487,7 @@ class TestRmseOverSet:
             raise KeyError("absent")
 
         with pytest.raises(MissingCube):
-            rmse_over_set(forecasts, references, EvaluationSet((t0,), (6,)), "T2M")
+            metrics.evaluate_set(forecasts, references, EvaluationSet((t0,), (6,)), ["T2M"])
 
     @pytest.mark.parametrize(
         "threads, cpus, workers",
@@ -548,7 +546,10 @@ class TestAccOverSet:
 
         # Unsorted init times: the set sorts them, the loop below does too.
         eval_set = EvaluationSet(tuple(reversed(t0s)), leads)
-        records = acc_over_set(forecasts, references, clim_values.__getitem__, eval_set, "T2M")
+        records, _ = metrics.evaluate_set(
+            forecasts, references, eval_set, ["T2M"], rmse=False,
+            clim_fields=lambda valid, _var: clim_values[valid],
+        )
 
         w = latitude_weights(spec)
         assert [r.lead_hours for r in records] == list(leads)

@@ -12,13 +12,11 @@ from geoverify import (
     concurrent_match,
     filter_case,
     great_circle_km,
-    intensity_rmse,
     synthetic_vortex_series,
     track_cyclone,
-    track_mae,
 )
-from geoverify.errors import InvalidFlags, MissingChannel, NoOverlap, SeedOutsideGrid
-from geoverify.tc import tracker_catalog
+from geoverify.errors import EmptyInput, InvalidFlags, MissingChannel, SeedOutsideGrid
+from geoverify.tc import intensity_errors, skill_rows, track_errors_km, tracker_catalog
 from geoverify.grid import FieldCube, VariableCatalog, VariableId
 from conftest import hour_sequence, utc
 
@@ -113,43 +111,47 @@ class TestTrackCyclone:
             track_cyclone(cubes, TcPoint(utc(2024, 9, 1), -5.0, 135.0, 15.0))
 
 
+def _pooled(forecast, reference, metric):
+    """(value, n) of the forecast's pooled ``metric`` row for its storm, from skill_rows."""
+    [row] = [r for r in skill_rows({"m": [forecast]}, [reference])
+             if r[1] == forecast.storm_id and r[3] == metric]
+    return row[4], row[5]
+
+
 class TestTrackSkill:
     def test_identical_tracks_zero_error(self):
         t = _track("A", utc(2024, 9, 1), [(10.0, 130.0), (10.5, 131.0)])
-        assert track_mae(t, t).value == 0.0
-        assert intensity_rmse(t, t).value == 0.0
+        assert track_errors_km(t, t, t.times) == [(0, 0.0), (6, 0.0)]
+        assert intensity_errors(t, t, t.times) == [(0, 0.0), (6, 0.0)]
+        assert _pooled(t, t, "track_mae") == (0.0, 2)
+        assert _pooled(t, t, "ws10m_rmse") == (0.0, 2)
 
     def test_one_degree_longitude_offset_at_equator(self):
         """1 degree of longitude on the equator is 2*pi*R/360 km."""
         ref = _track("A", utc(2024, 9, 1), [(0.0, lon) for lon in (130, 131, 132, 133)])
         fc = _track("A", utc(2024, 9, 1), [(0.0, lon + 1.0) for lon in (130, 131, 132, 133)])
         expected = 2.0 * math.pi * 6371.0 / 360.0
-        assert track_mae(fc, ref).value == pytest.approx(expected, rel=1e-9)
-
-    def test_disjoint_time_ranges(self):
-        a = _track("A", utc(2024, 9, 1), [(10.0, 130.0), (10.0, 131.0)])
-        b = _track("A", utc(2024, 9, 3), [(10.0, 130.0), (10.0, 131.0)])
-        with pytest.raises(NoOverlap):
-            track_mae(a, b)
+        assert _pooled(fc, ref, "track_mae")[0] == pytest.approx(expected, rel=1e-9)
 
     def test_intensity_rmse_hand_case(self):
         ref = _track("A", utc(2024, 9, 1), [(10.0, 130.0), (10.0, 131.0)], ws=[25.0, 15.0])
         fc = _track("A", utc(2024, 9, 1), [(10.0, 130.0), (10.0, 131.0)], ws=[20.0, 20.0])
-        assert intensity_rmse(fc, ref).value == 5.0
+        assert intensity_errors(fc, ref, ref.times) == [(0, -5.0), (6, 5.0)]
+        assert _pooled(fc, ref, "ws10m_rmse") == (5.0, 2)
 
     def test_single_point_intensity(self):
         ref = _track("A", utc(2024, 9, 1), [(10.0, 130.0)], ws=[26.0])
         fc = _track("A", utc(2024, 9, 1), [(10.0, 130.0)], ws=[30.0])
-        record = intensity_rmse(fc, ref)
-        assert record.value == 4.0 and record.n_samples == 1
+        assert _pooled(fc, ref, "ws10m_rmse") == (4.0, 1)
 
     def test_by_lead_grouping(self):
         ref = _track("A", utc(2024, 9, 1), [(0.0, 130.0), (0.0, 131.0), (0.0, 132.0)])
         fc = _track("A", utc(2024, 9, 1), [(0.0, 130.0), (0.0, 132.0), (0.0, 134.0)])
-        records = track_mae(fc, ref, by_lead=True)
-        assert [r.lead_hours for r in records] == [0, 6, 12]
-        assert records[0].value == 0.0
-        assert records[2].value == pytest.approx(2.0 * 111.19492664455873, rel=1e-6)
+        by_lead = [r for r in skill_rows({"m": [fc]}, [ref])
+                   if r[1] == "ALL" and r[3] == "track_mae" and r[2].isdigit()]
+        assert [r[2] for r in by_lead] == ["0", "6", "12"]
+        assert by_lead[0][4] == 0.0
+        assert by_lead[2][4] == pytest.approx(2.0 * 111.19492664455873, rel=1e-6)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(31)
@@ -157,11 +159,60 @@ class TestTrackSkill:
         ref = _track("A", utc(2024, 9, 1), positions)
         fc_positions = [(lat + 0.5, lon) for lat, lon in positions]
         fc = _track("A", utc(2024, 9, 1), fc_positions)
-        # Matching is by valid time, so values cannot depend on storage order.
-        assert track_mae(fc, ref).value == pytest.approx(
-            np.mean([great_circle_km(a, b) for a, b in zip(fc_positions, positions)]),
-            rel=1e-12,
-        )
+        # Matching is by valid time, so values cannot depend on the order of ``times``.
+        expected = [great_circle_km(a, b) for a, b in zip(fc_positions, positions)]
+        assert _pooled(fc, ref, "track_mae")[0] == pytest.approx(np.mean(expected), rel=1e-12)
+        shuffled = [ref.times[i] for i in rng.permutation(len(ref.times))]
+        assert sorted(track_errors_km(fc, ref, shuffled)) == track_errors_km(fc, ref, ref.times)
+
+
+class TestSkillRows:
+    def test_two_sources_two_storms_every_row_by_hand(self):
+        """Source m2 lacks A at 12 h and B at 0 h, so both sources are scored on
+        A at 0 and 6 h and B at 6 h; B's lead is counted from each forecast's first fix."""
+        d = 2.0 * math.pi * 6371.0 / 360.0  # 1 degree of longitude on the equator, km
+        t0 = utc(2024, 9, 1)
+        ref_a = _track("A", t0, [(0.0, 130.0), (0.0, 131.0), (0.0, 132.0)], ws=[20.0, 25.0, 30.0])
+        ref_b = _track("B", t0, [(0.0, 140.0), (0.0, 141.0)], ws=[30.0, 30.0])
+        m1 = [_track("A", t0, [(0.0, 130.0), (0.0, 132.0), (0.0, 132.0)], ws=[22.0, 25.0, 27.0]),
+              _track("B", t0, [(0.0, 140.0), (0.0, 140.0)], ws=[30.0, 33.0])]
+        m2 = [_track("A", t0, [(0.0, 131.0), (0.0, 131.0)], ws=[20.0, 21.0]),
+              _track("B", utc(2024, 9, 1, 6), [(0.0, 141.0)], ws=[26.0])]
+        rows = skill_rows({"m1": m1, "m2": m2}, [ref_b, ref_a])
+        expected = [
+            ("m1", "A", "pooled", "track_mae", d / 2, 2),
+            ("m1", "A", "pooled", "ws10m_rmse", math.sqrt(2.0), 2),
+            ("m1", "B", "pooled", "track_mae", d, 1),
+            ("m1", "B", "pooled", "ws10m_rmse", 3.0, 1),
+            ("m1", "ALL", "pooled", "track_mae", 2 * d / 3, 3),
+            ("m1", "ALL", "0", "track_mae", 0.0, 1),
+            ("m1", "ALL", "6", "track_mae", d, 2),
+            ("m1", "ALL", "per_lead_mean", "track_mae", d / 2, 2),
+            ("m1", "ALL", "pooled", "ws10m_rmse", math.sqrt(13.0 / 3.0), 3),
+            ("m1", "ALL", "0", "ws10m_rmse", 2.0, 1),
+            ("m1", "ALL", "6", "ws10m_rmse", math.sqrt(4.5), 2),
+            ("m1", "ALL", "per_lead_mean", "ws10m_rmse", (2.0 + math.sqrt(4.5)) / 2, 2),
+            ("m2", "A", "pooled", "track_mae", d / 2, 2),
+            ("m2", "A", "pooled", "ws10m_rmse", math.sqrt(8.0), 2),
+            ("m2", "B", "pooled", "track_mae", 0.0, 1),
+            ("m2", "B", "pooled", "ws10m_rmse", 4.0, 1),
+            ("m2", "ALL", "pooled", "track_mae", d / 3, 3),
+            ("m2", "ALL", "0", "track_mae", d / 2, 2),
+            ("m2", "ALL", "6", "track_mae", 0.0, 1),
+            ("m2", "ALL", "per_lead_mean", "track_mae", d / 4, 2),
+            ("m2", "ALL", "pooled", "ws10m_rmse", math.sqrt(32.0 / 3.0), 3),
+            ("m2", "ALL", "0", "ws10m_rmse", math.sqrt(8.0), 2),
+            ("m2", "ALL", "6", "ws10m_rmse", 4.0, 1),
+            ("m2", "ALL", "per_lead_mean", "ws10m_rmse", (math.sqrt(8.0) + 4.0) / 2, 2),
+        ]
+        assert [r[:4] + r[5:] for r in rows] == [e[:4] + e[5:] for e in expected]
+        assert [r[4] for r in rows] == pytest.approx([e[4] for e in expected], rel=1e-12)
+
+    def test_no_concurrent_pair_is_empty_input(self):
+        ref = _track("A", utc(2024, 9, 1), [(10.0, 130.0), (10.0, 131.0)])
+        fc = _track("A", utc(2024, 9, 3), [(10.0, 130.0), (10.0, 131.0)])
+        with pytest.raises(EmptyInput, match="no concurrently detected"):
+            skill_rows({"m": [fc]}, [ref])
 
 
 class TestConcurrentMatch:
