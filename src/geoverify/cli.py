@@ -49,8 +49,13 @@ def _flag_values():
         raise InvalidFlags(str(e)) from None
 
 
-#: Range rules for float flags; NaN breaks both.
-_RULES = {"positive": lambda v: v > 0.0, "non-negative": lambda v: v >= 0.0}
+#: Range rules for float flags; NaN breaks each.
+_RULES = {
+    "positive": lambda v: v > 0.0,
+    "non-negative": lambda v: v >= 0.0,
+    "finite": math.isfinite,
+    "within [-90, 90]": lambda v: -90.0 <= v <= 90.0,
+}
 
 
 def _check_flags(args, rule: str, *flags) -> None:
@@ -280,6 +285,7 @@ def cmd_downscale_eval(args) -> int:
 
 def cmd_tc_track(args) -> int:
     _check_flags(args, "positive", "search_radius_km", "intensity_radius_km", "ring_width_km")
+    _check_flags(args, "non-negative", "closed_low_hpa")
     cubes = [cubeio.read_cube(p) for p in cubeio.cube_paths(args.cubes)]
     if not cubes:
         raise EmptyInput(f"no cubes in {args.cubes}")
@@ -404,6 +410,9 @@ def cmd_synth_vortex(args) -> int:
     if args.steps < 1:
         raise InvalidFlags(f"--steps must be at least 1; got {args.steps}")
     _check_flags(args, "positive", "r0_km", "ring_km")
+    _check_flags(args, "finite", "center_lat", "center_lon", "dlat_per_step", "dlon_per_step",
+                 "background_hpa", "depth_hpa", "r0_km", "ws_peak", "ring_km")
+    _check_flags(args, "within [-90, 90]", "center_lat")
     spec = GridSpec(
         n_lat=args.n_lat,
         n_lon=args.n_lon,

@@ -23,6 +23,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -275,57 +276,59 @@ def evaluate_set(
     """Score every (init, lead) pair of an evaluation set in one pass.
 
     ``forecasts(t0, lead)`` and ``references(valid_time)`` load a pair's
-    cubes; a KeyError or FileNotFoundError from either becomes MissingCube.
-    Each variable gets the weighted RMSE when ``rmse``, the ACC when
+    cubes; a KeyError or FileNotFoundError from either becomes MissingCube,
+    and when both fail the forecast's error is the one raised.  Each
+    variable gets the weighted RMSE when ``rmse``, the ACC when
     ``clim_fields(valid_time, var)`` gives the 2-D climatology, and with
     ``maps`` a pointwise-RMSE map summed exactly as ``pointwise_rmse`` does.
 
     Returns one MetricRecord per (variable, lead, metric), the mean of the
     per-pair values, and the float64 maps keyed by (variable, lead).  Pairs are
-    scored on min(threads, pairs, CPUs) workers and reduced in sorted (init,
-    lead) order, so results are bitwise identical at any thread count.
+    scored one at a time in sorted (init, lead) order, and a pair's cubes are
+    released before the next pair is read, so memory holds one pair at any
+    thread count.  Within a pair, min(threads, CPUs) workers read the two cubes
+    side by side and then score the variables; one worker starts no thread.
+    Values are reduced in (pair, variable) order, so results are bitwise
+    identical at any thread count.
     """
     var_ids = [_resolve_var(v) for v in variables]
-    pairs = [(t0, lead) for t0 in eval_set.init_times for lead in eval_set.lead_hours]
+    totals: dict[tuple[VariableId, int, str], float] = {}
+    sums: dict[tuple[VariableId, int], np.ndarray] = {}
 
-    def score(pair):
-        t0, lead = pair
+    def score_pair(run, t0, lead):
+        """Reads one pair with ``run`` (a map) and adds its values; its cubes die on return."""
+        loads = (partial(forecasts, t0, lead), partial(references, t0 + timedelta(hours=lead)))
         try:
-            fc, ref = forecasts(t0, lead), references(t0 + timedelta(hours=lead))
+            fc, ref = run(lambda load: load(), loads)
         except (KeyError, FileNotFoundError) as e:
             raise MissingCube(t0, lead, str(e)) from None
         weights = latitude_weights(fc.spec)
-        out = []
-        for var in var_ids:
+
+        def score(var):
             f2, r2 = select_channel(fc, var), select_channel(ref, var)
             values = {}
             if rmse:
                 values["rmse"] = weighted_rmse(f2, r2, weights)
             if clim_fields is not None:
-                values["acc"] = weighted_acc(
-                    f2, r2, clim_fields(fc.valid_time, var), weights
-                )
-            out.append((values, _squared_diff(f2, r2) if maps else None))
-        return out
+                values["acc"] = weighted_acc(f2, r2, clim_fields(fc.valid_time, var), weights)
+            return values, _squared_diff(f2, r2) if maps else None
 
-    totals: dict[tuple[VariableId, int, str], float] = {}
-    sums: dict[tuple[VariableId, int], np.ndarray] = {}
+        for var, (values, sq) in zip(var_ids, run(score, var_ids)):
+            for metric, value in values.items():
+                key = (var, lead, metric)
+                totals[key] = totals.get(key, 0.0) + value
+            if sq is not None:
+                sums[(var, lead)] = _add(sums.get((var, lead)), sq)
 
-    def accumulate(results):
-        for (_, lead), per_var in zip(pairs, results):
-            for var, (values, sq) in zip(var_ids, per_var):
-                for metric, value in values.items():
-                    key = (var, lead, metric)
-                    totals[key] = totals.get(key, 0.0) + value
-                if sq is not None:
-                    sums[(var, lead)] = _add(sums.get((var, lead)), sq)
-
-    workers = min(threads, len(pairs), os.cpu_count() or 1)
+    pairs = [(t0, lead) for t0 in eval_set.init_times for lead in eval_set.lead_hours]
+    workers = min(threads, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            accumulate(pool.map(score, pairs))
+            for pair in pairs:
+                score_pair(pool.map, *pair)
     else:
-        accumulate(map(score, pairs))
+        for pair in pairs:
+            score_pair(map, *pair)
 
     n = len(eval_set.init_times)
     records = [

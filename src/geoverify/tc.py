@@ -411,6 +411,10 @@ def synthetic_vortex_series(
         t = start_time + timedelta(hours=k * step_hours)
         cube = FieldCube(spec, catalog, t, values)
         cubes.append(cube)
-        planted = float(values[1][r <= 250.0].max())
+        near = r <= 250.0
+        if not near.any():
+            raise ValueError(f"no grid node within 250 km of the center ({lat_c}, {lon_c}) "
+                             f"at step {k}")
+        planted = float(values[1][near].max())
         truth_points.append(TcPoint(t, lat_c, lon_c, planted, float(values[0].min())))
     return cubes, TcTrack(storm_id=storm_id, points=tuple(truth_points))

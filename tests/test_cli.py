@@ -682,9 +682,12 @@ class TestTcSubcommands:
         assert pooled[("b", "A", "ws10m_rmse")][4:] == [
             format(float(np.sqrt(np.mean(np.square([0.0, -4.0, 0.0])))), ".6g"), "3"]
 
-    @pytest.mark.parametrize("flag, value", [("--r0-km", "0"), ("--ring-km", "-50")])
-    def test_synth_vortex_radius_must_be_positive(self, tmp_path, flag, value):
-        """The one stderr line names the flag; no numpy warning is printed before it."""
+    @staticmethod
+    def _synth_vortex_rejects(tmp_path, flag, value, rule):
+        """A two-step synth-vortex run in a subprocess, so numpy warnings would show on stderr.
+
+        It must exit 4 with one stderr line naming the flag and write nothing.
+        """
         src = str(Path(geoverify.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -695,8 +698,22 @@ class TestTcSubcommands:
             env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 4
         assert done.stderr.splitlines() == [
-            f"geoverify: config error: {flag} must be positive; got {float(value)}"]
+            f"geoverify: config error: {flag} must be {rule}; got {float(value)}"]
         assert not (tmp_path / "v").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--r0-km", "0"), ("--ring-km", "-50")])
+    def test_synth_vortex_radius_must_be_positive(self, tmp_path, flag, value):
+        self._synth_vortex_rejects(tmp_path, flag, value, "positive")
+
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--dlon-per-step", "nan", "finite"),
+        ("--depth-hpa", "nan", "finite"),
+        ("--ws-peak", "inf", "finite"),
+        ("--center-lon", "-inf", "finite"),
+        ("--center-lat", "95", "within [-90, 90]"),
+    ])
+    def test_synth_vortex_series_flag_out_of_range(self, tmp_path, flag, value, rule):
+        self._synth_vortex_rejects(tmp_path, flag, value, rule)
 
     def test_tc_filter_rule_exemplars(self, tmp_path):
         cases = tmp_path / "cases.csv"
@@ -963,6 +980,17 @@ def tc_track_nan_in_a_cube(tmp):
     return argv
 
 
+# A NaN threshold made the closed-low test always false, so tracking never stopped.
+@failure(4, "--closed-low-hpa")
+def tc_track_nan_closed_low(tmp):
+    return _tc_track(tmp, closed_low_hpa="nan")
+
+
+@failure(4, "--closed-low-hpa")
+def tc_track_negative_closed_low(tmp):
+    return _tc_track(tmp, closed_low_hpa=-0.5)
+
+
 @failure(2, "matches no cube")
 def tc_track_seed_time_matches_no_cube(tmp):
     argv = _tc_track(tmp)
@@ -1141,6 +1169,21 @@ def synth_vortex_zero_r0(tmp):
 @failure(4, "--ring-km")
 def synth_vortex_negative_ring(tmp):
     return _synth(tmp, ring_km=-50)
+
+
+@failure(4, "--dlon-per-step")
+def synth_vortex_nan_step(tmp):
+    return _synth(tmp, dlon_per_step="nan")
+
+
+@failure(4, "--center-lat")
+def synth_vortex_center_past_a_pole(tmp):
+    return _synth(tmp, center_lat=95)
+
+
+@failure(4, "no grid node within 250 km")
+def synth_vortex_center_off_the_grid(tmp):
+    return _synth(tmp, center_lat=-30)
 
 
 @failure(4, "n_lat")

@@ -4,7 +4,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import weakref
 from datetime import timedelta
 from pathlib import Path
 
@@ -491,10 +494,14 @@ class TestRmseOverSet:
 
     @pytest.mark.parametrize(
         "threads, cpus, workers",
-        [(64, 8, [3]), (64, 2, [2]), (2, 8, [2]), (64, None, []), (1, 8, [])],
+        [(64, 8, [8]), (64, 2, [2]), (2, 8, [2]), (64, None, []), (1, 8, [])],
     )
     def test_workers_bounded_by_pairs_and_cpus(self, monkeypatch, threads, cpus, workers):
-        """A pool gets min(threads, pairs, cpus) workers; one worker scores serially."""
+        """A pool gets min(threads, cpus) workers, more than the 3 pairs; one worker starts none.
+
+        The pool spans one pair's reads and variables, so the pair count no
+        longer bounds it.
+        """
         seen = []
 
         class SerialPool:
@@ -521,6 +528,115 @@ class TestRmseOverSet:
         )
         assert seen == workers
         assert records[0].value == 1.0
+
+
+class TestOnePairAtATime:
+    """evaluate_set holds one pair in memory and splits a pair's work over its workers."""
+
+    SPEC = GridSpec(3, 4, 60.0, -60.0, 0.0, 90.0)
+    CATALOG = VariableCatalog([VariableId("Z", 500), VariableId("T", 850), VariableId("T2M"),
+                               VariableId("U10M"), VariableId("WS10M")])
+
+    def _fields(self, seed, t0s, leads):
+        """Forecast, reference and climatology values; every pair has its own valid time."""
+        rng = np.random.default_rng(seed)
+        shape = (len(self.CATALOG), self.SPEC.n_lat, self.SPEC.n_lon)
+        fc = {(t0, lead): rng.normal(size=shape).astype(np.float32)
+              for t0 in t0s for lead in leads}
+        valids = [t0 + timedelta(hours=lead) for t0, lead in fc]
+        assert len(set(valids)) == len(valids)
+        ref = {v: rng.normal(size=shape).astype(np.float32) for v in valids}
+        clim = {v: rng.normal(scale=0.1, size=shape) for v in valids}
+        return fc, ref, lambda valid, var: clim[valid][self.CATALOG.index_of(var)]
+
+    @pytest.fixture
+    def fast_switching(self):
+        """Threads switch every microsecond, so workers interleave as finely as they can."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.usefixtures("fast_switching")
+    def test_no_cube_of_an_earlier_pair_is_alive_when_a_load_starts(self, monkeypatch, threads):
+        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 4)
+        t0s = hour_sequence(utc(2024, 3, 1), 3, step_hours=24)
+        leads = (6, 12)
+        fc, ref, clim_fields = self._fields(31, t0s, leads)
+        order = {t0 + timedelta(hours=lead): k for k, (t0, lead) in enumerate(fc)}
+        lock = threading.Lock()
+        handed_out = []  # (pair index, weakref to the cube)
+        stale = []       # (pair index of a load, pair index of a cube still alive then)
+
+        def load(valid, values):
+            k = order[valid]
+            with lock:
+                stale.extend((k, j) for j, cube in handed_out if j < k and cube() is not None)
+            cube = FieldCube(self.SPEC, self.CATALOG, valid, values.copy())
+            with lock:
+                handed_out.append((k, weakref.ref(cube)))
+            time.sleep(0.01)  # a slow read, so pairs scored side by side would overlap
+            return cube
+
+        metrics.evaluate_set(
+            lambda t0, lead: load(t0 + timedelta(hours=lead), fc[(t0, lead)]),
+            lambda valid: load(valid, ref[valid]),
+            EvaluationSet(tuple(t0s), leads), ["Z500", "T2M"],
+            clim_fields=clim_fields, maps=True, threads=threads,
+        )
+        assert len(handed_out) == 2 * len(fc)
+        assert stale == []
+
+    @pytest.mark.parametrize("n_vars", [2, 5], ids=["fewer-vars-than-threads", "more-vars"])
+    @pytest.mark.usefixtures("fast_switching")
+    def test_reports_and_maps_bitwise_equal_at_1_2_3_threads(self, monkeypatch, n_vars):
+        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
+        t0s = hour_sequence(utc(2024, 5, 1, 6), 3, step_hours=24)
+        leads = (6, 12)
+        fc, ref, clim_fields = self._fields(32, t0s, leads)
+        variables = [var.token for var in self.CATALOG][:n_vars]
+        results = []
+        for threads in (1, 2, 3):
+            records, maps = metrics.evaluate_set(
+                lambda t0, lead: FieldCube(self.SPEC, self.CATALOG, t0 + timedelta(hours=lead),
+                                           fc[(t0, lead)]),
+                lambda valid: FieldCube(self.SPEC, self.CATALOG, valid, ref[valid]),
+                EvaluationSet(tuple(t0s), leads), variables,
+                clim_fields=clim_fields, maps=True, threads=threads,
+            )
+            results.append((
+                [(r.variable, r.lead_hours, r.metric, r.value.hex(), r.n_samples)
+                 for r in records],
+                [(key, m.tobytes()) for key, m in maps.items()],
+            ))
+        assert len(results[0][0]) == n_vars * len(leads) * 2
+        assert len(results[0][1]) == n_vars * len(leads)
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    def test_forecast_error_wins_when_both_cubes_are_missing(self, monkeypatch):
+        """At 2 threads the reference load fails first, yet the forecast's error is raised."""
+        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 2)
+        reference_failed = threading.Event()
+        waited = []
+
+        def forecasts(t0, lead):
+            waited.append(reference_failed.wait(timeout=5))
+            raise KeyError("forecast absent")
+
+        def references(valid):
+            reference_failed.set()
+            raise FileNotFoundError("reference absent")
+
+        with pytest.raises(MissingCube, match="forecast absent"):
+            metrics.evaluate_set(
+                forecasts, references, EvaluationSet((utc(2024, 1, 1),), (6,)), ["T2M"],
+                threads=2,
+            )
+        assert waited == [True]  # the two loads ran side by side
 
 
 class TestAccOverSet:
