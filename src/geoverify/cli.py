@@ -55,15 +55,20 @@ _RULES = {
     "non-negative": lambda v: v >= 0.0,
     "finite": math.isfinite,
     "within [-90, 90]": lambda v: -90.0 <= v <= 90.0,
+    "within float32 range": lambda v: abs(v) <= float(np.finfo(np.float32).max),
 }
+
+
+def _check_value(label: str, value: float, rule: str) -> None:
+    """InvalidFlags naming ``label`` if ``value`` breaks ``rule``."""
+    if not _RULES[rule](value):
+        raise InvalidFlags(f"{label} must be {rule}; got {value}")
 
 
 def _check_flags(args, rule: str, *flags) -> None:
     """InvalidFlags naming the first of ``flags`` whose value breaks ``rule``."""
     for flag in flags:
-        value = getattr(args, flag)
-        if not _RULES[rule](value):
-            raise InvalidFlags(f"--{flag.replace('_', '-')} must be {rule}; got {value}")
+        _check_value(f"--{flag.replace('_', '-')}", getattr(args, flag), rule)
 
 
 def time_stem(t: datetime) -> str:
@@ -114,14 +119,22 @@ def read_init_times(path) -> list[datetime]:
     return times
 
 
-def _load_forecast_cube(directory, t0: datetime, lead: int, variables) -> FieldCube:
-    path = forecast_path(directory, t0, lead)
+def _read_cube_at(path: Path, valid: datetime, variables, expected: str) -> FieldCube:
+    """read_cube; CorruptHeader naming ``path`` if the header's valid time is not ``valid``."""
     cube = cubeio.read_cube(path, variables)
-    if cube.valid_time != t0 + timedelta(hours=lead):
-        raise CorruptHeader(
-            f"{path}: valid_time {cube.valid_time} != init {t0} + {lead}h"
-        )
+    if cube.valid_time != valid:
+        raise CorruptHeader(f"{path}: valid_time {cube.valid_time} != {expected}")
     return cube
+
+
+def _load_forecast_cube(directory, t0: datetime, lead: int, variables) -> FieldCube:
+    return _read_cube_at(forecast_path(directory, t0, lead), t0 + timedelta(hours=lead),
+                         variables, f"init {t0} + {lead}h")
+
+
+def _load_reference_cube(directory, valid: datetime, variables) -> FieldCube:
+    return _read_cube_at(reference_path(directory, valid), valid, variables,
+                         f"{valid} of the file name")
 
 
 def _output_grid(directory, eval_set, variables) -> GridSpec:
@@ -163,7 +176,7 @@ def cmd_verify(args) -> int:
     spec = _output_grid(args.forecast, eval_set, variables)
     records, rmse_maps = metrics.evaluate_set(
         lambda t0, lead: _load_forecast_cube(args.forecast, t0, lead, variables),
-        lambda valid: cubeio.read_cube(reference_path(args.reference, valid), variables),
+        lambda valid: _load_reference_cube(args.reference, valid, variables),
         eval_set,
         variables,
         rmse="rmse" in wanted,
@@ -413,6 +426,14 @@ def cmd_synth_vortex(args) -> int:
     _check_flags(args, "finite", "center_lat", "center_lon", "dlat_per_step", "dlon_per_step",
                  "background_hpa", "depth_hpa", "r0_km", "ws_peak", "ring_km")
     _check_flags(args, "within [-90, 90]", "center_lat")
+    # The center moves linearly, so its last position bounds every other one.
+    _check_value("--center-lat + (--steps - 1) * --dlat-per-step",
+                 args.center_lat + (args.steps - 1) * args.dlat_per_step, "within [-90, 90]")
+    # MSL lies between --background-hpa and the central background - depth, and
+    # |WS10M| peaks at |--ws-peak|; each must fit the float32 cube.
+    _check_flags(args, "within float32 range", "background_hpa", "ws_peak")
+    _check_value("--background-hpa - --depth-hpa", args.background_hpa - args.depth_hpa,
+                 "within float32 range")
     spec = GridSpec(
         n_lat=args.n_lat,
         n_lon=args.n_lon,

@@ -24,6 +24,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -283,25 +285,34 @@ def evaluate_set(
     ``maps`` a pointwise-RMSE map summed exactly as ``pointwise_rmse`` does.
 
     Returns one MetricRecord per (variable, lead, metric), the mean of the
-    per-pair values, and the float64 maps keyed by (variable, lead).  Pairs are
-    scored one at a time in sorted (init, lead) order, and a pair's cubes are
-    released before the next pair is read, so memory holds one pair at any
-    thread count.  Within a pair, min(threads, CPUs) workers read the two cubes
-    side by side and then score the variables; one worker starts no thread.
-    Values are reduced in (pair, variable) order, so results are bitwise
-    identical at any thread count.
+    per-pair values, and the float64 maps keyed by (variable, lead), both in
+    (lead, variable, metric) order.  Pairs are scored one at a time in
+    (valid time, init) order, so each reference is read once: the first pair
+    of a valid time reads its forecast and reference side by side, later
+    pairs read only their forecast, and the reference is released when its
+    valid time is done.  Memory holds one forecast and one reference at any
+    thread count, and when several cubes are missing the first in that order
+    is reported.  Within a pair, min(threads, CPUs) workers read the cubes and
+    then score the variables; one worker starts no thread.  For one lead,
+    valid-time order is init order, so each (variable, lead) sum adds its
+    values in init order and results are bitwise identical at any thread
+    count.
     """
     var_ids = [_resolve_var(v) for v in variables]
     totals: dict[tuple[VariableId, int, str], float] = {}
     sums: dict[tuple[VariableId, int], np.ndarray] = {}
 
-    def score_pair(run, t0, lead):
-        """Reads one pair with ``run`` (a map) and adds its values; its cubes die on return."""
-        loads = (partial(forecasts, t0, lead), partial(references, t0 + timedelta(hours=lead)))
+    def score_pair(run, t0, lead, ref):
+        """Reads one pair with ``run`` (a map), reusing ``ref`` unless it is None, and adds
+        its values; returns the reference, and the forecast dies on return."""
+        loads = [partial(forecasts, t0, lead)]
+        if ref is None:
+            loads.append(partial(references, t0 + timedelta(hours=lead)))
         try:
-            fc, ref = run(lambda load: load(), loads)
+            fc, *read = run(lambda load: load(), loads)
         except (KeyError, FileNotFoundError) as e:
             raise MissingCube(t0, lead, str(e)) from None
+        ref = read[0] if read else ref
         weights = latitude_weights(fc.spec)
 
         def score(var):
@@ -319,16 +330,27 @@ def evaluate_set(
                 totals[key] = totals.get(key, 0.0) + value
             if sq is not None:
                 sums[(var, lead)] = _add(sums.get((var, lead)), sq)
+        return ref
 
-    pairs = [(t0, lead) for t0 in eval_set.init_times for lead in eval_set.lead_hours]
+    # A lead's keys are first added at its earliest valid time, init_times[0] + lead,
+    # so the dicts keep the (lead, variable, metric) order of an (init, lead) pass.
+    pairs = sorted(
+        (t0 + timedelta(hours=lead), t0, lead)
+        for t0 in eval_set.init_times for lead in eval_set.lead_hours
+    )
+
+    def score_all(run):
+        for _, group in groupby(pairs, key=itemgetter(0)):
+            ref = None  # drops the previous valid time's reference before any read
+            for _, t0, lead in group:
+                ref = score_pair(run, t0, lead, ref)
+
     workers = min(threads, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for pair in pairs:
-                score_pair(pool.map, *pair)
+            score_all(pool.map)
     else:
-        for pair in pairs:
-            score_pair(map, *pair)
+        score_all(map)
 
     n = len(eval_set.init_times)
     records = [

@@ -360,6 +360,31 @@ class TestVerify:
         assert len(outputs[0]) == 3
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_cube_is_read_once(self, tmp_path, monkeypatch, threads):
+        """3 inits 6 h apart x leads 6, 12, 18: 9 forecast reads and 5 reference reads."""
+        from geoverify import cubeio
+
+        init_times = [utc(2024, 1, 1, h) for h in (0, 6, 12)]
+        fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6, 12, 18])
+        read_cube, reads = cubeio.read_cube, []
+
+        def counted(path, variables=None):
+            reads.append(Path(path))
+            return read_cube(path, variables)
+
+        monkeypatch.setattr(cubeio, "read_cube", counted)
+        code = main([
+            "verify", "--forecast", str(fdir), "--reference", str(rdir),
+            "--variables", "Z500,T2M", "--metrics", "rmse", "--threads", str(threads),
+            "--init-times", str(times_file), "--leads", "6,12,18",
+            "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 0
+        assert len(reads) == 14
+        assert sorted(reads) == sorted(fdir.glob("*.gvc")) + sorted(rdir.glob("*.gvc"))
+        assert len(list(fdir.glob("*.gvc"))) == 9
+
     @pytest.mark.parametrize("side", ["forecast", "reference", "climatology"])
     def test_non_finite_value_in_an_unscored_channel_exits_2(self, tmp_path, capsys, side):
         """verify keeps only Z500 but still checks T2M, the channel it does not score."""
@@ -683,23 +708,26 @@ class TestTcSubcommands:
             format(float(np.sqrt(np.mean(np.square([0.0, -4.0, 0.0])))), ".6g"), "3"]
 
     @staticmethod
-    def _synth_vortex_rejects(tmp_path, flag, value, rule):
-        """A two-step synth-vortex run in a subprocess, so numpy warnings would show on stderr.
+    def _synth_vortex_exits_4(tmp_path, flags, message):
+        """A synth-vortex run in a subprocess, so numpy warnings would show on stderr.
 
-        It must exit 4 with one stderr line naming the flag and write nothing.
+        It must exit 4 with the one stderr line ``message`` and write nothing.
         """
         src = str(Path(geoverify.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         script = "import sys; from geoverify.cli import main; sys.exit(main(sys.argv[1:]))"
         done = subprocess.run(
-            [sys.executable, "-c", script, "synth-vortex", "--out", str(tmp_path / "v"),
-             "--steps", "2", f"{flag}={value}"],
+            [sys.executable, "-c", script, "synth-vortex", "--out", str(tmp_path / "v"), *flags],
             env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 4
-        assert done.stderr.splitlines() == [
-            f"geoverify: config error: {flag} must be {rule}; got {float(value)}"]
+        assert done.stderr.splitlines() == [f"geoverify: config error: {message}"]
         assert not (tmp_path / "v").exists()
+
+    def _synth_vortex_rejects(self, tmp_path, flag, value, rule):
+        """A two-step run with one bad flag must name it."""
+        self._synth_vortex_exits_4(tmp_path, ["--steps", "2", f"{flag}={value}"],
+                                   f"{flag} must be {rule}; got {float(value)}")
 
     @pytest.mark.parametrize("flag, value", [("--r0-km", "0"), ("--ring-km", "-50")])
     def test_synth_vortex_radius_must_be_positive(self, tmp_path, flag, value):
@@ -714,6 +742,26 @@ class TestTcSubcommands:
     ])
     def test_synth_vortex_series_flag_out_of_range(self, tmp_path, flag, value, rule):
         self._synth_vortex_rejects(tmp_path, flag, value, rule)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--steps=3", "--lat-start=89", "--center-lat=89", "--dlat-per-step=2"],
+         "--center-lat + (--steps - 1) * --dlat-per-step must be within [-90, 90]; got 93.0"),
+        (["--steps=3", "--depth-hpa=1e39"],
+         "--background-hpa - --depth-hpa must be within float32 range; got -1e+39"),
+        (["--steps=3", "--background-hpa=-3.5e38"],
+         "--background-hpa must be within float32 range; got -3.5e+38"),
+        (["--steps=3", "--ws-peak=1e39"], "--ws-peak must be within float32 range; got 1e+39"),
+    ], ids=["center-crosses-a-pole", "msl-overflows", "background-overflows", "wind-overflows"])
+    def test_synth_vortex_series_beyond_its_bounds(self, tmp_path, flags, message):
+        self._synth_vortex_exits_4(tmp_path, flags, message)
+
+    @pytest.mark.filterwarnings("error")
+    def test_synth_vortex_extreme_values_within_float32_are_written(self, tmp_path):
+        """MSL down to -3.4e38 fits float32: no warning, exit 0."""
+        out = tmp_path / "v"
+        assert main(_argv("synth-vortex", out=out, **dict(SMALL_VORTEX, depth_hpa=3.4e38,
+                                                        background_hpa=0))) == 0
+        assert len(list(out.glob("*.gvc"))) == 3
 
     def test_tc_filter_rule_exemplars(self, tmp_path):
         cases = tmp_path / "cases.csv"
@@ -855,6 +903,14 @@ def verify_acc_at_a_non_synoptic_valid_time(tmp):
                  tmp / "reference" / f"{time_stem(utc(2024, 1, 1, 9))}.gvc"):
         write_cube(_random_field_cube(rng, utc(2024, 1, 1, 9)), path)
     (tmp / "inits.txt").write_text("2024-01-01T03:00:00Z\n")
+    return argv
+
+
+@failure(2, "valid_time")
+def verify_reference_header_valid_time_unlike_its_file_name(tmp):
+    argv = _verify(tmp)
+    [path] = (tmp / "reference").glob("*.gvc")
+    write_cube(_random_field_cube(np.random.default_rng(6), utc(2024, 1, 1, 12)), path)
     return argv
 
 
@@ -1179,6 +1235,21 @@ def synth_vortex_nan_step(tmp):
 @failure(4, "--center-lat")
 def synth_vortex_center_past_a_pole(tmp):
     return _synth(tmp, center_lat=95)
+
+
+@failure(4, "--center-lat + (--steps - 1) * --dlat-per-step")
+def synth_vortex_center_crosses_a_pole_later(tmp):
+    return _synth(tmp, center_lat=89, lat_start=89, dlat_per_step=2)
+
+
+@failure(4, "--background-hpa - --depth-hpa must be within float32 range")
+def synth_vortex_msl_overflows_float32(tmp):
+    return _synth(tmp, depth_hpa=1e39)
+
+
+@failure(4, "--ws-peak must be within float32 range")
+def synth_vortex_wind_overflows_float32(tmp):
+    return _synth(tmp, ws_peak=-1e39)
 
 
 @failure(4, "no grid node within 250 km")

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -530,6 +531,17 @@ class TestRmseOverSet:
         assert records[0].value == 1.0
 
 
+@pytest.fixture
+def fast_switching():
+    """Threads switch every microsecond, so workers interleave as finely as they can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestOnePairAtATime:
     """evaluate_set holds one pair in memory and splits a pair's work over its workers."""
 
@@ -548,16 +560,6 @@ class TestOnePairAtATime:
         ref = {v: rng.normal(size=shape).astype(np.float32) for v in valids}
         clim = {v: rng.normal(scale=0.1, size=shape) for v in valids}
         return fc, ref, lambda valid, var: clim[valid][self.CATALOG.index_of(var)]
-
-    @pytest.fixture
-    def fast_switching(self):
-        """Threads switch every microsecond, so workers interleave as finely as they can."""
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            yield
-        finally:
-            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.usefixtures("fast_switching")
@@ -637,6 +639,144 @@ class TestOnePairAtATime:
                 threads=2,
             )
         assert waited == [True]  # the two loads ran side by side
+
+
+class TestOneReadPerValidTime:
+    """evaluate_set reads each reference once when pairs share valid times."""
+
+    SPEC = GridSpec(3, 4, 60.0, -60.0, 0.0, 90.0)
+    CATALOG = VariableCatalog([VariableId("Z", 500), VariableId("T2M"), VariableId("WS10M")])
+    T0S = tuple(hour_sequence(utc(2024, 3, 1), 3, step_hours=6))
+    LEADS = (6, 12, 18)  # 9 pairs over 5 valid times
+
+    def _fields(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (len(self.CATALOG), self.SPEC.n_lat, self.SPEC.n_lon)
+        fc = {(t0, lead): rng.normal(size=shape).astype(np.float32)
+              for t0 in self.T0S for lead in self.LEADS}
+        valids = sorted({t0 + timedelta(hours=lead) for t0, lead in fc})
+        assert len(valids) == 5
+        ref = {v: rng.normal(size=shape).astype(np.float32) for v in valids}
+        clim = {v: rng.normal(scale=0.1, size=shape) for v in valids}
+        return fc, ref, lambda valid, var: clim[valid][self.CATALOG.index_of(var)]
+
+    def _loaders(self, fc, ref):
+        return (
+            lambda t0, lead: FieldCube(self.SPEC, self.CATALOG, t0 + timedelta(hours=lead),
+                                       fc[(t0, lead)]),
+            lambda valid: FieldCube(self.SPEC, self.CATALOG, valid, ref[valid]),
+        )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_reference_loaded_once_and_each_forecast_once(self, monkeypatch, threads):
+        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 2)
+        fc, ref, clim_fields = self._fields(41)
+        load_fc, load_ref = self._loaders(fc, ref)
+        fc_calls, ref_calls = [], []
+        lock = threading.Lock()
+
+        def forecasts(t0, lead):
+            with lock:
+                fc_calls.append((t0, lead))
+            return load_fc(t0, lead)
+
+        def references(valid):
+            with lock:
+                ref_calls.append(valid)
+            return load_ref(valid)
+
+        metrics.evaluate_set(forecasts, references, EvaluationSet(self.T0S, self.LEADS),
+                             ["Z500", "T2M"], clim_fields=clim_fields, maps=True, threads=threads)
+        assert sorted(fc_calls) == sorted(fc)
+        assert sorted(ref_calls) == sorted(ref)
+
+    def test_records_and_maps_bitwise_equal_a_per_pair_loop_at_1_2_3_threads(self, monkeypatch):
+        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
+        fc, ref, clim_fields = self._fields(42)
+        variables = [var.token for var in self.CATALOG]
+
+        # Oracle: every pair in (init, lead) order, each reference read for each pair.
+        totals, sums = {}, {}
+        for t0 in self.T0S:
+            for lead in self.LEADS:
+                valid = t0 + timedelta(hours=lead)
+                w = latitude_weights(self.SPEC)
+                for var in self.CATALOG:
+                    k = self.CATALOG.index_of(var)
+                    f2, r2 = fc[(t0, lead)][k], ref[valid][k]
+                    for metric, value in (
+                        ("rmse", weighted_rmse(f2, r2, w)),
+                        ("acc", weighted_acc(f2, r2, clim_fields(valid, var), w)),
+                    ):
+                        totals[(var, lead, metric)] = totals.get((var, lead, metric), 0.0) + value
+                    d = f2.astype(np.float64) - r2
+                    prev = sums.get((var, lead))
+                    sums[(var, lead)] = d * d if prev is None else prev + d * d
+        n = len(self.T0S)
+        expected = (
+            [(var, lead, metric, (total / n).hex(), n)
+             for (var, lead, metric), total in totals.items()],
+            [(key, np.sqrt(acc / n).tobytes()) for key, acc in sums.items()],
+        )
+
+        for threads in (1, 2, 3):
+            records, maps = metrics.evaluate_set(
+                *self._loaders(fc, ref), EvaluationSet(self.T0S, self.LEADS), variables,
+                clim_fields=clim_fields, maps=True, threads=threads,
+            )
+            got = (
+                [(r.variable, r.lead_hours, r.metric, r.value.hex(), r.n_samples)
+                 for r in records],
+                [(key, m.tobytes()) for key, m in maps.items()],
+            )
+            assert got == expected, f"threads={threads}"
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.usefixtures("fast_switching")
+    def test_no_cube_of_an_earlier_valid_time_is_alive_when_a_load_starts(
+            self, monkeypatch, threads):
+        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 4)
+        fc, ref, clim_fields = self._fields(43)
+        lock = threading.Lock()
+        handed_out = []  # (valid time, weakref to the cube)
+        stale = []       # (valid time of a load, valid time of a cube still alive then)
+
+        def load(valid, values):
+            with lock:
+                stale.extend((valid, v) for v, cube in handed_out
+                             if v < valid and cube() is not None)
+            cube = FieldCube(self.SPEC, self.CATALOG, valid, values.copy())
+            with lock:
+                handed_out.append((valid, weakref.ref(cube)))
+            time.sleep(0.01)  # a slow read, so loads of different valid times would overlap
+            return cube
+
+        metrics.evaluate_set(
+            lambda t0, lead: load(t0 + timedelta(hours=lead), fc[(t0, lead)]),
+            lambda valid: load(valid, ref[valid]),
+            EvaluationSet(self.T0S, self.LEADS), ["Z500", "T2M"],
+            clim_fields=clim_fields, maps=True, threads=threads,
+        )
+        assert len(handed_out) == len(fc) + len(ref)
+        assert stale == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_missing_shared_reference_names_its_earliest_init_pair(self, monkeypatch, threads):
+        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 2)
+        fc, ref, _ = self._fields(44)
+        shared = self.T0S[0] + timedelta(hours=18)  # also init 1 + 12 h and init 2 + 6 h
+        del ref[shared]
+        load_fc, _ = self._loaders(fc, ref)
+
+        def references(valid):
+            if valid not in ref:
+                raise FileNotFoundError(f"no reference at {valid}")
+            return FieldCube(self.SPEC, self.CATALOG, valid, ref[valid])
+
+        with pytest.raises(MissingCube, match=re.escape(f"no reference at {shared}")) as info:
+            metrics.evaluate_set(load_fc, references, EvaluationSet(self.T0S, self.LEADS),
+                                 ["T2M"], threads=threads)
+        assert (info.value.init_time, info.value.lead_hours) == (self.T0S[0], 18)
 
 
 class TestAccOverSet:
