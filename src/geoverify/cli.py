@@ -53,22 +53,15 @@ def _flag_values():
 _RULES = {
     "positive": lambda v: v > 0.0,
     "non-negative": lambda v: v >= 0.0,
-    "finite": math.isfinite,
-    "within [-90, 90]": lambda v: -90.0 <= v <= 90.0,
-    "within float32 range": lambda v: abs(v) <= float(np.finfo(np.float32).max),
 }
-
-
-def _check_value(label: str, value: float, rule: str) -> None:
-    """InvalidFlags naming ``label`` if ``value`` breaks ``rule``."""
-    if not _RULES[rule](value):
-        raise InvalidFlags(f"{label} must be {rule}; got {value}")
 
 
 def _check_flags(args, rule: str, *flags) -> None:
     """InvalidFlags naming the first of ``flags`` whose value breaks ``rule``."""
     for flag in flags:
-        _check_value(f"--{flag.replace('_', '-')}", getattr(args, flag), rule)
+        value = getattr(args, flag)
+        if not _RULES[rule](value):
+            raise InvalidFlags(f"--{flag.replace('_', '-')} must be {rule}; got {value}")
 
 
 def time_stem(t: datetime) -> str:
@@ -408,7 +401,7 @@ def cmd_tc_filter(args) -> int:
     return 0
 
 
-# --- climatology and fixtures -------------------------------------------------------
+# --- climatology and VQA ---------------------------------------------------------------
 
 def cmd_climatology(args) -> int:
     cubes = [cubeio.read_cube(p) for p in cubeio.cube_paths(args.cubes)]
@@ -418,77 +411,9 @@ def cmd_climatology(args) -> int:
     return 0
 
 
-@_flag_values()  # every value synth-vortex uses comes from a flag
-def cmd_synth_vortex(args) -> int:
-    if args.steps < 1:
-        raise InvalidFlags(f"--steps must be at least 1; got {args.steps}")
-    _check_flags(args, "positive", "r0_km", "ring_km")
-    _check_flags(args, "finite", "center_lat", "center_lon", "dlat_per_step", "dlon_per_step",
-                 "background_hpa", "depth_hpa", "r0_km", "ws_peak", "ring_km")
-    _check_flags(args, "within [-90, 90]", "center_lat")
-    # The center moves linearly, so its last position bounds every other one.
-    _check_value("--center-lat + (--steps - 1) * --dlat-per-step",
-                 args.center_lat + (args.steps - 1) * args.dlat_per_step, "within [-90, 90]")
-    # MSL lies between --background-hpa and the central background - depth, and
-    # |WS10M| peaks at |--ws-peak|; each must fit the float32 cube.
-    _check_flags(args, "within float32 range", "background_hpa", "ws_peak")
-    _check_value("--background-hpa - --depth-hpa", args.background_hpa - args.depth_hpa,
-                 "within float32 range")
-    spec = GridSpec(
-        n_lat=args.n_lat,
-        n_lon=args.n_lon,
-        lat_start=args.lat_start,
-        lat_step=args.lat_step,
-        lon_start=args.lon_start,
-        lon_step=args.lon_step,
-    )
-    start = cubeio.parse_time(args.start_time)
-    if start.microsecond:
-        raise InvalidFlags(f"--start-time must be whole seconds; got {args.start_time!r}")
-    cubes, truth = tc.synthetic_vortex_series(
-        spec,
-        start,
-        args.steps,
-        args.center_lat,
-        args.center_lon,
-        dlat_per_step=args.dlat_per_step,
-        dlon_per_step=args.dlon_per_step,
-        background_hpa=args.background_hpa,
-        depth_hpa=args.depth_hpa,
-        r0_km=args.r0_km,
-        ws_peak=args.ws_peak,
-        ring_km=args.ring_km,
-        storm_id=args.storm_id,
-    )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for cube in cubes:
-        cubeio.write_cube(cube, out_dir / f"{time_stem(cube.valid_time)}.gvc")
-    params = {
-        "grid": f"{args.n_lat}x{args.n_lon}",
-        "lat_start": args.lat_start,
-        "lat_step": args.lat_step,
-        "lon_start": args.lon_start,
-        "lon_step": args.lon_step,
-        "center": f"{args.center_lat},{args.center_lon}",
-        "steps": args.steps,
-        "dlat_per_step": args.dlat_per_step,
-        "dlon_per_step": args.dlon_per_step,
-        "depth_hpa": args.depth_hpa,
-        "r0_km": args.r0_km,
-        "ws_peak": args.ws_peak,
-        "ring_km": args.ring_km,
-    }
-    seed_track = tc.TcTrack(
-        storm_id=truth.storm_id, name=truth.name, points=(truth.points[0],)
-    )
-    cubeio.write_tracks([seed_track], out_dir / "seeds.csv", params)
-    cubeio.write_tracks([truth], out_dir / "truth.csv", params)
-    print(out_dir)
-    return 0
-
-
 def cmd_vqa_score(args) -> int:
+    if not args.benchmark.strip():
+        raise InvalidFlags(f"--benchmark names no benchmark; got {args.benchmark!r}")
     items = vqa.read_vqa_items(args.items)
     records = vqa.score_items(items, benchmark=args.benchmark)
     params = {"items": args.items, "benchmark": args.benchmark}
@@ -571,28 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cubes", required=True)
     p.add_argument("--out", required=True, help="output directory (manifest + cubes)")
     p.set_defaults(func=cmd_climatology)
-
-    p = sub.add_parser("synth-vortex", help="generate synthetic vortex cube series")
-    p.add_argument("--out", required=True)
-    p.add_argument("--n-lat", type=int, default=81)
-    p.add_argument("--n-lon", type=int, default=121)
-    p.add_argument("--lat-start", type=float, default=40.0)
-    p.add_argument("--lat-step", type=float, default=-0.25)
-    p.add_argument("--lon-start", type=float, default=120.0)
-    p.add_argument("--lon-step", type=float, default=0.25)
-    p.add_argument("--center-lat", type=float, default=30.0)
-    p.add_argument("--center-lon", type=float, default=135.0)
-    p.add_argument("--start-time", default="2024-09-01T00:00:00Z")
-    p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--dlat-per-step", type=float, default=0.0)
-    p.add_argument("--dlon-per-step", type=float, default=1.0)
-    p.add_argument("--background-hpa", type=float, default=1013.0)
-    p.add_argument("--depth-hpa", type=float, default=30.0)
-    p.add_argument("--r0-km", type=float, default=150.0)
-    p.add_argument("--ws-peak", type=float, default=40.0)
-    p.add_argument("--ring-km", type=float, default=100.0)
-    p.add_argument("--storm-id", default="SYNTH")
-    p.set_defaults(func=cmd_synth_vortex)
 
     p = sub.add_parser("vqa-score", help="score VQA predictions")
     p.add_argument("--items", required=True,

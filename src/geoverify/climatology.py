@@ -15,7 +15,8 @@ from typing import Iterable
 import numpy as np
 
 from . import cubeio
-from .errors import EmptyInput, MissingKey, NonSynopticTime, ParseError, SpecMismatch
+from .errors import (EmptyInput, GeoverifyError, MissingKey, NonSynopticTime, ParseError,
+                     SpecMismatch)
 from .grid import FieldCube, GridSpec, VariableCatalog
 
 #: Hours of day that carry climatology keys (6-hourly synoptic times).
@@ -85,6 +86,9 @@ class Climatology:
     def load(cls, manifest_path, variables=None) -> "Climatology":
         """Read a manifest and its key cubes; means keep the cubes' float32 values.
 
+        A row whose key ``climatology_key`` cannot return, or that repeats an
+        earlier row's key, raises ParseError naming the row.
+
         With ``variables``, each key keeps only those channels, read as
         ``cubeio.read_cube(path, variables)`` reads them; every key cube is
         still validated in full and must share the first one's whole catalog.
@@ -99,6 +103,10 @@ class Climatology:
                 key, count = (int(doy), int(hour)), int(n_samples)
             except ValueError as e:
                 raise ParseError(row_no, str(e)) from None
+            if not 1 <= key[0] <= 366 or key[1] not in KEY_HOURS:
+                raise ParseError(row_no, f"doy {key[0]} hour {key[1]} is not a climatology key")
+            if key in means:
+                raise ParseError(row_no, f"repeated key doy {key[0]} hour {key[1]}")
             path = manifest_path.parent / filename
             cube = cubeio.read_cube(path, variables)
             file_catalog = cube.catalog if variables is None else cubeio.read_header(path)[1]
@@ -117,7 +125,8 @@ def build_climatology(cubes: Iterable[FieldCube]) -> Climatology:
     """Arithmetic per-key mean over cubes sharing one grid spec and catalog.
 
     Accumulation is 64-bit and runs in sorted valid_time order, so any
-    permutation of the input stream produces identical bits.
+    permutation of the input stream produces identical bits.  Two cubes with
+    one valid time are a data error: the time would count twice in its mean.
     """
     ordered = sorted(cubes, key=lambda c: c.valid_time)
     if not ordered:
@@ -125,6 +134,9 @@ def build_climatology(cubes: Iterable[FieldCube]) -> Climatology:
     spec, catalog = ordered[0].spec, ordered[0].catalog
     sums: dict[tuple[int, int], np.ndarray] = {}
     counts: dict[tuple[int, int], int] = {}
+    for a, b in zip(ordered, ordered[1:]):
+        if a.valid_time == b.valid_time:
+            raise GeoverifyError(f"two cubes have valid time {cubeio.format_time(a.valid_time)}")
     for cube in ordered:
         if cube.spec != spec or cube.catalog != catalog:
             raise SpecMismatch(f"cube at {cube.valid_time} has a different spec/catalog")

@@ -283,16 +283,17 @@ def read_tracks(path) -> list[TcTrack]:
 def write_csv(path, params: Mapping | None, header: Sequence[str], rows: Iterable) -> None:
     """Write a CSV atomically: a "# params:" line when params are given, the header, the rows.
 
-    Each row is a sequence of fields joined with commas after ``str()``, so
-    callers format numbers themselves.  A failure leaves an existing file
-    unchanged and no partial or temporary file behind.
+    Each row is a sequence of fields written by ``csv.writer`` after ``str()``,
+    so a field holding a comma or a quote is quoted as ``read_csv_rows`` parses
+    it, and callers format numbers themselves.  A failure leaves an existing
+    file unchanged and no partial or temporary file behind.
     """
-    with _replacing(path, "w", encoding="utf-8", newline="\n") as f:
+    with _replacing(path, "w", encoding="utf-8", newline="") as f:
         if params:
             f.write(f"# params: {' '.join(f'{k}={v}' for k, v in params.items())}\n")
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(str(field) for field in row) + "\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_tracks(tracks: Sequence[TcTrack], path, params: Mapping | None = None) -> None:

@@ -85,14 +85,20 @@ VQA_COLUMNS = ["question_id", "type", "prediction", "ground_truth"]
 
 
 def read_vqa_items(path) -> list[VqaItem]:
-    """Read items from a CSV with columns question_id,type,prediction,ground_truth."""
-    items = []
+    """Read items from a CSV with columns question_id,type,prediction,ground_truth.
+
+    A repeated question_id raises ParseError naming its second row, since
+    the item would count twice in the scores.
+    """
+    items: dict[str, VqaItem] = {}
     for row_no, row in cubeio.read_csv_rows(path, VQA_COLUMNS):
+        if row[0] in items:
+            raise ParseError(row_no, f"repeated question_id {row[0]!r}")
         try:
-            items.append(VqaItem(*row))
+            items[row[0]] = VqaItem(*row)
         except ValueError as e:
             raise ParseError(row_no, str(e)) from None
-    return items
+    return list(items.values())
 
 
 def score_items(items, benchmark: str = "vqa"):

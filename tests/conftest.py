@@ -1,11 +1,15 @@
 """Shared fixtures: tiny grids, catalogs and cube builders."""
 
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from geoverify import FieldCube, GridSpec, VariableCatalog, VariableId
+from geoverify import FieldCube, GridSpec, VariableCatalog, VariableId, synthetic_vortex_series
+from geoverify.cli import time_stem
+from geoverify.cubeio import write_cube, write_tracks
 
 
 def utc(year, month, day, hour=0):
@@ -54,3 +58,26 @@ def random_cube(rng, n_chan=2, n_lat=3, n_lon=4, valid_time=None):
 
 def hour_sequence(start, count, step_hours=6):
     return [start + timedelta(hours=step_hours * k) for k in range(count)]
+
+
+#: 21 x 31 nodes every 0.5 degrees, around the vortex that write_vortex plants.
+VORTEX_SPEC = GridSpec(21, 31, 35.0, -0.5, 125.0, 0.5)
+
+
+def write_vortex(directory, steps=3, spec=VORTEX_SPEC, name=""):
+    """A vortex from (30N, 130E) moving 1 degree east per 6 h from 2024-09-01T00Z.
+
+    Writes one cube per step, named by its valid time as tc-track reads them,
+    plus ``seeds.csv`` (the first fix) and ``truth.csv`` (every fix) of storm
+    SYNTH called ``name``; returns ``directory``.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True)
+    cubes, truth = synthetic_vortex_series(spec, utc(2024, 9, 1), steps, 30.0, 130.0,
+                                           dlon_per_step=1.0)
+    for cube in cubes:
+        write_cube(cube, directory / f"{time_stem(cube.valid_time)}.gvc")
+    truth = replace(truth, name=name)
+    write_tracks([replace(truth, points=truth.points[:1])], directory / "seeds.csv")
+    write_tracks([truth], directory / "truth.csv")
+    return directory

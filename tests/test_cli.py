@@ -2,8 +2,6 @@
 
 import argparse
 import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -12,7 +10,6 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-import geoverify
 from geoverify import (
     FieldCube,
     GridSpec,
@@ -22,9 +19,9 @@ from geoverify import (
     build_climatology,
 )
 from geoverify.cli import build_parser, main, parse_leads, time_stem
-from geoverify.cubeio import read_cube, read_tracks, write_cube
+from geoverify.cubeio import read_csv_rows, read_cube, read_tracks, write_cube
 from geoverify.errors import InvalidFlags
-from conftest import utc
+from conftest import utc, write_vortex
 
 
 SPEC = GridSpec(5, 8, 60.0, -30.0, 0.0, 45.0)
@@ -632,16 +629,9 @@ class TestDownscaleEval:
 
 
 class TestTcSubcommands:
-    def _synth(self, tmp_path, **flags):
-        out_dir = tmp_path / "vortex"
-        args = ["synth-vortex", "--out", str(out_dir)]
-        for key, value in flags.items():
-            args += [f"--{key.replace('_', '-')}", str(value)]
-        assert main(args) == 0
-        return out_dir
-
     def test_synth_then_track_recovers_planted_track(self, tmp_path):
-        out_dir = self._synth(tmp_path, steps=4, dlon_per_step=1.0)
+        out_dir = write_vortex(tmp_path / "vortex", steps=4,
+                               spec=GridSpec(81, 121, 40.0, -0.25, 120.0, 0.25))
         tracked = tmp_path / "tracked.csv"
         code = main([
             "tc-track", "--cubes", str(out_dir), "--seeds", str(out_dir / "seeds.csv"),
@@ -658,7 +648,7 @@ class TestTcSubcommands:
             assert great_circle_km((p.lat, p.lon), (q.lat, q.lon)) <= cell_km * 1.5
 
     def test_tc_eval_identical_tracks_zero_errors(self, tmp_path):
-        out_dir = self._synth(tmp_path, steps=3)
+        out_dir = write_vortex(tmp_path / "vortex", steps=3)
         out = tmp_path / "eval.csv"
         code = main([
             "tc-eval", "--forecast", str(out_dir / "truth.csv"),
@@ -707,61 +697,30 @@ class TestTcSubcommands:
         assert pooled[("b", "A", "ws10m_rmse")][4:] == [
             format(float(np.sqrt(np.mean(np.square([0.0, -4.0, 0.0])))), ".6g"), "3"]
 
-    @staticmethod
-    def _synth_vortex_exits_4(tmp_path, flags, message):
-        """A synth-vortex run in a subprocess, so numpy warnings would show on stderr.
-
-        It must exit 4 with the one stderr line ``message`` and write nothing.
-        """
-        src = str(Path(geoverify.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        script = "import sys; from geoverify.cli import main; sys.exit(main(sys.argv[1:]))"
-        done = subprocess.run(
-            [sys.executable, "-c", script, "synth-vortex", "--out", str(tmp_path / "v"), *flags],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 4
-        assert done.stderr.splitlines() == [f"geoverify: config error: {message}"]
+    def test_synth_vortex_is_not_a_subcommand(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["synth-vortex", "--out", str(tmp_path / "v")])
+        assert err.value.code == 4
         assert not (tmp_path / "v").exists()
 
-    def _synth_vortex_rejects(self, tmp_path, flag, value, rule):
-        """A two-step run with one bad flag must name it."""
-        self._synth_vortex_exits_4(tmp_path, ["--steps", "2", f"{flag}={value}"],
-                                   f"{flag} must be {rule}; got {float(value)}")
+    def test_fields_with_commas_and_quotes_round_trip(self, tmp_path):
+        """tc-track and tc-filter quote such fields as the CSV reader parses them."""
+        name = 'Haiyan, "Yolanda"'
+        out_dir = write_vortex(tmp_path / "vortex", name=name)
+        tracked = tmp_path / "tracked.csv"
+        assert main(_argv("tc-track", cubes=out_dir, seeds=out_dir / "seeds.csv",
+                          out=tracked)) == 0
+        assert [t.name for t in read_tracks(tracked)] == [name]
+        assert main(_argv("tc-eval", forecast=tracked, reference=out_dir / "truth.csv",
+                          out=tmp_path / "eval.csv")) == 0
 
-    @pytest.mark.parametrize("flag, value", [("--r0-km", "0"), ("--ring-km", "-50")])
-    def test_synth_vortex_radius_must_be_positive(self, tmp_path, flag, value):
-        self._synth_vortex_rejects(tmp_path, flag, value, "positive")
-
-    @pytest.mark.parametrize("flag, value, rule", [
-        ("--dlon-per-step", "nan", "finite"),
-        ("--depth-hpa", "nan", "finite"),
-        ("--ws-peak", "inf", "finite"),
-        ("--center-lon", "-inf", "finite"),
-        ("--center-lat", "95", "within [-90, 90]"),
-    ])
-    def test_synth_vortex_series_flag_out_of_range(self, tmp_path, flag, value, rule):
-        self._synth_vortex_rejects(tmp_path, flag, value, rule)
-
-    @pytest.mark.parametrize("flags, message", [
-        (["--steps=3", "--lat-start=89", "--center-lat=89", "--dlat-per-step=2"],
-         "--center-lat + (--steps - 1) * --dlat-per-step must be within [-90, 90]; got 93.0"),
-        (["--steps=3", "--depth-hpa=1e39"],
-         "--background-hpa - --depth-hpa must be within float32 range; got -1e+39"),
-        (["--steps=3", "--background-hpa=-3.5e38"],
-         "--background-hpa must be within float32 range; got -3.5e+38"),
-        (["--steps=3", "--ws-peak=1e39"], "--ws-peak must be within float32 range; got 1e+39"),
-    ], ids=["center-crosses-a-pole", "msl-overflows", "background-overflows", "wind-overflows"])
-    def test_synth_vortex_series_beyond_its_bounds(self, tmp_path, flags, message):
-        self._synth_vortex_exits_4(tmp_path, flags, message)
-
-    @pytest.mark.filterwarnings("error")
-    def test_synth_vortex_extreme_values_within_float32_are_written(self, tmp_path):
-        """MSL down to -3.4e38 fits float32: no warning, exit 0."""
-        out = tmp_path / "v"
-        assert main(_argv("synth-vortex", out=out, **dict(SMALL_VORTEX, depth_hpa=3.4e38,
-                                                        background_hpa=0))) == 0
-        assert len(list(out.glob("*.gvc"))) == 3
+        cases = tmp_path / "cases.csv"
+        cases.write_text('case_id,model_mbe,wrf_mbe,both_under,both_over,track_err_km\n'
+                         '"c1, ""north""",-2,-5,true,false,5\n')
+        decisions = tmp_path / "decisions.csv"
+        assert main(_argv("tc-filter", cases=cases, out=decisions)) == 0
+        [(_, row)] = read_csv_rows(decisions, ["case_id", "decision", "reason"])
+        assert row[:2] == ['c1, "north"', "Exclude"]
 
     def test_tc_filter_rule_exemplars(self, tmp_path):
         cases = tmp_path / "cases.csv"
@@ -786,7 +745,7 @@ class TestTcSubcommands:
                      "--out", str(tmp_path / "d.csv")]) == 3
 
     def test_outputs_start_with_params_line(self, tmp_path):
-        out_dir = self._synth(tmp_path, steps=2)
+        out_dir = write_vortex(tmp_path / "vortex", steps=2)
         tracked = tmp_path / "tracked.csv"
         main(["tc-track", "--cubes", str(out_dir), "--seeds", str(out_dir / "seeds.csv"),
               "--out", str(tracked)])
@@ -928,6 +887,24 @@ def verify_bad_climatology_manifest_row(tmp):
     return argv
 
 
+# The key cube is clim_d001_h06.gvc; a second row must not replace or add a key.
+
+@failure(3, "row 3: repeated key doy 1 hour 6")
+def verify_repeated_climatology_manifest_key(tmp):
+    argv = _verify(tmp)
+    (tmp / "clim" / "manifest.csv").write_text(
+        "doy,hour,n_samples,filename\n1,6,1,clim_d001_h06.gvc\n1,6,4,clim_d001_h06.gvc\n")
+    return argv
+
+
+@failure(3, "row 3: doy 367 hour 6 is not a climatology key")
+def verify_impossible_climatology_manifest_key(tmp):
+    argv = _verify(tmp)
+    (tmp / "clim" / "manifest.csv").write_text(
+        "doy,hour,n_samples,filename\n1,6,1,clim_d001_h06.gvc\n367,6,1,clim_d001_h06.gvc\n")
+    return argv
+
+
 @failure(4, "--threads")
 def verify_zero_threads(tmp):
     return _verify(tmp, threads=0)
@@ -1007,18 +984,8 @@ def downscale_infinite_psnr_peak(tmp):
     return _downscale(tmp, [utc(2024, 2, 2, 18)], psnr_peak="inf")
 
 
-SMALL_VORTEX = dict(steps=3, n_lat=21, n_lon=31, lat_start=35, lat_step=-0.5,
-                    lon_start=125, lon_step=0.5, center_lat=30, center_lon=130)
-
-
-def _vortex(tmp):
-    """A three-step synthetic vortex in tmp/vortex: cubes, seeds.csv and truth.csv."""
-    assert main(_argv("synth-vortex", out=tmp / "vortex", **SMALL_VORTEX)) == 0
-    return tmp / "vortex"
-
-
 def _tc_track(tmp, **flags):
-    vortex = _vortex(tmp)
+    vortex = write_vortex(tmp / "vortex")
     args = dict(cubes=vortex, seeds=vortex / "seeds.csv", out=tmp / "track.csv")
     return _argv("tc-track", **dict(args, **flags))
 
@@ -1080,7 +1047,7 @@ def tc_track_negative_wind(tmp):
 
 
 def _tc_eval(tmp, **flags):
-    truth = _vortex(tmp) / "truth.csv"
+    truth = write_vortex(tmp / "vortex") / "truth.csv"
     return _argv("tc-eval", **dict(dict(forecast=truth, reference=truth, out=tmp / "e.csv"),
                                    **flags))
 
@@ -1200,76 +1167,20 @@ def climatology_no_cubes(tmp):
     return _climatology(tmp)
 
 
+@failure(2, "two cubes have valid time 2024-01-01T00:00:00Z")
+def climatology_two_cubes_at_one_valid_time(tmp):
+    argv = _climatology(tmp, utc(2024, 1, 1, 0), utc(2024, 1, 1, 6))
+    write_cube(_random_field_cube(np.random.default_rng(9), utc(2024, 1, 1, 0)),
+               tmp / "cubes" / "copy.gvc")
+    return argv
+
+
 @failure(2, "finite")
 def climatology_nan_in_a_cube(tmp):
     argv = _climatology(tmp, utc(2024, 1, 1, 0))
     [path] = (tmp / "cubes").glob("*.gvc")
     _poison(path)
     return argv
-
-
-def _synth(tmp, **flags):
-    return _argv("synth-vortex", out=tmp / "vortex", **dict(SMALL_VORTEX, **flags))
-
-
-@failure(4, "--steps")
-def synth_vortex_zero_steps(tmp):
-    return _synth(tmp, steps=0)
-
-
-@failure(4, "--r0-km")
-def synth_vortex_zero_r0(tmp):
-    return _synth(tmp, r0_km=0)
-
-
-@failure(4, "--ring-km")
-def synth_vortex_negative_ring(tmp):
-    return _synth(tmp, ring_km=-50)
-
-
-@failure(4, "--dlon-per-step")
-def synth_vortex_nan_step(tmp):
-    return _synth(tmp, dlon_per_step="nan")
-
-
-@failure(4, "--center-lat")
-def synth_vortex_center_past_a_pole(tmp):
-    return _synth(tmp, center_lat=95)
-
-
-@failure(4, "--center-lat + (--steps - 1) * --dlat-per-step")
-def synth_vortex_center_crosses_a_pole_later(tmp):
-    return _synth(tmp, center_lat=89, lat_start=89, dlat_per_step=2)
-
-
-@failure(4, "--background-hpa - --depth-hpa must be within float32 range")
-def synth_vortex_msl_overflows_float32(tmp):
-    return _synth(tmp, depth_hpa=1e39)
-
-
-@failure(4, "--ws-peak must be within float32 range")
-def synth_vortex_wind_overflows_float32(tmp):
-    return _synth(tmp, ws_peak=-1e39)
-
-
-@failure(4, "no grid node within 250 km")
-def synth_vortex_center_off_the_grid(tmp):
-    return _synth(tmp, center_lat=-30)
-
-
-@failure(4, "n_lat")
-def synth_vortex_one_latitude(tmp):
-    return _synth(tmp, n_lat=1)
-
-
-@failure(4, "isoformat")
-def synth_vortex_bad_start_time(tmp):
-    return _synth(tmp, start_time="noon")
-
-
-@failure(4, "whole seconds")
-def synth_vortex_fractional_start_time(tmp):
-    return _synth(tmp, start_time="2024-09-01T00:00:00.5Z")
 
 
 def _vqa(tmp, rows):
@@ -1281,6 +1192,16 @@ def _vqa(tmp, rows):
 @failure(3, "row 2")
 def vqa_unknown_question_type(tmp):
     return _vqa(tmp, "q1,weird,a,b\n")
+
+
+@failure(3, "row 3: repeated question_id 'q1'")
+def vqa_repeated_question_id(tmp):
+    return _vqa(tmp, "q1,closed,yes,yes\nq1,closed,no,yes\n")
+
+
+@failure(4, "--benchmark")
+def vqa_empty_benchmark(tmp):
+    return _vqa(tmp, "q1,closed,yes,yes\n") + ["--benchmark="]
 
 
 @failure(2, "no items")
@@ -1315,9 +1236,9 @@ def test_failure_exits_with_its_code_and_writes_nothing(tmp_path, capsys, build,
 
 # --- flag fuzz: any value of any flag exits 0, 2, 3 or 4 ---------------------------
 
-#: Caps on what a drawn value asks for, so no draw allocates a large array or
-#: starts many threads: the value of an integer flag, the number of leads.
-SIZE_CAPS = {"n_lat": 64, "n_lon": 64, "steps": 8, "threads": 8, "leads": 8}
+#: Caps on what a drawn value asks for, so no draw starts many threads or asks
+#: for many cubes: the value of --threads, the number of leads.
+SIZE_CAPS = {"threads": 8, "leads": 8}
 
 #: Flag values other than the valid one.  Random text has no "/", so a drawn
 #: path names a file in the run's own empty directory or, as "..", its parent.
@@ -1356,7 +1277,7 @@ def valid_flags(tmp_path_factory):
     (root / "in" / "ds").mkdir()
     coarse, truth, model = TestDownscaleEval()._write_fixture(
         root / "in" / "ds", [utc(2024, 2, 2, 18)], "bilinear")
-    vortex = _vortex(root / "in")
+    vortex = write_vortex(root / "in" / "vortex")
     cases = root / "in" / "cases.csv"
     cases.write_text("case_id,model_mbe,wrf_mbe,both_under,both_over,track_err_km\n"
                      "c1,-2,-5,true,false,5\nc2,-6,-3,false,true,15\n")
@@ -1378,9 +1299,6 @@ def valid_flags(tmp_path_factory):
         "tc-filter": dict(cases=cases, comparable_tol=1, track_threshold_km=10,
                           out=out / "decisions.csv"),
         "climatology": dict(cubes=rdir, out=out / "clim"),
-        "synth-vortex": dict(SMALL_VORTEX, out=out / "vortex", start_time="2024-09-01T00:00:00Z",
-                             dlat_per_step=0.5, dlon_per_step=1, background_hpa=1013,
-                             depth_hpa=30, r0_km=150, ws_peak=40, ring_km=100, storm_id="S1"),
         "vqa-score": dict(items=items, benchmark="vqa-rad", out=out / "scores.csv"),
     }
     return root / "runs", {command: {k: str(v) for k, v in f.items()} for command, f in flags.items()}
