@@ -292,35 +292,48 @@ def cmd_downscale_eval(args) -> int:
 def cmd_tc_track(args) -> int:
     _check_flags(args, "positive", "search_radius_km", "intensity_radius_km", "ring_width_km")
     _check_flags(args, "non-negative", "closed_low_hpa")
-    cubes = [cubeio.read_cube(p) for p in cubeio.cube_paths(args.cubes)]
-    if not cubes:
+    headers = {}  # valid time -> (path, grid), from every cube's header before any payload
+    for path in cubeio.cube_paths(args.cubes):
+        spec, _, valid = cubeio.read_header(path)
+        if valid in headers:
+            raise GeoverifyError(f"duplicate cube valid times in input directory: "
+                                 f"{headers[valid][0]} and {path} are both at {valid}")
+        headers[valid] = (path, spec)
+    if not headers:
         raise EmptyInput(f"no cubes in {args.cubes}")
-    cubes.sort(key=lambda c: c.valid_time)
-    times = [c.valid_time for c in cubes]
-    if len(set(times)) != len(times):
-        raise GeoverifyError("duplicate cube valid times in input directory")
 
     seed_tracks = cubeio.read_tracks(args.seeds)
-    out_tracks = []
+    if not seed_tracks:
+        raise EmptyInput(f"no seed rows in {args.seeds}")
+    trackers = []
+    starting: dict[datetime, list] = {}
     for seed_track in seed_tracks:
         seed = seed_track.points[0]
-        if seed.time not in times:
+        if seed.time not in headers:
             raise GeoverifyError(
                 f"seed time {seed.time} for {seed_track.storm_id} matches no cube"
             )
-        tail = cubes[times.index(seed.time):]
-        out_tracks.append(
-            tc.track_cyclone(
-                tail,
-                seed,
-                search_radius_km=args.search_radius_km,
-                intensity_radius_km=args.intensity_radius_km,
-                closed_low_hpa=args.closed_low_hpa,
-                ring_width_km=args.ring_width_km,
-                storm_id=seed_track.storm_id,
-                name=seed_track.name,
-            )
+        tracker = tc.CycloneTracker(
+            seed,
+            headers[seed.time][1],
+            search_radius_km=args.search_radius_km,
+            intensity_radius_km=args.intensity_radius_km,
+            closed_low_hpa=args.closed_low_hpa,
+            ring_width_km=args.ring_width_km,
+            storm_id=seed_track.storm_id,
+            name=seed_track.name,
         )
+        trackers.append(tracker)
+        starting.setdefault(seed.time, []).append(tracker)
+
+    # One pass in valid-time order: every cube is read and checked in full, steps
+    # every active tracker once, and is released before the next one is read.
+    active = []
+    for valid in sorted(headers):
+        cube = _read_cube_at(headers[valid][0], valid, None, "the time in its header")
+        active = [t for t in active + starting.get(valid, []) if t.step(cube)]
+        del cube
+    out_tracks = [t.track() for t in trackers]
     params = {
         "cubes": args.cubes,
         "seeds": args.seeds,

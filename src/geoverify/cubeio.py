@@ -285,15 +285,19 @@ def write_csv(path, params: Mapping | None, header: Sequence[str], rows: Iterabl
 
     Each row is a sequence of fields written by ``csv.writer`` after ``str()``,
     so a field holding a comma or a quote is quoted as ``read_csv_rows`` parses
-    it, and callers format numbers themselves.  A failure leaves an existing
-    file unchanged and no partial or temporary file behind.
+    it, and callers format numbers themselves.  A row whose first field starts
+    with '#' has every field quoted, so the reader does not take it for a
+    comment.  A failure leaves an existing file unchanged and no partial or
+    temporary file behind.
     """
     with _replacing(path, "w", encoding="utf-8", newline="") as f:
         if params:
             f.write(f"# params: {' '.join(f'{k}={v}' for k, v in params.items())}\n")
         writer = csv.writer(f, lineterminator="\n")
+        quoted = csv.writer(f, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(header)
-        writer.writerows(rows)
+        for is_quoted, run in itertools.groupby(rows, lambda row: str(row[0]).startswith("#")):
+            (quoted if is_quoted else writer).writerows(run)
 
 
 def write_tracks(tracks: Sequence[TcTrack], path, params: Mapping | None = None) -> None:
@@ -356,8 +360,9 @@ def write_month_hour_matrix(matrix, path, params: Mapping | None = None) -> None
 def read_csv_rows(path, columns: list[str]) -> list[tuple[int, list[str]]]:
     """The data rows of a CSV table with header ``columns``, as (row number, fields).
 
-    Rows are numbered from 1 as they appear in the file; blank rows and rows
-    whose first field starts with '#' are skipped.  A header other than
+    Rows are numbered from 1 as they appear in the file; blank rows and
+    comments, rows whose line starts with an unquoted '#', are skipped, so a
+    quoted first field such as "#7" is data.  A header other than
     ``columns``, a row without one field per column, or text that is not
     UTF-8 CSV raises ParseError with the row's number.
     """
@@ -365,10 +370,13 @@ def read_csv_rows(path, columns: list[str]) -> list[tuple[int, list[str]]]:
     rows = []
     row_no = 0
     try:
-        lines = io.StringIO(data.decode("utf-8"), newline="")
+        text = data.decode("utf-8")
+        lines = io.StringIO(text, newline="")
+        start = 0  # offset in text of the row the reader returns next
         for row_no, row in enumerate(csv.reader(lines), start=1):
-            if row and not row[0].startswith("#"):
+            if row and not text.startswith("#", start):
                 rows.append((row_no, row))
+            start = lines.tell()
     except UnicodeDecodeError as e:
         raise ParseError(data[:e.start].count(b"\n") + 1, str(e)) from None
     except csv.Error as e:

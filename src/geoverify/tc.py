@@ -23,7 +23,7 @@ from .errors import (
     SeedOutsideGrid,
     UnknownVariable,
 )
-from .grid import FieldCube, GridSpec, VariableCatalog, VariableId
+from .grid import FieldCube, GridSpec, VariableCatalog, VariableId, select_channel
 
 EARTH_RADIUS_KM = 6371.0
 KM_PER_DEG = math.pi * EARTH_RADIUS_KM / 180.0
@@ -110,6 +110,122 @@ def _window_indices(spec: GridSpec, lat0: float, lon0: float, radius_km: float):
     return rows, cols
 
 
+class CycloneTracker:
+    """One storm's tracker, advanced one cube at a time in valid-time order.
+
+    It is built from the seed fix and the grid of the seed's cube, and
+    raises SeedOutsideGrid if the seed lies outside that grid.  ``step``
+    takes the cubes from the seed's time on, one per call.  The tracker
+    keeps its fixes, never a cube, so a caller may drop each cube once
+    every tracker has stepped through it.  ``track_cyclone`` documents the
+    search and the flags.
+    """
+
+    def __init__(
+        self,
+        seed: TcPoint,
+        spec: GridSpec,
+        *,
+        search_radius_km: float = 250.0,
+        intensity_radius_km: float = 250.0,
+        closed_low_hpa: float = 0.5,
+        ring_width_km: float = 100.0,
+        storm_id: str = "TRACK",
+        name: str = "",
+    ):
+        if not spec.contains(seed.lat, seed.lon):
+            raise SeedOutsideGrid(f"seed at ({seed.lat}, {seed.lon}) not inside grid")
+        self.seed = seed
+        self.search_radius_km = search_radius_km
+        self.intensity_radius_km = intensity_radius_km
+        self.closed_low_hpa = closed_low_hpa
+        self.ring_width_km = ring_width_km
+        self.storm_id = storm_id
+        self.name = name
+        self.points: list[TcPoint] = []
+        self.active = True
+        self._center = (seed.lat, seed.lon)  # as the grid gives it, before TcPoint wraps lon
+
+    def step(self, cube: FieldCube) -> bool:
+        """Look for the next fix in ``cube``; False once the storm is lost, for good.
+
+        MSL and WS10M are found in this cube's own catalog: a cube that
+        lacks either raises MissingChannel naming its valid time.  The first
+        step's cube must be at the seed's time.
+        """
+        if not self.active:
+            raise ValueError(f"the tracker of {self.storm_id} has stopped")
+        try:
+            msl = select_channel(cube, ("MSL", None))
+            ws = select_channel(cube, ("WS10M", None))
+        except UnknownVariable as e:
+            raise MissingChannel(f"cube at {cube.valid_time}: {e}") from None
+        if not self.points and cube.valid_time != self.seed.time:
+            raise ValueError(
+                f"seed time {self.seed.time} does not match first cube {cube.valid_time}"
+            )
+        fix = self._fix(cube, msl, ws)
+        if fix is None:
+            self.active = False
+        else:
+            self.points.append(fix)
+        return self.active
+
+    def _fix(self, cube: FieldCube, msl: np.ndarray, ws: np.ndarray) -> TcPoint | None:
+        """The fix in ``cube`` near the last center (or the seed), which becomes the
+        center; None when the storm is lost."""
+        lat_prev, lon_prev = self._center
+        search_km, intensity_km = self.search_radius_km, self.intensity_radius_km
+        spec = cube.spec
+        lats = spec.latitudes
+        lons = spec.longitudes
+
+        rows, cols = _window_indices(spec, lat_prev, lon_prev, search_km)
+        if rows.size == 0 or cols.size == 0:
+            return None
+        dist = _haversine_grid(lat_prev, lon_prev, lats[rows], lons[cols])
+        inside = dist <= search_km
+        if not inside.any():
+            return None
+        patch = msl[np.ix_(rows, cols)]
+        masked = np.where(inside, patch, np.inf)
+        flat = int(np.argmin(masked))
+        r, c = np.unravel_index(flat, masked.shape)
+        lat_c, lon_c = float(lats[rows[r]]), float(lons[cols[c]])
+        msl_c = float(patch[r, c])
+
+        # Closed-low test: ring mean minus center depth.
+        ring_km = self.ring_width_km
+        ring_rows, ring_cols = _window_indices(spec, lat_c, lon_c, intensity_km + ring_km)
+        ring_dist = _haversine_grid(lat_c, lon_c, lats[ring_rows], lons[ring_cols])
+        on_ring = np.abs(ring_dist - intensity_km) <= ring_km / 2.0
+        if not on_ring.any():
+            return None
+        ring_mean = float(msl[np.ix_(ring_rows, ring_cols)][on_ring].mean())
+        if ring_mean - msl_c < self.closed_low_hpa:
+            return None
+
+        disk_rows, disk_cols = _window_indices(spec, lat_c, lon_c, intensity_km)
+        disk_dist = _haversine_grid(lat_c, lon_c, lats[disk_rows], lons[disk_cols])
+        ws_patch = ws[np.ix_(disk_rows, disk_cols)]
+        ws_max = float(ws_patch[disk_dist <= intensity_km].max())
+        if ws_max < 0.0:
+            raise GeoverifyError(f"WS10M max {ws_max} m/s near {cube.valid_time} is negative")
+        self._center = (lat_c, lon_c)
+        return TcPoint(cube.valid_time, lat_c, lon_c, ws_max, msl_c)
+
+    def track(self) -> TcTrack:
+        """The fixes so far; ``complete`` unless the storm was lost.
+
+        A storm lost at its first step gives a track of the seed alone.
+        """
+        if not self.points:
+            return TcTrack(storm_id=self.storm_id, name=self.name, points=(self.seed,),
+                           complete=False)
+        return TcTrack(storm_id=self.storm_id, name=self.name, points=tuple(self.points),
+                       complete=self.active)
+
+
 def track_cyclone(
     cubes: Sequence[FieldCube],
     seed: TcPoint,
@@ -131,76 +247,29 @@ def track_cyclone(
     the maximum WS10M within ``intensity_radius_km`` of the center and
     msl_min as the MSL at the center node.
 
-    Returns a TcTrack whose ``complete`` flag is False when tracking
-    stopped before the last cube; if the very first detection fails the
-    track holds only the seed.
+    This is a loop of ``CycloneTracker.step`` over ``cubes``, the step that
+    ``tc-track`` drives over one cube at a time.  The first cube must be
+    at the seed's time and its grid must hold the seed; each cube must
+    hold MSL and WS10M, in any channel order.  Returns a TcTrack whose
+    ``complete`` flag is False when tracking stopped before the last cube;
+    if the very first detection fails the track holds only the seed.
     """
     if not cubes:
         raise ValueError("no cubes to track through")
-    first = cubes[0]
-    try:
-        i_msl = first.catalog.index_of(("MSL", None))
-        i_ws = first.catalog.index_of(("WS10M", None))
-    except UnknownVariable as e:
-        raise MissingChannel(str(e)) from None
-    if seed.time != first.valid_time:
-        raise ValueError(
-            f"seed time {seed.time} does not match first cube {first.valid_time}"
-        )
-    if not first.spec.contains(seed.lat, seed.lon):
-        raise SeedOutsideGrid(f"seed at ({seed.lat}, {seed.lon}) not inside grid")
-
-    points: list[TcPoint] = []
-    lat_prev, lon_prev = seed.lat, seed.lon
-    for cube in cubes:
-        msl = cube.values[i_msl]
-        lats = cube.spec.latitudes
-        lons = cube.spec.longitudes
-
-        rows, cols = _window_indices(cube.spec, lat_prev, lon_prev, search_radius_km)
-        if rows.size == 0 or cols.size == 0:
-            break
-        dist = _haversine_grid(lat_prev, lon_prev, lats[rows], lons[cols])
-        inside = dist <= search_radius_km
-        if not inside.any():
-            break
-        patch = msl[np.ix_(rows, cols)]
-        masked = np.where(inside, patch, np.inf)
-        flat = int(np.argmin(masked))
-        r, c = np.unravel_index(flat, masked.shape)
-        lat_c, lon_c = float(lats[rows[r]]), float(lons[cols[c]])
-        msl_c = float(patch[r, c])
-
-        # Closed-low test: ring mean minus center depth.
-        ring_rows, ring_cols = _window_indices(
-            cube.spec, lat_c, lon_c, intensity_radius_km + ring_width_km
-        )
-        ring_dist = _haversine_grid(lat_c, lon_c, lats[ring_rows], lons[ring_cols])
-        on_ring = np.abs(ring_dist - intensity_radius_km) <= ring_width_km / 2.0
-        if not on_ring.any():
-            break
-        ring_mean = float(msl[np.ix_(ring_rows, ring_cols)][on_ring].mean())
-        if ring_mean - msl_c < closed_low_hpa:
-            break
-
-        disk_rows, disk_cols = _window_indices(cube.spec, lat_c, lon_c, intensity_radius_km)
-        disk_dist = _haversine_grid(lat_c, lon_c, lats[disk_rows], lons[disk_cols])
-        ws_patch = cube.values[i_ws][np.ix_(disk_rows, disk_cols)]
-        ws_max = float(ws_patch[disk_dist <= intensity_radius_km].max())
-        if ws_max < 0.0:
-            raise GeoverifyError(f"WS10M max {ws_max} m/s near {cube.valid_time} is negative")
-
-        points.append(TcPoint(cube.valid_time, lat_c, lon_c, ws_max, msl_c))
-        lat_prev, lon_prev = lat_c, lon_c
-
-    if not points:
-        return TcTrack(storm_id=storm_id, name=name, points=(seed,), complete=False)
-    return TcTrack(
+    tracker = CycloneTracker(
+        seed,
+        cubes[0].spec,
+        search_radius_km=search_radius_km,
+        intensity_radius_km=intensity_radius_km,
+        closed_low_hpa=closed_low_hpa,
+        ring_width_km=ring_width_km,
         storm_id=storm_id,
         name=name,
-        points=tuple(points),
-        complete=len(points) == len(cubes),
     )
+    for cube in cubes:
+        if not tracker.step(cube):
+            break
+    return tracker.track()
 
 
 # --- track and intensity skill -------------------------------------------------

@@ -3,6 +3,9 @@
 import argparse
 import os
 import tempfile
+import weakref
+from dataclasses import replace
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +20,11 @@ from geoverify import (
     VariableId,
     bilinear_upsample,
     build_climatology,
+    synthetic_vortex_series,
+    tc,
 )
 from geoverify.cli import build_parser, main, parse_leads, time_stem
-from geoverify.cubeio import read_csv_rows, read_cube, read_tracks, write_cube
+from geoverify.cubeio import read_csv_rows, read_cube, read_tracks, write_cube, write_tracks
 from geoverify.errors import InvalidFlags
 from conftest import utc, write_vortex
 
@@ -722,6 +727,15 @@ class TestTcSubcommands:
         [(_, row)] = read_csv_rows(decisions, ["case_id", "decision", "reason"])
         assert row[:2] == ['c1, "north"', "Exclude"]
 
+    def test_tc_filter_keeps_a_case_id_that_starts_with_hash(self, tmp_path):
+        cases = tmp_path / "cases.csv"
+        cases.write_text("case_id,model_mbe,wrf_mbe,both_under,both_over,track_err_km\n"
+                         '"#7",-2,-5,true,false,5\n# a comment\nc2,-6,-3,true,false,5\n')
+        decisions = tmp_path / "decisions.csv"
+        assert main(_argv("tc-filter", cases=cases, out=decisions)) == 0
+        rows = read_csv_rows(decisions, ["case_id", "decision", "reason"])
+        assert [row[:2] for _, row in rows] == [["#7", "Exclude"], ["c2", "Strengthen"]]
+
     def test_tc_filter_rule_exemplars(self, tmp_path):
         cases = tmp_path / "cases.csv"
         cases.write_text(
@@ -751,6 +765,131 @@ class TestTcSubcommands:
               "--out", str(tracked)])
         assert tracked.read_text().startswith("# params:")
         assert "search_radius_km=250" in tracked.read_text().splitlines()[0]
+
+
+#: (storm id, first step, last step, lat, lon at the first step) of each storm that
+#: write_storms plants; each moves 1 degree east per 6 h.  A and B overlap in time,
+#: B dies before the last cube, so its track stops early, and C lives only in it.
+STORMS = (("A", 0, 5, 35.0, 124.0), ("B", 1, 3, 25.0, 132.0), ("C", 5, 5, 24.0, 143.0))
+STORM_SPEC = GridSpec(41, 61, 40.0, -0.5, 120.0, 0.5)
+
+
+def write_storms(directory, steps=6, names_against_time=False):
+    """Cubes holding every STORMS vortex alive at their step, and the seeds of all three.
+
+    Cubes are named by valid time, or with ``names_against_time`` by names that
+    sort the other way; returns the cubes in time order.
+    """
+    directory.mkdir()
+    start = utc(2024, 9, 1)
+    msl = np.full((steps, STORM_SPEC.n_lat, STORM_SPEC.n_lon), 1013.0)
+    ws = np.zeros_like(msl)
+    seeds = []
+    for storm_id, first, last, lat, lon in STORMS:
+        cubes, truth = synthetic_vortex_series(
+            STORM_SPEC, start + timedelta(hours=6 * first), last - first + 1, lat, lon,
+            dlon_per_step=1.0, storm_id=storm_id)
+        for k, cube in enumerate(cubes, start=first):
+            msl[k] += cube.values[0] - 1013.0
+            ws[k] = np.maximum(ws[k], cube.values[1])
+        seeds.append(replace(truth, name=f"storm {storm_id}", points=truth.points[:1]))
+    write_tracks(seeds, directory / "seeds.csv")
+    cubes = []
+    for k in range(steps):
+        cube = FieldCube(STORM_SPEC, tc.tracker_catalog(), start + timedelta(hours=6 * k),
+                         np.stack([msl[k], ws[k]]).astype(np.float32))
+        name = f"{99 - k:02d}" if names_against_time else time_stem(cube.valid_time)
+        write_cube(cube, directory / f"{name}.gvc")
+        cubes.append(cube)
+    return cubes
+
+
+class TestTcTrackStreaming:
+    """tc-track reads the cubes once, in valid-time order, holding one at a time."""
+
+    def _run(self, directory, out, **flags):
+        return main(_argv("tc-track", cubes=directory, seeds=directory / "seeds.csv", out=out,
+                          **flags))
+
+    def test_bytes_equal_a_per_storm_track_cyclone_oracle(self, tmp_path, capsys):
+        directory = tmp_path / "storms"
+        cubes = write_storms(directory)
+        out = tmp_path / "track.csv"
+        assert self._run(directory, out) == 0
+        times = [cube.valid_time for cube in cubes]
+        oracle = [
+            tc.track_cyclone(cubes[times.index(seed.points[0].time):], seed.points[0],
+                             storm_id=seed.storm_id, name=seed.name)
+            for seed in read_tracks(directory / "seeds.csv")
+        ]
+        assert [(t.storm_id, len(t.points), t.complete) for t in oracle] == [
+            ("A", 6, True), ("B", 3, False), ("C", 1, True)]
+        params = {"cubes": directory, "seeds": directory / "seeds.csv", "search_radius_km": 250.0,
+                  "intensity_radius_km": 250.0, "closed_low_hpa": 0.5, "ring_width_km": 100.0}
+        write_tracks(oracle, tmp_path / "oracle.csv", params)
+        assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert capsys.readouterr().err == "geoverify: tracking stopped early for: B\n"
+
+    def test_each_cube_read_once_in_time_order_with_no_earlier_cube_alive(
+            self, tmp_path, monkeypatch):
+        from geoverify import cubeio
+
+        directory = tmp_path / "storms"
+        write_storms(directory, names_against_time=True)
+        read_cube, reads, alive = cubeio.read_cube, [], []
+
+        def watched(path, variables=None):
+            alive.extend(str(p) for p, cube in reads if cube() is not None)
+            cube = read_cube(path, variables)
+            reads.append((Path(path), weakref.ref(cube)))
+            return cube
+
+        monkeypatch.setattr(cubeio, "read_cube", watched)
+        assert self._run(directory, tmp_path / "track.csv") == 0
+        assert alive == []
+        paths = [p for p, _ in reads]
+        assert paths == sorted(directory.glob("*.gvc"), reverse=True)  # valid-time order
+        assert len(paths) == 6
+
+    def test_channel_order_is_read_from_each_cube(self, tmp_path):
+        """Storing step 2 as [WS10M, MSL] changes no byte of the tracks."""
+        directory = write_vortex(tmp_path / "vortex")
+        out = tmp_path / "track.csv"
+        assert self._run(directory, out) == 0
+        before = out.read_bytes()
+        path = sorted(directory.glob("*.gvc"))[1]
+        cube = read_cube(path)
+        write_cube(FieldCube(cube.spec, VariableCatalog(list(cube.catalog)[::-1]),
+                             cube.valid_time, np.asarray(cube.values)[::-1]), path)
+        assert self._run(directory, out) == 0
+        assert out.read_bytes() == before
+
+    def test_nan_in_the_last_cube_after_fixes_exits_2_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        directory = write_vortex(tmp_path / "vortex", steps=3)
+        _poison(sorted(directory.glob("*.gvc"))[-1])
+        step, found = tc.CycloneTracker.step, []
+
+        def counted(tracker, cube):
+            found.append(step(tracker, cube))
+            return found[-1]
+
+        monkeypatch.setattr(tc.CycloneTracker, "step", counted)
+        out = tmp_path / "track.csv"
+        assert self._run(directory, out) == 2
+        assert found == [True, True]
+        assert not out.exists()
+        assert "finite" in capsys.readouterr().err
+
+    def test_seed_faults_are_reported_before_any_payload_fault(self, tmp_path, capsys):
+        """Seeds are checked against the headers first: a seed row that does not
+        parse is reported (exit 3) although a cube holds a NaN."""
+        directory = write_vortex(tmp_path / "vortex")
+        _poison(sorted(directory.glob("*.gvc"))[0])
+        (directory / "seeds.csv").write_text("storm_id,name,time,lat,lon,ws_max,msl_min\n"
+                                             "S,,2024-09-01T00:00:00Z,north,130,40,\n")
+        assert self._run(directory, tmp_path / "track.csv") == 3
+        assert "row 2" in capsys.readouterr().err
 
 
 class TestClimatologyCommand:
@@ -786,6 +925,14 @@ class TestVqaCommand:
         lines = out.read_text().splitlines()
         assert lines[2] == "VQA-RAD,surface,0,closed_accuracy,0.5"
         assert lines[3].startswith("VQA-RAD,surface,0,open_recall,0.666667")
+
+    def test_item_id_that_starts_with_hash_is_counted(self, tmp_path):
+        items = tmp_path / "items.csv"
+        items.write_text('question_id,type,prediction,ground_truth\n'
+                         '"#q",closed,yes,yes\nq2,closed,no,yes\n')
+        out = tmp_path / "scores.csv"
+        assert main(_argv("vqa-score", items=items, out=out)) == 0
+        assert out.read_text().splitlines()[2] == "VQA,surface,0,closed_accuracy,0.5"
 
     def test_parse_error_exits_3(self, tmp_path):
         items = tmp_path / "items.csv"
@@ -1043,6 +1190,38 @@ def tc_track_negative_wind(tmp):
         values = np.array(cube.values)
         values[cube.catalog.index_of(("WS10M", None))] = -1.0
         write_cube(FieldCube(cube.spec, cube.catalog, cube.valid_time, values), path)
+    return argv
+
+
+@failure(2, "duplicate cube valid times")
+def tc_track_two_cubes_at_one_valid_time(tmp):
+    argv = _tc_track(tmp)
+    first = sorted((tmp / "vortex").glob("*.gvc"))[0]
+    (tmp / "vortex" / "copy.gvc").write_bytes(first.read_bytes())
+    return argv
+
+
+@failure(2, "no seed rows in")
+def tc_track_no_seed_rows(tmp):
+    argv = _tc_track(tmp)
+    (tmp / "vortex" / "seeds.csv").write_text(
+        "# params: none\nstorm_id,name,time,lat,lon,ws_max,msl_min\n# a comment row\n")
+    return argv
+
+
+@failure(2, "cube at 2024-09-01 12:00:00+00:00: variable WS10M not in catalog")
+def tc_track_later_cube_lacks_a_channel(tmp):
+    argv = _tc_track(tmp)
+    _drop_last_channel(sorted((tmp / "vortex").glob("*.gvc"))[-1])
+    return argv
+
+
+@failure(2, "not inside grid")
+def tc_track_seed_outside_the_grid(tmp):
+    argv = _tc_track(tmp)
+    seeds = tmp / "vortex" / "seeds.csv"
+    [track] = read_tracks(seeds)
+    write_tracks([replace(track, points=(replace(track.points[0], lat=-5.0),))], seeds)
     return argv
 
 

@@ -275,6 +275,13 @@ class TestReadCsvRows:
             read_csv_rows(path, ["a", "b"])
         assert err.value.row == row
 
+    def test_quoted_hash_starts_a_data_row(self, tmp_path):
+        """Only a line that starts with an unquoted '#' is a comment."""
+        path = tmp_path / "t.csv"
+        path.write_text('a,b\n"#7",x\n#c,y\n"#8\n#9",z\n# note\nq2,y\n')
+        assert read_csv_rows(path, ["a", "b"]) == [
+            (2, ["#7", "x"]), (4, ["#8\n#9", "z"]), (6, ["q2", "y"])]
+
     def test_text_that_is_not_utf8_is_a_parse_error(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"a,b\n\xff,2\n")
@@ -360,6 +367,14 @@ class TestReadTracks:
         assert back[0].points[1].ws_max == 22.0
 
 
+    def test_storm_id_starting_with_hash_round_trips(self, tmp_path):
+        track = TcTrack("#7", (TcPoint(utc(2024, 1, 1, 0), 10.0, 130.0, 20.0),), name="#x")
+        other = TcTrack("q2", (TcPoint(utc(2024, 1, 1, 0), 11.0, 131.0, 21.0),))
+        path = tmp_path / "tracks.csv"
+        write_tracks([track, other], path, params={"source": "test"})
+        assert read_tracks(path) == [track, other]
+
+
 class TestWriteReport:
     def test_empty_records_header_only(self, tmp_path):
         path = tmp_path / "report.csv"
@@ -406,6 +421,13 @@ class TestWriteCsv:
         path = tmp_path / "out.csv"
         write_csv(path, {"a": 1, "b": "x"}, ["h1", "h2"], [(1, "p"), ("q", 2.5)])
         assert path.read_text() == "# params: a=1 b=x\nh1,h2\n1,p\nq,2.5\n"
+
+    def test_row_whose_first_field_starts_with_hash_is_quoted(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, None, ["a", "b"], [("#7", "x"), ("q2", "y"), ("#8", "z")])
+        assert path.read_text() == 'a,b\n"#7","x"\nq2,y\n"#8","z"\n'
+        assert read_csv_rows(path, ["a", "b"]) == [
+            (2, ["#7", "x"]), (3, ["q2", "y"]), (4, ["#8", "z"])]
 
     def test_failure_leaves_existing_report_and_no_stray_file(self, tmp_path):
         path = tmp_path / "report.csv"

@@ -16,7 +16,13 @@ from geoverify import (
     track_cyclone,
 )
 from geoverify.errors import EmptyInput, InvalidFlags, MissingChannel, SeedOutsideGrid
-from geoverify.tc import intensity_errors, skill_rows, track_errors_km, tracker_catalog
+from geoverify.tc import (
+    CycloneTracker,
+    intensity_errors,
+    skill_rows,
+    track_errors_km,
+    tracker_catalog,
+)
 from geoverify.grid import FieldCube, VariableCatalog, VariableId
 from conftest import hour_sequence, utc
 
@@ -109,6 +115,65 @@ class TestTrackCyclone:
         cubes, _ = synthetic_vortex_series(WNP_SPEC, utc(2024, 9, 1), 1, 30.0, 135.0)
         with pytest.raises(SeedOutsideGrid):
             track_cyclone(cubes, TcPoint(utc(2024, 9, 1), -5.0, 135.0, 15.0))
+
+
+def _reversed_channels(cube):
+    """The same cube with its catalog and channels stored as [WS10M, MSL]."""
+    catalog = VariableCatalog(list(cube.catalog)[::-1])
+    return FieldCube(cube.spec, catalog, cube.valid_time, np.asarray(cube.values)[::-1].copy())
+
+
+class TestCycloneTracker:
+    """The per-storm step that track_cyclone loops over and tc-track drives."""
+
+    def test_track_cyclone_is_a_loop_of_steps(self):
+        cubes, truth = synthetic_vortex_series(
+            WNP_SPEC, utc(2024, 9, 1), 4, 31.0, 131.0, dlat_per_step=0.4, dlon_per_step=1.2
+        )
+        tracker = CycloneTracker(truth.points[0], WNP_SPEC, storm_id="S", name="n")
+        assert all(tracker.step(cube) for cube in cubes)
+        assert tracker.track() == track_cyclone(cubes, truth.points[0], storm_id="S", name="n")
+        assert tracker.track().complete
+
+    def test_channels_are_found_in_each_cubes_own_catalog(self):
+        cubes, truth = synthetic_vortex_series(
+            WNP_SPEC, utc(2024, 9, 1), 3, 30.0, 132.0, dlon_per_step=1.0
+        )
+        swapped = [cubes[0], _reversed_channels(cubes[1]), cubes[2]]
+        track = track_cyclone(swapped, truth.points[0])
+        assert track == track_cyclone(cubes, truth.points[0])
+        assert all(p.msl_min > 900.0 and p.ws_max < 100.0 for p in track.points)
+
+    def test_later_cube_without_a_channel_names_its_valid_time(self):
+        cubes, truth = synthetic_vortex_series(
+            WNP_SPEC, utc(2024, 9, 1), 3, 30.0, 132.0, dlon_per_step=1.0
+        )
+        last = cubes[2]
+        cubes[2] = FieldCube(WNP_SPEC, VariableCatalog([VariableId("MSL")]), last.valid_time,
+                             np.asarray(last.values)[:1].copy())
+        with pytest.raises(MissingChannel, match=r"2024-09-01 12:00:00\+00:00.*WS10M"):
+            track_cyclone(cubes, truth.points[0])
+
+    def test_first_cube_must_be_at_the_seed_time(self):
+        cubes, truth = synthetic_vortex_series(WNP_SPEC, utc(2024, 9, 1), 2, 30.0, 135.0)
+        with pytest.raises(ValueError, match="does not match first cube"):
+            track_cyclone(cubes[1:], truth.points[0])
+
+    def test_a_lost_storm_takes_no_more_cubes(self):
+        cubes, truth = synthetic_vortex_series(WNP_SPEC, utc(2024, 9, 1), 2, 30.0, 135.0)
+        flat = FieldCube(WNP_SPEC, tracker_catalog(), cubes[1].valid_time,
+                         np.stack([np.full((81, 121), 1013.0), np.zeros((81, 121))])
+                         .astype(np.float32))
+        tracker = CycloneTracker(truth.points[0], WNP_SPEC)
+        assert tracker.step(cubes[0]) and not tracker.step(flat)
+        track = tracker.track()
+        assert not track.complete and len(track.points) == 1
+        with pytest.raises(ValueError, match="has stopped"):
+            tracker.step(cubes[1])
+
+    def test_seed_outside_the_grid_fails_before_any_cube(self):
+        with pytest.raises(SeedOutsideGrid):
+            CycloneTracker(TcPoint(utc(2024, 9, 1), -5.0, 135.0, 15.0), WNP_SPEC)
 
 
 def _pooled(forecast, reference, metric):
