@@ -13,6 +13,7 @@ import math
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
     EmptyInput,
     GeoverifyError,
     InvalidFlags,
+    MissingCube,
     ParseError,
     PerfectMatch,
 )
@@ -112,22 +114,12 @@ def read_init_times(path) -> list[datetime]:
     return times
 
 
-def _read_cube_at(path: Path, valid: datetime, variables, expected: str) -> FieldCube:
+def _read_cube_at(path: Path, valid: datetime, expected: str) -> FieldCube:
     """read_cube; CorruptHeader naming ``path`` if the header's valid time is not ``valid``."""
-    cube = cubeio.read_cube(path, variables)
+    cube = cubeio.read_cube(path)
     if cube.valid_time != valid:
         raise CorruptHeader(f"{path}: valid_time {cube.valid_time} != {expected}")
     return cube
-
-
-def _load_forecast_cube(directory, t0: datetime, lead: int, variables) -> FieldCube:
-    return _read_cube_at(forecast_path(directory, t0, lead), t0 + timedelta(hours=lead),
-                         variables, f"init {t0} + {lead}h")
-
-
-def _load_reference_cube(directory, valid: datetime, variables) -> FieldCube:
-    return _read_cube_at(reference_path(directory, valid), valid, variables,
-                         f"{valid} of the file name")
 
 
 def _output_grid(directory, eval_set, variables) -> GridSpec:
@@ -147,6 +139,73 @@ def _output_grid(directory, eval_set, variables) -> GridSpec:
 
 # --- verify -------------------------------------------------------------------
 
+#: Most bytes of scored channels in one channel range of ``verify``: four
+#: channels at 0.25 degrees.  8 MiB cost CPU time; 32 MiB doubled peak memory.
+RANGE_BYTES = 16 << 20
+
+
+def _cut(catalogs, order, channel_bytes) -> tuple[list, list[list[range]]]:
+    """Groups of the variables ``order``, and each catalog's channel range per group.
+
+    ``order`` lists the variables in the first catalog's order.  A cut
+    between two of them is allowed when every catalog stores all variables
+    before it ahead of all those after it.  A group closes at the last
+    allowed cut before its channels would pass RANGE_BYTES; a group between
+    two allowed cuts that passes it stays whole.  A catalog's ranges run
+    from channel 0 to its end, each ending at its group's last channel, so
+    every channel is in exactly one range.
+    """
+    positions = [[catalog.index_of(var) for var in order] for catalog in catalogs]
+    ahead = [list(accumulate(p, max)) for p in positions]
+    behind = [list(accumulate(reversed(p), min))[::-1] for p in positions]
+    n = len(order)
+    cuts, end = [0], 0
+    for stop in range(1, n + 1):
+        if stop < n and any(a[stop - 1] > b[stop] for a, b in zip(ahead, behind)):
+            continue
+        if (stop - cuts[-1]) * channel_bytes > RANGE_BYTES and end > cuts[-1]:
+            cuts.append(end)
+        end = stop
+    bounds = list(zip(cuts, cuts[1:] + [n]))
+    spans = []
+    for a, catalog in zip(ahead, catalogs):
+        stops = [a[stop - 1] + 1 for _, stop in bounds[:-1]] + [len(catalog)]
+        spans.append([range(start, stop) for start, stop in zip([0] + stops, stops)])
+    return [order[start:stop] for start, stop in bounds], spans
+
+
+def _plan(args, variables, clim, valid: datetime, pairs) -> dict:
+    """{path: [(variables, channel range)] per group} of every file of one valid time.
+
+    Headers are read in pass order: the first forecast, the reference, the
+    key cube of the loaded climatology ``clim`` (its header was checked when
+    it loaded) and the other forecasts.  A missing cube raises MissingCube
+    for its pair.  The groups follow the first forecast's catalog order.
+    """
+    catalogs = {}
+
+    def header(path, pair, expected) -> GridSpec:
+        try:
+            spec, catalog, file_valid = cubeio.read_header(path)
+        except FileNotFoundError as e:
+            raise MissingCube(*pair, str(e)) from None
+        if file_valid != valid:
+            raise CorruptHeader(f"{path}: valid_time {file_valid} != {expected}")
+        catalogs[path] = catalog
+        return spec
+
+    fc_paths = [forecast_path(args.forecast, *pair) for pair in pairs]
+    spec = header(fc_paths[0], pairs[0], f"init {pairs[0][0]} + {pairs[0][1]}h")
+    header(reference_path(args.reference, valid), pairs[0], f"{valid} of the file name")
+    if clim is not None:
+        catalogs[clim.key_path(valid)] = clim.catalog
+    for path, (t0, lead) in zip(fc_paths[1:], pairs[1:]):
+        header(path, (t0, lead), f"init {t0} + {lead}h")
+    order = sorted(dict.fromkeys(variables), key=catalogs[fc_paths[0]].index_of)
+    groups, spans = _cut(list(catalogs.values()), order, 4 * spec.n_lat * spec.n_lon)
+    return {path: list(zip(groups, ranges)) for path, ranges in zip(catalogs, spans)}
+
+
 def cmd_verify(args) -> int:
     if args.threads < 1:
         raise InvalidFlags(f"--threads must be at least 1; got {args.threads}")
@@ -160,20 +219,32 @@ def cmd_verify(args) -> int:
     with _flag_values():
         eval_set = metrics.EvaluationSet(read_init_times(args.init_times), parse_leads(args.leads))
 
-    clim_fields = None
+    clim = None
     if "acc" in wanted:
         if not args.climatology:
             raise InvalidFlags("computing acc requires --climatology MANIFEST")
-        clim_fields = clim_mod.Climatology.load(args.climatology, variables).lookup_channel
+        clim = clim_mod.Climatology.load(args.climatology)
 
     spec = _output_grid(args.forecast, eval_set, variables)
+    plan = {}  # the valid time being scored: {path: [(variables, channel range)]}
+
+    def ranges(valid, pairs):
+        plan.clear()
+        plan.update(_plan(args, variables, clim, valid, pairs))
+        return [group for group, _ in next(iter(plan.values()))]
+
+    def read(path, k):
+        group, channels = plan[path][k]
+        return cubeio.read_cube(path, group, channels)
+
     records, rmse_maps = metrics.evaluate_set(
-        lambda t0, lead: _load_forecast_cube(args.forecast, t0, lead, variables),
-        lambda valid: _load_reference_cube(args.reference, valid, variables),
+        lambda t0, lead, k: read(forecast_path(args.forecast, t0, lead), k),
+        lambda valid, k: read(reference_path(args.reference, valid), k),
         eval_set,
         variables,
         rmse="rmse" in wanted,
-        clim_fields=clim_fields,
+        climatologies=None if clim is None else lambda valid, k: read(clim.key_path(valid), k),
+        ranges=ranges,
         maps=bool(args.map_dir),
         threads=args.threads,
     )
@@ -330,7 +401,7 @@ def cmd_tc_track(args) -> int:
     # every active tracker once, and is released before the next one is read.
     active = []
     for valid in sorted(headers):
-        cube = _read_cube_at(headers[valid][0], valid, None, "the time in its header")
+        cube = _read_cube_at(headers[valid][0], valid, "the time in its header")
         active = [t for t in active + starting.get(valid, []) if t.step(cube)]
         del cube
     out_tracks = [t.track() for t in trackers]
@@ -402,6 +473,8 @@ def cmd_tc_filter(args) -> int:
         except (ValueError, InvalidFlags) as e:
             raise ParseError(row_no, str(e)) from None
         decisions.append(decision)
+    if not decisions:
+        raise EmptyInput(f"no case rows in {args.cases}")
     params = {
         "cases": args.cases,
         "comparable_tol": args.comparable_tol,

@@ -37,7 +37,12 @@ def climatology_key(valid_time: datetime) -> tuple[int, int]:
 
 
 class Climatology:
-    """Per-key mean fields over a training sample of cubes."""
+    """Per-key mean fields over a training sample of cubes.
+
+    A built climatology holds its means in memory.  One loaded from a
+    manifest holds the path of each key's cube instead, with ``means``
+    empty, and reads a key's cube each time the key is looked up.
+    """
 
     def __init__(
         self,
@@ -45,22 +50,33 @@ class Climatology:
         catalog: VariableCatalog,
         means: dict[tuple[int, int], np.ndarray],
         counts: dict[tuple[int, int], int],
+        paths: dict[tuple[int, int], Path] | None = None,
     ):
         self.spec = spec
         self.catalog = catalog
         self.means = means
         self.counts = counts
+        self.paths = paths or {}
+
+    def _key(self, valid_time: datetime) -> tuple[int, int]:
+        key = climatology_key(valid_time)
+        if key not in self.counts:
+            raise MissingKey(f"no climatology for day {key[0]} hour {key[1]:02d}")
+        return key
+
+    def _mean(self, key: tuple[int, int]) -> np.ndarray:
+        return cubeio.read_cube(self.paths[key]).values if self.paths else self.means[key]
 
     def lookup(self, valid_time: datetime) -> np.ndarray:
         """Stored C x H x W mean for the key of a valid time."""
-        key = climatology_key(valid_time)
-        try:
-            return self.means[key]
-        except KeyError:
-            raise MissingKey(f"no climatology for day {key[0]} hour {key[1]:02d}") from None
+        return self._mean(self._key(valid_time))
 
     def lookup_channel(self, valid_time: datetime, var) -> np.ndarray:
         return self.lookup(valid_time)[self.catalog.index_of(var)]
+
+    def key_path(self, valid_time: datetime) -> Path:
+        """The cube file of a loaded climatology's key for a valid time."""
+        return self.paths[self._key(valid_time)]
 
     def save(self, directory) -> Path:
         """One cube file per key, then a manifest CSV naming them; returns its path.
@@ -70,11 +86,11 @@ class Climatology:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         rows = []
-        for (doy, hour) in sorted(self.means):
+        for (doy, hour) in sorted(self.counts):
             filename = f"clim_d{doy:03d}_h{hour:02d}.gvc"
             stamp = datetime(2000, 1, 1, hour, tzinfo=timezone.utc) + timedelta(days=doy - 1)
             cube = FieldCube(
-                self.spec, self.catalog, stamp, self.means[(doy, hour)].astype(np.float32)
+                self.spec, self.catalog, stamp, self._mean((doy, hour)).astype(np.float32)
             )
             cubeio.write_cube(cube, directory / filename)
             rows.append((doy, hour, self.counts[(doy, hour)], filename))
@@ -83,42 +99,39 @@ class Climatology:
         return manifest
 
     @classmethod
-    def load(cls, manifest_path, variables=None) -> "Climatology":
-        """Read a manifest and its key cubes; means keep the cubes' float32 values.
+    def load(cls, manifest_path) -> "Climatology":
+        """A climatology that reads its key cubes, as a manifest names them, on lookup.
 
         A row whose key ``climatology_key`` cannot return, or that repeats an
-        earlier row's key, raises ParseError naming the row.
-
-        With ``variables``, each key keeps only those channels, read as
-        ``cubeio.read_cube(path, variables)`` reads them; every key cube is
-        still validated in full and must share the first one's whole catalog.
+        earlier row's key, raises ParseError naming the row; a manifest
+        without rows raises EmptyInput.  Each key cube's header is read and
+        validated, and must have the first one's grid and whole catalog
+        (SpecMismatch otherwise); no payload is read until a key is looked up.
         """
         manifest_path = Path(manifest_path)
-        means: dict[tuple[int, int], np.ndarray] = {}
+        paths: dict[tuple[int, int], Path] = {}
         counts: dict[tuple[int, int], int] = {}
-        spec = catalog = first_file_catalog = None
-        rows = cubeio.read_csv_rows(manifest_path, MANIFEST_COLUMNS)
-        for row_no, (doy, hour, n_samples, filename) in rows:
+        spec = catalog = None
+        for row_no, (doy, hour, n_samples, filename) in cubeio.read_csv_rows(
+                manifest_path, MANIFEST_COLUMNS):
             try:
                 key, count = (int(doy), int(hour)), int(n_samples)
             except ValueError as e:
                 raise ParseError(row_no, str(e)) from None
             if not 1 <= key[0] <= 366 or key[1] not in KEY_HOURS:
                 raise ParseError(row_no, f"doy {key[0]} hour {key[1]} is not a climatology key")
-            if key in means:
+            if key in paths:
                 raise ParseError(row_no, f"repeated key doy {key[0]} hour {key[1]}")
-            path = manifest_path.parent / filename
-            cube = cubeio.read_cube(path, variables)
-            file_catalog = cube.catalog if variables is None else cubeio.read_header(path)[1]
-            if spec is None:
-                spec, catalog, first_file_catalog = cube.spec, cube.catalog, file_catalog
-            elif cube.spec != spec or file_catalog != first_file_catalog:
-                raise SpecMismatch(f"climatology file {filename} mismatches manifest")
-            means[key] = cube.values
+            paths[key] = manifest_path.parent / filename
             counts[key] = count
+            file_spec, file_catalog, _ = cubeio.read_header(paths[key])
+            if spec is None:
+                spec, catalog = file_spec, file_catalog
+            elif (file_spec, file_catalog) != (spec, catalog):
+                raise SpecMismatch(f"climatology file {filename} mismatches manifest")
         if spec is None:
             raise EmptyInput(f"manifest {manifest_path} lists no keys")
-        return cls(spec, catalog, means, counts)
+        return cls(spec, catalog, {}, counts, paths)
 
 
 def build_climatology(cubes: Iterable[FieldCube]) -> Climatology:

@@ -188,7 +188,7 @@ def _fill(f, path, out: np.ndarray) -> None:
         raise TruncatedPayload(f"{path}: file shrank while its payload was read")
 
 
-def read_cube(path, variables=None) -> FieldCube:
+def read_cube(path, variables=None, channels: range | None = None) -> FieldCube:
     """Read a GVC1 cube file, validating header consistency and finiteness.
 
     With ``variables``, the cube keeps only the channels of the file's
@@ -198,21 +198,34 @@ def read_cube(path, variables=None) -> FieldCube:
     still streams through one reused buffer of at most FINITE_SCAN_VALUES
     values and is checked for NaN/Inf: a file is accepted or rejected
     exactly as by a full read.
+
+    With ``channels``, a step-1 range of file channel indices, the header is
+    still read and validated in full, but only that run of the payload is
+    read: the cube keeps its channels that ``variables`` names (all of them
+    without ``variables``) and the rest of the run is checked for NaN/Inf.
+    A range beyond the file's channels raises CorruptHeader.
     """
     with open(path, "rb") as f:
         spec, catalog, valid_time = _read_header(f, path)
-        n_chan = len(catalog)
-        keep = set(range(n_chan))
+        span = range(len(catalog)) if channels is None else channels
+        if span.step != 1:
+            raise ValueError(f"channels must be a step-1 range, got {channels}")
+        if not 0 <= span.start <= span.stop <= len(catalog):
+            raise CorruptHeader(f"{path}: channels {span.start}..{span.stop - 1} "
+                                f"outside its {len(catalog)} channels")
+        keep = set(span)
         if variables is not None:
-            keep = {catalog.index_of(v) for v in variables if v in catalog}
+            keep &= {catalog.index_of(v) for v in variables if v in catalog}
+        if len(keep) < len(catalog):
             catalog = VariableCatalog([catalog.entries[i] for i in sorted(keep)])
         plane = spec.n_lat * spec.n_lon
+        f.seek(4 * plane * span.start, os.SEEK_CUR)
         values = np.empty((len(keep), spec.n_lat, spec.n_lon), dtype="<f4")
         kept = values.reshape(-1)
-        scan = np.empty(min(FINITE_SCAN_VALUES, plane * (n_chan - len(keep))), dtype="<f4")
+        scan = np.empty(min(FINITE_SCAN_VALUES, plane * (len(span) - len(keep))), dtype="<f4")
         pos, finite = 0, True
         # One readinto per run of adjacent kept channels: a full read is one call.
-        for is_kept, run in itertools.groupby(range(n_chan), keep.__contains__):
+        for is_kept, run in itertools.groupby(span, keep.__contains__):
             count = plane * len(list(run))
             if is_kept:
                 _fill(f, path, kept[pos:pos + count])
@@ -360,23 +373,36 @@ def write_month_hour_matrix(matrix, path, params: Mapping | None = None) -> None
 def read_csv_rows(path, columns: list[str]) -> list[tuple[int, list[str]]]:
     """The data rows of a CSV table with header ``columns``, as (row number, fields).
 
-    Rows are numbered from 1 as they appear in the file; blank rows and
-    comments, rows whose line starts with an unquoted '#', are skipped, so a
-    quoted first field such as "#7" is data.  A header other than
-    ``columns``, a row without one field per column, or text that is not
-    UTF-8 CSV raises ParseError with the row's number.
+    Rows are numbered from 1 as they appear in the file.  A line that starts
+    a row with '#' is a comment and never reaches the CSV parser, so a quote
+    in it cannot join the lines after it; a quoted first field such as "#7"
+    is data.  Blank rows are skipped too.  A header other than ``columns``,
+    a row without one field per column, or text that is not UTF-8 CSV
+    raises ParseError with the row's number.
     """
     data = Path(path).read_bytes()
     rows = []
-    row_no = 0
+    row_no = 0          # rows seen: records and comment lines
+    row_starts = True   # whether the parser's next line starts a row
+
+    def uncommented(lines):
+        nonlocal row_no, row_starts
+        for line in lines:
+            if row_starts and line.startswith("#"):
+                row_no += 1
+                continue
+            row_starts = False
+            yield line
+
     try:
         text = data.decode("utf-8")
-        lines = io.StringIO(text, newline="")
-        start = 0  # offset in text of the row the reader returns next
-        for row_no, row in enumerate(csv.reader(lines), start=1):
-            if row and not text.startswith("#", start):
+        # The parser pulls a line only when it needs one, so the flag is
+        # current whenever ``uncommented`` looks at a line.
+        for row in csv.reader(uncommented(io.StringIO(text, newline=""))):
+            row_no += 1
+            row_starts = True
+            if row:
                 rows.append((row_no, row))
-            start = lines.tell()
     except UnicodeDecodeError as e:
         raise ParseError(data[:e.start].count(b"\n") + 1, str(e)) from None
     except csv.Error as e:

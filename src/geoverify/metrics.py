@@ -265,85 +265,92 @@ def _add(acc: np.ndarray | None, term: np.ndarray) -> np.ndarray:
 # --- evaluation-set pass ---------------------------------------------------
 
 def evaluate_set(
-    forecasts: Callable[[datetime, int], FieldCube],
-    references: Callable[[datetime], FieldCube],
+    forecasts: Callable[[datetime, int, int], FieldCube],
+    references: Callable[[datetime, int], FieldCube],
     eval_set: EvaluationSet,
     variables: Sequence,
     *,
     rmse: bool = True,
-    clim_fields: Callable[[datetime, VariableId], np.ndarray] | None = None,
+    climatologies: Callable[[datetime, int], FieldCube] | None = None,
+    ranges: Callable[[datetime, list[tuple[datetime, int]]], Sequence[Sequence]] | None = None,
     maps: bool = False,
     threads: int = 1,
 ) -> tuple[list[MetricRecord], dict[tuple[VariableId, int], np.ndarray]]:
     """Score every (init, lead) pair of an evaluation set in one pass.
 
-    ``forecasts(t0, lead)`` and ``references(valid_time)`` load a pair's
-    cubes; a KeyError or FileNotFoundError from either becomes MissingCube,
-    and when both fail the forecast's error is the one raised.  Each
-    variable gets the weighted RMSE when ``rmse``, the ACC when
-    ``clim_fields(valid_time, var)`` gives the 2-D climatology, and with
-    ``maps`` a pointwise-RMSE map summed exactly as ``pointwise_rmse`` does.
+    Pairs are scored one valid time at a time, in valid-time order.
+    ``ranges(valid_time, pairs)``, given that valid time's (init, lead) pairs
+    in init order, cuts the variables into groups, each named once; without
+    it there is one group of all variables.  For group k,
+    ``forecasts(t0, lead, k)`` and ``references(valid_time, k)`` load cubes
+    holding at least the group's variables; a KeyError or FileNotFoundError
+    from either becomes MissingCube for the pair, and the reference is
+    charged to the first pair.  Each variable gets the weighted RMSE when
+    ``rmse``, the ACC about ``climatologies(valid_time, k)`` when that is
+    given, and with ``maps`` a pointwise-RMSE map summed exactly as
+    ``pointwise_rmse`` does.
 
     Returns one MetricRecord per (variable, lead, metric), the mean of the
     per-pair values, and the float64 maps keyed by (variable, lead), both in
-    (lead, variable, metric) order.  Pairs are scored one at a time in
-    (valid time, init) order, so each reference is read once: the first pair
-    of a valid time reads its forecast and reference side by side, later
-    pairs read only their forecast, and the reference is released when its
-    valid time is done.  Memory holds one forecast and one reference at any
-    thread count, and when several cubes are missing the first in that order
-    is reported.  Within a pair, min(threads, CPUs) workers read the cubes and
-    then score the variables; one worker starts no thread.  For one lead,
-    valid-time order is init order, so each (variable, lead) sum adds its
-    values in init order and results are bitwise identical at any thread
-    count.
+    (lead, variable, metric) order.  Within a valid time, min(threads, CPUs)
+    workers take the groups; one worker starts no thread.  A worker reads
+    the first pair's forecast, the reference and the climatology of its
+    group, then each later pair's forecast after releasing the one before,
+    so memory holds at most three cubes per worker.  When several loads
+    fail, the first in that order, group by group, is raised.  A valid time
+    gives each (variable, lead) one value, from one worker, and valid-time
+    order is init order for one lead, so each sum adds its values in init
+    order and results are bitwise identical at any thread count.
     """
-    var_ids = [_resolve_var(v) for v in variables]
-    totals: dict[tuple[VariableId, int, str], float] = {}
-    sums: dict[tuple[VariableId, int], np.ndarray] = {}
+    var_ids = list(dict.fromkeys(_resolve_var(v) for v in variables))
+    names = (["rmse"] if rmse else []) + (["acc"] if climatologies is not None else [])
+    leads = eval_set.lead_hours
+    totals = {(var, lead, m): 0.0 for lead in leads for var in var_ids for m in names}
+    sums = {(var, lead): None for lead in leads for var in var_ids} if maps else {}
 
-    def score_pair(run, t0, lead, ref):
-        """Reads one pair with ``run`` (a map), reusing ``ref`` unless it is None, and adds
-        its values; returns the reference, and the forecast dies on return."""
-        loads = [partial(forecasts, t0, lead)]
-        if ref is None:
-            loads.append(partial(references, t0 + timedelta(hours=lead)))
+    def load(loader, pair, *args):
         try:
-            fc, *read = run(lambda load: load(), loads)
+            return loader(*args)
         except (KeyError, FileNotFoundError) as e:
-            raise MissingCube(t0, lead, str(e)) from None
-        ref = read[0] if read else ref
+            raise MissingCube(*pair, str(e)) from None
+
+    def score_range(valid, pairs, groups, k):
+        """Reads and scores group ``k`` of every pair of ``valid``; each cube dies when done."""
+        fc = load(forecasts, pairs[0], *pairs[0], k)
+        ref = load(references, pairs[0], valid, k)
+        clim = None if climatologies is None else climatologies(valid, k)
         weights = latitude_weights(fc.spec)
+        for i, pair in enumerate(pairs):
+            if i:
+                fc = load(forecasts, pair, *pair, k)
+            lead = pair[1]
+            # No lock: in one valid time each key is added to by one group's worker only.
+            for var in groups[k]:
+                f2, r2 = select_channel(fc, var), select_channel(ref, var)
+                if rmse:
+                    totals[(var, lead, "rmse")] += weighted_rmse(f2, r2, weights)
+                if clim is not None:
+                    c2 = select_channel(clim, var)
+                    totals[(var, lead, "acc")] += weighted_acc(f2, r2, c2, weights)
+                if maps:
+                    sums[(var, lead)] = _add(sums[(var, lead)], _squared_diff(f2, r2))
+            del fc
 
-        def score(var):
-            f2, r2 = select_channel(fc, var), select_channel(ref, var)
-            values = {}
-            if rmse:
-                values["rmse"] = weighted_rmse(f2, r2, weights)
-            if clim_fields is not None:
-                values["acc"] = weighted_acc(f2, r2, clim_fields(fc.valid_time, var), weights)
-            return values, _squared_diff(f2, r2) if maps else None
-
-        for var, (values, sq) in zip(var_ids, run(score, var_ids)):
-            for metric, value in values.items():
-                key = (var, lead, metric)
-                totals[key] = totals.get(key, 0.0) + value
-            if sq is not None:
-                sums[(var, lead)] = _add(sums.get((var, lead)), sq)
-        return ref
-
-    # A lead's keys are first added at its earliest valid time, init_times[0] + lead,
-    # so the dicts keep the (lead, variable, metric) order of an (init, lead) pass.
-    pairs = sorted(
-        (t0 + timedelta(hours=lead), t0, lead)
-        for t0 in eval_set.init_times for lead in eval_set.lead_hours
-    )
+    by_valid = groupby(sorted((t0 + timedelta(hours=lead), t0, lead)
+                              for t0 in eval_set.init_times for lead in leads),
+                       key=itemgetter(0))
 
     def score_all(run):
-        for _, group in groupby(pairs, key=itemgetter(0)):
-            ref = None  # drops the previous valid time's reference before any read
-            for _, t0, lead in group:
-                ref = score_pair(run, t0, lead, ref)
+        for valid, group in by_valid:
+            pairs = [(t0, lead) for _, t0, lead in group]
+            groups = [var_ids] if ranges is None else [
+                [_resolve_var(v) for v in g] for g in ranges(valid, pairs)]
+            named = [var for g in groups for var in g]
+            if len(named) != len(var_ids) or set(named) != set(var_ids):
+                raise ValueError(f"ranges at {valid} must name each variable once")
+            # Reading every result raises the first failed group's error.
+            for _ in run(partial(score_range, valid, pairs, groups), range(len(groups))):
+                pass
 
     workers = min(threads, os.cpu_count() or 1)
     if workers > 1:

@@ -141,10 +141,10 @@ def test_criterion_02_mean_of_roots_structure():
         offsets = {t0s[0]: np.float32(1.0), t0s[1]: np.float32(3.0)}
         zeros = np.zeros((1, 2, 4), dtype=np.float32)
 
-        def forecasts(t0, lead):
+        def forecasts(t0, lead, _k):
             return FieldCube(spec, catalog, t0, zeros + offsets[t0])
 
-        def references(valid):
+        def references(valid, _k):
             return FieldCube(spec, catalog, valid, zeros)
 
         [record], _ = evaluate_set(forecasts, references, EvaluationSet(t0s, (6,)), ["T2M"])

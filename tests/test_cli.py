@@ -169,6 +169,19 @@ class TestVerify:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_a_variable_named_twice_is_scored_once(self, tmp_path):
+        """Z500 named twice added each pair's value twice: RMSE doubled, ACC a traceback."""
+        fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, [utc(2024, 1, 1, 0)], [6])
+        reports = []
+        for variables in ("Z500", "Z500,Z500"):
+            out = tmp_path / f"{variables}.csv"
+            assert main(_argv("verify", forecast=fdir, reference=rdir, climatology=manifest,
+                              variables=variables, init_times=times_file, leads="6",
+                              out=out)) == 0
+            reports.append(out.read_text().splitlines()[1:])
+        assert reports[1] == reports[0]
+        assert len(reports[0]) == 3
+
     def test_rerun_is_byte_identical(self, tmp_path):
         init_times = [utc(2024, 1, 1, 0)]
         fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6])
@@ -349,7 +362,8 @@ class TestVerify:
         for name in ("selective", "full"):
             if name == "full":
                 read_cube = cubeio.read_cube
-                monkeypatch.setattr(cubeio, "read_cube", lambda path, variables=None: read_cube(path))
+                monkeypatch.setattr(cubeio, "read_cube",
+                                    lambda path, variables=None, channels=None: read_cube(path))
             code = main([
                 "verify", "--forecast", str(fdir), "--reference", str(rdir),
                 "--climatology", str(manifest), "--variables", "T2M",
@@ -371,9 +385,9 @@ class TestVerify:
         fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6, 12, 18])
         read_cube, reads = cubeio.read_cube, []
 
-        def counted(path, variables=None):
+        def counted(path, variables=None, channels=None):
             reads.append(Path(path))
-            return read_cube(path, variables)
+            return read_cube(path, variables, channels)
 
         monkeypatch.setattr(cubeio, "read_cube", counted)
         code = main([
@@ -503,6 +517,138 @@ class TestVerify:
                 cube = read_cube(map_dir / f"rmsemap_{token}_{lead}.gvc")
                 assert cube.values.tobytes() == expected.tobytes()
                 assert cube.valid_time == first + timedelta(hours=lead)
+
+
+class TestVerifyChannelRanges:
+    """verify reads each cube in channel ranges; a range of these 2-channel cubes holds one."""
+
+    INITS = [utc(2024, 1, 1, 0), utc(2024, 1, 1, 12), utc(2024, 1, 2, 0)]
+
+    @pytest.fixture
+    def one_channel_ranges(self, monkeypatch):
+        from geoverify import cli
+
+        monkeypatch.setattr(cli, "RANGE_BYTES", SPEC.n_lat * SPEC.n_lon * 4)
+
+    def _verify(self, tmp_path, fixture, out, threads=1):
+        fdir, rdir, manifest, times_file = fixture
+        return main(_argv("verify", forecast=fdir, reference=rdir, climatology=manifest,
+                          variables="Z500,T2M", init_times=times_file, leads="6,12",
+                          threads=threads, out=tmp_path / f"{out}.csv",
+                          map_dir=tmp_path / out))
+
+    def _outputs(self, tmp_path, out):
+        return [(tmp_path / f"{out}.csv").read_bytes()] + [
+            p.read_bytes() for p in sorted((tmp_path / out).iterdir())]
+
+    def _counted_reads(self, monkeypatch):
+        from geoverify import cubeio
+
+        read_cube, reads = cubeio.read_cube, []
+
+        def counted(path, variables=None, channels=None):
+            reads.append((Path(path).name, channels))
+            return read_cube(path, variables, channels)
+
+        monkeypatch.setattr(cubeio, "read_cube", counted)
+        return reads
+
+    def test_cut_of_the_025_degree_weather_catalog_keeps_four_channels_a_range(self):
+        from geoverify.cli import _cut
+        from geoverify.grid import weather_catalog
+
+        catalog = weather_catalog()
+        groups, [spans] = _cut([catalog], list(catalog), 721 * 1440 * 4)
+        assert [len(g) for g in groups] == [4] * 17 + [2]
+        assert spans == [range(4 * k, min(4 * k + 4, 70)) for k in range(18)]
+
+    def test_cut_is_used_only_where_every_catalog_agrees(self):
+        from geoverify.cli import RANGE_BYTES, _cut
+
+        a = VariableCatalog([VariableId("V", k) for k in range(1, 9)])
+        b = VariableCatalog([a.get(f"V{k}") for k in (2, 1, 5, 3, 4, 7, 6, 8)])
+        order = [a.get(token) for token in ("V2", "V4", "V5", "V7")]
+        # b stores V5 before V4, so no cut falls between them.
+        groups, spans = _cut([a, b], order, RANGE_BYTES)
+        assert groups == [order[:1], order[1:3], order[3:]]
+        assert spans == [[range(0, 2), range(2, 5), range(5, 8)],
+                         [range(0, 1), range(1, 5), range(5, 8)]]
+        groups, [spans] = _cut([a], order, RANGE_BYTES // 2)
+        assert groups == [order[:2], order[2:]]
+        assert spans == [range(0, 4), range(4, 8)]
+        reversed_a = VariableCatalog(list(a)[::-1])
+        assert _cut([a, reversed_a], order, 1) == ([order], [[range(0, 8)], [range(0, 8)]])
+
+    def test_each_range_is_read_once_and_bytes_match_whole_file_reads(
+            self, tmp_path, monkeypatch):
+        fixture = make_verify_fixture(tmp_path, self.INITS, [6, 12])
+        assert self._verify(tmp_path, fixture, "whole") == 0
+        monkeypatch.setattr("geoverify.cli.RANGE_BYTES", SPEC.n_lat * SPEC.n_lon * 4)
+        reads = self._counted_reads(monkeypatch)
+        assert self._verify(tmp_path, fixture, "ranges") == 0
+        # Each forecast, reference and key cube once per range: Z500, then T2M.
+        files = [p.name for d in (fixture[0], fixture[1], fixture[2].parent)
+                 for p in d.glob("*.gvc")]
+        assert len(files) == 6 + 6 + 6
+        assert len(reads) == len(set(reads))
+        assert set(reads) == {(name, c) for name in files for c in (range(0, 1), range(1, 2))}
+        assert self._outputs(tmp_path, "ranges") == self._outputs(tmp_path, "whole")
+
+    @pytest.mark.usefixtures("one_channel_ranges")
+    def test_reference_and_key_in_reversed_channel_order_give_the_same_bytes(
+            self, tmp_path, monkeypatch):
+        fixture = make_verify_fixture(tmp_path, self.INITS, [6, 12])
+        assert self._verify(tmp_path, fixture, "stored") == 0
+        for path in [*fixture[1].glob("*.gvc"), *fixture[2].parent.glob("*.gvc")]:
+            cube = read_cube(path)
+            write_cube(FieldCube(cube.spec, VariableCatalog(list(cube.catalog)[::-1]),
+                                 cube.valid_time, cube.values[::-1]), path)
+        reads = self._counted_reads(monkeypatch)
+        assert self._verify(tmp_path, fixture, "reversed") == 0
+        assert {c for _, c in reads} == {range(0, 2)}  # no cut agrees: one range per file
+        assert self._outputs(tmp_path, "reversed") == self._outputs(tmp_path, "stored")
+
+    @pytest.mark.usefixtures("one_channel_ranges")
+    def test_report_and_maps_equal_at_1_2_3_threads(self, tmp_path, monkeypatch):
+        from geoverify import metrics
+
+        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
+        fixture = make_verify_fixture(tmp_path, self.INITS, [6, 12])
+        for threads in (1, 2, 3):
+            assert self._verify(tmp_path, fixture, f"t{threads}", threads) == 0
+        assert self._outputs(tmp_path, "t2") == self._outputs(tmp_path, "t1")
+        assert self._outputs(tmp_path, "t3") == self._outputs(tmp_path, "t1")
+
+    @pytest.mark.usefixtures("one_channel_ranges")
+    def test_nan_in_the_last_range_exits_2_after_earlier_ranges_were_scored(
+            self, tmp_path, monkeypatch, capsys):
+        from geoverify import metrics
+
+        fixture = make_verify_fixture(tmp_path, self.INITS[:1], [6, 12])
+        _poison(sorted(fixture[1].glob("*.gvc"))[-1])  # T2M of the last valid time
+        weighted_rmse, scored = metrics.weighted_rmse, []
+
+        def counted(*args):
+            scored.append(args)
+            return weighted_rmse(*args)
+
+        monkeypatch.setattr(metrics, "weighted_rmse", counted)
+        assert self._verify(tmp_path, fixture, "out") == 2
+        assert "finite" in capsys.readouterr().err
+        assert len(scored) == 3  # Z500 and T2M at the first valid time, Z500 at the last
+        assert not (tmp_path / "out.csv").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_in_a_key_no_valid_time_uses_is_not_read(self, tmp_path):
+        fixture = make_verify_fixture(tmp_path, self.INITS[:1], [6, 12])
+        manifest = fixture[2]
+        [used, *_] = sorted(manifest.parent.glob("*.gvc"))
+        unused = manifest.parent / "clim_d200_h00.gvc"
+        unused.write_bytes(used.read_bytes())
+        _poison(unused)
+        with open(manifest, "a") as f:
+            f.write("200,0,1,clim_d200_h00.gvc\n")
+        assert self._verify(tmp_path, fixture, "out") == 0
 
 
 class TestDownscaleEval:
@@ -735,6 +881,29 @@ class TestTcSubcommands:
         assert main(_argv("tc-filter", cases=cases, out=decisions)) == 0
         rows = read_csv_rows(decisions, ["case_id", "decision", "reason"])
         assert [row[:2] for _, row in rows] == [["#7", "Exclude"], ["c2", "Strengthen"]]
+
+    def test_tc_filter_reads_the_case_below_a_comment_holding_a_quote(self, tmp_path):
+        cases = tmp_path / "cases.csv"
+        cases.write_text('case_id,model_mbe,wrf_mbe,both_under,both_over,track_err_km\n'
+                         '# note,"unclosed\nc1,-2,-5,true,false,5\n')
+        decisions = tmp_path / "decisions.csv"
+        assert main(_argv("tc-filter", cases=cases, out=decisions)) == 0
+        rows = read_csv_rows(decisions, ["case_id", "decision", "reason"])
+        assert [row[:2] for _, row in rows] == [["c1", "Exclude"]]
+
+    def test_tc_eval_reads_a_track_whose_params_line_holds_a_quote(self, tmp_path):
+        """tc-track's "# params:" line names a --cubes path with a quote after a comma."""
+        out_dir = write_vortex(tmp_path / 'cubes,"q')
+        tracked = tmp_path / "tracked.csv"
+        assert main(_argv("tc-track", cubes=out_dir, seeds=out_dir / "seeds.csv",
+                          out=tracked)) == 0
+        assert tracked.read_text().startswith(f"# params: cubes={out_dir} ")
+        out = tmp_path / "eval.csv"
+        assert main(_argv("tc-eval", forecast=tracked, reference=out_dir / "truth.csv",
+                          sources="model", out=out)) == 0
+        pooled = [line for line in out.read_text().splitlines()
+                  if line.startswith("model,ALL,pooled,track_mae,")]
+        assert pooled == ["model,ALL,pooled,track_mae,0,3"]
 
     def test_tc_filter_rule_exemplars(self, tmp_path):
         cases = tmp_path / "cases.csv"
@@ -1052,6 +1221,18 @@ def verify_impossible_climatology_manifest_key(tmp):
     return argv
 
 
+@failure(2, "climatology file clim_d002_h06.gvc mismatches manifest")
+def verify_climatology_keys_with_different_catalogs(tmp):
+    """A key no valid time uses must still share the first key's whole catalog."""
+    argv = _verify(tmp)
+    key = read_cube(tmp / "clim" / "clim_d001_h06.gvc")
+    write_cube(FieldCube(key.spec, VariableCatalog(list(key.catalog)[::-1]), key.valid_time,
+                         key.values[::-1]), tmp / "clim" / "clim_d002_h06.gvc")
+    with open(tmp / "clim" / "manifest.csv", "a") as f:
+        f.write("2,6,1,clim_d002_h06.gvc\n")
+    return argv
+
+
 @failure(4, "--threads")
 def verify_zero_threads(tmp):
     return _verify(tmp, threads=0)
@@ -1320,6 +1501,11 @@ def tc_filter_nan_track_threshold(tmp):
 @failure(4, "--track-threshold-km")
 def tc_filter_negative_track_threshold(tmp):
     return _tc_filter(tmp, EXCLUDE_CASE, track_threshold_km=-1)
+
+
+@failure(2, "no case rows in")
+def tc_filter_no_case_rows(tmp):
+    return _tc_filter(tmp, "# no cases yet")
 
 
 @failure(2, "No such file")

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from geoverify import build_climatology, climatology_key, cubeio
+from geoverify import build_climatology, climatology_key, cubeio, select_channel
 from geoverify.climatology import Climatology
-from geoverify.errors import EmptyInput, MissingKey, NonSynopticTime, SpecMismatch
+from geoverify.errors import EmptyInput, MissingKey, NonFiniteValue, NonSynopticTime, SpecMismatch
 from conftest import random_cube, utc
 
 
@@ -113,11 +113,12 @@ class TestClimatologySerialization:
         clim = build_climatology(cubes)
         manifest = clim.save(tmp_path / "clim")
         back = Climatology.load(manifest)
-        assert set(back.means) == set(clim.means)
+        assert set(back.paths) == set(clim.means)
         assert back.counts == clim.counts
-        for key in clim.means:
+        for cube in cubes:
             np.testing.assert_array_equal(
-                back.means[key], clim.means[key].astype(np.float32).astype(np.float64)
+                back.lookup(cube.valid_time),
+                clim.lookup(cube.valid_time).astype(np.float32).astype(np.float64),
             )
 
     def test_manifest_bytes(self, tmp_path):
@@ -151,33 +152,47 @@ class TestClimatologySerialization:
             clim.save(tmp_path / "clim")
         assert [p.name for p in (tmp_path / "clim").iterdir()] == ["clim_d153_h12.gvc"]
 
-
-class TestSelectiveLoad:
-    """Climatology.load(manifest, variables) keeps some channels of every key."""
-
-    def _save(self, tmp_path):
+    def test_key_cubes_must_share_the_whole_catalog(self, tmp_path):
+        """Key cubes whose catalogs differ in one channel's name mismatch."""
         rng = np.random.default_rng(10)
         cubes = [random_cube(rng, n_chan=4, valid_time=utc(2020, 6, 1, hour))
                  for hour in (12, 18)]
-        return build_climatology(cubes).save(tmp_path / "clim")
-
-    def test_lookup_channel_bitwise_equal_to_full_load(self, tmp_path):
-        manifest = self._save(tmp_path)
-        full = Climatology.load(manifest)
-        part = Climatology.load(manifest, ["V3", "V1", "V3"])
-        assert [v.token for v in part.catalog] == ["V1", "V3"]
-        assert part.spec == full.spec and part.counts == full.counts
-        for hour in (12, 18):
-            for var in ("V1", "V3"):
-                t = utc(2024, 6, 1, hour)
-                assert part.lookup_channel(t, var).tobytes() == \
-                    full.lookup_channel(t, var).tobytes()
-
-    def test_key_cubes_must_share_the_whole_catalog(self, tmp_path):
-        """Key cubes that differ only in a channel not kept still mismatch."""
-        manifest = self._save(tmp_path)
+        manifest = build_climatology(cubes).save(tmp_path / "clim")
         second = manifest.parent / "clim_d153_h18.gvc"
         second.write_bytes(second.read_bytes().replace(b"V,4,", b"W,4,"))
-        for variables in (None, ["V1"]):
-            with pytest.raises(SpecMismatch):
-                Climatology.load(manifest, variables)
+        with pytest.raises(SpecMismatch):
+            Climatology.load(manifest)
+
+    def test_key_ranges_bitwise_equal_to_lookup(self, tmp_path):
+        """A key read in channel ranges, as verify reads it, has lookup's bits."""
+        rng = np.random.default_rng(10)
+        cubes = [random_cube(rng, n_chan=4, valid_time=utc(2020, 6, 1, hour))
+                 for hour in (12, 18)]
+        clim = Climatology.load(build_climatology(cubes).save(tmp_path / "clim"))
+        for hour in (12, 18):
+            t = utc(2024, 6, 1, hour)
+            for variables, channels in ((["V1"], range(0, 1)), (["V3", "V2"], range(1, 4))):
+                part = cubeio.read_cube(clim.key_path(t), variables, channels)
+                assert [v.token for v in part.catalog] == sorted(variables)
+                for var in variables:
+                    assert select_channel(part, var).tobytes() == \
+                        clim.lookup_channel(t, var).tobytes()
+
+    def test_load_reads_no_payload_and_saves_back_the_same_bytes(self, tmp_path):
+        """A loaded climatology reads key cubes on lookup; its save writes the files it read."""
+        rng = np.random.default_rng(11)
+        cubes = [random_cube(rng, valid_time=utc(2020, 6, 1, hour)) for hour in (12, 18)]
+        manifest = build_climatology(cubes).save(tmp_path / "a")
+        key = manifest.parent / "clim_d153_h18.gvc"
+        data = bytearray(key.read_bytes())
+        good = bytes(data)
+        data[-4:] = np.float32(np.nan).tobytes()
+        key.write_bytes(bytes(data))
+        back = Climatology.load(manifest)  # reads headers only
+        assert back.means == {}
+        with pytest.raises(NonFiniteValue):
+            back.lookup(utc(2024, 6, 1, 18))
+        key.write_bytes(good)
+        copy = back.save(tmp_path / "b")
+        for path in manifest.parent.iterdir():
+            assert (copy.parent / path.name).read_bytes() == path.read_bytes()

@@ -236,6 +236,71 @@ class TestSelectiveRead:
                 read_cube(cube_path, variables)
 
 
+class TestChannelRange:
+    """read_cube(path, variables, channels) reads one run of channels and checks all of it."""
+
+    PLANE = 30 * 40  # six channels V1..V6, as in TestSelectiveRead
+
+    @pytest.fixture
+    def cube_path(self, tmp_path):
+        path = tmp_path / "cube.gvc"
+        write_cube(random_cube(np.random.default_rng(13), n_chan=6, n_lat=30, n_lon=40), path)
+        return path
+
+    @pytest.mark.parametrize("variables", [None, ["V5", "V3"], ["V1", "V6"]],
+                             ids=["all", "two-inside", "outside"])
+    @pytest.mark.parametrize("channels", [range(0, 6), range(2, 5), range(4, 6), range(3, 3)])
+    @pytest.mark.parametrize("block", [7, FINITE_SCAN_VALUES])
+    def test_channels_bitwise_equal_to_full_read(self, cube_path, monkeypatch,
+                                                 variables, channels, block):
+        monkeypatch.setattr(cubeio, "FINITE_SCAN_VALUES", block)
+        full = read_cube(cube_path)
+        part = read_cube(cube_path, variables, channels)
+        kept = [v for i, v in enumerate(full.catalog) if i in channels
+                and (variables is None or v.token in variables)]
+        assert list(part.catalog) == kept
+        assert (part.spec, part.valid_time) == (full.spec, full.valid_time)
+        for var in kept:
+            assert select_channel(part, var).tobytes() == select_channel(full, var).tobytes()
+
+    @pytest.mark.parametrize("variables", [None, ["V2"]], ids=["kept", "scanned"])
+    def test_non_finite_value_is_found_only_in_its_own_range(self, cube_path, variables):
+        data = bytearray(cube_path.read_bytes())
+        offset = len(data) - 6 * self.PLANE * 4 + 4 * (2 * self.PLANE + 5)  # inside V3
+        data[offset:offset + 4] = np.float32(np.nan).tobytes()
+        cube_path.write_bytes(bytes(data))
+        for channels in (range(0, 2), range(3, 6)):
+            read_cube(cube_path, variables, channels)
+        for channels in (range(2, 3), range(1, 4), range(0, 6)):
+            with pytest.raises(NonFiniteValue, match="finite"):
+                read_cube(cube_path, variables, channels)
+
+    @pytest.mark.parametrize("damage", [lambda d: d[:-4], lambda d: d + b"\0\0\0\0"],
+                             ids=["short", "long"])
+    def test_a_file_of_the_wrong_length_fails_for_every_range(self, cube_path, damage):
+        cube_path.write_bytes(damage(cube_path.read_bytes()))
+        with pytest.raises(TruncatedPayload, match="header implies"):
+            read_cube(cube_path, None, range(0, 1))
+
+    def test_file_shrinking_inside_the_range_is_truncated(self, cube_path, monkeypatch):
+        read_header = cubeio._read_header
+
+        def read_header_then_shrink(f, path):
+            header = read_header(f, path)
+            os.truncate(path, os.path.getsize(path) - 3 * self.PLANE * 4)
+            return header
+
+        monkeypatch.setattr(cubeio, "_read_header", read_header_then_shrink)
+        with pytest.raises(TruncatedPayload, match="shrank"):
+            read_cube(cube_path, ["V2"], range(1, 4))
+
+    def test_range_beyond_the_catalog_is_a_corrupt_header(self, cube_path):
+        with pytest.raises(CorruptHeader, match="outside its 6 channels"):
+            read_cube(cube_path, None, range(4, 7))
+        with pytest.raises(ValueError, match="step-1"):
+            read_cube(cube_path, None, range(0, 6, 2))
+
+
 class TestReadHeader:
     def test_header_without_payload_scan(self, make_cube, tmp_path):
         """read_header gives read_cube's header but never looks at payload values."""
@@ -281,6 +346,11 @@ class TestReadCsvRows:
         path.write_text('a,b\n"#7",x\n#c,y\n"#8\n#9",z\n# note\nq2,y\n')
         assert read_csv_rows(path, ["a", "b"]) == [
             (2, ["#7", "x"]), (4, ["#8\n#9", "z"]), (6, ["q2", "y"])]
+
+    def test_quote_in_a_comment_joins_no_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('# params: x=a,"b\na,b\n# note,"unclosed\n1,2\n"#3",4\n')
+        assert read_csv_rows(path, ["a", "b"]) == [(4, ["1", "2"]), (5, ["#3", "4"])]
 
     def test_text_that_is_not_utf8_is_a_parse_error(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -412,11 +412,11 @@ class TestRmseOverSet:
         """Forecast = reference + offset(t0); reference = zeros."""
         zeros = np.zeros((len(catalog), spec.n_lat, spec.n_lon), dtype=np.float32)
 
-        def forecasts(t0, lead):
+        def forecasts(t0, lead, _k):
             offset = per_time_offsets[t0]
             return FieldCube(spec, catalog, t0, zeros + np.float32(offset))
 
-        def references(valid):
+        def references(valid, _k):
             return FieldCube(spec, catalog, valid, zeros)
 
         return forecasts, references
@@ -453,10 +453,10 @@ class TestRmseOverSet:
         fc_fields = {t0: rng.normal(size=(3, 4)).astype(np.float32) for t0 in t0s}
         ref_field = rng.normal(size=(3, 4)).astype(np.float32)
 
-        def forecasts(t0, lead):
+        def forecasts(t0, lead, _k):
             return FieldCube(spec, catalog, t0, fc_fields[t0][None])
 
-        def references(valid):
+        def references(valid, _k):
             return FieldCube(spec, catalog, valid, ref_field[None])
 
         eval_set = EvaluationSet(tuple(t0s), (6, 12))
@@ -484,10 +484,10 @@ class TestRmseOverSet:
         catalog = VariableCatalog([VariableId("T2M")])
         t0 = utc(2024, 1, 1, 0)
 
-        def forecasts(t0, lead):
+        def forecasts(t0, lead, _k):
             raise KeyError("absent")
 
-        def references(valid):
+        def references(valid, _k):
             raise KeyError("absent")
 
         with pytest.raises(MissingCube):
@@ -558,8 +558,8 @@ class TestOnePairAtATime:
         valids = [t0 + timedelta(hours=lead) for t0, lead in fc]
         assert len(set(valids)) == len(valids)
         ref = {v: rng.normal(size=shape).astype(np.float32) for v in valids}
-        clim = {v: rng.normal(scale=0.1, size=shape) for v in valids}
-        return fc, ref, lambda valid, var: clim[valid][self.CATALOG.index_of(var)]
+        clim = {v: rng.normal(scale=0.1, size=shape).astype(np.float32) for v in valids}
+        return fc, ref, lambda valid, _k: FieldCube(self.SPEC, self.CATALOG, valid, clim[valid])
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.usefixtures("fast_switching")
@@ -567,7 +567,7 @@ class TestOnePairAtATime:
         monkeypatch.setattr(metrics.os, "cpu_count", lambda: 4)
         t0s = hour_sequence(utc(2024, 3, 1), 3, step_hours=24)
         leads = (6, 12)
-        fc, ref, clim_fields = self._fields(31, t0s, leads)
+        fc, ref, climatologies = self._fields(31, t0s, leads)
         order = {t0 + timedelta(hours=lead): k for k, (t0, lead) in enumerate(fc)}
         lock = threading.Lock()
         handed_out = []  # (pair index, weakref to the cube)
@@ -584,10 +584,10 @@ class TestOnePairAtATime:
             return cube
 
         metrics.evaluate_set(
-            lambda t0, lead: load(t0 + timedelta(hours=lead), fc[(t0, lead)]),
-            lambda valid: load(valid, ref[valid]),
+            lambda t0, lead, _k: load(t0 + timedelta(hours=lead), fc[(t0, lead)]),
+            lambda valid, _k: load(valid, ref[valid]),
             EvaluationSet(tuple(t0s), leads), ["Z500", "T2M"],
-            clim_fields=clim_fields, maps=True, threads=threads,
+            climatologies=climatologies, maps=True, threads=threads,
         )
         assert len(handed_out) == 2 * len(fc)
         assert stale == []
@@ -598,16 +598,16 @@ class TestOnePairAtATime:
         monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
         t0s = hour_sequence(utc(2024, 5, 1, 6), 3, step_hours=24)
         leads = (6, 12)
-        fc, ref, clim_fields = self._fields(32, t0s, leads)
+        fc, ref, climatologies = self._fields(32, t0s, leads)
         variables = [var.token for var in self.CATALOG][:n_vars]
         results = []
         for threads in (1, 2, 3):
             records, maps = metrics.evaluate_set(
-                lambda t0, lead: FieldCube(self.SPEC, self.CATALOG, t0 + timedelta(hours=lead),
-                                           fc[(t0, lead)]),
-                lambda valid: FieldCube(self.SPEC, self.CATALOG, valid, ref[valid]),
+                lambda t0, lead, _k: FieldCube(
+                    self.SPEC, self.CATALOG, t0 + timedelta(hours=lead), fc[(t0, lead)]),
+                lambda valid, _k: FieldCube(self.SPEC, self.CATALOG, valid, ref[valid]),
                 EvaluationSet(tuple(t0s), leads), variables,
-                clim_fields=clim_fields, maps=True, threads=threads,
+                climatologies=climatologies, maps=True, threads=threads,
             )
             results.append((
                 [(r.variable, r.lead_hours, r.metric, r.value.hex(), r.n_samples)
@@ -620,24 +620,37 @@ class TestOnePairAtATime:
         assert results[2] == results[0]
 
     def test_forecast_error_wins_when_both_cubes_are_missing(self, monkeypatch):
-        """At 2 threads the reference load fails first, yet the forecast's error is raised."""
+        """At 2 threads the reference load fails first, yet the forecast's error is raised.
+
+        The forecast is group 0's and the reference group 1's, which a second
+        worker reads side by side; at 1 thread both cubes of group 0 are
+        missing and the forecast, read first, is the one reported.
+        """
         monkeypatch.setattr(metrics.os, "cpu_count", lambda: 2)
         reference_failed = threading.Event()
         waited = []
 
-        def forecasts(t0, lead):
-            waited.append(reference_failed.wait(timeout=5))
+        def forecasts(t0, lead, k):
+            if k:
+                return FieldCube(self.SPEC, self.CATALOG, t0 + timedelta(hours=lead),
+                                 np.zeros((len(self.CATALOG), 3, 4), dtype=np.float32))
+            waited.append(reference_failed.wait(timeout=5 if threads > 1 else 0))
             raise KeyError("forecast absent")
 
-        def references(valid):
+        def references(valid, k):
             reference_failed.set()
             raise FileNotFoundError("reference absent")
 
-        with pytest.raises(MissingCube, match="forecast absent"):
-            metrics.evaluate_set(
-                forecasts, references, EvaluationSet((utc(2024, 1, 1),), (6,)), ["T2M"],
-                threads=2,
-            )
+        for threads in (1, 2):
+            with pytest.raises(MissingCube, match="forecast absent"):
+                metrics.evaluate_set(
+                    forecasts, references, EvaluationSet((utc(2024, 1, 1),), (6,)),
+                    ["T2M", "Z500"], ranges=lambda valid, pairs: [["T2M"], ["Z500"]],
+                    threads=threads,
+                )
+            if threads == 1:
+                assert waited == [False]  # the forecast is read before any reference
+                waited.clear()
         assert waited == [True]  # the two loads ran side by side
 
 
@@ -657,42 +670,43 @@ class TestOneReadPerValidTime:
         valids = sorted({t0 + timedelta(hours=lead) for t0, lead in fc})
         assert len(valids) == 5
         ref = {v: rng.normal(size=shape).astype(np.float32) for v in valids}
-        clim = {v: rng.normal(scale=0.1, size=shape) for v in valids}
-        return fc, ref, lambda valid, var: clim[valid][self.CATALOG.index_of(var)]
+        clim = {v: rng.normal(scale=0.1, size=shape).astype(np.float32) for v in valids}
+        return fc, ref, lambda valid, _k: FieldCube(self.SPEC, self.CATALOG, valid, clim[valid])
 
     def _loaders(self, fc, ref):
         return (
-            lambda t0, lead: FieldCube(self.SPEC, self.CATALOG, t0 + timedelta(hours=lead),
-                                       fc[(t0, lead)]),
-            lambda valid: FieldCube(self.SPEC, self.CATALOG, valid, ref[valid]),
+            lambda t0, lead, _k: FieldCube(
+                self.SPEC, self.CATALOG, t0 + timedelta(hours=lead), fc[(t0, lead)]),
+            lambda valid, _k: FieldCube(self.SPEC, self.CATALOG, valid, ref[valid]),
         )
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_each_reference_loaded_once_and_each_forecast_once(self, monkeypatch, threads):
         monkeypatch.setattr(metrics.os, "cpu_count", lambda: 2)
-        fc, ref, clim_fields = self._fields(41)
+        fc, ref, climatologies = self._fields(41)
         load_fc, load_ref = self._loaders(fc, ref)
         fc_calls, ref_calls = [], []
         lock = threading.Lock()
 
-        def forecasts(t0, lead):
+        def forecasts(t0, lead, _k):
             with lock:
                 fc_calls.append((t0, lead))
-            return load_fc(t0, lead)
+            return load_fc(t0, lead, _k)
 
-        def references(valid):
+        def references(valid, _k):
             with lock:
                 ref_calls.append(valid)
-            return load_ref(valid)
+            return load_ref(valid, _k)
 
         metrics.evaluate_set(forecasts, references, EvaluationSet(self.T0S, self.LEADS),
-                             ["Z500", "T2M"], clim_fields=clim_fields, maps=True, threads=threads)
+                             ["Z500", "T2M"], climatologies=climatologies, maps=True,
+                             threads=threads)
         assert sorted(fc_calls) == sorted(fc)
         assert sorted(ref_calls) == sorted(ref)
 
     def test_records_and_maps_bitwise_equal_a_per_pair_loop_at_1_2_3_threads(self, monkeypatch):
         monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
-        fc, ref, clim_fields = self._fields(42)
+        fc, ref, climatologies = self._fields(42)
         variables = [var.token for var in self.CATALOG]
 
         # Oracle: every pair in (init, lead) order, each reference read for each pair.
@@ -706,7 +720,7 @@ class TestOneReadPerValidTime:
                     f2, r2 = fc[(t0, lead)][k], ref[valid][k]
                     for metric, value in (
                         ("rmse", weighted_rmse(f2, r2, w)),
-                        ("acc", weighted_acc(f2, r2, clim_fields(valid, var), w)),
+                        ("acc", weighted_acc(f2, r2, climatologies(valid, 0).values[k], w)),
                     ):
                         totals[(var, lead, metric)] = totals.get((var, lead, metric), 0.0) + value
                     d = f2.astype(np.float64) - r2
@@ -722,7 +736,7 @@ class TestOneReadPerValidTime:
         for threads in (1, 2, 3):
             records, maps = metrics.evaluate_set(
                 *self._loaders(fc, ref), EvaluationSet(self.T0S, self.LEADS), variables,
-                clim_fields=clim_fields, maps=True, threads=threads,
+                climatologies=climatologies, maps=True, threads=threads,
             )
             got = (
                 [(r.variable, r.lead_hours, r.metric, r.value.hex(), r.n_samples)
@@ -736,7 +750,7 @@ class TestOneReadPerValidTime:
     def test_no_cube_of_an_earlier_valid_time_is_alive_when_a_load_starts(
             self, monkeypatch, threads):
         monkeypatch.setattr(metrics.os, "cpu_count", lambda: 4)
-        fc, ref, clim_fields = self._fields(43)
+        fc, ref, climatologies = self._fields(43)
         lock = threading.Lock()
         handed_out = []  # (valid time, weakref to the cube)
         stale = []       # (valid time of a load, valid time of a cube still alive then)
@@ -752,10 +766,10 @@ class TestOneReadPerValidTime:
             return cube
 
         metrics.evaluate_set(
-            lambda t0, lead: load(t0 + timedelta(hours=lead), fc[(t0, lead)]),
-            lambda valid: load(valid, ref[valid]),
+            lambda t0, lead, _k: load(t0 + timedelta(hours=lead), fc[(t0, lead)]),
+            lambda valid, _k: load(valid, ref[valid]),
             EvaluationSet(self.T0S, self.LEADS), ["Z500", "T2M"],
-            clim_fields=clim_fields, maps=True, threads=threads,
+            climatologies=climatologies, maps=True, threads=threads,
         )
         assert len(handed_out) == len(fc) + len(ref)
         assert stale == []
@@ -768,7 +782,7 @@ class TestOneReadPerValidTime:
         del ref[shared]
         load_fc, _ = self._loaders(fc, ref)
 
-        def references(valid):
+        def references(valid, _k):
             if valid not in ref:
                 raise FileNotFoundError(f"no reference at {valid}")
             return FieldCube(self.SPEC, self.CATALOG, valid, ref[valid])
@@ -777,6 +791,86 @@ class TestOneReadPerValidTime:
             metrics.evaluate_set(load_fc, references, EvaluationSet(self.T0S, self.LEADS),
                                  ["T2M"], threads=threads)
         assert (info.value.init_time, info.value.lead_hours) == (self.T0S[0], 18)
+
+
+class TestChannelRanges:
+    """evaluate_set reads a valid time group by group, at most three cubes per worker."""
+
+    SPEC = GridSpec(3, 4, 60.0, -60.0, 0.0, 90.0)
+    CATALOG = VariableCatalog([VariableId("V", k) for k in range(1, 7)])
+    GROUPS = [["V1", "V2"], ["V3"], ["V4", "V5", "V6"]]
+    T0S = tuple(hour_sequence(utc(2024, 3, 1), 3, step_hours=6))
+    LEADS = (6, 12, 18)  # 9 pairs over 5 valid times
+
+    def _values(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (len(self.CATALOG), self.SPEC.n_lat, self.SPEC.n_lon)
+        fc = {(t0, lead): rng.normal(size=shape).astype(np.float32)
+              for t0 in self.T0S for lead in self.LEADS}
+        valids = sorted({t0 + timedelta(hours=lead) for t0, lead in fc})
+        ref = {v: rng.normal(size=shape).astype(np.float32) for v in valids}
+        clim = {v: rng.normal(scale=0.1, size=shape).astype(np.float32) for v in valids}
+        return fc, ref, clim
+
+    def _cube(self, valid, full, k, grouped=True):
+        """A cube of group k's channels, or of every channel."""
+        names = [self.CATALOG.get(v) for v in self.GROUPS[k]] if grouped else self.CATALOG
+        rows = [self.CATALOG.index_of(v) for v in names]
+        return FieldCube(self.SPEC, VariableCatalog(names), valid, full[rows])
+
+    def _run(self, values, threads, ranges=None, load=None):
+        fc, ref, clim = values
+        load = load or (lambda valid, full, k: self._cube(valid, full, k, ranges is not None))
+        return metrics.evaluate_set(
+            lambda t0, lead, k: load(t0 + timedelta(hours=lead), fc[(t0, lead)], k),
+            lambda valid, k: load(valid, ref[valid], k),
+            EvaluationSet(self.T0S, self.LEADS), [v.token for v in self.CATALOG],
+            climatologies=lambda valid, k: load(valid, clim[valid], k),
+            ranges=ranges, maps=True, threads=threads,
+        )
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.usefixtures("fast_switching")
+    def test_no_more_than_three_cubes_per_worker_are_alive_when_a_load_starts(
+            self, monkeypatch, threads):
+        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
+        lock = threading.Lock()
+        handed_out, alive_at_load = [], []
+
+        def load(valid, full, k):
+            with lock:
+                alive_at_load.append(sum(ref() is not None for ref in handed_out))
+            cube = self._cube(valid, full, k)
+            with lock:
+                handed_out.append(weakref.ref(cube))
+            time.sleep(0.002)  # a slow read, so the workers' reads overlap
+            return cube
+
+        self._run(self._values(51), threads, lambda valid, pairs: self.GROUPS, load)
+        # Per valid time and group: one reference, one climatology, each pair's forecast.
+        assert len(handed_out) == len(self.GROUPS) * (5 * 2 + 9)
+        # The loading worker holds at most two cubes, every other worker three.
+        assert max(alive_at_load) <= 3 * threads - 1
+
+    @pytest.mark.usefixtures("fast_switching")
+    def test_records_and_maps_bitwise_equal_one_group_at_1_2_3_threads(self, monkeypatch):
+        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
+        values = self._values(52)
+
+        def flat(result):
+            records, maps = result
+            return ([(r.variable, r.lead_hours, r.metric, r.value.hex(), r.n_samples)
+                     for r in records], [(key, m.tobytes()) for key, m in maps.items()])
+
+        expected = flat(self._run(values, 1))
+        assert len(expected[0]) == len(self.CATALOG) * len(self.LEADS) * 2
+        for threads in (1, 2, 3):
+            got = flat(self._run(values, threads, lambda valid, pairs: self.GROUPS))
+            assert got == expected, f"threads={threads}"
+
+    def test_ranges_must_name_each_variable_once(self):
+        with pytest.raises(ValueError, match="each variable once"):
+            self._run(self._values(53), 1, lambda valid, pairs: self.GROUPS[:2])
 
 
 class TestAccOverSet:
@@ -792,19 +886,20 @@ class TestAccOverSet:
         }
         valids = {t0 + timedelta(hours=lead) for t0 in t0s for lead in leads}
         ref_values = {v: rng.normal(size=(2, 3, 4)).astype(np.float32) for v in valids}
-        clim_values = {v: rng.normal(scale=0.1, size=(3, 4)) for v in valids}
+        clim_values = {v: rng.normal(scale=0.1, size=(3, 4)).astype(np.float32) for v in valids}
 
-        def forecasts(t0, lead):
+        def forecasts(t0, lead, _k):
             return FieldCube(spec, catalog, t0 + timedelta(hours=lead), fc_values[(t0, lead)])
 
-        def references(valid):
+        def references(valid, _k):
             return FieldCube(spec, catalog, valid, ref_values[valid])
 
         # Unsorted init times: the set sorts them, the loop below does too.
         eval_set = EvaluationSet(tuple(reversed(t0s)), leads)
         records, _ = metrics.evaluate_set(
             forecasts, references, eval_set, ["T2M"], rmse=False,
-            clim_fields=lambda valid, _var: clim_values[valid],
+            climatologies=lambda valid, _k: FieldCube(spec, catalog, valid,
+                                                      np.stack([clim_values[valid]] * 2)),
         )
 
         w = latitude_weights(spec)
