@@ -274,6 +274,28 @@ def cmd_verify(args) -> int:
 
 # --- downscale-eval -------------------------------------------------------------
 
+def _downscale_inputs(args, truth_path: Path, truth: FieldCube) -> tuple[FieldCube, FieldCube]:
+    """(bilinear baseline, model) for one truth cube; GeoverifyError skips the sample.
+
+    Every check runs before the upsample, so a skipped sample costs none.
+    """
+    stem = truth_path.stem
+    coarse = cubeio.read_cube(Path(args.coarse) / truth_path.name)
+    model = cubeio.read_cube(Path(args.model) / truth_path.name)
+    for side, cube in (("coarse", coarse), ("model", model)):
+        if cube.valid_time != truth.valid_time:
+            raise GeoverifyError(f"{side} cube valid_time {cubeio.format_time(cube.valid_time)}"
+                                 f" != truth valid_time {cubeio.format_time(truth.valid_time)}"
+                                 f" for {stem}")
+        missing = [var.token for var in truth.catalog
+                   if var.role == "input-output" and var not in cube.catalog]
+        if missing:
+            raise GeoverifyError(f"{side} cube lacks {','.join(missing)} for {stem}")
+    if model.spec != truth.spec:
+        raise GeoverifyError(f"model grid differs from truth grid for {stem}")
+    return regrid.bilinear_upsample(coarse, truth.spec), model
+
+
 def cmd_downscale_eval(args) -> int:
     if args.psnr_peak is not None and not 0.0 < args.psnr_peak < math.inf:
         raise InvalidFlags(f"--psnr-peak must be positive and finite; got {args.psnr_peak}")
@@ -283,25 +305,23 @@ def cmd_downscale_eval(args) -> int:
 
     rows = []          # (time, var, method, metric, value, peak)
     samples: dict = {} # (var token, metric, method) -> list of (time, value)
+    truth_at: dict = {} # header valid time -> the first truth path read at it
     failures = 0
     for truth_path in truth_paths:
-        stem = truth_path.stem
         try:
             truth = cubeio.read_cube(truth_path)
-            coarse = cubeio.read_cube(Path(args.coarse) / truth_path.name)
-            model = cubeio.read_cube(Path(args.model) / truth_path.name)
-            for side, cube in (("coarse", coarse), ("model", model)):
-                missing = [var.token for var in truth.catalog
-                           if var.role == "input-output" and var not in cube.catalog]
-                if missing:
-                    raise GeoverifyError(f"{side} cube lacks {','.join(missing)} for {stem}")
-            baseline = regrid.bilinear_upsample(coarse, truth.spec)
-            if model.spec != truth.spec:
-                raise GeoverifyError(f"model grid differs from truth grid for {stem}")
+            first = truth_at.setdefault(truth.valid_time, truth_path)
+            if first == truth_path:
+                baseline, model = _downscale_inputs(args, truth_path, truth)
         except (GeoverifyError, OSError) as e:
-            print(f"geoverify: skipping {stem}: {e}", file=sys.stderr)
+            print(f"geoverify: skipping {truth_path.stem}: {e}", file=sys.stderr)
             failures += 1
             continue
+        if first != truth_path:
+            # A data error, not a skipped sample: scored twice, the time would count
+            # twice in its month-hour cell.
+            raise GeoverifyError(f"two truth cubes have valid time "
+                                 f"{cubeio.format_time(truth.valid_time)}: {first} and {truth_path}")
         weights = latitude_weights(truth.spec)
         for var in truth.catalog:
             if var.role != "input-output":
@@ -309,11 +329,11 @@ def cmd_downscale_eval(args) -> int:
             t2 = select_channel(truth, var)
             peak = metrics.dynamic_range(t2) if args.psnr_peak is None else args.psnr_peak
             for method, cube in (("bilinear", baseline), ("model", model)):
-                c2 = select_channel(cube, var)
-                scores = {"rmse": metrics.weighted_rmse(c2, t2, weights)}
+                rmse, err = metrics.weighted_rmse_and_mse(select_channel(cube, var), t2, weights)
+                scores = {"rmse": rmse}
                 if peak > 0.0:
                     try:
-                        scores["psnr"] = metrics.psnr(c2, t2, peak)
+                        scores["psnr"] = metrics.psnr_from_mse(err, peak)
                     except PerfectMatch:
                         scores["psnr"] = float("inf")
                 for metric, value in scores.items():

@@ -163,10 +163,23 @@ def _check_weights(weights: np.ndarray, n_lat: int) -> np.ndarray:
 
 def weighted_rmse(forecast, reference, weights) -> float:
     """Latitude-weighted RMSE of one field pair (the per-time inner term)."""
+    return weighted_rmse_and_mse(forecast, reference, weights)[0]
+
+
+def weighted_rmse_and_mse(forecast, reference, weights) -> tuple[float, float]:
+    """(weighted_rmse, mse) of one 2-D field pair from one pass of row sums.
+
+    Each value has the bits of its own function's result.
+    """
     f, r = _fields_2d(forecast, reference)
     w = _check_weights(weights, f.shape[0])
-    total = float(np.dot(w, _row_sums(f, r)[0]))
-    return math.sqrt(total / f.size)
+    rows = _row_sums(f, r)[0]
+    return math.sqrt(float(np.dot(w, rows)) / f.size), _mean_of_rows(rows, f.size)
+
+
+def _mean_of_rows(row_sums: np.ndarray, size: int) -> float:
+    """The mean squared error from per-row sums of squared differences."""
+    return float(row_sums.sum()) / size
 
 
 def weighted_acc(forecast, reference, clim_field, weights) -> float:
@@ -191,7 +204,7 @@ def mse(forecast, reference) -> float:
     """Unweighted mean squared error, summed without BLAS (same bits at any thread count)."""
     f, r = (np.atleast_1d(a) for a in _same_shape(forecast, reference))
     as_rows = (math.prod(f.shape[:-1]), f.shape[-1])
-    return float(_row_sums(f.reshape(as_rows), r.reshape(as_rows))[0].sum()) / f.size
+    return _mean_of_rows(_row_sums(f.reshape(as_rows), r.reshape(as_rows))[0], f.size)
 
 
 def mae(forecast, reference) -> float:
@@ -217,9 +230,17 @@ def psnr(candidate, reference, peak: float) -> float:
     A perfect match (MSE = 0) is signalled as PerfectMatch rather than
     returned as infinity.
     """
+    return psnr_from_mse(mse(candidate, reference), peak)
+
+
+def psnr_from_mse(err: float, peak: float) -> float:
+    """PSNR in dB of a pair whose unweighted MSE is ``err``, as ``psnr`` defines it.
+
+    NonPositivePeak unless the peak is positive and finite; PerfectMatch
+    when ``err`` is zero.
+    """
     if not 0.0 < peak < math.inf:
         raise NonPositivePeak(f"peak {peak} must be positive and finite")
-    err = mse(candidate, reference)
     if err == 0.0:
         raise PerfectMatch("candidate equals reference; PSNR infinite")
     return 10.0 * math.log10(peak * peak / err)

@@ -15,6 +15,10 @@ from .grid import FieldCube, GridSpec
 
 _EDGE_TOL = 1e-9
 
+#: Float64 values per row-block buffer in bilinear_upsample: 2^15 (256 KiB), so
+#: a block's two buffers stay in cache while its four terms are summed.
+_ROW_BLOCK_VALUES = 1 << 15
+
 
 def _lat_coeffs(source: GridSpec, target: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     frac = (target.latitudes - source.lat_start) / source.lat_step
@@ -61,14 +65,27 @@ def bilinear_upsample(cube: FieldCube, target: GridSpec) -> FieldCube:
     w00, w01 = (1.0 - t2) * (1.0 - u2), (1.0 - t2) * u2
     w10, w11 = t2 * (1.0 - u2), t2 * u2
 
-    # Per channel: gather columns on the source rows, then rows; sum the four
-    # w*v terms left to right in float64, then round once: this order fixes the bits.
-    out = np.empty((cube.values.shape[0], target.n_lat, target.n_lon), np.float32)
-    blend, term = np.empty(out.shape[1:]), np.empty(out.shape[1:])
+    # Per channel: convert the source once and gather its columns; then per block
+    # of target rows gather the rows into two reused buffers, sum the four w*v
+    # terms left to right in float64 and round once: this order fixes the bits.
+    # _lat_coeffs clips every row index into range, so mode="clip" never moves
+    # one; under the default mode="raise" take() fills a temporary and copies it.
+    n_lat, n_lon = target.n_lat, target.n_lon
+    step = max(1, _ROW_BLOCK_VALUES // n_lon)
+    out = np.empty((cube.values.shape[0], n_lat, n_lon), np.float32)
+    blend_buf, term_buf = np.empty((2, min(step, n_lat), n_lon))
     for src, dst in zip(cube.values, out):
-        cols0, cols1 = src.take(j0, axis=1), src.take(j1, axis=1)
-        np.multiply(w00, cols0.take(i0, axis=0), out=blend)
-        for w, cols, rows in ((w01, cols1, i0), (w10, cols0, i1), (w11, cols1, i1)):
-            blend += np.multiply(w, cols.take(rows, axis=0), out=term)
-        dst[...] = blend
+        src64 = src.astype(np.float64)
+        cols0, cols1 = src64.take(j0, axis=1), src64.take(j1, axis=1)
+        for start in range(0, n_lat, step):
+            rows = slice(start, start + step)
+            r0, r1 = i0[rows], i1[rows]
+            blend, term = blend_buf[: len(r0)], term_buf[: len(r0)]
+            cols0.take(r0, axis=0, out=blend, mode="clip")
+            blend *= w00[rows]
+            for w, cols, r in ((w01, cols1, r0), (w10, cols0, r1), (w11, cols1, r1)):
+                cols.take(r, axis=0, out=term, mode="clip")
+                term *= w[rows]
+                blend += term
+            dst[rows] = blend
     return FieldCube(target, cube.catalog, cube.valid_time, out)

@@ -745,6 +745,30 @@ class TestDownscaleEval:
         times_in_report = {line.split(",")[0] for line in out.read_text().splitlines()[2:]}
         assert times_in_report == {"2024-07-01T06:00:00Z"}
 
+    @pytest.mark.parametrize("side", ["coarse", "model"])
+    def test_cube_at_another_valid_time_skips_the_sample_before_upsampling(
+            self, tmp_path, capsys, monkeypatch, side):
+        times = [utc(2024, 2, 2, 18), utc(2024, 7, 1, 6)]
+        dirs = dict(zip(("coarse", "truth", "model"),
+                        self._write_fixture(tmp_path, times, "bilinear")))
+        path = dirs[side] / f"{time_stem(times[0])}.gvc"
+        write_cube(replace(read_cube(path), valid_time=utc(2024, 3, 13, 18)), path)
+        upsampled = []
+        monkeypatch.setattr("geoverify.regrid.bilinear_upsample",
+                            lambda cube, spec: upsampled.append(cube.valid_time)
+                            or bilinear_upsample(cube, spec))
+        out = tmp_path / "ds.csv"
+        assert main(_argv("downscale-eval", out=out, **dirs)) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"geoverify: skipping {time_stem(times[0])}: {side} cube valid_time"
+            f" 2024-03-13T18:00:00Z != truth valid_time 2024-02-02T18:00:00Z"
+            f" for {time_stem(times[0])}",
+            "geoverify: 1 sample(s) skipped",
+        ]
+        assert upsampled == [times[1]]
+        times_in_report = {line.split(",")[0] for line in out.read_text().splitlines()[2:]}
+        assert times_in_report == {"2024-07-01T06:00:00Z"}
+
     @pytest.mark.parametrize("peak, code", [("-1", 4), ("0", 4), ("inf", 4), ("-inf", 4),
                                             ("nan", 4), ("2.5", 0)])
     def test_psnr_peak_must_be_positive(self, tmp_path, peak, code):
@@ -1299,6 +1323,24 @@ def downscale_nan_in_the_truth_cube(tmp):
     argv = _downscale(tmp, [utc(2024, 2, 2, 18)])
     [path] = (tmp / "truth").glob("*.gvc")
     _poison(path)
+    return argv
+
+
+@failure(2, "no downscaling samples")
+def downscale_coarse_cube_at_another_valid_time(tmp):
+    argv = _downscale(tmp, [utc(2024, 2, 2, 18)])
+    [path] = (tmp / "coarse").glob("*.gvc")
+    write_cube(replace(read_cube(path), valid_time=utc(2024, 3, 13, 18)), path)
+    return argv
+
+
+@failure(2, "two truth cubes have valid time 2024-02-02T18:00:00Z")
+def downscale_repeated_truth_valid_time(tmp):
+    """A second truth, coarse and model triple at one valid time, under another name."""
+    argv = _downscale(tmp, [utc(2024, 2, 2, 18)])
+    for side in ("coarse", "truth", "model"):
+        [path] = (tmp / side).glob("*.gvc")
+        (tmp / side / "copy.gvc").write_bytes(path.read_bytes())
     return argv
 
 

@@ -280,6 +280,15 @@ class TestRowBlockedKernel:
         f, r = _fields(shape, 2, seed=len(shape))
         assert metrics.mse(f, r) == whole_field_mse(f, r)
 
+    @pytest.mark.parametrize("shape", [(1, 1440), (100, 1440), (5, 70000), (321, 481), (721, 1440)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_rmse_and_mse_of_one_pass_equal_their_own_functions(self, shape):
+        f, r = _fields(shape, 2, seed=shape[0] * 7 + shape[1])
+        w = np.random.default_rng(20).uniform(0.0, 2.0, size=shape[0])
+        rmse, err = metrics.weighted_rmse_and_mse(f, r, w)
+        assert rmse.hex() == weighted_rmse(f, r, w).hex()
+        assert err.hex() == metrics.mse(f, r).hex()
+
     @pytest.mark.parametrize("score", ["rmse", "acc", "mse"])
     def test_no_full_size_float64_temporary(self, score):
         """One 721 x 1440 float64 copy is 7.9 MiB; the kernel holds a block or two."""
@@ -353,6 +362,21 @@ class TestPsnr:
         rng = np.random.default_rng(14)
         c, r = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
         assert psnr(c, r, 7.0) == pytest.approx(oracle_psnr(c, r, 7.0), rel=1e-12)
+
+    @pytest.mark.parametrize("peak", [0.5, 7.0, 1e3])
+    def test_from_mse_equals_psnr(self, peak):
+        rng = np.random.default_rng(21)
+        c, r = (rng.normal(280.0, 5.0, size=(31, 47)).astype(np.float32) for _ in range(2))
+        assert metrics.psnr_from_mse(metrics.mse(c, r), peak).hex() == psnr(c, r, peak).hex()
+
+    def test_from_mse_of_zero_is_a_perfect_match(self):
+        with pytest.raises(PerfectMatch):
+            metrics.psnr_from_mse(0.0, 1.0)
+
+    @pytest.mark.parametrize("peak", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_from_mse_refuses_a_peak_that_is_not_positive_and_finite(self, peak):
+        with pytest.raises(NonPositivePeak):
+            metrics.psnr_from_mse(1.0, peak)
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                         reason="a second BLAS thread needs a second CPU")

@@ -5,7 +5,7 @@ import pytest
 
 from geoverify import FieldCube, GridSpec, VariableCatalog, VariableId, bilinear_upsample
 from geoverify.errors import OutOfExtent
-from geoverify.regrid import _lat_coeffs, _lon_coeffs
+from geoverify.regrid import _ROW_BLOCK_VALUES, _lat_coeffs, _lon_coeffs
 from conftest import utc
 
 
@@ -126,8 +126,15 @@ class TestBitwisePinned:
             (COARSE, FINE, 4),
             # 1.5 to 0.7 degrees: no integer ratio between the grids
             (COARSE, GridSpec(40, 81, 49.9, -0.7, 100.3, 0.7), 2),
+            # global 1 to 0.25 degrees: 721 rows are not a multiple of the row block
+            (GridSpec(181, 360, 90.0, -1.0, 0.0, 1.0), GridSpec(721, 1440, 90.0, -0.25, 0.0, 0.25), 1),
+            # fewer target rows than one row block
+            (COARSE, GridSpec(10, 229, 49.0, -0.25, 101.0, 0.25), 2),
+            # wider than the row block's values: one row per block
+            (GridSpec(36, 72, 87.5, -5.0, 0.0, 5.0), GridSpec(3, 36000, 40.0, -1.0, 0.0, 0.01), 1),
         ],
-        ids=["seam-wrap", "pole-clamp", "regional", "multi-channel", "non-integer-ratio"],
+        ids=["seam-wrap", "pole-clamp", "regional", "multi-channel", "non-integer-ratio",
+             "global-quarter-degree", "under-one-block", "one-row-per-block"],
     )
     def test_equals_four_gather_blend(self, source, target, n_chan):
         rng = np.random.default_rng(22)
@@ -138,3 +145,9 @@ class TestBitwisePinned:
         expected = four_gather_blend(cube, target)
         assert out.values.shape == expected.shape
         np.testing.assert_array_equal(out.values.view(np.uint32), expected.view(np.uint32))
+
+    def test_row_block_cases_hit_their_edges(self):
+        """The three row-block cases above test what their ids say of the block size."""
+        assert 721 % (_ROW_BLOCK_VALUES // 1440)       # a short last block
+        assert 10 < _ROW_BLOCK_VALUES // 229           # one short block
+        assert 36000 > _ROW_BLOCK_VALUES               # one row per block
