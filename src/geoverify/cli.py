@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import threading
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from itertools import accumulate
@@ -114,9 +115,9 @@ def read_init_times(path) -> list[datetime]:
     return times
 
 
-def _read_cube_at(path: Path, valid: datetime, expected: str) -> FieldCube:
-    """read_cube; CorruptHeader naming ``path`` if the header's valid time is not ``valid``."""
-    cube = cubeio.read_cube(path)
+def _read_cube_at(path: Path, valid: datetime, expected: str, out) -> FieldCube:
+    """read_cube into ``out``; CorruptHeader naming ``path`` if its valid time is not ``valid``."""
+    cube = cubeio.read_cube(path, out=out)
     if cube.valid_time != valid:
         raise CorruptHeader(f"{path}: valid_time {cube.valid_time} != {expected}")
     return cube
@@ -140,8 +141,20 @@ def _output_grid(directory, eval_set, variables) -> GridSpec:
 # --- verify -------------------------------------------------------------------
 
 #: Most bytes of scored channels in one channel range of ``verify``: four
-#: channels at 0.25 degrees.  8 MiB cost CPU time; 32 MiB doubled peak memory.
+#: channels at 0.25 degrees.  Peak memory grows with it: verify-global (2
+#: threads, 2-vCPU VM) peaked at 81, 129 and 224 MiB at 8, 16 and 32 MiB.
+#: Into reused read buffers the three cost the same CPU (2.53, 2.52, 2.54 s
+#: user+sys); reading into fresh arrays, 8 MiB cost 0.25 s more in page faults.
 RANGE_BYTES = 16 << 20
+
+
+class _WorkerBuffers(threading.local):
+    """The read buffers of one ``verify`` worker (thread), kept for the whole pass."""
+
+    def __init__(self):
+        self.forecast = cubeio.ReadBuffer()
+        self.reference = cubeio.ReadBuffer()
+        self.climatology = cubeio.ReadBuffer()
 
 
 def _cut(catalogs, order, channel_bytes) -> tuple[list, list[list[range]]]:
@@ -233,17 +246,20 @@ def cmd_verify(args) -> int:
         plan.update(_plan(args, variables, clim, valid, pairs))
         return [group for group, _ in next(iter(plan.values()))]
 
-    def read(path, k):
+    buffers = _WorkerBuffers()
+
+    def read(path, k, out):
         group, channels = plan[path][k]
-        return cubeio.read_cube(path, group, channels)
+        return cubeio.read_cube(path, group, channels, out=out)
 
     records, rmse_maps = metrics.evaluate_set(
-        lambda t0, lead, k: read(forecast_path(args.forecast, t0, lead), k),
-        lambda valid, k: read(reference_path(args.reference, valid), k),
+        lambda t0, lead, k: read(forecast_path(args.forecast, t0, lead), k, buffers.forecast),
+        lambda valid, k: read(reference_path(args.reference, valid), k, buffers.reference),
         eval_set,
         variables,
         rmse="rmse" in wanted,
-        climatologies=None if clim is None else lambda valid, k: read(clim.key_path(valid), k),
+        climatologies=None if clim is None else (
+            lambda valid, k: read(clim.key_path(valid), k, buffers.climatology)),
         ranges=ranges,
         maps=bool(args.map_dir),
         threads=args.threads,
@@ -274,14 +290,15 @@ def cmd_verify(args) -> int:
 
 # --- downscale-eval -------------------------------------------------------------
 
-def _downscale_inputs(args, truth_path: Path, truth: FieldCube) -> tuple[FieldCube, FieldCube]:
+def _downscale_inputs(args, truth_path: Path, truth: FieldCube,
+                      buffers) -> tuple[FieldCube, FieldCube]:
     """(bilinear baseline, model) for one truth cube; GeoverifyError skips the sample.
 
     Every check runs before the upsample, so a skipped sample costs none.
     """
     stem = truth_path.stem
-    coarse = cubeio.read_cube(Path(args.coarse) / truth_path.name)
-    model = cubeio.read_cube(Path(args.model) / truth_path.name)
+    coarse = cubeio.read_cube(Path(args.coarse) / truth_path.name, out=buffers["coarse"])
+    model = cubeio.read_cube(Path(args.model) / truth_path.name, out=buffers["model"])
     for side, cube in (("coarse", coarse), ("model", model)):
         if cube.valid_time != truth.valid_time:
             raise GeoverifyError(f"{side} cube valid_time {cubeio.format_time(cube.valid_time)}"
@@ -296,6 +313,28 @@ def _downscale_inputs(args, truth_path: Path, truth: FieldCube) -> tuple[FieldCu
     return regrid.bilinear_upsample(coarse, truth.spec), model
 
 
+def _downscale_scores(truth: FieldCube, baseline: FieldCube, model: FieldCube,
+                      psnr_peak: float | None) -> list[tuple]:
+    """(variable, method, metric, value, peak) of each output channel of one sample."""
+    weights = latitude_weights(truth.spec)
+    scores = []
+    for var in truth.catalog:
+        if var.role != "input-output":
+            continue
+        t2 = select_channel(truth, var)
+        peak = metrics.dynamic_range(t2) if psnr_peak is None else psnr_peak
+        for method, cube in (("bilinear", baseline), ("model", model)):
+            rmse, err = metrics.weighted_rmse_and_mse(select_channel(cube, var), t2, weights)
+            values = {"rmse": rmse}
+            if peak > 0.0:
+                try:
+                    values["psnr"] = metrics.psnr_from_mse(err, peak)
+                except PerfectMatch:
+                    values["psnr"] = float("inf")
+            scores += [(var, method, metric, value, peak) for metric, value in values.items()]
+    return scores
+
+
 def cmd_downscale_eval(args) -> int:
     if args.psnr_peak is not None and not 0.0 < args.psnr_peak < math.inf:
         raise InvalidFlags(f"--psnr-peak must be positive and finite; got {args.psnr_peak}")
@@ -307,12 +346,14 @@ def cmd_downscale_eval(args) -> int:
     samples: dict = {} # (var token, metric, method) -> list of (time, value)
     truth_at: dict = {} # header valid time -> the first truth path read at it
     failures = 0
+    buffers = {side: cubeio.ReadBuffer() for side in ("truth", "coarse", "model")}
     for truth_path in truth_paths:
+        truth = model = None  # the last sample's cubes die before their buffers are refilled
         try:
-            truth = cubeio.read_cube(truth_path)
+            truth = cubeio.read_cube(truth_path, out=buffers["truth"])
             first = truth_at.setdefault(truth.valid_time, truth_path)
             if first == truth_path:
-                baseline, model = _downscale_inputs(args, truth_path, truth)
+                baseline, model = _downscale_inputs(args, truth_path, truth, buffers)
         except (GeoverifyError, OSError) as e:
             print(f"geoverify: skipping {truth_path.stem}: {e}", file=sys.stderr)
             failures += 1
@@ -322,25 +363,10 @@ def cmd_downscale_eval(args) -> int:
             # twice in its month-hour cell.
             raise GeoverifyError(f"two truth cubes have valid time "
                                  f"{cubeio.format_time(truth.valid_time)}: {first} and {truth_path}")
-        weights = latitude_weights(truth.spec)
-        for var in truth.catalog:
-            if var.role != "input-output":
-                continue
-            t2 = select_channel(truth, var)
-            peak = metrics.dynamic_range(t2) if args.psnr_peak is None else args.psnr_peak
-            for method, cube in (("bilinear", baseline), ("model", model)):
-                rmse, err = metrics.weighted_rmse_and_mse(select_channel(cube, var), t2, weights)
-                scores = {"rmse": rmse}
-                if peak > 0.0:
-                    try:
-                        scores["psnr"] = metrics.psnr_from_mse(err, peak)
-                    except PerfectMatch:
-                        scores["psnr"] = float("inf")
-                for metric, value in scores.items():
-                    rows.append((truth.valid_time, var, method, metric, value, peak))
-                    samples.setdefault((var.token, metric, method), []).append(
-                        (truth.valid_time, value)
-                    )
+        for var, method, metric, value, peak in _downscale_scores(truth, baseline, model,
+                                                                  args.psnr_peak):
+            rows.append((truth.valid_time, var, method, metric, value, peak))
+            samples.setdefault((var.token, metric, method), []).append((truth.valid_time, value))
     if not rows:
         raise EmptyInput("no downscaling samples evaluated")
 
@@ -418,10 +444,11 @@ def cmd_tc_track(args) -> int:
         starting.setdefault(seed.time, []).append(tracker)
 
     # One pass in valid-time order: every cube is read and checked in full, steps
-    # every active tracker once, and is released before the next one is read.
-    active = []
+    # every active tracker once, and is released before the next one is read
+    # into the same buffer.
+    active, buffer = [], cubeio.ReadBuffer()
     for valid in sorted(headers):
-        cube = _read_cube_at(headers[valid][0], valid, "the time in its header")
+        cube = _read_cube_at(headers[valid][0], valid, "the time in its header", buffer)
         active = [t for t in active + starting.get(valid, []) if t.step(cube)]
         del cube
     out_tracks = [t.track() for t in trackers]
@@ -510,8 +537,19 @@ def cmd_tc_filter(args) -> int:
 # --- climatology and VQA ---------------------------------------------------------------
 
 def cmd_climatology(args) -> int:
-    cubes = [cubeio.read_cube(p) for p in cubeio.cube_paths(args.cubes)]
-    clim = clim_mod.build_climatology(cubes)
+    paths = {}  # valid time -> path, from every cube's header before any payload
+    for path in cubeio.cube_paths(args.cubes):
+        valid = cubeio.read_header(path)[2]
+        if valid in paths:
+            raise GeoverifyError(f"two cubes have valid time {cubeio.format_time(valid)}: "
+                                 f"{paths[valid]} and {path}")
+        paths[valid] = path
+    buffer = cubeio.ReadBuffer()
+    # In valid-time order, one cube at a time: build_climatology drops each
+    # cube before it asks for the next, which is then read into the same buffer.
+    clim = clim_mod.build_climatology(
+        _read_cube_at(paths[valid], valid, "the time in its header", buffer)
+        for valid in sorted(paths))
     manifest = clim.save(args.out)
     print(manifest)
     return 0

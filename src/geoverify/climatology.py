@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -137,27 +137,36 @@ class Climatology:
 def build_climatology(cubes: Iterable[FieldCube]) -> Climatology:
     """Arithmetic per-key mean over cubes sharing one grid spec and catalog.
 
-    Accumulation is 64-bit and runs in sorted valid_time order, so any
-    permutation of the input stream produces identical bits.  Two cubes with
-    one valid time are a data error: the time would count twice in its mean.
+    Accumulation is 64-bit and runs in valid_time order.  A sequence is
+    sorted first, so any permutation of it produces identical bits.  Any
+    other iterable is summed as it yields, holding one cube at a time, and
+    must yield in ascending valid time (ValueError otherwise).  Two cubes
+    with one valid time are a data error: the time would count twice in its
+    mean.
     """
-    ordered = sorted(cubes, key=lambda c: c.valid_time)
-    if not ordered:
-        raise EmptyInput("no cubes to build a climatology from")
-    spec, catalog = ordered[0].spec, ordered[0].catalog
+    if isinstance(cubes, Sequence):
+        cubes = sorted(cubes, key=lambda c: c.valid_time)
+    spec = catalog = last = None
     sums: dict[tuple[int, int], np.ndarray] = {}
     counts: dict[tuple[int, int], int] = {}
-    for a, b in zip(ordered, ordered[1:]):
-        if a.valid_time == b.valid_time:
-            raise GeoverifyError(f"two cubes have valid time {cubeio.format_time(a.valid_time)}")
-    for cube in ordered:
+    for cube in cubes:
+        if spec is None:
+            spec, catalog = cube.spec, cube.catalog
+        elif cube.valid_time == last:
+            raise GeoverifyError(f"two cubes have valid time {cubeio.format_time(last)}")
+        elif cube.valid_time < last:
+            raise ValueError(f"cube at {cube.valid_time} comes after one at {last}")
         if cube.spec != spec or cube.catalog != catalog:
             raise SpecMismatch(f"cube at {cube.valid_time} has a different spec/catalog")
-        key = climatology_key(cube.valid_time)
+        last = cube.valid_time
+        key = climatology_key(last)
         if key not in sums:
             sums[key] = np.zeros(cube.values.shape, dtype=np.float64)
             counts[key] = 0
         sums[key] += cube.values
         counts[key] += 1
+        del cube  # before the next one is made
+    if spec is None:
+        raise EmptyInput("no cubes to build a climatology from")
     means = {key: sums[key] / counts[key] for key in sums}
     return Climatology(spec, catalog, means, counts)

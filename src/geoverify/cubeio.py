@@ -28,6 +28,7 @@ import io
 import itertools
 import os
 import struct
+import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -188,7 +189,32 @@ def _fill(f, path, out: np.ndarray) -> None:
         raise TruncatedPayload(f"{path}: file shrank while its payload was read")
 
 
-def read_cube(path, variables=None, channels: range | None = None) -> FieldCube:
+class ReadBuffer:
+    """float32 storage that ``read_cube`` refills instead of allocating per read.
+
+    One reader uses it at a time.  A read takes the storage only when no
+    array still views it, growing it when the read needs more values;
+    while a cube read into it, or a channel of one, is alive, the next read
+    allocates, so a live cube is never overwritten.
+    """
+
+    def __init__(self):
+        self._values = np.empty(0, dtype="<f4")
+        # References to the storage when nothing views it: this attribute's,
+        # counted in the very expression ``take`` uses.
+        self._free = sys.getrefcount(self._values)
+
+    def take(self, n: int) -> np.ndarray:
+        """``n`` float32 values: the storage when unviewed, else a new array."""
+        if sys.getrefcount(self._values) != self._free:
+            return np.empty(n, dtype="<f4")
+        if self._values.size < n:
+            self._values = np.empty(n, dtype="<f4")
+        return self._values[:n]
+
+
+def read_cube(path, variables=None, channels: range | None = None,
+              out: ReadBuffer | None = None) -> FieldCube:
     """Read a GVC1 cube file, validating header consistency and finiteness.
 
     With ``variables``, the cube keeps only the channels of the file's
@@ -204,6 +230,9 @@ def read_cube(path, variables=None, channels: range | None = None) -> FieldCube:
     read: the cube keeps its channels that ``variables`` names (all of them
     without ``variables``) and the rest of the run is checked for NaN/Inf.
     A range beyond the file's channels raises CorruptHeader.
+
+    With ``out``, the cube's values and the scan block are cut from the
+    buffer's storage (see ReadBuffer) rather than from a new array.
     """
     with open(path, "rb") as f:
         spec, catalog, valid_time = _read_header(f, path)
@@ -220,9 +249,13 @@ def read_cube(path, variables=None, channels: range | None = None) -> FieldCube:
             catalog = VariableCatalog([catalog.entries[i] for i in sorted(keep)])
         plane = spec.n_lat * spec.n_lon
         f.seek(4 * plane * span.start, os.SEEK_CUR)
-        values = np.empty((len(keep), spec.n_lat, spec.n_lon), dtype="<f4")
-        kept = values.reshape(-1)
-        scan = np.empty(min(FINITE_SCAN_VALUES, plane * (len(span) - len(keep))), dtype="<f4")
+        n_kept = plane * len(keep)
+        n_scan = min(FINITE_SCAN_VALUES, plane * (len(span) - len(keep)))
+        if out is None:  # two arrays, so the cube does not keep the scan block alive
+            kept, scan = np.empty(n_kept, dtype="<f4"), np.empty(n_scan, dtype="<f4")
+        else:
+            kept, scan = np.split(out.take(n_kept + n_scan), [n_kept])
+        values = kept.reshape(len(keep), spec.n_lat, spec.n_lon)
         pos, finite = 0, True
         # One readinto per run of adjacent kept channels: a full read is one call.
         for is_kept, run in itertools.groupby(span, keep.__contains__):

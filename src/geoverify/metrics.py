@@ -313,11 +313,13 @@ def evaluate_set(
 
     Returns one MetricRecord per (variable, lead, metric), the mean of the
     per-pair values, and the float64 maps keyed by (variable, lead), both in
-    (lead, variable, metric) order.  Within a valid time, min(threads, CPUs)
-    workers take the groups; one worker starts no thread.  A worker reads
-    the first pair's forecast, the reference and the climatology of its
-    group, then each later pair's forecast after releasing the one before,
-    so memory holds at most three cubes per worker.  When several loads
+    (lead, variable, metric) order.  Within a valid time, min(threads, the
+    CPUs this process may run on) workers take the groups; one worker
+    starts no thread.  A worker reads the first pair's forecast, the
+    reference and the climatology of its group, then each later pair's
+    forecast after releasing the one before and every channel view of it,
+    so memory holds at most three cubes per worker and a loader may refill
+    a released cube's storage (see cubeio.ReadBuffer).  When several loads
     fail, the first in that order, group by group, is raised.  A valid time
     gives each (variable, lead) one value, from one worker, and valid-time
     order is init order for one lead, so each sum adds its values in init
@@ -335,6 +337,19 @@ def evaluate_set(
         except (KeyError, FileNotFoundError) as e:
             raise MissingCube(*pair, str(e)) from None
 
+    def score_pair(fc, ref, clim, lead, group, weights):
+        """Adds one pair's values; the channel views die on return, before the next load."""
+        # No lock: in one valid time each key is added to by one group's worker only.
+        for var in group:
+            f2, r2 = select_channel(fc, var), select_channel(ref, var)
+            if rmse:
+                totals[(var, lead, "rmse")] += weighted_rmse(f2, r2, weights)
+            if clim is not None:
+                c2 = select_channel(clim, var)
+                totals[(var, lead, "acc")] += weighted_acc(f2, r2, c2, weights)
+            if maps:
+                sums[(var, lead)] = _add(sums[(var, lead)], _squared_diff(f2, r2))
+
     def score_range(valid, pairs, groups, k):
         """Reads and scores group ``k`` of every pair of ``valid``; each cube dies when done."""
         fc = load(forecasts, pairs[0], *pairs[0], k)
@@ -344,17 +359,7 @@ def evaluate_set(
         for i, pair in enumerate(pairs):
             if i:
                 fc = load(forecasts, pair, *pair, k)
-            lead = pair[1]
-            # No lock: in one valid time each key is added to by one group's worker only.
-            for var in groups[k]:
-                f2, r2 = select_channel(fc, var), select_channel(ref, var)
-                if rmse:
-                    totals[(var, lead, "rmse")] += weighted_rmse(f2, r2, weights)
-                if clim is not None:
-                    c2 = select_channel(clim, var)
-                    totals[(var, lead, "acc")] += weighted_acc(f2, r2, c2, weights)
-                if maps:
-                    sums[(var, lead)] = _add(sums[(var, lead)], _squared_diff(f2, r2))
+            score_pair(fc, ref, clim, pair[1], groups[k], weights)
             del fc
 
     by_valid = groupby(sorted((t0 + timedelta(hours=lead), t0, lead)
@@ -373,7 +378,7 @@ def evaluate_set(
             for _ in run(partial(score_range, valid, pairs, groups), range(len(groups))):
                 pass
 
-    workers = min(threads, os.cpu_count() or 1)
+    workers = min(threads, _usable_cpus())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             score_all(pool.map)
@@ -386,6 +391,13 @@ def evaluate_set(
         for (var, lead, metric), total in totals.items()
     ]
     return records, {key: np.sqrt(acc / n) for key, acc in sums.items()}
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _resolve_var(var) -> VariableId:

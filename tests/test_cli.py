@@ -38,6 +38,32 @@ def _random_field_cube(rng, valid_time, offset=0.0):
     return FieldCube(SPEC, CATALOG, valid_time, values.astype(np.float32))
 
 
+@pytest.fixture
+def buffer_takes(monkeypatch):
+    """{id of each read buffer: whether each read into it refilled its storage}.
+
+    Also checks, when the test ends, that every cube read went through a buffer.
+    """
+    from geoverify import cubeio
+
+    read_cube, take, reads, takes = cubeio.read_cube, cubeio.ReadBuffer.take, [], {}
+
+    def counted(path, variables=None, channels=None, out=None):
+        reads.append(out is not None)
+        return read_cube(path, variables, channels, out)
+
+    def spied(self, n):
+        values = take(self, n)
+        takes.setdefault(id(self), []).append(values.base is self._values)
+        return values
+
+    monkeypatch.setattr(cubeio, "read_cube", counted)
+    monkeypatch.setattr(cubeio.ReadBuffer, "take", spied)
+    yield takes
+    assert reads and all(reads)
+    assert sum(map(len, takes.values())) == len(reads)
+
+
 def make_verify_fixture(tmp_path, init_times, leads, seed=0):
     """Forecast/reference cube dirs, an init-times file and a climatology."""
     rng = np.random.default_rng(seed)
@@ -363,7 +389,8 @@ class TestVerify:
             if name == "full":
                 read_cube = cubeio.read_cube
                 monkeypatch.setattr(cubeio, "read_cube",
-                                    lambda path, variables=None, channels=None: read_cube(path))
+                                    lambda path, variables=None, channels=None, out=None:
+                                    read_cube(path, out=out))
             code = main([
                 "verify", "--forecast", str(fdir), "--reference", str(rdir),
                 "--climatology", str(manifest), "--variables", "T2M",
@@ -385,9 +412,9 @@ class TestVerify:
         fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6, 12, 18])
         read_cube, reads = cubeio.read_cube, []
 
-        def counted(path, variables=None, channels=None):
+        def counted(path, variables=None, channels=None, out=None):
             reads.append(Path(path))
-            return read_cube(path, variables, channels)
+            return read_cube(path, variables, channels, out)
 
         monkeypatch.setattr(cubeio, "read_cube", counted)
         code = main([
@@ -546,9 +573,9 @@ class TestVerifyChannelRanges:
 
         read_cube, reads = cubeio.read_cube, []
 
-        def counted(path, variables=None, channels=None):
+        def counted(path, variables=None, channels=None, out=None):
             reads.append((Path(path).name, channels))
-            return read_cube(path, variables, channels)
+            return read_cube(path, variables, channels, out)
 
         monkeypatch.setattr(cubeio, "read_cube", counted)
         return reads
@@ -608,11 +635,27 @@ class TestVerifyChannelRanges:
         assert {c for _, c in reads} == {range(0, 2)}  # no cut agrees: one range per file
         assert self._outputs(tmp_path, "reversed") == self._outputs(tmp_path, "stored")
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.usefixtures("one_channel_ranges")
+    def test_each_worker_refills_its_three_buffers(self, tmp_path, monkeypatch, buffer_takes,
+                                                   threads):
+        from geoverify import metrics
+
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
+        # Inits 6 h apart and leads 6, 12, 18: up to three pairs share a valid time.
+        fdir, rdir, manifest, times_file = make_verify_fixture(
+            tmp_path, [utc(2024, 1, 1, h) for h in (0, 6, 12)], [6, 12, 18])
+        assert main(_argv("verify", forecast=fdir, reference=rdir, climatology=manifest,
+                          variables="Z500,T2M", init_times=times_file, leads="6,12,18",
+                          threads=threads, out=tmp_path / "out.csv")) == 0
+        assert 3 <= len(buffer_takes) <= 3 * threads
+        assert all(all(refills) for refills in buffer_takes.values())
+
     @pytest.mark.usefixtures("one_channel_ranges")
     def test_report_and_maps_equal_at_1_2_3_threads(self, tmp_path, monkeypatch):
         from geoverify import metrics
 
-        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 3)
         fixture = make_verify_fixture(tmp_path, self.INITS, [6, 12])
         for threads in (1, 2, 3):
             assert self._verify(tmp_path, fixture, f"t{threads}", threads) == 0
@@ -697,6 +740,13 @@ class TestDownscaleEval:
         nd = (tmp_path / "ds_nd_T2M_psnr.csv").read_text().splitlines()
         assert "capped_cells=1" in nd[0]
         assert nd[3] == "2,NA,NA,NA,1"
+
+    def test_truth_coarse_and_model_each_refill_one_buffer(self, tmp_path, buffer_takes):
+        times = [utc(2024, 2, 2, 18), utc(2024, 2, 3, 0), utc(2024, 2, 3, 6)]
+        coarse, truth, model = self._write_fixture(tmp_path, times, "bilinear")
+        assert main(_argv("downscale-eval", coarse=coarse, truth=truth, model=model,
+                          out=tmp_path / "ds.csv")) == 0
+        assert list(buffer_takes.values()) == [[True] * 3] * 3
 
     def test_single_sample_single_cell(self, tmp_path):
         times = [utc(2024, 2, 2, 18)]
@@ -1031,9 +1081,9 @@ class TestTcTrackStreaming:
         write_storms(directory, names_against_time=True)
         read_cube, reads, alive = cubeio.read_cube, [], []
 
-        def watched(path, variables=None):
+        def watched(path, variables=None, out=None):
             alive.extend(str(p) for p, cube in reads if cube() is not None)
-            cube = read_cube(path, variables)
+            cube = read_cube(path, variables, out=out)
             reads.append((Path(path), weakref.ref(cube)))
             return cube
 
@@ -1043,6 +1093,12 @@ class TestTcTrackStreaming:
         paths = [p for p, _ in reads]
         assert paths == sorted(directory.glob("*.gvc"), reverse=True)  # valid-time order
         assert len(paths) == 6
+
+    def test_every_cube_is_read_into_one_buffer(self, tmp_path, buffer_takes):
+        directory = tmp_path / "storms"
+        write_storms(directory)
+        assert self._run(directory, tmp_path / "track.csv") == 0
+        assert list(buffer_takes.values()) == [[True] * 6]
 
     def test_channel_order_is_read_from_each_cube(self, tmp_path):
         """Storing step 2 as [WS10M, MSL] changes no byte of the tracks."""
@@ -1101,6 +1157,50 @@ class TestClimatologyCommand:
 
         clim = Climatology.load(manifest)
         assert clim.counts[(153, 12)] == 2
+
+    #: Six cubes over three keys, two years each, in time order.
+    TIMES = sorted(utc(year, 6, day, hour) for year in (2019, 2020)
+                   for day, hour in ((1, 0), (1, 12), (2, 0)))
+
+    def _cubes(self, cube_dir):
+        """The TIMES cubes, in files whose names sort against valid time."""
+        cube_dir.mkdir()
+        rng = np.random.default_rng(4)
+        cubes = [_random_field_cube(rng, t) for t in self.TIMES]
+        for cube in cubes:
+            write_cube(cube, cube_dir / f"{99 - self.TIMES.index(cube.valid_time):02d}.gvc")
+        return cubes
+
+    def test_each_cube_read_once_in_time_order_with_no_earlier_cube_alive(
+            self, tmp_path, monkeypatch):
+        from geoverify import cubeio
+
+        cube_dir = tmp_path / "cubes"
+        self._cubes(cube_dir)
+        read_cube, reads, alive = cubeio.read_cube, [], []
+
+        def watched(path, variables=None, channels=None, out=None):
+            alive.extend(str(p) for p, cube in reads if cube() is not None)
+            cube = read_cube(path, variables, channels, out)
+            reads.append((Path(path), weakref.ref(cube)))
+            return cube
+
+        monkeypatch.setattr(cubeio, "read_cube", watched)
+        assert main(_argv("climatology", cubes=cube_dir, out=tmp_path / "clim")) == 0
+        assert alive == []
+        assert [p for p, _ in reads] == sorted(cube_dir.glob("*.gvc"), reverse=True)
+
+    def test_key_cubes_and_manifest_are_the_bytes_of_a_build_from_a_list(
+            self, tmp_path, buffer_takes):
+        cubes = self._cubes(tmp_path / "cubes")
+        assert main(_argv("climatology", cubes=tmp_path / "cubes", out=tmp_path / "clim")) == 0
+        assert list(buffer_takes.values()) == [[True] * 6]
+        build_climatology(cubes[::-1]).save(tmp_path / "listed")
+        written = sorted((tmp_path / "clim").iterdir())
+        assert [p.name for p in written] == [
+            "clim_d153_h00.gvc", "clim_d153_h12.gvc", "clim_d154_h00.gvc", "manifest.csv"]
+        assert [p.read_bytes() for p in written] == [
+            (tmp_path / "listed" / p.name).read_bytes() for p in written]
 
 
 class TestVqaCommand:

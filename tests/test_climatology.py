@@ -5,7 +5,8 @@ import pytest
 
 from geoverify import build_climatology, climatology_key, cubeio, select_channel
 from geoverify.climatology import Climatology
-from geoverify.errors import EmptyInput, MissingKey, NonFiniteValue, NonSynopticTime, SpecMismatch
+from geoverify.errors import (EmptyInput, GeoverifyError, MissingKey, NonFiniteValue,
+                              NonSynopticTime, SpecMismatch)
 from conftest import random_cube, utc
 
 
@@ -84,6 +85,22 @@ class TestBuildClimatology:
         np.testing.assert_array_equal(
             a.lookup(utc(2024, 7, 15, 0)), b.lookup(utc(2024, 7, 15, 0))
         )
+
+    def test_a_stream_in_time_order_gives_the_bits_of_a_list(self):
+        rng = np.random.default_rng(6)
+        cubes = [random_cube(rng, valid_time=utc(2018 + k, 7, 15, 0)) for k in range(6)]
+        streamed = build_climatology(cube for cube in cubes)
+        np.testing.assert_array_equal(streamed.lookup(utc(2024, 7, 15, 0)),
+                                      build_climatology(cubes[::-1]).lookup(utc(2024, 7, 15, 0)))
+        assert streamed.counts == {(197, 0): 6}
+
+    def test_a_stream_out_of_time_order_or_repeating_a_time_is_refused(self):
+        rng = np.random.default_rng(6)
+        a, b = (random_cube(rng, valid_time=utc(2018 + k, 7, 15, 0)) for k in range(2))
+        with pytest.raises(ValueError, match="comes after"):
+            build_climatology(iter([b, a]))
+        with pytest.raises(GeoverifyError, match="two cubes have valid time 2018-07-15"):
+            build_climatology(iter([a, a]))
 
     def test_missing_key(self):
         clim = build_climatology([random_cube(np.random.default_rng(7),

@@ -2,6 +2,7 @@
 
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,87 @@ class TestChannelRange:
             read_cube(cube_path, None, range(4, 7))
         with pytest.raises(ValueError, match="step-1"):
             read_cube(cube_path, None, range(0, 6, 2))
+
+
+class TestReadBuffer:
+    """read_cube(..., out=ReadBuffer()) refills one buffer instead of allocating per read."""
+
+    PLANE = 30 * 40  # six channels V1..V6, as in TestChannelRange
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        paths = [tmp_path / f"cube{k}.gvc" for k in range(2)]
+        for k, path in enumerate(paths):
+            write_cube(random_cube(np.random.default_rng(20 + k), n_chan=6, n_lat=30, n_lon=40),
+                       path)
+        return paths
+
+    @staticmethod
+    def _address(cube):
+        return cube.values.__array_interface__["data"][0]
+
+    @pytest.mark.parametrize("block", [7, FINITE_SCAN_VALUES])
+    def test_reads_into_one_buffer_bitwise_equal_reads_without(self, paths, monkeypatch, block):
+        monkeypatch.setattr(cubeio, "FINITE_SCAN_VALUES", block)
+        buffer = cubeio.ReadBuffer()
+        for path in paths:
+            for variables, channels in [(None, None), (["V5", "V3"], range(2, 5)),
+                                        (["V1"], range(0, 6)), (None, range(3, 3))]:
+                expected = read_cube(path, variables, channels)
+                cube = read_cube(path, variables, channels, out=buffer)
+                assert (cube.spec, cube.catalog, cube.valid_time) == (
+                    expected.spec, expected.catalog, expected.valid_time)
+                assert cube.values.tobytes() == expected.values.tobytes()
+                del cube
+
+    def test_a_released_cube_s_storage_is_refilled(self, paths):
+        buffer = cubeio.ReadBuffer()
+        cube = read_cube(paths[0], out=buffer)
+        address = self._address(cube)
+        del cube
+        assert self._address(read_cube(paths[1], out=buffer)) == address
+
+    def test_a_referenced_cube_keeps_its_values_after_a_second_read_into_its_buffer(
+            self, paths):
+        expected = [read_cube(path).values.tobytes() for path in paths]
+        buffer = cubeio.ReadBuffer()
+        first = read_cube(paths[0], out=buffer)
+        second = read_cube(paths[1], out=buffer)
+        assert first.values.tobytes() == expected[0]
+        assert second.values.tobytes() == expected[1]
+        # A channel view alone keeps the storage too.
+        channel = select_channel(second, "V4")
+        del first, second
+        third = read_cube(paths[0], out=buffer)
+        assert channel.tobytes() == expected[1][3 * 4 * self.PLANE:4 * 4 * self.PLANE]
+        assert third.values.tobytes() == expected[0]
+
+    def test_ten_range_reads_into_one_buffer_trace_well_under_one_range(self, tmp_path):
+        """Ten reads of a 3-channel range peak under a quarter of its bytes.
+
+        What is left is the finiteness scan's bool temporaries: one byte per
+        four-byte value of the two kept channels.
+        """
+        paths = [tmp_path / f"big{k}.gvc" for k in range(2)]
+        for k, path in enumerate(paths):
+            write_cube(random_cube(np.random.default_rng(k), n_chan=6, n_lat=200, n_lon=300),
+                       path)
+        range_bytes = 3 * 4 * 200 * 300
+
+        def peak_of_ten_reads(out):
+            tracemalloc.start()
+            try:
+                for k in range(10):
+                    cube = read_cube(paths[k % 2], ["V3", "V5"], range(2, 5), out=out)
+                    del cube
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        buffer = cubeio.ReadBuffer()
+        read_cube(paths[0], ["V3", "V5"], range(2, 5), out=buffer)  # sizes the buffer
+        assert peak_of_ten_reads(buffer) < range_bytes / 4
+        assert peak_of_ten_reads(None) > range_bytes  # each read allocates the whole range
 
 
 class TestReadHeader:

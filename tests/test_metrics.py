@@ -543,6 +543,8 @@ class TestRmseOverSet:
                 return map(fn, items)
 
         monkeypatch.setattr(metrics, "ThreadPoolExecutor", SerialPool)
+        # Where the OS gives no affinity mask, the CPU count bounds the pool.
+        monkeypatch.delattr(metrics.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(metrics.os, "cpu_count", lambda: cpus)
         spec = GridSpec(2, 4, 45.0, -90.0, 0.0, 90.0)
         catalog = VariableCatalog([VariableId("T2M")])
@@ -553,6 +555,37 @@ class TestRmseOverSet:
         )
         assert seen == workers
         assert records[0].value == 1.0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this OS")
+def test_one_cpu_affinity_gives_one_worker_and_starts_no_thread(monkeypatch):
+    """The host's CPU count does not matter: only the CPUs this process may run on do."""
+    monkeypatch.setattr(metrics.os, "cpu_count", lambda: 8)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+    spec = GridSpec(2, 4, 45.0, -90.0, 0.0, 90.0)
+    catalog = VariableCatalog([VariableId("T2M"), VariableId("Z", 500)])
+    loaders = []
+
+    def cube(valid):
+        loaders.append(threading.get_ident())
+        return FieldCube(spec, catalog, valid, np.ones((2, 2, 4), dtype=np.float32))
+
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        assert metrics._usable_cpus() == 1
+        records, _ = metrics.evaluate_set(
+            lambda t0, lead, _k: cube(t0 + timedelta(hours=lead)), lambda valid, _k: cube(valid),
+            EvaluationSet((utc(2024, 1, 1), utc(2024, 1, 2)), (6,)), ["T2M", "Z500"],
+            ranges=lambda valid, pairs: [["T2M"], ["Z500"]], threads=4,
+        )
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert started == []
+    assert set(loaders) == {threading.get_ident()}
+    assert [r.value for r in records] == [0.0, 0.0]
 
 
 @pytest.fixture
@@ -588,7 +621,7 @@ class TestOnePairAtATime:
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.usefixtures("fast_switching")
     def test_no_cube_of_an_earlier_pair_is_alive_when_a_load_starts(self, monkeypatch, threads):
-        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 4)
         t0s = hour_sequence(utc(2024, 3, 1), 3, step_hours=24)
         leads = (6, 12)
         fc, ref, climatologies = self._fields(31, t0s, leads)
@@ -619,7 +652,7 @@ class TestOnePairAtATime:
     @pytest.mark.parametrize("n_vars", [2, 5], ids=["fewer-vars-than-threads", "more-vars"])
     @pytest.mark.usefixtures("fast_switching")
     def test_reports_and_maps_bitwise_equal_at_1_2_3_threads(self, monkeypatch, n_vars):
-        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 3)
         t0s = hour_sequence(utc(2024, 5, 1, 6), 3, step_hours=24)
         leads = (6, 12)
         fc, ref, climatologies = self._fields(32, t0s, leads)
@@ -650,7 +683,7 @@ class TestOnePairAtATime:
         worker reads side by side; at 1 thread both cubes of group 0 are
         missing and the forecast, read first, is the one reported.
         """
-        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
         reference_failed = threading.Event()
         waited = []
 
@@ -706,7 +739,7 @@ class TestOneReadPerValidTime:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_each_reference_loaded_once_and_each_forecast_once(self, monkeypatch, threads):
-        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
         fc, ref, climatologies = self._fields(41)
         load_fc, load_ref = self._loaders(fc, ref)
         fc_calls, ref_calls = [], []
@@ -729,7 +762,7 @@ class TestOneReadPerValidTime:
         assert sorted(ref_calls) == sorted(ref)
 
     def test_records_and_maps_bitwise_equal_a_per_pair_loop_at_1_2_3_threads(self, monkeypatch):
-        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 3)
         fc, ref, climatologies = self._fields(42)
         variables = [var.token for var in self.CATALOG]
 
@@ -773,7 +806,7 @@ class TestOneReadPerValidTime:
     @pytest.mark.usefixtures("fast_switching")
     def test_no_cube_of_an_earlier_valid_time_is_alive_when_a_load_starts(
             self, monkeypatch, threads):
-        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 4)
         fc, ref, climatologies = self._fields(43)
         lock = threading.Lock()
         handed_out = []  # (valid time, weakref to the cube)
@@ -800,7 +833,7 @@ class TestOneReadPerValidTime:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_missing_shared_reference_names_its_earliest_init_pair(self, monkeypatch, threads):
-        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
         fc, ref, _ = self._fields(44)
         shared = self.T0S[0] + timedelta(hours=18)  # also init 1 + 12 h and init 2 + 6 h
         del ref[shared]
@@ -857,7 +890,7 @@ class TestChannelRanges:
     @pytest.mark.usefixtures("fast_switching")
     def test_no_more_than_three_cubes_per_worker_are_alive_when_a_load_starts(
             self, monkeypatch, threads):
-        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 3)
         lock = threading.Lock()
         handed_out, alive_at_load = [], []
 
@@ -878,7 +911,7 @@ class TestChannelRanges:
 
     @pytest.mark.usefixtures("fast_switching")
     def test_records_and_maps_bitwise_equal_one_group_at_1_2_3_threads(self, monkeypatch):
-        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 3)
         values = self._values(52)
 
         def flat(result):
