@@ -8,9 +8,9 @@ non-leap lookups never touch it.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -134,17 +134,18 @@ class Climatology:
         return cls(spec, catalog, {}, counts, paths)
 
 
-def build_climatology(cubes: Iterable[FieldCube]) -> Climatology:
+def build_climatology(cubes: Sequence[FieldCube] | Iterator[FieldCube]) -> Climatology:
     """Arithmetic per-key mean over cubes sharing one grid spec and catalog.
 
-    Accumulation is 64-bit and runs in valid_time order.  A sequence is
-    sorted first, so any permutation of it produces identical bits.  Any
-    other iterable is summed as it yields, holding one cube at a time, and
-    must yield in ascending valid time (ValueError otherwise).  Two cubes
-    with one valid time are a data error: the time would count twice in its
-    mean.
+    Accumulation is 64-bit and runs in valid_time order.  ``cubes`` is
+    either a collection (a list or tuple, say), which is sorted first, so
+    any permutation of it produces identical bits; or an iterator (a
+    generator, say), which is summed as it yields, holding one cube at a
+    time, and must yield in ascending valid time (ValueError otherwise).
+    Two cubes with one valid time are a data error: the time would count
+    twice in its mean.
     """
-    if isinstance(cubes, Sequence):
+    if not isinstance(cubes, Iterator):
         cubes = sorted(cubes, key=lambda c: c.valid_time)
     spec = catalog = last = None
     sums: dict[tuple[int, int], np.ndarray] = {}

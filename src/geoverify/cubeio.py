@@ -231,8 +231,9 @@ def read_cube(path, variables=None, channels: range | None = None,
     without ``variables``) and the rest of the run is checked for NaN/Inf.
     A range beyond the file's channels raises CorruptHeader.
 
-    With ``out``, the cube's values and the scan block are cut from the
-    buffer's storage (see ReadBuffer) rather than from a new array.
+    With ``out``, the cube's values are cut from the buffer's storage (see
+    ReadBuffer) rather than from a new array.  The scan block is always a
+    new array, freed before the read returns, so no buffer holds one.
     """
     with open(path, "rb") as f:
         spec, catalog, valid_time = _read_header(f, path)
@@ -251,10 +252,8 @@ def read_cube(path, variables=None, channels: range | None = None,
         f.seek(4 * plane * span.start, os.SEEK_CUR)
         n_kept = plane * len(keep)
         n_scan = min(FINITE_SCAN_VALUES, plane * (len(span) - len(keep)))
-        if out is None:  # two arrays, so the cube does not keep the scan block alive
-            kept, scan = np.empty(n_kept, dtype="<f4"), np.empty(n_scan, dtype="<f4")
-        else:
-            kept, scan = np.split(out.take(n_kept + n_scan), [n_kept])
+        kept = (out or ReadBuffer()).take(n_kept)
+        scan = np.empty(n_scan, dtype="<f4")
         values = kept.reshape(len(keep), spec.n_lat, spec.n_lon)
         pos, finite = 0, True
         # One readinto per run of adjacent kept channels: a full read is one call.
@@ -265,11 +264,12 @@ def read_cube(path, variables=None, channels: range | None = None,
                 pos += count
                 continue
             for start in range(0, count, scan.size):
-                block = scan[:min(scan.size, count - start)]
-                _fill(f, path, block)
-                finite = finite and all_finite(block)
+                n = min(scan.size, count - start)
+                _fill(f, path, scan[:n])
+                finite = finite and all_finite(scan[:n])
         if not finite:
             raise NonFiniteValue(f"{path}: cube values must be finite")
+    del scan  # before FieldCube's own finiteness scan allocates
     try:
         return FieldCube(spec, catalog, valid_time, values)
     except ValueError as e:  # the finiteness scan of the kept channels is FieldCube's

@@ -86,6 +86,16 @@ class TestBuildClimatology:
             a.lookup(utc(2024, 7, 15, 0)), b.lookup(utc(2024, 7, 15, 0))
         )
 
+        class Reversed:  # a sequence by protocol only, not a collections.abc.Sequence
+            def __len__(self):
+                return len(cubes)
+
+            def __getitem__(self, k):
+                return cubes[::-1][k]
+
+        np.testing.assert_array_equal(build_climatology(Reversed()).lookup(utc(2024, 7, 15, 0)),
+                                      a.lookup(utc(2024, 7, 15, 0)))
+
     def test_a_stream_in_time_order_gives_the_bits_of_a_list(self):
         rng = np.random.default_rng(6)
         cubes = [random_cube(rng, valid_time=utc(2018 + k, 7, 15, 0)) for k in range(6)]
@@ -96,9 +106,11 @@ class TestBuildClimatology:
 
     def test_a_stream_out_of_time_order_or_repeating_a_time_is_refused(self):
         rng = np.random.default_rng(6)
-        a, b = (random_cube(rng, valid_time=utc(2018 + k, 7, 15, 0)) for k in range(2))
+        a, b, c = (random_cube(rng, valid_time=utc(2018 + k, 7, 15, 0)) for k in range(3))
         with pytest.raises(ValueError, match="comes after"):
             build_climatology(iter([b, a]))
+        with pytest.raises(ValueError, match="comes after"):
+            build_climatology(cube for cube in [a, c, b])
         with pytest.raises(GeoverifyError, match="two cubes have valid time 2018-07-15"):
             build_climatology(iter([a, a]))
 

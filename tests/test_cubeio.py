@@ -356,10 +356,11 @@ class TestReadBuffer:
         assert third.values.tobytes() == expected[0]
 
     def test_ten_range_reads_into_one_buffer_trace_well_under_one_range(self, tmp_path):
-        """Ten reads of a 3-channel range peak under a quarter of its bytes.
+        """Ten reads of a 3-channel range, two channels kept, peak under half its bytes.
 
-        What is left is the finiteness scan's bool temporaries: one byte per
-        four-byte value of the two kept channels.
+        What is left is one read's scan block for the unkept channel (a third
+        of the range) and the finiteness scan's bool temporaries, one byte per
+        four-byte value scanned at a time.
         """
         paths = [tmp_path / f"big{k}.gvc" for k in range(2)]
         for k, path in enumerate(paths):
@@ -377,9 +378,16 @@ class TestReadBuffer:
             finally:
                 tracemalloc.stop()
 
-        buffer = cubeio.ReadBuffer()
-        read_cube(paths[0], ["V3", "V5"], range(2, 5), out=buffer)  # sizes the buffer
-        assert peak_of_ten_reads(buffer) < range_bytes / 4
+        tracemalloc.start()
+        try:
+            buffer = cubeio.ReadBuffer()
+            read_cube(paths[0], ["V3", "V5"], range(2, 5), out=buffer)  # sizes the buffer
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # The buffer keeps the two kept channels, not the scan block of the third.
+        assert 2 / 3 * range_bytes <= held < 2 / 3 * range_bytes + 4096
+        assert peak_of_ten_reads(buffer) < range_bytes / 2
         assert peak_of_ten_reads(None) > range_bytes  # each read allocates the whole range
 
 
