@@ -27,6 +27,7 @@ from .errors import (
     GeoverifyError,
     InvalidFlags,
     MissingCube,
+    NonFiniteValue,
     ParseError,
     PerfectMatch,
 )
@@ -249,21 +250,30 @@ def cmd_verify(args) -> int:
     buffers = _WorkerBuffers()
 
     def read(path, k, out):
+        # Every kept channel is scored, so the kernels' row sums check it for NaN/Inf.
         group, channels = plan[path][k]
-        return cubeio.read_cube(path, group, channels, out=out)
+        return cubeio.read_cube(path, group, channels, out=out, _scan_kept=False)
 
-    records, rmse_maps = metrics.evaluate_set(
-        lambda t0, lead, k: read(forecast_path(args.forecast, t0, lead), k, buffers.forecast),
-        lambda valid, k: read(reference_path(args.reference, valid), k, buffers.reference),
-        eval_set,
-        variables,
-        rmse="rmse" in wanted,
-        climatologies=None if clim is None else (
-            lambda valid, k: read(clim.key_path(valid), k, buffers.climatology)),
-        ranges=ranges,
-        maps=bool(args.map_dir),
-        threads=args.threads,
-    )
+    try:
+        records, rmse_maps = metrics.evaluate_set(
+            lambda t0, lead, k: read(forecast_path(args.forecast, t0, lead), k, buffers.forecast),
+            lambda valid, k: read(reference_path(args.reference, valid), k, buffers.reference),
+            eval_set,
+            variables,
+            rmse="rmse" in wanted,
+            climatologies=None if clim is None else (
+                lambda valid, k: read(clim.key_path(valid), k, buffers.climatology)),
+            ranges=ranges,
+            maps=bool(args.map_dir),
+            threads=args.threads,
+        )
+    except NonFiniteValue:
+        # Scan the failing valid time's files range by range in pass order, so
+        # the error names the first file that holds a NaN or Inf.
+        for k in range(len(next(iter(plan.values())))):
+            for path, spans in plan.items():
+                cubeio.read_cube(path, *spans[k])
+        raise
     params = {
         "forecast": args.forecast,
         "reference": args.reference,

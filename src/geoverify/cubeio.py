@@ -214,7 +214,7 @@ class ReadBuffer:
 
 
 def read_cube(path, variables=None, channels: range | None = None,
-              out: ReadBuffer | None = None) -> FieldCube:
+              out: ReadBuffer | None = None, *, _scan_kept: bool = True) -> FieldCube:
     """Read a GVC1 cube file, validating header consistency and finiteness.
 
     With ``variables``, the cube keeps only the channels of the file's
@@ -234,6 +234,9 @@ def read_cube(path, variables=None, channels: range | None = None,
     With ``out``, the cube's values are cut from the buffer's storage (see
     ReadBuffer) rather than from a new array.  The scan block is always a
     new array, freed before the read returns, so no buffer holds one.
+
+    ``_scan_kept=False`` is private to ``verify``, whose metric kernels check
+    every kept value: the kept channels are then not scanned for NaN/Inf.
     """
     with open(path, "rb") as f:
         spec, catalog, valid_time = _read_header(f, path)
@@ -271,7 +274,7 @@ def read_cube(path, variables=None, channels: range | None = None,
             raise NonFiniteValue(f"{path}: cube values must be finite")
     del scan  # before FieldCube's own finiteness scan allocates
     try:
-        return FieldCube(spec, catalog, valid_time, values)
+        return FieldCube(spec, catalog, valid_time, values, _scan=_scan_kept)
     except ValueError as e:  # the finiteness scan of the kept channels is FieldCube's
         raise NonFiniteValue(f"{path}: {e}") from None
 

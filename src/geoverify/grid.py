@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, Sequence
 
@@ -40,8 +40,8 @@ ROLE_INPUT_ONLY = "input-only"
 
 _ALIGN_TOL_DEG = 1e-6
 
-#: Values per block of a finiteness scan: 1 MiB of float32.  A scan never
-#: holds more than one block's flags, whatever the size of the array.
+#: Values per block of a finiteness scan: 1 MiB of float32, so a block's max
+#: is taken while its min left it in cache.
 FINITE_SCAN_VALUES = 1 << 18
 
 
@@ -233,13 +233,16 @@ class FieldCube:
     catalog: VariableCatalog
     valid_time: datetime
     values: np.ndarray = field(repr=False)
+    #: Private: False leaves the NaN/Inf scan to a caller that feeds every value
+    #: to a metric kernel, whose row sums raise NonFiniteValue (verify's reads).
+    _scan: InitVar[bool] = field(default=True, kw_only=True)
 
-    def __post_init__(self):
+    def __post_init__(self, _scan):
         arr = np.ascontiguousarray(self.values, dtype=np.float32).view()
         expected = (len(self.catalog), self.spec.n_lat, self.spec.n_lon)
         if arr.shape != expected:
             raise ValueError(f"values shape {arr.shape} != (C,H,W) {expected}")
-        if not all_finite(arr):
+        if _scan and not all_finite(arr):
             raise ValueError("cube values must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -251,12 +254,17 @@ class FieldCube:
 
 
 def all_finite(values: np.ndarray) -> bool:
-    """Whether every value is finite, scanned in blocks of FINITE_SCAN_VALUES."""
+    """Whether every value is finite, scanned in blocks of FINITE_SCAN_VALUES.
+
+    A block's min and max are both finite exactly when all its values are
+    (NaN propagates through both), so the scan allocates no array of flags.
+    """
     flat = values.reshape(-1)
-    return all(
-        np.isfinite(flat[start:start + FINITE_SCAN_VALUES]).all()
-        for start in range(0, flat.size, FINITE_SCAN_VALUES)
-    )
+    for start in range(0, flat.size, FINITE_SCAN_VALUES):
+        block = flat[start:start + FINITE_SCAN_VALUES]
+        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+            return False
+    return True
 
 
 def latitude_weights(spec_or_lats: GridSpec | Sequence[float] | np.ndarray) -> np.ndarray:

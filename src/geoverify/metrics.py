@@ -33,6 +33,7 @@ import numpy as np
 from .errors import (
     EmptySeries,
     MissingCube,
+    NonFiniteValue,
     NonPositivePeak,
     NonSynopticTime,
     PerfectMatch,
@@ -123,6 +124,11 @@ def _row_sums(forecast, reference, clim_field=None) -> np.ndarray:
     float64 once, and each row is summed by the same einsum as a whole field,
     so the sums have the bits of whole-field sums without full-size copies.
 
+    Every input value enters a sum, so a NaN or Inf input makes a sum NaN
+    or Inf (for float32 input nothing else does: its squares cannot overflow
+    float64); NonFiniteValue is raised then, with no floating-point warning.
+    This is the NaN/Inf check of the values that verify reads without a scan.
+
     The blocks are n_lat // step near-equal runs of at least ``step`` >= 2
     rows: einsum sums a lone row longer than its 8192-value buffer in chunks,
     in another order than the same row of a taller array.  One buffer per
@@ -135,22 +141,26 @@ def _row_sums(forecast, reference, clim_field=None) -> np.ndarray:
     n_blocks = max(1, n_lat // step)
     out = np.empty((1 if clim_field is None else 3, n_lat))
     buf = np.empty((1 if clim_field is None else 2, -(-n_lat // n_blocks), n_lon))
-    for k in range(n_blocks):
-        start, stop = k * n_lat // n_blocks, (k + 1) * n_lat // n_blocks
-        rows = slice(start, stop)
-        fb = buf[0, : stop - start]
-        fb[...] = forecast[rows]
-        if clim_field is None:
-            fb -= reference[rows]
-            np.einsum("ij,ij->i", fb, fb, out=out[0, rows])
-            continue
-        rb = buf[1, : stop - start]
-        rb[...] = reference[rows]
-        fb -= clim_field[rows]
-        rb -= clim_field[rows]
-        np.einsum("ij,ij->i", fb, rb, out=out[0, rows])
-        np.einsum("ij,ij->i", fb, fb, out=out[1, rows])
-        np.einsum("ij,ij->i", rb, rb, out=out[2, rows])
+    # inf - inf and 0 * inf would warn, as would float64 input past the float64 range.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(n_blocks):
+            start, stop = k * n_lat // n_blocks, (k + 1) * n_lat // n_blocks
+            rows = slice(start, stop)
+            fb = buf[0, : stop - start]
+            fb[...] = forecast[rows]
+            if clim_field is None:
+                fb -= reference[rows]
+                np.einsum("ij,ij->i", fb, fb, out=out[0, rows])
+                continue
+            rb = buf[1, : stop - start]
+            rb[...] = reference[rows]
+            fb -= clim_field[rows]
+            rb -= clim_field[rows]
+            np.einsum("ij,ij->i", fb, rb, out=out[0, rows])
+            np.einsum("ij,ij->i", fb, fb, out=out[1, rows])
+            np.einsum("ij,ij->i", rb, rb, out=out[2, rows])
+    if not np.isfinite(out).all():
+        raise NonFiniteValue("field values must be finite: a row sum is NaN or Inf")
     return out
 
 
@@ -162,14 +172,18 @@ def _check_weights(weights: np.ndarray, n_lat: int) -> np.ndarray:
 
 
 def weighted_rmse(forecast, reference, weights) -> float:
-    """Latitude-weighted RMSE of one field pair (the per-time inner term)."""
+    """Latitude-weighted RMSE of one field pair (the per-time inner term).
+
+    NaN or Inf in either field raises NonFiniteValue.
+    """
     return weighted_rmse_and_mse(forecast, reference, weights)[0]
 
 
 def weighted_rmse_and_mse(forecast, reference, weights) -> tuple[float, float]:
     """(weighted_rmse, mse) of one 2-D field pair from one pass of row sums.
 
-    Each value has the bits of its own function's result.
+    Each value has the bits of its own function's result.  NaN or Inf in
+    either field raises NonFiniteValue.
     """
     f, r = _fields_2d(forecast, reference)
     w = _check_weights(weights, f.shape[0])
@@ -187,7 +201,8 @@ def weighted_acc(forecast, reference, clim_field, weights) -> float:
 
     Weighted cosine similarity of (forecast - clim) and (reference - clim);
     raises ZeroAnomalyVariance when either anomaly has zero weighted energy.
-    The result is clamped into [-1, 1] against rounding spill.
+    The result is clamped into [-1, 1] against rounding spill.  NaN or Inf in
+    any field raises NonFiniteValue, before the variance test and the clamp.
     """
     f, r, c = _fields_2d(forecast, reference, clim_field)
     w = _check_weights(weights, f.shape[0])
@@ -201,7 +216,10 @@ def weighted_acc(forecast, reference, clim_field, weights) -> float:
 
 
 def mse(forecast, reference) -> float:
-    """Unweighted mean squared error, summed without BLAS (same bits at any thread count)."""
+    """Unweighted mean squared error, summed without BLAS (same bits at any thread count).
+
+    NaN or Inf in either field raises NonFiniteValue.
+    """
     f, r = (np.atleast_1d(a) for a in _same_shape(forecast, reference))
     as_rows = (math.prod(f.shape[:-1]), f.shape[-1])
     return _mean_of_rows(_row_sums(f.reshape(as_rows), r.reshape(as_rows))[0], f.size)
@@ -228,7 +246,7 @@ def psnr(candidate, reference, peak: float) -> float:
     """Peak signal-to-noise ratio in dB: 10*log10(peak^2 / MSE), unweighted.
 
     A perfect match (MSE = 0) is signalled as PerfectMatch rather than
-    returned as infinity.
+    returned as infinity; NaN or Inf in either field raises NonFiniteValue.
     """
     return psnr_from_mse(mse(candidate, reference), peak)
 

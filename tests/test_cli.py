@@ -1,12 +1,17 @@
 """End-to-end tests of the batch CLI: subcommands, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import os
+import shutil
 import tempfile
+import warnings
 import weakref
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +30,7 @@ from geoverify import (
 )
 from geoverify.cli import build_parser, main, parse_leads, time_stem
 from geoverify.cubeio import read_csv_rows, read_cube, read_tracks, write_cube, write_tracks
-from geoverify.errors import InvalidFlags
+from geoverify.errors import InvalidFlags, NonFiniteValue
 from conftest import utc, write_vortex
 
 
@@ -48,9 +53,9 @@ def buffer_takes(monkeypatch):
 
     read_cube, take, reads, takes = cubeio.read_cube, cubeio.ReadBuffer.take, [], {}
 
-    def counted(path, variables=None, channels=None, out=None):
+    def counted(path, variables=None, channels=None, out=None, *, _scan_kept=True):
         reads.append(out is not None)
-        return read_cube(path, variables, channels, out)
+        return read_cube(path, variables, channels, out, _scan_kept=_scan_kept)
 
     def spied(self, n):
         values = take(self, n)
@@ -389,8 +394,9 @@ class TestVerify:
             if name == "full":
                 read_cube = cubeio.read_cube
                 monkeypatch.setattr(cubeio, "read_cube",
-                                    lambda path, variables=None, channels=None, out=None:
-                                    read_cube(path, out=out))
+                                    lambda path, variables=None, channels=None, out=None, *,
+                                    _scan_kept=True:
+                                    read_cube(path, out=out, _scan_kept=_scan_kept))
             code = main([
                 "verify", "--forecast", str(fdir), "--reference", str(rdir),
                 "--climatology", str(manifest), "--variables", "T2M",
@@ -412,9 +418,9 @@ class TestVerify:
         fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6, 12, 18])
         read_cube, reads = cubeio.read_cube, []
 
-        def counted(path, variables=None, channels=None, out=None):
+        def counted(path, variables=None, channels=None, out=None, *, _scan_kept=True):
             reads.append(Path(path))
-            return read_cube(path, variables, channels, out)
+            return read_cube(path, variables, channels, out, _scan_kept=_scan_kept)
 
         monkeypatch.setattr(cubeio, "read_cube", counted)
         code = main([
@@ -573,9 +579,9 @@ class TestVerifyChannelRanges:
 
         read_cube, reads = cubeio.read_cube, []
 
-        def counted(path, variables=None, channels=None, out=None):
+        def counted(path, variables=None, channels=None, out=None, *, _scan_kept=True):
             reads.append((Path(path).name, channels))
-            return read_cube(path, variables, channels, out)
+            return read_cube(path, variables, channels, out, _scan_kept=_scan_kept)
 
         monkeypatch.setattr(cubeio, "read_cube", counted)
         return reads
@@ -672,13 +678,22 @@ class TestVerifyChannelRanges:
         weighted_rmse, scored = metrics.weighted_rmse, []
 
         def counted(*args):
-            scored.append(args)
-            return weighted_rmse(*args)
+            try:
+                value = weighted_rmse(*args)
+            except NonFiniteValue:
+                scored.append("raised")
+                raise
+            scored.append(value)
+            return value
 
         monkeypatch.setattr(metrics, "weighted_rmse", counted)
         assert self._verify(tmp_path, fixture, "out") == 2
-        assert "finite" in capsys.readouterr().err
-        assert len(scored) == 3  # Z500 and T2M at the first valid time, Z500 at the last
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"geoverify: data error: {sorted(fixture[1].glob('*.gvc'))[-1]}: "
+            "cube values must be finite")
+        # Z500 and T2M at the first valid time and Z500 at the last are scored;
+        # the row sums of T2M at the last find the NaN.
+        assert len(scored) == 4 and scored[3] == "raised"
         assert not (tmp_path / "out.csv").exists()
         assert not (tmp_path / "out").exists()
 
@@ -692,6 +707,65 @@ class TestVerifyChannelRanges:
         with open(manifest, "a") as f:
             f.write("200,0,1,clim_d200_h00.gvc\n")
         assert self._verify(tmp_path, fixture, "out") == 0
+
+
+class TestVerifyNonFiniteScoredValue:
+    """verify reads scored channels unscanned: the metric kernels' row sums find a NaN or
+    Inf, and a rescan of that valid time's files names the file that holds it."""
+
+    @pytest.mark.parametrize("map_dir", [False, True], ids=["report", "maps"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("wanted, side", [
+        (m, side) for m in ("rmse", "acc", "rmse,acc")
+        for side in ("forecast", "reference", "climatology") if "acc" in m or side != "climatology"
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_exits_2_naming_the_file_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                        bad, wanted, side, threads, map_dir):
+        from geoverify import cli, metrics
+
+        # One channel a range, and two workers on any machine: Z500 and T2M go to
+        # different workers, and the NaN/Inf is in T2M, the second range.
+        monkeypatch.setattr(cli, "RANGE_BYTES", SPEC.n_lat * SPEC.n_lon * 4)
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
+        fdir, rdir, manifest, times_file = make_verify_fixture(
+            tmp_path, [utc(2024, 1, 1, 0)], [6, 12])
+        directory = {"forecast": fdir, "reference": rdir, "climatology": manifest.parent}[side]
+        path = sorted(directory.glob("*.gvc"))[-1]
+        _poison(path, 13 - SPEC.n_lat * SPEC.n_lon, bad)  # value 13 of T2M, the last channel
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        argv = _argv("verify", forecast=fdir, reference=rdir, climatology=manifest,
+                     variables="Z500,T2M", metrics=wanted, init_times=times_file, leads="6,12",
+                     threads=threads, out=tmp_path / "r.csv",
+                     map_dir=tmp_path / "maps" if map_dir else None)
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"geoverify: data error: {path}: cube values must be finite"]
+        assert _tree(tmp_path) == before
+
+    def test_no_kept_channel_is_scanned_when_every_channel_is_scored(self, tmp_path,
+                                                                      monkeypatch):
+        """Each kept value enters a row sum, so only the channels verify does not keep
+        are scanned: T2M when Z500 alone is scored, nothing when both are."""
+        from geoverify import cubeio, grid
+
+        fdir, rdir, manifest, times_file = make_verify_fixture(
+            tmp_path, [utc(2024, 1, 1, 0)], [6, 12])
+        scans = []
+        for module in (grid, cubeio):
+            def counted(values, module=module, all_finite=module.all_finite):
+                scans.append((module.__name__, values.size))
+                return all_finite(values)
+
+            monkeypatch.setattr(module, "all_finite", counted)
+        for variables in ("Z500,T2M", "Z500"):
+            assert main(_argv("verify", forecast=fdir, reference=rdir, climatology=manifest,
+                              variables=variables, init_times=times_file, leads="6,12",
+                              out=tmp_path / "r.csv")) == 0
+            # Two forecasts, two references and two climatology keys.
+            assert scans == ([] if variables == "Z500,T2M" else
+                             [("geoverify.cubeio", SPEC.n_lat * SPEC.n_lon)] * 6)
 
 
 class TestDownscaleEval:
@@ -1081,9 +1155,9 @@ class TestTcTrackStreaming:
         write_storms(directory, names_against_time=True)
         read_cube, reads, alive = cubeio.read_cube, [], []
 
-        def watched(path, variables=None, out=None):
+        def watched(path, variables=None, out=None, *, _scan_kept=True):
             alive.extend(str(p) for p, cube in reads if cube() is not None)
-            cube = read_cube(path, variables, out=out)
+            cube = read_cube(path, variables, out=out, _scan_kept=_scan_kept)
             reads.append((Path(path), weakref.ref(cube)))
             return cube
 
@@ -1179,9 +1253,9 @@ class TestClimatologyCommand:
         self._cubes(cube_dir)
         read_cube, reads, alive = cubeio.read_cube, [], []
 
-        def watched(path, variables=None, channels=None, out=None):
+        def watched(path, variables=None, channels=None, out=None, *, _scan_kept=True):
             alive.extend(str(p) for p, cube in reads if cube() is not None)
-            cube = read_cube(path, variables, channels, out)
+            cube = read_cube(path, variables, channels, out, _scan_kept=_scan_kept)
             reads.append((Path(path), weakref.ref(cube)))
             return cube
 
@@ -1258,10 +1332,14 @@ def _argv(command, **flags):
     return [command] + [f"--{k.replace('_', '-')}={v}" for k, v in flags.items() if v is not None]
 
 
-def _poison(path):
-    """Overwrites the last float32 of a cube file's payload with NaN."""
+def _poison(path, index=-1, value=np.nan):
+    """Overwrites a float32 of a cube file's payload, by default the last, with ``value``.
+
+    ``index`` counts from the payload's end, which is the file's end: -1 is the last value.
+    """
     data = bytearray(path.read_bytes())
-    data[-4:] = np.float32(np.nan).tobytes()
+    offset = len(data) + 4 * index
+    data[offset:offset + 4] = np.float32(value).tobytes()
     path.write_bytes(bytes(data))
 
 
@@ -1835,3 +1913,70 @@ def test_any_flag_values_exit_with_a_documented_code(valid_flags, command, data)
             os.chdir(cwd)
     event(f"exit {code}")
     assert code in (0, 2, 3, 4)
+
+
+# --- verify input fuzz: one damaged input cube fails the run with a data error ------
+
+#: Header bytes that no change leaves readable: magic, version, orientation and the
+#: n_lat, n_lon and n_chan sizes (bytes 0-18), and the catalog length (59-62).  A
+#: change to a float field or a catalog entry may leave a valid header of another
+#: grid or variable, which GVC1, having no checksum, cannot tell from the original.
+STRUCTURAL_HEADER_BYTES = [*range(19), *range(59, 63)]
+
+
+@pytest.fixture(scope="module")
+def verify_inputs(tmp_path_factory):
+    """Pristine verify inputs in ``in``, 2 inits x leads 6 and 12: four valid times."""
+    root = tmp_path_factory.mktemp("verify-fuzz")
+    (root / "in").mkdir()
+    make_verify_fixture(root / "in", [utc(2024, 1, 1, 0), utc(2024, 1, 1, 12)], [6, 12])
+    return root
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_damaged_input_cube_fails_verify_naming_it(verify_inputs, data):
+    """A NaN or Inf anywhere in a payload, a truncation or a broken header field."""
+    from geoverify import cli, metrics
+
+    with tempfile.TemporaryDirectory(dir=verify_inputs) as tmp:
+        root = Path(tmp) / "run"
+        shutil.copytree(verify_inputs / "in", root)
+        paths = sorted(root.rglob("*.gvc"))
+        assert len(paths) == 12  # four forecasts, four references, four climatology keys
+        path = data.draw(st.sampled_from(paths), label="file")
+        raw = bytearray(path.read_bytes())
+        kind = data.draw(st.sampled_from(["value", "truncate", "header"]), label="kind")
+        event(kind)
+        if kind == "value":
+            index = data.draw(st.integers(-2 * SPEC.n_lat * SPEC.n_lon, -1), label="index")
+            _poison(path, index, data.draw(st.sampled_from([np.nan, np.inf, -np.inf])))
+        elif kind == "truncate":
+            path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="length")])
+        else:
+            raw[data.draw(st.sampled_from(STRUCTURAL_HEADER_BYTES), label="byte")] ^= 0xFF
+            path.write_bytes(bytes(raw))
+        one_channel_ranges = data.draw(st.booleans(), label="one channel a range")
+        argv = _argv("verify", forecast=root / "forecast", reference=root / "reference",
+                     climatology=root / "clim" / "manifest.csv", variables="Z500,T2M",
+                     init_times=root / "inits.txt", leads="6,12",
+                     threads=data.draw(st.sampled_from([1, 2]), label="threads"),
+                     out=root / "r.csv", map_dir=root / "maps")
+        before = _tree(root)
+        stderr = io.StringIO()
+        with contextlib.ExitStack() as stack:
+            if one_channel_ranges:
+                stack.enter_context(mock.patch.object(cli, "RANGE_BYTES",
+                                                      SPEC.n_lat * SPEC.n_lon * 4))
+            stack.enter_context(mock.patch.object(metrics, "_usable_cpus", lambda: 2))
+            caught = stack.enter_context(warnings.catch_warnings(record=True))
+            warnings.simplefilter("always")
+            stack.enter_context(contextlib.redirect_stderr(stderr))
+            code = main(argv)
+        assert code in (2, 3, 4)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "Traceback" not in stderr.getvalue()
+        lines = stderr.getvalue().splitlines()
+        assert [line for line in lines if " error: " in line] == lines[-1:]
+        assert lines[-1].startswith(f"geoverify: {CATEGORY[code]} error: {path}")
+        assert _tree(root) == before

@@ -276,6 +276,19 @@ class TestChannelRange:
             with pytest.raises(NonFiniteValue, match="finite"):
                 read_cube(cube_path, variables, channels)
 
+    def test_without_the_kept_scan_only_the_unkept_channels_are_checked(self, cube_path):
+        """verify's reads leave the kept channels to the metric kernels' NaN/Inf check."""
+        data = bytearray(cube_path.read_bytes())
+        offset = len(data) - 6 * self.PLANE * 4 + 4 * (2 * self.PLANE + 5)  # inside V3
+        data[offset:offset + 4] = np.float32(np.nan).tobytes()
+        cube_path.write_bytes(bytes(data))
+        cube = read_cube(cube_path, ["V3"], range(1, 4), _scan_kept=False)
+        assert np.isnan(select_channel(cube, "V3")).sum() == 1
+        with pytest.raises(NonFiniteValue, match="finite"):
+            read_cube(cube_path, ["V2", "V4"], range(1, 4), _scan_kept=False)
+        with pytest.raises(NonFiniteValue, match="finite"):
+            read_cube(cube_path, ["V3"], range(1, 4))
+
     @pytest.mark.parametrize("damage", [lambda d: d[:-4], lambda d: d + b"\0\0\0\0"],
                              ids=["short", "long"])
     def test_a_file_of_the_wrong_length_fails_for_every_range(self, cube_path, damage):

@@ -1,5 +1,7 @@
 """Tests for grid geometry, catalogs, cubes and latitude weighting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,35 @@ class TestFieldCube:
         values.reshape(-1)[index] = bad
         with pytest.raises(ValueError, match="finite"):
             FieldCube(small_spec, small_catalog, utc(2024, 1, 1), values)
+
+    @pytest.mark.parametrize("index", [0, 4, 20, 35, 37],
+                             ids=["block-first", "block-last", "inside", "short-block-first",
+                                  "short-block-last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_all_finite_finds_every_position_without_a_warning(self, monkeypatch, index, bad):
+        """With 5-value blocks, 38 values end in a 3-value block."""
+        from geoverify import grid
+
+        monkeypatch.setattr(grid, "FINITE_SCAN_VALUES", 5)
+        values = np.arange(38, dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert grid.all_finite(values)
+            values[index] = bad
+            assert not grid.all_finite(values)
+
+    def test_a_cube_built_without_the_scan_is_scanned_when_replaced(self, small_spec,
+                                                                   small_catalog):
+        """Only the private keyword skips the scan; ``replace`` builds a checked cube."""
+        from dataclasses import replace
+
+        from geoverify import FieldCube
+
+        values = np.zeros((3, 3, 4), dtype=np.float32)
+        values[1, 2, 3] = np.inf
+        cube = FieldCube(small_spec, small_catalog, utc(2024, 1, 1), values, _scan=False)
+        with pytest.raises(ValueError, match="finite"):
+            replace(cube, valid_time=utc(2024, 1, 2))
 
     def test_rejects_wrong_shape(self, small_spec, small_catalog):
         from geoverify import FieldCube

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 import weakref
 from datetime import timedelta
 from pathlib import Path
@@ -34,6 +35,7 @@ from geoverify import (
 from geoverify.errors import (
     EmptySeries,
     MissingCube,
+    NonFiniteValue,
     NonPositivePeak,
     NonSynopticTime,
     PerfectMatch,
@@ -306,6 +308,48 @@ class TestRowBlockedKernel:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+def _non_finite_cases():
+    """(score, field) pairs: every field each score sums, the climatology only for ACC."""
+    for score in ("weighted_rmse", "weighted_rmse_and_mse", "mse", "psnr", "weighted_acc"):
+        sides = ("forecast", "reference") + (("climatology",) if score == "weighted_acc" else ())
+        for side in sides:
+            yield pytest.param(score, side, id=f"{score}-{side}")
+
+
+class TestNonFiniteInput:
+    """NaN or Inf in any field raises NonFiniteValue, before any weight, test or clamp."""
+
+    WEIGHTS = latitude_weights(np.linspace(90.0, -90.0, 5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("row", [2, 0], ids=["interior", "pole"])
+    @pytest.mark.parametrize("score, side", _non_finite_cases())
+    def test_raises_without_a_warning(self, score, side, row, bad):
+        assert self.WEIGHTS[0] == 0.0  # the pole row weighs nothing
+        f, r, c = _fields((5, 8), 3, seed=22)
+        {"forecast": f, "reference": r, "climatology": c}[side][row, 3] = bad
+        call = {
+            "weighted_rmse": lambda: weighted_rmse(f, r, self.WEIGHTS),
+            "weighted_rmse_and_mse": lambda: metrics.weighted_rmse_and_mse(f, r, self.WEIGHTS),
+            "mse": lambda: metrics.mse(f, r),
+            "psnr": lambda: psnr(f, r, 1.0),
+            "weighted_acc": lambda: weighted_acc(f, r, c, self.WEIGHTS),
+        }[score]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="finite"):
+                call()
+
+    def test_the_same_infinity_in_forecast_and_reference_raises(self):
+        """inf - inf is NaN: the difference of equal infinities is no zero error."""
+        f, r = _fields((5, 8), 2, seed=23)
+        f[1, 1] = r[1, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue):
+                weighted_rmse(f, r, self.WEIGHTS)
 
 
 class TestMbe:
