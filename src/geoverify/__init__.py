@@ -8,14 +8,12 @@ from .grid import (
     VariableId,
     latitude_weights,
     parse_variable_token,
-    regional_crop,
     select_channel,
     weather_catalog,
 )
 from .metrics import (
     EvaluationSet,
     MetricRecord,
-    mae,
     mbe,
     month_hour_matrix,
     mse,
@@ -60,7 +58,6 @@ __all__ = [
     "filter_case",
     "great_circle_km",
     "latitude_weights",
-    "mae",
     "mbe",
     "month_hour_matrix",
     "mse",
@@ -69,7 +66,6 @@ __all__ = [
     "parse_variable_token",
     "pointwise_rmse",
     "psnr",
-    "regional_crop",
     "select_channel",
     "synthetic_vortex_series",
     "track_cyclone",

@@ -30,6 +30,7 @@ from .errors import (
     NonFiniteValue,
     ParseError,
     PerfectMatch,
+    SpecMismatch,
 )
 from .grid import (
     FieldCube,
@@ -124,6 +125,21 @@ def _read_cube_at(path: Path, valid: datetime, expected: str, out) -> FieldCube:
     return cube
 
 
+def _headers_by_time(directory) -> dict:
+    """{header valid time: (path, grid, catalog)} of every cube in ``directory``.
+
+    Reads headers only.  Two cubes at one valid time are a data error.
+    """
+    headers = {}
+    for path in cubeio.cube_paths(directory):
+        spec, catalog, valid = cubeio.read_header(path)
+        if valid in headers:
+            raise GeoverifyError(f"two cubes have valid time {cubeio.format_time(valid)}: "
+                                 f"{headers[valid][0]} and {path}")
+        headers[valid] = (path, spec, catalog)
+    return headers
+
+
 def _output_grid(directory, eval_set, variables) -> GridSpec:
     """Grid of the first forecast cube; InvalidFlags if a variable is input-only.
 
@@ -188,35 +204,41 @@ def _cut(catalogs, order, channel_bytes) -> tuple[list, list[list[range]]]:
     return [order[start:stop] for start, stop in bounds], spans
 
 
-def _plan(args, variables, clim, valid: datetime, pairs) -> dict:
+def _plan(args, variables, clim, grid: GridSpec, valid: datetime, pairs) -> dict:
     """{path: [(variables, channel range)] per group} of every file of one valid time.
 
     Headers are read in pass order: the first forecast, the reference, the
     key cube of the loaded climatology ``clim`` (its header was checked when
     it loaded) and the other forecasts.  A missing cube raises MissingCube
-    for its pair.  The groups follow the first forecast's catalog order.
+    for its pair, and a file whose grid is not ``grid``, the run's first
+    forecast's, raises SpecMismatch naming it.  The groups follow the first
+    forecast's catalog order.
     """
     catalogs = {}
 
-    def header(path, pair, expected) -> GridSpec:
+    def add(path, spec, catalog):
+        if spec != grid:
+            raise SpecMismatch(f"{path}: grid differs from the first forecast's grid")
+        catalogs[path] = catalog
+
+    def header(path, pair, expected):
         try:
             spec, catalog, file_valid = cubeio.read_header(path)
         except FileNotFoundError as e:
             raise MissingCube(*pair, str(e)) from None
         if file_valid != valid:
             raise CorruptHeader(f"{path}: valid_time {file_valid} != {expected}")
-        catalogs[path] = catalog
-        return spec
+        add(path, spec, catalog)
 
     fc_paths = [forecast_path(args.forecast, *pair) for pair in pairs]
-    spec = header(fc_paths[0], pairs[0], f"init {pairs[0][0]} + {pairs[0][1]}h")
+    header(fc_paths[0], pairs[0], f"init {pairs[0][0]} + {pairs[0][1]}h")
     header(reference_path(args.reference, valid), pairs[0], f"{valid} of the file name")
     if clim is not None:
-        catalogs[clim.key_path(valid)] = clim.catalog
+        add(clim.key_path(valid), clim.spec, clim.catalog)
     for path, (t0, lead) in zip(fc_paths[1:], pairs[1:]):
         header(path, (t0, lead), f"init {t0} + {lead}h")
     order = sorted(dict.fromkeys(variables), key=catalogs[fc_paths[0]].index_of)
-    groups, spans = _cut(list(catalogs.values()), order, 4 * spec.n_lat * spec.n_lon)
+    groups, spans = _cut(list(catalogs.values()), order, 4 * grid.n_lat * grid.n_lon)
     return {path: list(zip(groups, ranges)) for path, ranges in zip(catalogs, spans)}
 
 
@@ -244,7 +266,7 @@ def cmd_verify(args) -> int:
 
     def ranges(valid, pairs):
         plan.clear()
-        plan.update(_plan(args, variables, clim, valid, pairs))
+        plan.update(_plan(args, variables, clim, spec, valid, pairs))
         return [group for group, _ in next(iter(plan.values()))]
 
     buffers = _WorkerBuffers()
@@ -419,13 +441,7 @@ def cmd_downscale_eval(args) -> int:
 def cmd_tc_track(args) -> int:
     _check_flags(args, "positive", "search_radius_km", "intensity_radius_km", "ring_width_km")
     _check_flags(args, "non-negative", "closed_low_hpa")
-    headers = {}  # valid time -> (path, grid), from every cube's header before any payload
-    for path in cubeio.cube_paths(args.cubes):
-        spec, _, valid = cubeio.read_header(path)
-        if valid in headers:
-            raise GeoverifyError(f"duplicate cube valid times in input directory: "
-                                 f"{headers[valid][0]} and {path} are both at {valid}")
-        headers[valid] = (path, spec)
+    headers = _headers_by_time(args.cubes)
     if not headers:
         raise EmptyInput(f"no cubes in {args.cubes}")
 
@@ -547,19 +563,18 @@ def cmd_tc_filter(args) -> int:
 # --- climatology and VQA ---------------------------------------------------------------
 
 def cmd_climatology(args) -> int:
-    paths = {}  # valid time -> path, from every cube's header before any payload
-    for path in cubeio.cube_paths(args.cubes):
-        valid = cubeio.read_header(path)[2]
-        if valid in paths:
-            raise GeoverifyError(f"two cubes have valid time {cubeio.format_time(valid)}: "
-                                 f"{paths[valid]} and {path}")
-        paths[valid] = path
+    headers = _headers_by_time(args.cubes)
+    times = sorted(headers)
+    for valid in times[1:]:
+        path, spec, catalog = headers[valid]
+        if (spec, catalog) != headers[times[0]][1:]:
+            raise SpecMismatch(f"{path}: grid or catalog differs from {headers[times[0]][0]}")
     buffer = cubeio.ReadBuffer()
     # In valid-time order, one cube at a time: build_climatology drops each
     # cube before it asks for the next, which is then read into the same buffer.
     clim = clim_mod.build_climatology(
-        _read_cube_at(paths[valid], valid, "the time in its header", buffer)
-        for valid in sorted(paths))
+        _read_cube_at(headers[valid][0], valid, "the time in its header", buffer)
+        for valid in times)
     manifest = clim.save(args.out)
     print(manifest)
     return 0

@@ -21,15 +21,6 @@ class UnknownVariable(GeoverifyError):
     exit_code = 4
 
 
-class MisalignedRange(GeoverifyError):
-    """Crop bound does not land on a grid node."""
-    exit_code = 4
-
-
-class EmptyRegion(GeoverifyError):
-    """Crop range selects no grid points."""
-
-
 class ShapeMismatch(GeoverifyError):
     """Array shapes are incompatible for the requested operation."""
 

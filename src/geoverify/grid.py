@@ -16,12 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyRegion,
-    MisalignedRange,
-    UnknownVariable,
-    ZeroWeightSum,
-)
+from .errors import UnknownVariable, ZeroWeightSum
 
 #: Pressure levels (hPa) of the canonical 70-channel weather catalog.
 PRESSURE_LEVELS = (50, 100, 150, 200, 250, 300, 400, 500, 600, 700, 850, 925, 1000)
@@ -290,77 +285,3 @@ def latitude_weights(spec_or_lats: GridSpec | Sequence[float] | np.ndarray) -> n
 def select_channel(cube: FieldCube, var) -> np.ndarray:
     """Read-only H x W slab for one variable; raises UnknownVariable."""
     return cube.values[cube.catalog.index_of(var)]
-
-
-def _crop_lat_indices(spec: GridSpec, lat_range: tuple[float, float]) -> np.ndarray:
-    lo, hi = sorted(float(v) for v in lat_range)
-    south, north = spec.lat_bounds()
-    for bound in (lo, hi):
-        if south - _ALIGN_TOL_DEG <= bound <= north + _ALIGN_TOL_DEG:
-            frac = (bound - spec.lat_start) / spec.lat_step
-            if abs(frac - round(frac)) * abs(spec.lat_step) > _ALIGN_TOL_DEG:
-                raise MisalignedRange(f"latitude bound {bound} not on a grid node")
-    lats = spec.latitudes
-    inside = (lats >= lo - _ALIGN_TOL_DEG) & (lats <= hi + _ALIGN_TOL_DEG)
-    idx = np.nonzero(inside)[0]
-    if idx.size == 0:
-        raise EmptyRegion(f"latitude range {lat_range} selects no rows")
-    return idx
-
-
-def _crop_lon_indices(spec: GridSpec, lon_range: tuple[float, float]) -> np.ndarray:
-    lo = float(lon_range[0]) % 360.0
-    hi = float(lon_range[1]) % 360.0
-
-    for bound in (lo, hi):
-        frac = ((bound - spec.lon_start) % 360.0) / spec.lon_step
-        on_node = abs(frac - round(frac)) * spec.lon_step <= _ALIGN_TOL_DEG
-        in_coverage = spec.is_global_lon or frac <= spec.n_lon - 1 + _ALIGN_TOL_DEG / spec.lon_step
-        if in_coverage and not on_node:
-            raise MisalignedRange(f"longitude bound {bound} not on a grid node")
-
-    width = (hi - lo) % 360.0
-    if spec.is_global_lon:
-        j0 = int(round(((lo - spec.lon_start) % 360.0) / spec.lon_step)) % spec.n_lon
-        count = min(int(round(width / spec.lon_step)) + 1, spec.n_lon)
-        return (j0 + np.arange(count)) % spec.n_lon
-    # Regional grid: select columns whose longitude falls in the closed,
-    # possibly wrapped range [lo, hi]; the selection must be contiguous.
-    rel = (spec.longitudes - lo) % 360.0
-    idx = np.nonzero((rel <= width + _ALIGN_TOL_DEG) | (rel >= 360.0 - _ALIGN_TOL_DEG))[0]
-    if idx.size == 0:
-        raise EmptyRegion(f"longitude range {lon_range} selects no columns")
-    if np.any(np.diff(idx) != 1):
-        raise EmptyRegion(f"longitude range {lon_range} selects a non-contiguous column set")
-    return idx
-
-
-def regional_crop(
-    cube: FieldCube,
-    lat_range: tuple[float, float],
-    lon_range: tuple[float, float],
-) -> FieldCube:
-    """Cube covering exactly the grid points inside the closed ranges.
-
-    Range bounds that fall inside the grid extent must coincide with grid
-    nodes within 1e-6 degrees (MisalignedRange otherwise); bounds beyond
-    the extent clamp to it.  Wrapped longitude ranges (lo > hi mod 360)
-    are supported on globally-wrapping grids.  Channel order is preserved.
-    """
-    spec = cube.spec
-    rows = _crop_lat_indices(spec, lat_range)
-    cols = _crop_lon_indices(spec, lon_range)
-    if rows.size < 2:
-        raise EmptyRegion("crop keeps fewer than two latitude rows")
-    sub = cube.values[:, rows][:, :, cols]
-    lats = spec.latitudes
-    lons = spec.longitudes
-    new_spec = GridSpec(
-        n_lat=rows.size,
-        n_lon=cols.size,
-        lat_start=float(lats[rows[0]]),
-        lat_step=spec.lat_step,
-        lon_start=float(lons[cols[0]]),
-        lon_step=spec.lon_step,
-    )
-    return FieldCube(new_spec, cube.catalog, cube.valid_time, sub)

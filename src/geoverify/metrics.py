@@ -225,12 +225,6 @@ def mse(forecast, reference) -> float:
     return _mean_of_rows(_row_sums(f.reshape(as_rows), r.reshape(as_rows))[0], f.size)
 
 
-def mae(forecast, reference) -> float:
-    """Unweighted mean absolute error."""
-    d = _diff64(forecast, reference)
-    return float(np.abs(d).sum()) / d.size
-
-
 def mbe(forecast, reference) -> float:
     """Mean bias error of paired scalar series; negative = underestimation."""
     f = np.asarray(forecast, dtype=np.float64).ravel()
@@ -458,9 +452,9 @@ def month_hour_matrix(
         for j in range(4):
             if m_n[i, j] == 0 or b_n[i, j] == 0:
                 continue
-            b_mean = b_sum[i, j] / b_n[i, j]
-            m_mean = m_sum[i, j] / m_n[i, j]
-            if b_mean == 0.0:
-                continue
-            out[i, j] = (m_mean - b_mean) / abs(b_mean)
+            try:
+                out[i, j] = normalized_difference(m_sum[i, j] / m_n[i, j],
+                                                  b_sum[i, j] / b_n[i, j])
+            except ZeroBaseline:
+                pass  # the cell stays NaN
     return out

@@ -1264,6 +1264,21 @@ class TestClimatologyCommand:
         assert alive == []
         assert [p for p, _ in reads] == sorted(cube_dir.glob("*.gvc"), reverse=True)
 
+    def test_a_later_cube_with_another_catalog_fails_before_any_read(
+            self, tmp_path, monkeypatch, capsys):
+        from geoverify import cubeio
+
+        cube_dir = tmp_path / "cubes"
+        last = self._cubes(cube_dir)[-1]
+        write_cube(FieldCube(last.spec, VariableCatalog(list(last.catalog)[::-1]),
+                             last.valid_time, last.values[::-1]), cube_dir / "94.gvc")
+        reads = []
+        monkeypatch.setattr(cubeio, "read_cube", lambda *a, **k: reads.append(a))
+        assert main(_argv("climatology", cubes=cube_dir, out=tmp_path / "clim")) == 2
+        assert reads == []
+        assert "94.gvc: grid or catalog differs from" in capsys.readouterr().err
+        assert not (tmp_path / "clim").exists()
+
     def test_key_cubes_and_manifest_are_the_bytes_of_a_build_from_a_list(
             self, tmp_path, buffer_takes):
         cubes = self._cubes(tmp_path / "cubes")
@@ -1350,6 +1365,13 @@ def _drop_last_channel(path):
                          cube.values[:-1]), path)
 
 
+def _move_lat_start(path, lat_start=59.0):
+    """Rewrites a cube file with its grid's first latitude at ``lat_start``; same shape."""
+    cube = read_cube(path)
+    write_cube(FieldCube(replace(cube.spec, lat_start=lat_start), cube.catalog, cube.valid_time,
+                         cube.values), path)
+
+
 def _verify(tmp, **flags):
     fdir, rdir, manifest, times_file = make_verify_fixture(tmp, [utc(2024, 1, 1, 0)], [6])
     args = dict(forecast=fdir, reference=rdir, climatology=manifest, variables="Z500,T2M",
@@ -1433,6 +1455,34 @@ def verify_climatology_keys_with_different_catalogs(tmp):
     with open(tmp / "clim" / "manifest.csv", "a") as f:
         f.write("2,6,1,clim_d002_h06.gvc\n")
     return argv
+
+
+# A file of the same shape on another grid was scored with the first forecast's
+# latitude weights, and exited 0.
+
+@failure(2, "20240101T060000Z.gvc: grid differs from the first forecast's grid")
+def verify_reference_on_another_grid(tmp):
+    argv = _verify(tmp)
+    _move_lat_start(tmp / "reference" / "20240101T060000Z.gvc")
+    return argv
+
+
+@failure(2, "clim_d001_h06.gvc: grid differs from the first forecast's grid")
+def verify_climatology_key_on_another_grid(tmp):
+    argv = _verify(tmp)
+    _move_lat_start(tmp / "clim" / "clim_d001_h06.gvc")
+    return argv
+
+
+@failure(2, "20240101T060000Z_6.gvc: grid differs from the first forecast's grid")
+def verify_later_forecast_on_another_grid(tmp):
+    """The second pair at 12 UTC, after 20240101T000000Z_12.gvc."""
+    fdir, rdir, manifest, times_file = make_verify_fixture(
+        tmp, [utc(2024, 1, 1, 0), utc(2024, 1, 1, 6)], [6, 12])
+    _move_lat_start(fdir / "20240101T060000Z_6.gvc")
+    return _argv("verify", forecast=fdir, reference=rdir, climatology=manifest,
+                 variables="Z500,T2M", init_times=times_file, leads="6,12",
+                 out=tmp / "r.csv", map_dir=tmp / "maps")
 
 
 @failure(4, "--threads")
@@ -1594,7 +1644,7 @@ def tc_track_negative_wind(tmp):
     return argv
 
 
-@failure(2, "duplicate cube valid times")
+@failure(2, "two cubes have valid time 2024-09-01T00:00:00Z")
 def tc_track_two_cubes_at_one_valid_time(tmp):
     argv = _tc_track(tmp)
     first = sorted((tmp / "vortex").glob("*.gvc"))[0]

@@ -11,16 +11,10 @@ from geoverify import (
     VariableId,
     latitude_weights,
     parse_variable_token,
-    regional_crop,
     select_channel,
     weather_catalog,
 )
-from geoverify.errors import (
-    EmptyRegion,
-    MisalignedRange,
-    UnknownVariable,
-    ZeroWeightSum,
-)
+from geoverify.errors import UnknownVariable, ZeroWeightSum
 from conftest import utc
 
 
@@ -229,54 +223,3 @@ class TestFieldCube:
         values[0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             cube.values[0, 0, 0] = 2.0
-
-
-class TestRegionalCrop:
-    def _global_quarter(self, make_cube):
-        spec = GridSpec(721, 1440, 90.0, -0.25, 0.0, 0.25)
-        cat = VariableCatalog([VariableId("MSL")])
-        values = np.arange(721 * 1440, dtype=np.float32).reshape(1, 721, 1440)
-        return make_cube(values=values, spec=spec, catalog=cat)
-
-    def test_wnp_domain_node_counts(self, make_cube):
-        """0-50N, 100-160E on the 0.25-degree grid keeps 201 x 241 nodes."""
-        cube = self._global_quarter(make_cube)
-        out = regional_crop(cube, (0.0, 50.0), (100.0, 160.0))
-        assert (out.spec.n_lat, out.spec.n_lon) == (201, 241)
-        assert out.spec.lat_start == 50.0
-        assert out.spec.lon_start == 100.0
-
-    def test_identity_crop(self, make_cube):
-        cube = make_cube()
-        out = regional_crop(cube, (-45.0, 45.0), (0.0, 270.0))
-        assert out.spec == cube.spec
-        np.testing.assert_array_equal(out.values, cube.values)
-
-    def test_misaligned_bound(self, make_cube):
-        cube = self._global_quarter(make_cube)
-        with pytest.raises(MisalignedRange):
-            regional_crop(cube, (10.1, 20.0), (100.0, 160.0))
-
-    def test_empty_region(self, make_cube):
-        cube = make_cube()
-        with pytest.raises(EmptyRegion):
-            regional_crop(cube, (46.0, 80.0), (0.0, 270.0))
-
-    def test_values_match_slicing(self, make_cube):
-        cube = self._global_quarter(make_cube)
-        out = regional_crop(cube, (0.0, 50.0), (100.0, 160.0))
-        np.testing.assert_array_equal(out.values, cube.values[:, 160:361, 400:641])
-
-    def test_nested_crops_compose(self, make_cube):
-        cube = self._global_quarter(make_cube)
-        outer = regional_crop(cube, (0.0, 50.0), (100.0, 160.0))
-        inner_via_outer = regional_crop(outer, (10.0, 40.0), (110.0, 150.0))
-        inner_direct = regional_crop(cube, (10.0, 40.0), (110.0, 150.0))
-        assert inner_via_outer.spec == inner_direct.spec
-        np.testing.assert_array_equal(inner_via_outer.values, inner_direct.values)
-
-    def test_wrapped_longitude_crop_on_global_grid(self, make_cube):
-        cube = self._global_quarter(make_cube)
-        out = regional_crop(cube, (0.0, 10.0), (350.0, 10.0))
-        assert out.spec.n_lon == 81
-        assert out.spec.lon_start == 350.0

@@ -18,7 +18,6 @@ from geoverify import (
     latitude_weights,
     open_token_recall,
     psnr,
-    regional_crop,
     weighted_acc,
     weighted_rmse,
 )
@@ -230,25 +229,6 @@ class TestReportDeterminismProperty:
             write_report(records, a)
             write_report(shuffled, b)
             assert a.read_bytes() == b.read_bytes()
-
-
-class TestCropComposition:
-    @given(st.integers(0, 60), st.integers(61, 120), st.integers(10, 50),
-           st.integers(51, 100))
-    @settings(max_examples=40)
-    def test_nested_crops_equal_single_crop(self, lon_lo, lon_hi, lat_lo_off, lat_hi_off):
-        spec = GridSpec(181, 360, 90.0, -1.0, 0.0, 1.0)
-        catalog = VariableCatalog([VariableId("T2M")])
-        values = np.arange(181 * 360, dtype=np.float32).reshape(1, 181, 360)
-        cube = FieldCube(spec, catalog, utc(2024, 1, 1), values)
-        outer = regional_crop(cube, (90 - lat_hi_off - 20, 90 - lat_lo_off + 10),
-                              (max(lon_lo - 10, 0), min(lon_hi + 10, 359)))
-        lat_range = (90 - lat_hi_off, 90 - lat_lo_off)
-        lon_range = (lon_lo, lon_hi)
-        via_outer = regional_crop(outer, lat_range, lon_range)
-        direct = regional_crop(cube, lat_range, lon_range)
-        assert via_outer.spec == direct.spec
-        np.testing.assert_array_equal(via_outer.values, direct.values)
 
 
 class TestVqaProperties:
