@@ -1279,6 +1279,20 @@ class TestClimatologyCommand:
         assert "94.gvc: grid or catalog differs from" in capsys.readouterr().err
         assert not (tmp_path / "clim").exists()
 
+    def test_a_later_cube_on_another_grid_fails_before_any_read(
+            self, tmp_path, monkeypatch, capsys):
+        from geoverify import cubeio
+
+        cube_dir = tmp_path / "cubes"
+        self._cubes(cube_dir)
+        _move_lat_start(cube_dir / "94.gvc")
+        reads = []
+        monkeypatch.setattr(cubeio, "read_cube", lambda *a, **k: reads.append(a))
+        assert main(_argv("climatology", cubes=cube_dir, out=tmp_path / "clim")) == 2
+        assert reads == []
+        assert "94.gvc: grid or catalog differs from" in capsys.readouterr().err
+        assert not (tmp_path / "clim").exists()
+
     def test_key_cubes_and_manifest_are_the_bytes_of_a_build_from_a_list(
             self, tmp_path, buffer_takes):
         cubes = self._cubes(tmp_path / "cubes")
@@ -1290,6 +1304,37 @@ class TestClimatologyCommand:
             "clim_d153_h00.gvc", "clim_d153_h12.gvc", "clim_d154_h00.gvc", "manifest.csv"]
         assert [p.read_bytes() for p in written] == [
             (tmp_path / "listed" / p.name).read_bytes() for p in written]
+
+
+class TestHeadersByTime:
+    def test_indexes_every_cube_by_header_time_without_reading_payloads(
+            self, tmp_path, monkeypatch):
+        from geoverify import cubeio
+        from geoverify.cli import _headers_by_time
+
+        cube_dir = tmp_path / "cubes"
+        cubes = TestClimatologyCommand()._cubes(cube_dir)
+        monkeypatch.setattr(cubeio, "read_cube", mock.Mock(side_effect=AssertionError))
+        headers = _headers_by_time(cube_dir)
+        assert sorted(headers) == TestClimatologyCommand.TIMES
+        for k, cube in enumerate(cubes):
+            path, spec, catalog = headers[cube.valid_time]
+            assert path.name == f"{99 - k:02d}.gvc"
+            assert (spec, catalog) == (cube.spec, cube.catalog)
+
+    def test_two_cubes_at_one_valid_time_name_both_files(self, tmp_path):
+        from geoverify.cli import _headers_by_time
+        from geoverify.errors import GeoverifyError
+
+        cube_dir = tmp_path / "cubes"
+        TestClimatologyCommand()._cubes(cube_dir)
+        shutil.copyfile(cube_dir / "99.gvc", cube_dir / "copy.gvc")
+        with pytest.raises(GeoverifyError) as err:
+            _headers_by_time(cube_dir)
+        message = str(err.value)
+        assert message.startswith("two cubes have valid time 2019-06-01T00:00:00Z: ")
+        assert "99.gvc" in message and "copy.gvc" in message
+        assert err.value.exit_code == 2
 
 
 class TestVqaCommand:

@@ -1052,6 +1052,15 @@ class TestMonthHourMatrix:
         matrix = month_hour_matrix(model, baseline)
         assert matrix[4, 1] == pytest.approx((1.5 - 3.0) / 3.0, rel=1e-15)
 
+    def test_zero_baseline_cell_stays_nan(self):
+        """A cell whose baseline mean is 0 is missing; the other cells are kept."""
+        t_zero, t_kept = utc(2024, 3, 1, 0), utc(2024, 3, 1, 12)
+        matrix = month_hour_matrix([(t_zero, 1.0), (t_kept, 1.0)],
+                                   [(t_zero, 0.0), (t_kept, 2.0)])
+        assert np.isnan(matrix[2, 0])
+        assert matrix[2, 2] == -0.5
+        assert np.isnan(matrix).sum() == 47
+
     def test_off_synoptic_hour_rejected(self):
         t = utc(2024, 1, 1, 5)
         with pytest.raises(ValueError, match="synoptic"):
