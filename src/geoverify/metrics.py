@@ -81,7 +81,7 @@ class MetricRecord:
             raise ValueError("n_samples must be >= 1")
         if self.metric == "acc" and not -1.0 <= self.value <= 1.0:
             raise ValueError(f"acc {self.value} outside [-1, 1]")
-        if self.metric in ("rmse", "mae", "mse") and self.value < 0.0:
+        if self.metric in ("rmse", "mse") and self.value < 0.0:
             raise ValueError(f"{self.metric} {self.value} negative")
 
 
@@ -115,14 +115,19 @@ def _diff64(forecast, reference) -> np.ndarray:
     return d
 
 
-def _row_sums(forecast, reference, clim_field=None) -> np.ndarray:
+def _row_sums(forecast, reference, clim_field=None, *, diff: bool = True) -> np.ndarray:
     """Per-row float64 sums of 2-D fields of one shape, one block of rows at a time.
 
     Without a climatology the result is ``[sum_j d^2]`` with d = forecast -
-    reference; with one it is ``[sum_j fa*ra, sum_j fa^2, sum_j ra^2]`` over
-    the anomalies fa, ra about ``clim_field``.  Each block is converted to
-    float64 once, and each row is summed by the same einsum as a whole field,
-    so the sums have the bits of whole-field sums without full-size copies.
+    reference.  With one it is ``[sum_j d^2, sum_j fa*ra, sum_j fa^2,
+    sum_j ra^2]`` over d and the anomalies fa, ra about ``clim_field``, so
+    one pass serves both RMSE and ACC; ``diff=False`` leaves out the first
+    row, for ACC alone.  Each block of each field is then converted to
+    float64 once, into three block rows of one buffer: the third holds d
+    until it is summed, then the climatology.  Without a climatology the
+    reference is subtracted as it is, which is faster for RMSE alone.  Each
+    row is summed by the same einsum as a whole field, so the sums have the
+    bits of whole-field sums without full-size copies.
 
     Every input value enters a sum, so a NaN or Inf input makes a sum NaN
     or Inf (for float32 input nothing else does: its squares cannot overflow
@@ -139,8 +144,8 @@ def _row_sums(forecast, reference, clim_field=None) -> np.ndarray:
     n_lat, n_lon = forecast.shape
     step = max(2, _BLOCK_VALUES // max(n_lon, 1))
     n_blocks = max(1, n_lat // step)
-    out = np.empty((1 if clim_field is None else 3, n_lat))
-    buf = np.empty((1 if clim_field is None else 2, -(-n_lat // n_blocks), n_lon))
+    out = np.empty((int(diff) + (0 if clim_field is None else 3), n_lat))
+    buf = np.empty((1 if clim_field is None else 3, -(-n_lat // n_blocks), n_lon))
     # inf - inf and 0 * inf would warn, as would float64 input past the float64 range.
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(n_blocks):
@@ -152,13 +157,17 @@ def _row_sums(forecast, reference, clim_field=None) -> np.ndarray:
                 fb -= reference[rows]
                 np.einsum("ij,ij->i", fb, fb, out=out[0, rows])
                 continue
-            rb = buf[1, : stop - start]
+            rb, cb = buf[1, : stop - start], buf[2, : stop - start]
             rb[...] = reference[rows]
-            fb -= clim_field[rows]
-            rb -= clim_field[rows]
-            np.einsum("ij,ij->i", fb, rb, out=out[0, rows])
-            np.einsum("ij,ij->i", fb, fb, out=out[1, rows])
-            np.einsum("ij,ij->i", rb, rb, out=out[2, rows])
+            if diff:
+                np.subtract(fb, rb, out=cb)
+                np.einsum("ij,ij->i", cb, cb, out=out[0, rows])
+            cb[...] = clim_field[rows]
+            fb -= cb
+            rb -= cb
+            np.einsum("ij,ij->i", fb, rb, out=out[-3, rows])
+            np.einsum("ij,ij->i", fb, fb, out=out[-2, rows])
+            np.einsum("ij,ij->i", rb, rb, out=out[-1, rows])
     if not np.isfinite(out).all():
         raise NonFiniteValue("field values must be finite: a row sum is NaN or Inf")
     return out
@@ -188,7 +197,12 @@ def weighted_rmse_and_mse(forecast, reference, weights) -> tuple[float, float]:
     f, r = _fields_2d(forecast, reference)
     w = _check_weights(weights, f.shape[0])
     rows = _row_sums(f, r)[0]
-    return math.sqrt(float(np.dot(w, rows)) / f.size), _mean_of_rows(rows, f.size)
+    return _rmse_of_rows(w, rows, f.size), _mean_of_rows(rows, f.size)
+
+
+def _rmse_of_rows(weights: np.ndarray, row_sums: np.ndarray, size: int) -> float:
+    """The weighted RMSE from per-row sums of squared differences."""
+    return math.sqrt(float(np.dot(weights, row_sums)) / size)
 
 
 def _mean_of_rows(row_sums: np.ndarray, size: int) -> float:
@@ -196,23 +210,31 @@ def _mean_of_rows(row_sums: np.ndarray, size: int) -> float:
     return float(row_sums.sum()) / size
 
 
-def weighted_acc(forecast, reference, clim_field, weights) -> float:
+def weighted_acc(forecast, reference, clim_field, weights, *, _with_rmse: bool = False):
     """Anomaly correlation coefficient of one field pair about a climatology.
 
     Weighted cosine similarity of (forecast - clim) and (reference - clim);
     raises ZeroAnomalyVariance when either anomaly has zero weighted energy.
     The result is clamped into [-1, 1] against rounding spill.  NaN or Inf in
     any field raises NonFiniteValue, before the variance test and the clamp.
+
+    ``_with_rmse=True`` is private to ``evaluate_set``, which scores a pair
+    for both metrics: the result is then ``(acc, weighted_rmse)``, both from
+    the one pass of row sums and each with the bits of its own function's
+    result.
     """
     f, r, c = _fields_2d(forecast, reference, clim_field)
     w = _check_weights(weights, f.shape[0])
-    sums = _row_sums(f, r, c)
-    num = float(np.dot(w, sums[0]))
-    den_f = float(np.dot(w, sums[1]))
-    den_r = float(np.dot(w, sums[2]))
+    sums = _row_sums(f, r, c, diff=_with_rmse)
+    num = float(np.dot(w, sums[-3]))
+    den_f = float(np.dot(w, sums[-2]))
+    den_r = float(np.dot(w, sums[-1]))
     if den_f == 0.0 or den_r == 0.0:
         raise ZeroAnomalyVariance("an anomaly field has zero weighted variance")
-    return min(1.0, max(-1.0, num / math.sqrt(den_f * den_r)))
+    acc = min(1.0, max(-1.0, num / math.sqrt(den_f * den_r)))
+    if _with_rmse:
+        return acc, _rmse_of_rows(w, sums[0], f.size)
+    return acc
 
 
 def mse(forecast, reference) -> float:
@@ -320,8 +342,8 @@ def evaluate_set(
     from either becomes MissingCube for the pair, and the reference is
     charged to the first pair.  Each variable gets the weighted RMSE when
     ``rmse``, the ACC about ``climatologies(valid_time, k)`` when that is
-    given, and with ``maps`` a pointwise-RMSE map summed exactly as
-    ``pointwise_rmse`` does.
+    given (both from one ``weighted_acc`` call when both are wanted), and with
+    ``maps`` a pointwise-RMSE map summed exactly as ``pointwise_rmse`` does.
 
     Returns one MetricRecord per (variable, lead, metric), the mean of the
     per-pair values, and the float64 maps keyed by (variable, lead), both in
@@ -354,10 +376,14 @@ def evaluate_set(
         # No lock: in one valid time each key is added to by one group's worker only.
         for var in group:
             f2, r2 = select_channel(fc, var), select_channel(ref, var)
-            if rmse:
+            c2 = None if clim is None else select_channel(clim, var)
+            if rmse and c2 is not None:  # both scores from one pass of row sums
+                acc, value = weighted_acc(f2, r2, c2, weights, _with_rmse=True)
+                totals[(var, lead, "rmse")] += value
+                totals[(var, lead, "acc")] += acc
+            elif rmse:
                 totals[(var, lead, "rmse")] += weighted_rmse(f2, r2, weights)
-            if clim is not None:
-                c2 = select_channel(clim, var)
+            elif c2 is not None:
                 totals[(var, lead, "acc")] += weighted_acc(f2, r2, c2, weights)
             if maps:
                 sums[(var, lead)] = _add(sums[(var, lead)], _squared_diff(f2, r2))

@@ -668,6 +668,23 @@ class TestVerifyChannelRanges:
         assert self._outputs(tmp_path, "t2") == self._outputs(tmp_path, "t1")
         assert self._outputs(tmp_path, "t3") == self._outputs(tmp_path, "t1")
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rmse_and_acc_take_one_row_sums_pass_per_pair_and_variable(
+            self, tmp_path, monkeypatch, threads):
+        from geoverify import metrics
+
+        fixture = make_verify_fixture(tmp_path, self.INITS, [6, 12])
+        row_sums, passes = metrics._row_sums, []
+
+        def counted(*args, **kwargs):
+            passes.append(args[0].shape)
+            return row_sums(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "_row_sums", counted)
+        assert self._verify(tmp_path, fixture, "out", threads) == 0
+        assert len(passes) == len(self.INITS) * 2 * 2  # (init, lead) pairs x Z500, T2M
+        assert set(passes) == {(SPEC.n_lat, SPEC.n_lon)}
+
     @pytest.mark.usefixtures("one_channel_ranges")
     def test_nan_in_the_last_range_exits_2_after_earlier_ranges_were_scored(
             self, tmp_path, monkeypatch, capsys):
@@ -675,18 +692,19 @@ class TestVerifyChannelRanges:
 
         fixture = make_verify_fixture(tmp_path, self.INITS[:1], [6, 12])
         _poison(sorted(fixture[1].glob("*.gvc"))[-1])  # T2M of the last valid time
-        weighted_rmse, scored = metrics.weighted_rmse, []
+        # An rmse,acc run scores both metrics of a pair in one weighted_acc call.
+        weighted_acc, scored = metrics.weighted_acc, []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             try:
-                value = weighted_rmse(*args)
+                value = weighted_acc(*args, **kwargs)
             except NonFiniteValue:
                 scored.append("raised")
                 raise
             scored.append(value)
             return value
 
-        monkeypatch.setattr(metrics, "weighted_rmse", counted)
+        monkeypatch.setattr(metrics, "weighted_acc", counted)
         assert self._verify(tmp_path, fixture, "out") == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"geoverify: data error: {sorted(fixture[1].glob('*.gvc'))[-1]}: "

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geoverify import metrics
 from geoverify import (
@@ -172,6 +174,9 @@ class TestWeightedAcc:
         w = latitude_weights(np.array([45.0, 0.0, -45.0]))
         with pytest.raises(ZeroAnomalyVariance):
             weighted_acc(clim, clim + 1.0, clim, w)
+        for f, r in ((clim, clim + 1.0), (clim + 1.0, clim)):
+            with pytest.raises(ZeroAnomalyVariance):
+                weighted_acc(f, r, clim, w, _with_rmse=True)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(9)
@@ -291,14 +296,44 @@ class TestRowBlockedKernel:
         assert rmse.hex() == weighted_rmse(f, r, w).hex()
         assert err.hex() == metrics.mse(f, r).hex()
 
-    @pytest.mark.parametrize("score", ["rmse", "acc", "mse"])
+    @settings(max_examples=40, deadline=None)
+    @given(n_lon=st.sampled_from([1, 9, 481, 1440, 8193, 70000]), blocks=st.integers(0, 4),
+           fill=st.floats(0.0, 1.0), dtype=st.sampled_from([np.float32, np.float64]),
+           poles=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(n_lon=70000, blocks=0, fill=0.0, dtype=np.float32, poles=False, seed=0)
+    @example(n_lon=8193, blocks=0, fill=0.0, dtype=np.float64, poles=False, seed=1)
+    @example(n_lon=1440, blocks=4, fill=0.5, dtype=np.float32, poles=True, seed=2)
+    def test_fused_rmse_and_acc_have_the_bits_of_separate_calls(
+            self, n_lon, blocks, fill, dtype, poles, seed):
+        """The kernel cuts n_lat // step blocks; ``blocks`` 0 gives one block of fewer rows
+        than a step, and n_lon over 8192 with one row a lone row longer than einsum's buffer.
+
+        Values span six decades, so float64 differences round and the order of the
+        subtractions shows in the bits.
+        """
+        step = max(2, metrics._BLOCK_VALUES // n_lon)
+        n_lat = max(1, blocks * step + int(fill * (step - 1)))
+        rng = np.random.default_rng(seed)
+        f, r, c = ((rng.normal(size=(n_lat, n_lon)) * 10.0 ** rng.integers(-3, 4, (n_lat, n_lon)))
+                   .astype(dtype) for _ in range(3))
+        if poles and n_lat >= 3:
+            w = latitude_weights(np.linspace(90.0, -90.0, n_lat))
+            assert w[0] == w[-1] == 0.0
+        else:
+            w = rng.uniform(0.1, 2.0, size=n_lat)
+        acc, rmse = weighted_acc(f, r, c, w, _with_rmse=True)
+        assert (acc.hex(), rmse.hex()) == (weighted_acc(f, r, c, w).hex(),
+                                           weighted_rmse(f, r, w).hex())
+
+    @pytest.mark.parametrize("score", ["rmse", "acc", "rmse+acc", "mse"])
     def test_no_full_size_float64_temporary(self, score):
-        """One 721 x 1440 float64 copy is 7.9 MiB; the kernel holds a block or two."""
+        """One 721 x 1440 float64 copy is 7.9 MiB; the kernel holds up to three blocks."""
         f, r, c = _fields((721, 1440), 3, seed=19)
         w = latitude_weights(np.linspace(90.0, -90.0, 721))
         call = {
             "rmse": lambda: weighted_rmse(f, r, w),
             "acc": lambda: weighted_acc(f, r, c, w),
+            "rmse+acc": lambda: weighted_acc(f, r, c, w, _with_rmse=True),
             "mse": lambda: metrics.mse(f, r),
         }[score]
         tracemalloc.start()
@@ -312,8 +347,10 @@ class TestRowBlockedKernel:
 
 def _non_finite_cases():
     """(score, field) pairs: every field each score sums, the climatology only for ACC."""
-    for score in ("weighted_rmse", "weighted_rmse_and_mse", "mse", "psnr", "weighted_acc"):
-        sides = ("forecast", "reference") + (("climatology",) if score == "weighted_acc" else ())
+    for score in ("weighted_rmse", "weighted_rmse_and_mse", "mse", "psnr", "weighted_acc",
+                  "weighted_acc_with_rmse"):
+        with_clim = score.startswith("weighted_acc")
+        sides = ("forecast", "reference") + (("climatology",) if with_clim else ())
         for side in sides:
             yield pytest.param(score, side, id=f"{score}-{side}")
 
@@ -336,6 +373,8 @@ class TestNonFiniteInput:
             "mse": lambda: metrics.mse(f, r),
             "psnr": lambda: psnr(f, r, 1.0),
             "weighted_acc": lambda: weighted_acc(f, r, c, self.WEIGHTS),
+            "weighted_acc_with_rmse": lambda: weighted_acc(f, r, c, self.WEIGHTS,
+                                                           _with_rmse=True),
         }[score]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -845,6 +884,23 @@ class TestOneReadPerValidTime:
                 [(key, m.tobytes()) for key, m in maps.items()],
             )
             assert got == expected, f"threads={threads}"
+
+    def test_rmse_only_acc_only_and_both_give_the_same_record_values(self):
+        """Both scores of a pair come from one pass; each keeps its single-metric bits."""
+        fc, ref, climatologies = self._fields(43)
+        eval_set = EvaluationSet(self.T0S, self.LEADS)
+        variables = [var.token for var in self.CATALOG]
+
+        def values(**kwargs):
+            records, _ = metrics.evaluate_set(*self._loaders(fc, ref), eval_set, variables,
+                                              **kwargs)
+            return {(r.variable, r.lead_hours, r.metric): r.value.hex() for r in records}
+
+        rmse_only = values()
+        acc_only = values(rmse=False, climatologies=climatologies)
+        both = values(climatologies=climatologies)
+        assert {m for *_, m in rmse_only} == {"rmse"} and {m for *_, m in acc_only} == {"acc"}
+        assert both == {**rmse_only, **acc_only}
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.usefixtures("fast_switching")
