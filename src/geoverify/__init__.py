@@ -1,5 +1,21 @@
 """Forecast verification and tropical-cyclone diagnostics toolkit."""
 
+import os
+import sys
+
+# geoverify's parallelism is its own --threads, and its only BLAS calls are dots
+# over latitude rows, too short for OpenBLAS to split.  Left to itself, OpenBLAS
+# starts a worker per core when numpy loads, and each idle worker busy-waits
+# about 0.1 s of CPU before it sleeps.  So numpy is loaded with one BLAS thread,
+# unless the user chose a count or numpy is already loaded, and the environment
+# is put back: child processes and library users see it unchanged.
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .climatology import Climatology, build_climatology, climatology_key
 from .grid import (
     FieldCube,

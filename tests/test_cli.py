@@ -5,6 +5,8 @@ import contextlib
 import io
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 import weakref
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import geoverify
 from geoverify import (
     FieldCube,
     GridSpec,
@@ -943,6 +946,45 @@ class TestDownscaleEval:
                 c for line in nd[2:] for c in line.split(",")[1:] if c != "NA"
             ]
             assert values and all(float(v) == 0.0 for v in values)
+
+
+@pytest.mark.skipif(geoverify.metrics._usable_cpus() < 2,
+                    reason="a second BLAS thread needs a second CPU")
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """verify (RMSE, ACC and maps) and downscale-eval, each in a fresh interpreter.
+
+    With OPENBLAS_NUM_THREADS unset, geoverify loads OpenBLAS with one thread;
+    with it set to 2, OpenBLAS keeps two.  Every output file keeps its bytes.
+    """
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    fdir, rdir, manifest, times_file = make_verify_fixture(
+        inputs, [utc(2024, 1, 1, 0), utc(2024, 1, 1, 12)], [6, 12])
+    (inputs / "ds").mkdir()
+    coarse, truth, model = TestDownscaleEval()._write_fixture(
+        inputs / "ds", [utc(2024, 2, 2, 18), utc(2024, 2, 3, 0)], "bilinear")
+    commands = [
+        _argv("verify", forecast=fdir, reference=rdir, climatology=manifest,
+              variables="Z500,T2M", init_times=times_file, leads="6,12", metrics="rmse,acc",
+              out="r.csv", map_dir="maps"),
+        _argv("downscale-eval", coarse=coarse, truth=truth, model=model, out="ds.csv"),
+    ]
+    src = str(Path(geoverify.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = []
+    for blas_threads in (None, "2"):
+        run = tmp_path / f"blas-{blas_threads}"
+        run.mkdir()
+        run_env = env if blas_threads is None else dict(env, OPENBLAS_NUM_THREADS=blas_threads)
+        for argv in commands:
+            done = subprocess.run([sys.executable, "-m", "geoverify.cli", *argv], cwd=run,
+                                  env=run_env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+        outputs.append({p.relative_to(run): p.read_bytes() for p in run.rglob("*") if p.is_file()})
+    assert Path("r.csv") in outputs[0] and Path("ds.csv") in outputs[0]
+    assert any(p.parts[0] == "maps" for p in outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 class TestTcSubcommands:
@@ -2037,6 +2079,35 @@ def test_any_flag_values_exit_with_a_documented_code(valid_flags, command, data)
 STRUCTURAL_HEADER_BYTES = [*range(19), *range(59, 63)]
 
 
+def _damage(path, data):
+    """Draws and makes one damage to a SPEC, CATALOG cube file.
+
+    A NaN or Inf over a payload value, a truncation, or a flipped structural
+    header byte.
+    """
+    raw = bytearray(path.read_bytes())
+    kind = data.draw(st.sampled_from(["value", "truncate", "header"]), label="kind")
+    event(kind)
+    if kind == "value":
+        index = data.draw(st.integers(-2 * SPEC.n_lat * SPEC.n_lon, -1), label="index")
+        _poison(path, index, data.draw(st.sampled_from([np.nan, np.inf, -np.inf])))
+    elif kind == "truncate":
+        path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="length")])
+    else:
+        raw[data.draw(st.sampled_from(STRUCTURAL_HEADER_BYTES), label="byte")] ^= 0xFF
+        path.write_bytes(bytes(raw))
+
+
+def _one_error_line(stderr, code, path):
+    """The run's one error line, which ends stderr, has the exit code's category and names path."""
+    assert "Traceback" not in stderr
+    lines = stderr.splitlines()
+    assert [line for line in lines if " error: " in line] == lines[-1:]
+    assert lines[-1].startswith(f"geoverify: {CATEGORY[code]} error: ")
+    assert str(path) in lines[-1]
+    return lines[-1]
+
+
 @pytest.fixture(scope="module")
 def verify_inputs(tmp_path_factory):
     """Pristine verify inputs in ``in``, 2 inits x leads 6 and 12: four valid times."""
@@ -2058,17 +2129,7 @@ def test_one_damaged_input_cube_fails_verify_naming_it(verify_inputs, data):
         paths = sorted(root.rglob("*.gvc"))
         assert len(paths) == 12  # four forecasts, four references, four climatology keys
         path = data.draw(st.sampled_from(paths), label="file")
-        raw = bytearray(path.read_bytes())
-        kind = data.draw(st.sampled_from(["value", "truncate", "header"]), label="kind")
-        event(kind)
-        if kind == "value":
-            index = data.draw(st.integers(-2 * SPEC.n_lat * SPEC.n_lon, -1), label="index")
-            _poison(path, index, data.draw(st.sampled_from([np.nan, np.inf, -np.inf])))
-        elif kind == "truncate":
-            path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="length")])
-        else:
-            raw[data.draw(st.sampled_from(STRUCTURAL_HEADER_BYTES), label="byte")] ^= 0xFF
-            path.write_bytes(bytes(raw))
+        _damage(path, data)
         one_channel_ranges = data.draw(st.booleans(), label="one channel a range")
         argv = _argv("verify", forecast=root / "forecast", reference=root / "reference",
                      climatology=root / "clim" / "manifest.csv", variables="Z500,T2M",
@@ -2088,8 +2149,43 @@ def test_one_damaged_input_cube_fails_verify_naming_it(verify_inputs, data):
             code = main(argv)
         assert code in (2, 3, 4)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert "Traceback" not in stderr.getvalue()
-        lines = stderr.getvalue().splitlines()
-        assert [line for line in lines if " error: " in line] == lines[-1:]
-        assert lines[-1].startswith(f"geoverify: {CATEGORY[code]} error: {path}")
+        line = _one_error_line(stderr.getvalue(), code, path)
+        assert line.startswith(f"geoverify: {CATEGORY[code]} error: {path}")
         assert _tree(root) == before
+
+
+# --- climatology input fuzz: one damaged cube fails the run and writes nothing ------
+
+@pytest.fixture(scope="module")
+def climatology_inputs(tmp_path_factory):
+    """Pristine climatology input in ``in``: six cubes over three keys."""
+    root = tmp_path_factory.mktemp("climatology-fuzz")
+    TestClimatologyCommand()._cubes(root / "in")
+    return root
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_damaged_input_cube_fails_climatology_naming_it(climatology_inputs, data):
+    """A NaN or Inf anywhere in a payload, a truncation or a broken header field.
+
+    A damaged header may make another cube's grid look different from it, so
+    the error line names the damaged cube but need not start with it.
+    """
+    with tempfile.TemporaryDirectory(dir=climatology_inputs) as tmp:
+        cubes = Path(tmp) / "cubes"
+        shutil.copytree(climatology_inputs / "in", cubes)
+        paths = sorted(cubes.glob("*.gvc"))
+        assert len(paths) == 6
+        path = data.draw(st.sampled_from(paths), label="file")
+        _damage(path, data)
+        out = Path(tmp) / "clim"
+        before = _tree(Path(tmp))
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(_argv("climatology", cubes=cubes, out=out))
+        assert code in (2, 3, 4)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        _one_error_line(stderr.getvalue(), code, path)
+        assert _tree(Path(tmp)) == before
