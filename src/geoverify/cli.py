@@ -140,21 +140,6 @@ def _headers_by_time(directory) -> dict:
     return headers
 
 
-def _output_grid(directory, eval_set, variables) -> GridSpec:
-    """Grid of the first forecast cube; InvalidFlags if a variable is input-only.
-
-    Reads only the cube's header, before the evaluation pass, so a bad
-    variable fails before any pair is scored.
-    """
-    spec, catalog, _ = cubeio.read_header(
-        forecast_path(directory, eval_set.init_times[0], eval_set.lead_hours[0])
-    )
-    for name, level in variables:
-        if catalog.get((name, level)).role != "input-output":
-            raise InvalidFlags(f"variable {name} is input-only and carries no skill metrics")
-    return spec
-
-
 # --- verify -------------------------------------------------------------------
 
 #: Most bytes of scored channels in one channel range of ``verify``: four
@@ -204,42 +189,54 @@ def _cut(catalogs, order, channel_bytes) -> tuple[list, list[list[range]]]:
     return [order[start:stop] for start, stop in bounds], spans
 
 
-def _plan(args, variables, clim, grid: GridSpec, valid: datetime, pairs) -> dict:
-    """{path: [(variables, channel range)] per group} of every file of one valid time.
+def _plan(args, variables, clim, eval_set) -> tuple[GridSpec, list, dict]:
+    """(grid, groups, {valid time: {path: channel range per group}}) of a verify run.
 
-    Headers are read in pass order: the first forecast, the reference, the
-    key cube of the loaded climatology ``clim`` (its header was checked when
-    it loaded) and the other forecasts.  A missing cube raises MissingCube
-    for its pair, and a file whose grid is not ``grid``, the run's first
-    forecast's, raises SpecMismatch naming it.  The groups follow the first
-    forecast's catalog order.
+    One pass over the run's headers, before any payload is read, valid time by
+    valid time in pass order: the first forecast, the reference, the key cube
+    of the loaded climatology ``clim`` (checked when it loaded) and the other
+    forecasts.  A missing cube raises MissingCube for its pair.  A header of
+    another valid time raises CorruptHeader, one on another grid than the first
+    forecast's SpecMismatch, each naming the file.  A variable that is input-only
+    in the first forecast raises InvalidFlags.  Equal catalogs share one object;
+    one cut over the distinct ones groups the variables in the first forecast's
+    catalog order.
     """
-    catalogs = {}
+    grid, catalogs, files = None, {}, {}
 
-    def add(path, spec, catalog):
+    def add(valid, path, spec, catalog):
+        nonlocal grid
+        if grid is None:  # the first forecast's header: the output grid and catalog
+            grid = spec
+            for name, level in variables:
+                if catalog.get((name, level)).role != "input-output":
+                    raise InvalidFlags(f"variable {name} is input-only and carries no skill metrics")
         if spec != grid:
             raise SpecMismatch(f"{path}: grid differs from the first forecast's grid")
-        catalogs[path] = catalog
+        files.setdefault(valid, {})[path] = catalogs.setdefault(catalog, catalog)
 
-    def header(path, pair, expected):
+    def header(valid, path, pair, expected):
         try:
             spec, catalog, file_valid = cubeio.read_header(path)
         except FileNotFoundError as e:
             raise MissingCube(*pair, str(e)) from None
         if file_valid != valid:
             raise CorruptHeader(f"{path}: valid_time {file_valid} != {expected}")
-        add(path, spec, catalog)
+        add(valid, path, spec, catalog)
 
-    fc_paths = [forecast_path(args.forecast, *pair) for pair in pairs]
-    header(fc_paths[0], pairs[0], f"init {pairs[0][0]} + {pairs[0][1]}h")
-    header(reference_path(args.reference, valid), pairs[0], f"{valid} of the file name")
-    if clim is not None:
-        add(clim.key_path(valid), clim.spec, clim.catalog)
-    for path, (t0, lead) in zip(fc_paths[1:], pairs[1:]):
-        header(path, (t0, lead), f"init {t0} + {lead}h")
-    order = sorted(dict.fromkeys(variables), key=catalogs[fc_paths[0]].index_of)
-    groups, spans = _cut(list(catalogs.values()), order, 4 * grid.n_lat * grid.n_lon)
-    return {path: list(zip(groups, ranges)) for path, ranges in zip(catalogs, spans)}
+    for valid, pairs in eval_set.by_valid_time().items():
+        fc_paths = [forecast_path(args.forecast, *pair) for pair in pairs]
+        header(valid, fc_paths[0], pairs[0], f"init {pairs[0][0]} + {pairs[0][1]}h")
+        header(valid, reference_path(args.reference, valid), pairs[0], f"{valid} of the file name")
+        if clim is not None:
+            add(valid, clim.key_path(valid), clim.spec, clim.catalog)
+        for path, (t0, lead) in zip(fc_paths[1:], pairs[1:]):
+            header(valid, path, (t0, lead), f"init {t0} + {lead}h")
+    order = sorted(dict.fromkeys(variables), key=next(iter(catalogs)).index_of)
+    groups, spans = _cut(list(catalogs), order, 4 * grid.n_lat * grid.n_lon)
+    spans_of = dict(zip(catalogs, spans))
+    return grid, groups, {valid: {path: spans_of[catalog] for path, catalog in paths.items()}
+                          for valid, paths in files.items()}
 
 
 def cmd_verify(args) -> int:
@@ -261,40 +258,37 @@ def cmd_verify(args) -> int:
             raise InvalidFlags("computing acc requires --climatology MANIFEST")
         clim = clim_mod.Climatology.load(args.climatology)
 
-    spec = _output_grid(args.forecast, eval_set, variables)
-    plan = {}  # the valid time being scored: {path: [(variables, channel range)]}
+    spec, groups, plan = _plan(args, variables, clim, eval_set)
+    buffers, last_valid = _WorkerBuffers(), None  # the valid time of the last read
 
-    def ranges(valid, pairs):
-        plan.clear()
-        plan.update(_plan(args, variables, clim, spec, valid, pairs))
-        return [group for group, _ in next(iter(plan.values()))]
-
-    buffers = _WorkerBuffers()
-
-    def read(path, k, out):
+    def read(valid, path, k, out):
         # Every kept channel is scored, so the kernels' row sums check it for NaN/Inf.
-        group, channels = plan[path][k]
-        return cubeio.read_cube(path, group, channels, out=out, _scan_kept=False)
+        nonlocal last_valid
+        last_valid = valid
+        return cubeio.read_cube(path, groups[k], plan[valid][path][k], out=out, _scan_kept=False)
 
     try:
         records, rmse_maps = metrics.evaluate_set(
-            lambda t0, lead, k: read(forecast_path(args.forecast, t0, lead), k, buffers.forecast),
-            lambda valid, k: read(reference_path(args.reference, valid), k, buffers.reference),
+            lambda t0, lead, k: read(t0 + timedelta(hours=lead),
+                                     forecast_path(args.forecast, t0, lead), k, buffers.forecast),
+            lambda valid, k: read(valid, reference_path(args.reference, valid), k,
+                                  buffers.reference),
             eval_set,
             variables,
             rmse="rmse" in wanted,
             climatologies=None if clim is None else (
-                lambda valid, k: read(clim.key_path(valid), k, buffers.climatology)),
-            ranges=ranges,
+                lambda valid, k: read(valid, clim.key_path(valid), k, buffers.climatology)),
+            groups=groups,
             maps=bool(args.map_dir),
             threads=args.threads,
         )
     except NonFiniteValue:
-        # Scan the failing valid time's files range by range in pass order, so
-        # the error names the first file that holds a NaN or Inf.
-        for k in range(len(next(iter(plan.values())))):
-            for path, spans in plan.items():
-                cubeio.read_cube(path, *spans[k])
+        # evaluate_set scores valid times in order, so the last one read failed. Scan
+        # its files range by range in pass order: the error names the first file
+        # that holds a NaN or Inf.
+        for k, group in enumerate(groups):
+            for path, spans in plan[last_valid].items():
+                cubeio.read_cube(path, group, spans[k])
         raise
     params = {
         "forecast": args.forecast,
@@ -380,7 +374,11 @@ def cmd_downscale_eval(args) -> int:
     failures = 0
     buffers = {side: cubeio.ReadBuffer() for side in ("truth", "coarse", "model")}
     for truth_path in truth_paths:
-        truth = model = None  # the last sample's cubes die before their buffers are refilled
+        # The last sample's cubes die before their buffers are refilled.  The baseline, in
+        # no buffer, is kept: when freed, its pages went back to the OS and the next
+        # upsample faulted in new ones (bench downscale, 2-vCPU VM: 120k minor faults
+        # for 14k, 1.03-1.26 s wall for 0.72-0.98 s, 1.8 MiB lower peak RSS).
+        truth = model = None
         try:
             truth = cubeio.read_cube(truth_path, out=buffers["truth"])
             first = truth_at.setdefault(truth.valid_time, truth_path)

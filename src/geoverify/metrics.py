@@ -24,8 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import partial
-from itertools import groupby
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -64,6 +62,14 @@ class EvaluationSet:
                 raise ValueError(f"duplicate {label} in evaluation set")
         object.__setattr__(self, "init_times", tuple(sorted(self.init_times)))
         object.__setattr__(self, "lead_hours", tuple(sorted(self.lead_hours)))
+
+    def by_valid_time(self) -> dict[datetime, list[tuple[datetime, int]]]:
+        """{valid time: its (init, lead) pairs in init order}, in valid-time order."""
+        pairs: dict = {}
+        for valid, t0, lead in sorted((t0 + timedelta(hours=lead), t0, lead)
+                                      for t0 in self.init_times for lead in self.lead_hours):
+            pairs.setdefault(valid, []).append((t0, lead))
+        return pairs
 
 
 @dataclass(frozen=True)
@@ -327,16 +333,18 @@ def evaluate_set(
     *,
     rmse: bool = True,
     climatologies: Callable[[datetime, int], FieldCube] | None = None,
-    ranges: Callable[[datetime, list[tuple[datetime, int]]], Sequence[Sequence]] | None = None,
+    groups: Sequence[Sequence] | None = None,
     maps: bool = False,
     threads: int = 1,
 ) -> tuple[list[MetricRecord], dict[tuple[VariableId, int], np.ndarray]]:
     """Score every (init, lead) pair of an evaluation set in one pass.
 
-    Pairs are scored one valid time at a time, in valid-time order.
-    ``ranges(valid_time, pairs)``, given that valid time's (init, lead) pairs
-    in init order, cuts the variables into groups, each named once; without
-    it there is one group of all variables.  For group k,
+    Pairs are scored one valid time at a time, in valid-time order
+    (``eval_set.by_valid_time()``), so the last valid time any loader was
+    called for is the one being scored when an error is raised.  ``groups``
+    cuts the variables into groups, each variable named in exactly one, or
+    ValueError is raised before any load; without it there is one group of
+    all variables.  The groups are the same at every valid time.  For group k,
     ``forecasts(t0, lead, k)`` and ``references(valid_time, k)`` load cubes
     holding at least the group's variables; a KeyError or FileNotFoundError
     from either becomes MissingCube for the pair, and the reference is
@@ -360,6 +368,10 @@ def evaluate_set(
     order and results are bitwise identical at any thread count.
     """
     var_ids = list(dict.fromkeys(_resolve_var(v) for v in variables))
+    groups = [var_ids] if groups is None else [[_resolve_var(v) for v in g] for g in groups]
+    named = [var for g in groups for var in g]
+    if len(named) != len(var_ids) or set(named) != set(var_ids):
+        raise ValueError("groups must name each variable once")
     names = (["rmse"] if rmse else []) + (["acc"] if climatologies is not None else [])
     leads = eval_set.lead_hours
     totals = {(var, lead, m): 0.0 for lead in leads for var in var_ids for m in names}
@@ -388,7 +400,7 @@ def evaluate_set(
             if maps:
                 sums[(var, lead)] = _add(sums[(var, lead)], _squared_diff(f2, r2))
 
-    def score_range(valid, pairs, groups, k):
+    def score_range(valid, pairs, k):
         """Reads and scores group ``k`` of every pair of ``valid``; each cube dies when done."""
         fc = load(forecasts, pairs[0], *pairs[0], k)
         ref = load(references, pairs[0], valid, k)
@@ -400,20 +412,10 @@ def evaluate_set(
             score_pair(fc, ref, clim, pair[1], groups[k], weights)
             del fc
 
-    by_valid = groupby(sorted((t0 + timedelta(hours=lead), t0, lead)
-                              for t0 in eval_set.init_times for lead in leads),
-                       key=itemgetter(0))
-
     def score_all(run):
-        for valid, group in by_valid:
-            pairs = [(t0, lead) for _, t0, lead in group]
-            groups = [var_ids] if ranges is None else [
-                [_resolve_var(v) for v in g] for g in ranges(valid, pairs)]
-            named = [var for g in groups for var in g]
-            if len(named) != len(var_ids) or set(named) != set(var_ids):
-                raise ValueError(f"ranges at {valid} must name each variable once")
+        for valid, pairs in eval_set.by_valid_time().items():
             # Reading every result raises the first failed group's error.
-            for _ in run(partial(score_range, valid, pairs, groups), range(len(groups))):
+            for _ in run(partial(score_range, valid, pairs), range(len(groups))):
                 pass
 
     workers = min(threads, _usable_cpus())

@@ -644,6 +644,22 @@ class TestVerifyChannelRanges:
         assert {c for _, c in reads} == {range(0, 2)}  # no cut agrees: one range per file
         assert self._outputs(tmp_path, "reversed") == self._outputs(tmp_path, "stored")
 
+    @pytest.mark.usefixtures("one_channel_ranges")
+    def test_one_file_in_another_channel_order_gives_one_range_at_every_valid_time(
+            self, tmp_path, monkeypatch):
+        """The run has one plan: one cut over every catalog of every valid time."""
+        fixture = make_verify_fixture(tmp_path, self.INITS, [6, 12])
+        assert self._verify(tmp_path, fixture, "stored") == 0
+        path = sorted(fixture[1].glob("*.gvc"))[-1]  # the last valid time's reference
+        cube = read_cube(path)
+        write_cube(FieldCube(cube.spec, VariableCatalog(list(cube.catalog)[::-1]),
+                             cube.valid_time, cube.values[::-1]), path)
+        reads = self._counted_reads(monkeypatch)
+        assert self._verify(tmp_path, fixture, "reversed") == 0
+        assert len(reads) == 6 + 6 + 6  # each forecast, reference and key once, whole
+        assert {c for _, c in reads} == {range(0, 2)}
+        assert self._outputs(tmp_path, "reversed") == self._outputs(tmp_path, "stored")
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.usefixtures("one_channel_ranges")
     def test_each_worker_refills_its_three_buffers(self, tmp_path, monkeypatch, buffer_takes,
@@ -728,6 +744,42 @@ class TestVerifyChannelRanges:
         with open(manifest, "a") as f:
             f.write("200,0,1,clim_d200_h00.gvc\n")
         assert self._verify(tmp_path, fixture, "out") == 0
+
+
+class TestVerifyHeaderPass:
+    """verify reads and checks every header of the run before any payload."""
+
+    @pytest.mark.parametrize("fault", ["flipped magic byte", "deleted"])
+    def test_a_header_fault_at_the_last_valid_time_beats_a_nan_at_the_first(
+            self, tmp_path, monkeypatch, capsys, fault):
+        from geoverify import cubeio, metrics
+        from geoverify.cli import forecast_path
+
+        fdir, rdir, manifest, times_file = make_verify_fixture(
+            tmp_path, [utc(2024, 1, 1, 0), utc(2024, 1, 1, 12)], [6, 12])
+        _poison(forecast_path(fdir, utc(2024, 1, 1, 0), 6))  # the first valid time's forecast
+        last = forecast_path(fdir, utc(2024, 1, 1, 12), 12)  # the last valid time's only one
+        if fault == "deleted":
+            last.unlink()
+        else:
+            raw = bytearray(last.read_bytes())
+            raw[0] ^= 0xFF
+            last.write_bytes(bytes(raw))
+        calls = []
+        for module, name in ((metrics, "_row_sums"), (cubeio, "read_cube")):
+            def counted(*args, name=name, call=getattr(module, name), **kwargs):
+                calls.append(name)
+                return call(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert main(_argv("verify", forecast=fdir, reference=rdir, climatology=manifest,
+                          variables="Z500,T2M", init_times=times_file, leads="6,12",
+                          out=tmp_path / "r.csv", map_dir=tmp_path / "maps")) == 2
+        _one_error_line(capsys.readouterr().err, 2, last)
+        assert calls == []
+        assert _tree(tmp_path) == before
 
 
 class TestVerifyNonFiniteScoredValue:
@@ -2079,17 +2131,17 @@ def test_any_flag_values_exit_with_a_documented_code(valid_flags, command, data)
 STRUCTURAL_HEADER_BYTES = [*range(19), *range(59, 63)]
 
 
-def _damage(path, data):
-    """Draws and makes one damage to a SPEC, CATALOG cube file.
+def _damage(path, data, values=2 * SPEC.n_lat * SPEC.n_lon):
+    """Draws and makes one damage to a cube file whose payload holds ``values`` values.
 
     A NaN or Inf over a payload value, a truncation, or a flipped structural
-    header byte.
+    header byte.  The default ``values`` is a SPEC, CATALOG cube's.
     """
     raw = bytearray(path.read_bytes())
     kind = data.draw(st.sampled_from(["value", "truncate", "header"]), label="kind")
     event(kind)
     if kind == "value":
-        index = data.draw(st.integers(-2 * SPEC.n_lat * SPEC.n_lon, -1), label="index")
+        index = data.draw(st.integers(-values, -1), label="index")
         _poison(path, index, data.draw(st.sampled_from([np.nan, np.inf, -np.inf])))
     elif kind == "truncate":
         path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="length")])
@@ -2152,6 +2204,39 @@ def test_one_damaged_input_cube_fails_verify_naming_it(verify_inputs, data):
         line = _one_error_line(stderr.getvalue(), code, path)
         assert line.startswith(f"geoverify: {CATEGORY[code]} error: {path}")
         assert _tree(root) == before
+
+
+# --- tc-track input fuzz: one damaged cube fails the run and writes nothing --------
+
+@pytest.fixture(scope="module")
+def tc_track_inputs(tmp_path_factory):
+    """Pristine tc-track inputs in ``in``: write_storms's six cubes and three seeds."""
+    root = tmp_path_factory.mktemp("tc-track-fuzz")
+    write_storms(root / "in")
+    return root
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_damaged_input_cube_fails_tc_track_naming_it(tc_track_inputs, data):
+    """A NaN or Inf anywhere in a payload, a truncation or a broken header field."""
+    with tempfile.TemporaryDirectory(dir=tc_track_inputs) as tmp:
+        cubes = Path(tmp) / "cubes"
+        shutil.copytree(tc_track_inputs / "in", cubes)
+        paths = sorted(cubes.glob("*.gvc"))
+        assert len(paths) == 6
+        path = data.draw(st.sampled_from(paths), label="file")
+        _damage(path, data, len(tc.tracker_catalog()) * STORM_SPEC.n_lat * STORM_SPEC.n_lon)
+        out = Path(tmp) / "track.csv"
+        before = _tree(Path(tmp))
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(_argv("tc-track", cubes=cubes, seeds=cubes / "seeds.csv", out=out))
+        assert code in (2, 3, 4)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        _one_error_line(stderr.getvalue(), code, path)
+        assert _tree(Path(tmp)) == before
 
 
 # --- climatology input fuzz: one damaged cube fails the run and writes nothing ------

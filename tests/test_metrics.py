@@ -662,7 +662,7 @@ def test_one_cpu_affinity_gives_one_worker_and_starts_no_thread(monkeypatch):
         records, _ = metrics.evaluate_set(
             lambda t0, lead, _k: cube(t0 + timedelta(hours=lead)), lambda valid, _k: cube(valid),
             EvaluationSet((utc(2024, 1, 1), utc(2024, 1, 2)), (6,)), ["T2M", "Z500"],
-            ranges=lambda valid, pairs: [["T2M"], ["Z500"]], threads=4,
+            groups=[["T2M"], ["Z500"]], threads=4,
         )
     finally:
         os.sched_setaffinity(0, cpus)
@@ -785,7 +785,7 @@ class TestOnePairAtATime:
             with pytest.raises(MissingCube, match="forecast absent"):
                 metrics.evaluate_set(
                     forecasts, references, EvaluationSet((utc(2024, 1, 1),), (6,)),
-                    ["T2M", "Z500"], ranges=lambda valid, pairs: [["T2M"], ["Z500"]],
+                    ["T2M", "Z500"], groups=[["T2M"], ["Z500"]],
                     threads=threads,
                 )
             if threads == 1:
@@ -975,15 +975,15 @@ class TestChannelRanges:
         rows = [self.CATALOG.index_of(v) for v in names]
         return FieldCube(self.SPEC, VariableCatalog(names), valid, full[rows])
 
-    def _run(self, values, threads, ranges=None, load=None):
+    def _run(self, values, threads, groups=None, load=None):
         fc, ref, clim = values
-        load = load or (lambda valid, full, k: self._cube(valid, full, k, ranges is not None))
+        load = load or (lambda valid, full, k: self._cube(valid, full, k, groups is not None))
         return metrics.evaluate_set(
             lambda t0, lead, k: load(t0 + timedelta(hours=lead), fc[(t0, lead)], k),
             lambda valid, k: load(valid, ref[valid], k),
             EvaluationSet(self.T0S, self.LEADS), [v.token for v in self.CATALOG],
             climatologies=lambda valid, k: load(valid, clim[valid], k),
-            ranges=ranges, maps=True, threads=threads,
+            groups=groups, maps=True, threads=threads,
         )
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -1003,7 +1003,7 @@ class TestChannelRanges:
             time.sleep(0.002)  # a slow read, so the workers' reads overlap
             return cube
 
-        self._run(self._values(51), threads, lambda valid, pairs: self.GROUPS, load)
+        self._run(self._values(51), threads, self.GROUPS, load)
         # Per valid time and group: one reference, one climatology, each pair's forecast.
         assert len(handed_out) == len(self.GROUPS) * (5 * 2 + 9)
         # The loading worker holds at most two cubes, every other worker three.
@@ -1022,12 +1022,18 @@ class TestChannelRanges:
         expected = flat(self._run(values, 1))
         assert len(expected[0]) == len(self.CATALOG) * len(self.LEADS) * 2
         for threads in (1, 2, 3):
-            got = flat(self._run(values, threads, lambda valid, pairs: self.GROUPS))
+            got = flat(self._run(values, threads, self.GROUPS))
             assert got == expected, f"threads={threads}"
 
-    def test_ranges_must_name_each_variable_once(self):
+    @pytest.mark.parametrize("groups", [
+        [["V1", "V2"], ["V3", "V2"], ["V4", "V5", "V6"]],
+        [["V1", "V2"], ["V3"], ["V4", "V6"]],
+    ], ids=["V2 twice", "V5 left out"])
+    def test_groups_must_name_each_variable_once_and_fail_before_any_load(self, groups):
+        loads = []
         with pytest.raises(ValueError, match="each variable once"):
-            self._run(self._values(53), 1, lambda valid, pairs: self.GROUPS[:2])
+            self._run(self._values(53), 1, groups, lambda *args: loads.append(args))
+        assert loads == []
 
 
 class TestAccOverSet:
