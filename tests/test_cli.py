@@ -636,9 +636,7 @@ class TestVerifyChannelRanges:
         fixture = make_verify_fixture(tmp_path, self.INITS, [6, 12])
         assert self._verify(tmp_path, fixture, "stored") == 0
         for path in [*fixture[1].glob("*.gvc"), *fixture[2].parent.glob("*.gvc")]:
-            cube = read_cube(path)
-            write_cube(FieldCube(cube.spec, VariableCatalog(list(cube.catalog)[::-1]),
-                                 cube.valid_time, cube.values[::-1]), path)
+            _reverse_channels(path)
         reads = self._counted_reads(monkeypatch)
         assert self._verify(tmp_path, fixture, "reversed") == 0
         assert {c for _, c in reads} == {range(0, 2)}  # no cut agrees: one range per file
@@ -650,10 +648,7 @@ class TestVerifyChannelRanges:
         """The run has one plan: one cut over every catalog of every valid time."""
         fixture = make_verify_fixture(tmp_path, self.INITS, [6, 12])
         assert self._verify(tmp_path, fixture, "stored") == 0
-        path = sorted(fixture[1].glob("*.gvc"))[-1]  # the last valid time's reference
-        cube = read_cube(path)
-        write_cube(FieldCube(cube.spec, VariableCatalog(list(cube.catalog)[::-1]),
-                             cube.valid_time, cube.values[::-1]), path)
+        _reverse_channels(sorted(fixture[1].glob("*.gvc"))[-1])  # the last valid time's reference
         reads = self._counted_reads(monkeypatch)
         assert self._verify(tmp_path, fixture, "reversed") == 0
         assert len(reads) == 6 + 6 + 6  # each forecast, reference and key once, whole
@@ -1292,10 +1287,7 @@ class TestTcTrackStreaming:
         out = tmp_path / "track.csv"
         assert self._run(directory, out) == 0
         before = out.read_bytes()
-        path = sorted(directory.glob("*.gvc"))[1]
-        cube = read_cube(path)
-        write_cube(FieldCube(cube.spec, VariableCatalog(list(cube.catalog)[::-1]),
-                             cube.valid_time, np.asarray(cube.values)[::-1]), path)
+        _reverse_channels(sorted(directory.glob("*.gvc"))[1])
         assert self._run(directory, out) == 0
         assert out.read_bytes() == before
 
@@ -1520,6 +1512,13 @@ def _drop_last_channel(path):
     cube = read_cube(path)
     write_cube(FieldCube(cube.spec, VariableCatalog(list(cube.catalog)[:-1]), cube.valid_time,
                          cube.values[:-1]), path)
+
+
+def _reverse_channels(path):
+    """Rewrites a cube file with its channels stored in reverse order."""
+    cube = read_cube(path)
+    write_cube(FieldCube(cube.spec, VariableCatalog(list(cube.catalog)[::-1]), cube.valid_time,
+                         cube.values[::-1]), path)
 
 
 def _move_lat_start(path, lat_start=59.0):
