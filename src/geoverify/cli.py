@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     PerfectMatch,
     SpecMismatch,
+    UnknownVariable,
 )
 from .grid import (
     FieldCube,
@@ -144,14 +145,17 @@ def _headers_by_time(directory) -> dict:
 
 #: Most bytes of scored channels in one channel range of ``verify``: four
 #: channels at 0.25 degrees.  Peak memory grows with it: verify-global (2
-#: threads, 2-vCPU VM) peaked at 81, 129 and 224 MiB at 8, 16 and 32 MiB.
-#: Into reused read buffers the three cost the same CPU (2.53, 2.52, 2.54 s
-#: user+sys); reading into fresh arrays, 8 MiB cost 0.25 s more in page faults.
+#: threads, 2-vCPU VM, each range viewed through a mapping) peaked at 82, 130
+#: and 210-225 MiB at 8, 16 and 32 MiB, for the same CPU (median 0.92, 0.91
+#: and 0.89 s user+sys of 4 runs each) and the same 15.8k minor faults.
 RANGE_BYTES = 16 << 20
 
 
 class _WorkerBuffers(threading.local):
-    """The read buffers of one ``verify`` worker (thread), kept for the whole pass."""
+    """The read buffers of one ``verify`` worker (thread), kept for the whole pass.
+
+    Only ranges whose scored channels lie in several runs use them; a single
+    run is viewed through a mapping of the file (see cubeio.read_cube)."""
 
     def __init__(self):
         self.forecast = cubeio.ReadBuffer()
@@ -197,15 +201,23 @@ def _plan(args, variables, clim, eval_set) -> tuple[GridSpec, list, dict]:
     of the loaded climatology ``clim`` (checked when it loaded) and the other
     forecasts.  A missing cube raises MissingCube for its pair.  A header of
     another valid time raises CorruptHeader, one on another grid than the first
-    forecast's SpecMismatch, each naming the file.  A variable that is input-only
-    in the first forecast raises InvalidFlags.  Equal catalogs share one object;
-    one cut over the distinct ones groups the variables in the first forecast's
-    catalog order.
+    forecast's SpecMismatch, each naming the file.  A scored variable missing from
+    a catalog raises UnknownVariable naming the first file that holds that catalog;
+    one that is input-only in the first forecast raises InvalidFlags.  Equal
+    catalogs share one object; one cut over the distinct ones groups the
+    variables in the first forecast's catalog order.
     """
     grid, catalogs, files = None, {}, {}
 
     def add(valid, path, spec, catalog):
         nonlocal grid
+        if catalog not in catalogs:  # each distinct catalog is checked at its first file
+            try:
+                for var in variables:
+                    catalog.index_of(var)
+            except UnknownVariable as e:
+                raise UnknownVariable(f"{path}: {e}") from None
+            catalogs[catalog] = catalog
         if grid is None:  # the first forecast's header: the output grid and catalog
             grid = spec
             for name, level in variables:
@@ -213,7 +225,7 @@ def _plan(args, variables, clim, eval_set) -> tuple[GridSpec, list, dict]:
                     raise InvalidFlags(f"variable {name} is input-only and carries no skill metrics")
         if spec != grid:
             raise SpecMismatch(f"{path}: grid differs from the first forecast's grid")
-        files.setdefault(valid, {})[path] = catalogs.setdefault(catalog, catalog)
+        files.setdefault(valid, {})[path] = catalogs[catalog]
 
     def header(valid, path, pair, expected):
         try:

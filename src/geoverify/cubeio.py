@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import mmap
 import os
 import struct
 import sys
@@ -189,6 +190,24 @@ def _fill(f, path, out: np.ndarray) -> None:
         raise TruncatedPayload(f"{path}: file shrank while its payload was read")
 
 
+def _map(f, path, n: int) -> np.ndarray:
+    """A read-only view of ``f``'s next ``n`` float32 values, leaving ``f`` after them.
+
+    Only their pages are mapped, from the allocation granule that holds the
+    first.  The view holds the mapping, which is unmapped when the last array
+    that views it dies.
+    """
+    offset = f.tell()
+    start = offset - offset % mmap.ALLOCATIONGRANULARITY
+    try:
+        pages = mmap.mmap(f.fileno(), offset + 4 * n - start, access=mmap.ACCESS_READ,
+                          offset=start)
+    except ValueError:  # the file is now shorter than its header says
+        raise TruncatedPayload(f"{path}: file shrank before its payload was mapped") from None
+    f.seek(4 * n, os.SEEK_CUR)
+    return np.frombuffer(pages, "<f4", n, offset - start)
+
+
 class ReadBuffer:
     """float32 storage that ``read_cube`` refills instead of allocating per read.
 
@@ -237,6 +256,12 @@ def read_cube(path, variables=None, channels: range | None = None,
 
     ``_scan_kept=False`` is private to ``verify``, whose metric kernels check
     every kept value: the kept channels are then not scanned for NaN/Inf.
+    When they are one run of adjacent channels, they are not copied either:
+    the cube's values view a read-only mapping of their pages, and ``out`` is
+    unused.  A file that shrank below its header's payload raises
+    TruncatedPayload; one truncated while the cube lives raises SIGBUS on
+    access.  Unkept channels are always read through the scan block, so they
+    do not stay resident.
     """
     with open(path, "rb") as f:
         spec, catalog, valid_time = _read_header(f, path)
@@ -255,13 +280,16 @@ def read_cube(path, variables=None, channels: range | None = None,
         f.seek(4 * plane * span.start, os.SEEK_CUR)
         n_kept = plane * len(keep)
         n_scan = min(FINITE_SCAN_VALUES, plane * (len(span) - len(keep)))
-        kept = (out or ReadBuffer()).take(n_kept)
+        mapped = not _scan_kept and bool(keep) and max(keep) - min(keep) + 1 == len(keep)
+        kept = None if mapped else (out or ReadBuffer()).take(n_kept)
         scan = np.empty(n_scan, dtype="<f4")
-        values = kept.reshape(len(keep), spec.n_lat, spec.n_lon)
         pos, finite = 0, True
         # One readinto per run of adjacent kept channels: a full read is one call.
         for is_kept, run in itertools.groupby(span, keep.__contains__):
             count = plane * len(list(run))
+            if is_kept and mapped:
+                kept = _map(f, path, count)
+                continue
             if is_kept:
                 _fill(f, path, kept[pos:pos + count])
                 pos += count
@@ -273,6 +301,7 @@ def read_cube(path, variables=None, channels: range | None = None,
         if not finite:
             raise NonFiniteValue(f"{path}: cube values must be finite")
     del scan  # before FieldCube's own finiteness scan allocates
+    values = kept.reshape(len(keep), spec.n_lat, spec.n_lon)
     try:
         return FieldCube(spec, catalog, valid_time, values, _scan=_scan_kept)
     except ValueError as e:  # the finiteness scan of the kept channels is FieldCube's

@@ -360,8 +360,9 @@ def evaluate_set(
     starts no thread.  A worker reads the first pair's forecast, the
     reference and the climatology of its group, then each later pair's
     forecast after releasing the one before and every channel view of it,
-    so memory holds at most three cubes per worker and a loader may refill
-    a released cube's storage (see cubeio.ReadBuffer).  When several loads
+    so memory holds at most three cubes per worker.  A loader may refill a
+    released cube's storage (see cubeio.ReadBuffer), or view the file through
+    a read-only mapping that is unmapped with the cube.  When several loads
     fail, the first in that order, group by group, is raised.  A valid time
     gives each (variable, lead) one value, from one worker, and valid-time
     order is init order for one lead, so each sum adds its values in init

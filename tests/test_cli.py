@@ -655,21 +655,51 @@ class TestVerifyChannelRanges:
         assert {c for _, c in reads} == {range(0, 2)}
         assert self._outputs(tmp_path, "reversed") == self._outputs(tmp_path, "stored")
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.usefixtures("one_channel_ranges")
-    def test_each_worker_refills_its_three_buffers(self, tmp_path, monkeypatch, buffer_takes,
-                                                   threads):
+    def _verify_overlapping_pairs(self, tmp_path, monkeypatch, threads, spy, between=False):
+        """Runs verify of inits 6 h apart at leads 6, 12, 18, where up to three pairs share
+        a valid time, and returns ``spy()``, called once the inputs are written.  With
+        ``between``, every cube stores T850 between Z500 and T2M."""
         from geoverify import metrics
 
         monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
-        # Inits 6 h apart and leads 6, 12, 18: up to three pairs share a valid time.
         fdir, rdir, manifest, times_file = make_verify_fixture(
             tmp_path, [utc(2024, 1, 1, h) for h in (0, 6, 12)], [6, 12, 18])
+        if between:
+            for directory in (fdir, rdir, manifest.parent):
+                for path in directory.glob("*.gvc"):
+                    _insert_t850(path)
+        spied = spy()
         assert main(_argv("verify", forecast=fdir, reference=rdir, climatology=manifest,
                           variables="Z500,T2M", init_times=times_file, leads="6,12,18",
                           threads=threads, out=tmp_path / "out.csv")) == 0
-        assert 3 <= len(buffer_takes) <= 3 * threads
-        assert all(all(refills) for refills in buffer_takes.values())
+        return spied
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.usefixtures("one_channel_ranges")
+    def test_single_run_ranges_take_no_buffer(self, tmp_path, monkeypatch, threads):
+        """Each range keeps one channel: its values are a view of a mapping of its pages."""
+        from geoverify import cubeio
+
+        def spy():
+            mmap, calls = cubeio.mmap.mmap, []
+            monkeypatch.setattr(cubeio.ReadBuffer, "take", lambda self, n: calls.append("take"))
+            monkeypatch.setattr(cubeio.mmap, "mmap", lambda *args, **kwargs: calls.append("map")
+                                or mmap(*args, **kwargs))
+            return calls, self._counted_reads(monkeypatch)
+
+        calls, reads = self._verify_overlapping_pairs(tmp_path, monkeypatch, threads, spy)
+        assert len(reads) == (9 + 5 + 5) * 2  # 9 forecasts, 5 references and 5 keys, 2 ranges
+        assert calls == ["map"] * len(reads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_multi_run_ranges_refill_each_workers_three_buffers(
+            self, tmp_path, monkeypatch, request, threads):
+        """Z500 and T2M, with T850 between them, are kept in two runs of one range."""
+        takes = self._verify_overlapping_pairs(
+            tmp_path, monkeypatch, threads, lambda: request.getfixturevalue("buffer_takes"),
+            between=True)
+        assert 3 <= len(takes) <= 3 * threads
+        assert all(all(refills) for refills in takes.values())
 
     @pytest.mark.usefixtures("one_channel_ranges")
     def test_report_and_maps_equal_at_1_2_3_threads(self, tmp_path, monkeypatch):
@@ -774,6 +804,25 @@ class TestVerifyHeaderPass:
                           out=tmp_path / "r.csv", map_dir=tmp_path / "maps")) == 2
         _one_error_line(capsys.readouterr().err, 2, last)
         assert calls == []
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("side", ["forecast", "reference"])
+    def test_a_variable_missing_from_a_later_cube_exits_4_naming_it(self, tmp_path, capsys,
+                                                                   side):
+        from geoverify.cli import forecast_path, reference_path
+
+        fdir, rdir, manifest, times_file = make_verify_fixture(
+            tmp_path, [utc(2024, 1, 1, 0), utc(2024, 1, 1, 12)], [6, 12])
+        last = {"forecast": forecast_path(fdir, utc(2024, 1, 1, 12), 12),
+                "reference": reference_path(rdir, utc(2024, 1, 2, 0))}[side]
+        _drop_last_channel(last)  # T2M
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert main(_argv("verify", forecast=fdir, reference=rdir, climatology=manifest,
+                          variables="Z500,T2M", init_times=times_file, leads="6,12",
+                          out=tmp_path / "r.csv", map_dir=tmp_path / "maps")) == 4
+        assert _one_error_line(capsys.readouterr().err, 4, last) == (
+            f"geoverify: config error: {last}: variable T2M not in catalog")
         assert _tree(tmp_path) == before
 
 
@@ -1519,6 +1568,14 @@ def _reverse_channels(path):
     cube = read_cube(path)
     write_cube(FieldCube(cube.spec, VariableCatalog(list(cube.catalog)[::-1]), cube.valid_time,
                          cube.values[::-1]), path)
+
+
+def _insert_t850(path):
+    """Rewrites a SPEC, CATALOG cube file with a T850 channel of zeros between its two."""
+    cube = read_cube(path)
+    catalog = VariableCatalog([CATALOG.entries[0], VariableId("T", 850), CATALOG.entries[1]])
+    write_cube(FieldCube(cube.spec, catalog, cube.valid_time,
+                         np.insert(cube.values, 1, 0.0, axis=0)), path)
 
 
 def _move_lat_start(path, lat_start=59.0):
@@ -2273,3 +2330,66 @@ def test_one_damaged_input_cube_fails_climatology_naming_it(climatology_inputs, 
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         _one_error_line(stderr.getvalue(), code, path)
         assert _tree(Path(tmp)) == before
+
+
+# --- downscale-eval input fuzz: one damaged input cube skips its sample -------------
+
+@pytest.fixture(scope="module")
+def downscale_inputs(tmp_path_factory):
+    """Pristine downscale-eval inputs in ``in``: two samples of a coarse, truth and model cube."""
+    root = tmp_path_factory.mktemp("downscale-fuzz")
+    (root / "in").mkdir()
+    TestDownscaleEval()._write_fixture(root / "in", [utc(2024, 2, 2, 18), utc(2024, 7, 1, 6)],
+                                       "bilinear")
+    return root
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_damaged_input_cube_skips_its_downscale_sample(downscale_inputs, data):
+    """A NaN or Inf anywhere in a payload, a truncation or a broken header field.
+
+    A damaged truth, coarse or model cube skips its sample with a line that names
+    the file, and the outputs are those of a run without that sample.  When it is
+    the only sample, nothing is evaluated: the run fails and writes nothing.
+    """
+    with tempfile.TemporaryDirectory(dir=downscale_inputs) as tmp:
+        root = Path(tmp)
+        shutil.copytree(downscale_inputs / "in", root, dirs_exist_ok=True)
+        dirs = {side: root / side for side in ("coarse", "truth", "model")}
+        side = data.draw(st.sampled_from(sorted(dirs)), label="side")
+        path = data.draw(st.sampled_from(sorted(dirs[side].glob("*.gvc"))), label="file")
+        argv = _argv("downscale-eval", out=root / "ds.csv", **dirs)
+        alone = data.draw(st.booleans(), label="only sample")
+        if alone:
+            for p in root.rglob("*.gvc"):
+                if p.name != path.name:
+                    p.unlink()
+        else:  # the outputs of a run whose truth lacks the damaged sample
+            truth = dirs["truth"] / path.name
+            truth.rename(root / "aside")
+            assert main(argv) == 0
+            expected = {p.name: p.read_bytes() for p in root.glob("ds*.csv")}
+            for name in expected:
+                (root / name).unlink()
+            (root / "aside").rename(truth)
+        spec = TestDownscaleEval.COARSE_SPEC if side == "coarse" else TestDownscaleEval.FINE_SPEC
+        _damage(path, data, 2 * spec.n_lat * spec.n_lon)
+        before = _tree(root)
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "Traceback" not in stderr.getvalue()
+        lines = stderr.getvalue().splitlines()
+        assert lines[0].startswith(f"geoverify: skipping {path.stem}: {path}: ")
+        if alone:
+            assert code == 2
+            assert len(lines) == 2
+            _one_error_line(stderr.getvalue(), code, "no downscaling samples evaluated")
+            assert _tree(root) == before
+        else:
+            assert code == 0
+            assert lines[1:] == ["geoverify: 1 sample(s) skipped"]
+            assert {p.name: p.read_bytes() for p in root.glob("ds*.csv")} == expected

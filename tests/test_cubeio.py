@@ -1,13 +1,18 @@
 """Tests for the GVC1 cube format and the CSV readers/writers."""
 
+import mmap
 import os
+import re
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from geoverify import MetricRecord, VariableId, cubeio, select_channel
+from geoverify import FieldCube, GridSpec, MetricRecord, VariableId, cubeio, select_channel
 from geoverify.cubeio import (
     read_csv_rows,
     read_cube,
@@ -29,7 +34,7 @@ from geoverify.errors import (
     UnknownVariable,
     UnsupportedVersion,
 )
-from geoverify.grid import FINITE_SCAN_VALUES
+from geoverify.grid import FINITE_SCAN_VALUES, weather_catalog
 from geoverify.tc import TcPoint, TcTrack
 from conftest import random_cube, utc
 
@@ -313,6 +318,107 @@ class TestChannelRange:
             read_cube(cube_path, None, range(4, 7))
         with pytest.raises(ValueError, match="step-1"):
             read_cube(cube_path, None, range(0, 6, 2))
+
+
+def _mapping(cube):
+    """The mmap that a cube's values view, or None when they are in an array of their own."""
+    base = cube.values
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.obj if isinstance(base, memoryview) else None
+
+
+class TestMappedRead:
+    """verify's read (``_scan_kept=False``) views kept channels in one run through a mapping."""
+
+    PLANE = 30 * 40  # six channels V1..V6: 4800 bytes each, more than one granule
+
+    @pytest.fixture(scope="class")
+    def cube_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("mapped") / "cube.gvc"
+        write_cube(random_cube(np.random.default_rng(14), n_chan=6, n_lat=30, n_lon=40), path)
+        return path
+
+    def _payload_offset(self, path):
+        return os.path.getsize(path) - 6 * 4 * self.PLANE
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(bounds=st.tuples(st.integers(0, 6), st.integers(0, 6)).map(sorted),
+           variables=st.none() | st.sets(st.sampled_from([f"V{k}" for k in range(1, 7)])))
+    @example(bounds=(1, 6), variables=None)           # channel 1 starts past the first granule
+    @example(bounds=(3, 6), variables={"V4", "V5"})   # a run inside the range
+    @example(bounds=(0, 6), variables={"V2", "V5"})   # two runs: read into a buffer
+    def test_bitwise_equal_to_the_scanned_read(self, cube_path, bounds, variables):
+        assert self._payload_offset(cube_path) % 4 != 0
+        channels = range(*bounds)
+        scanned = read_cube(cube_path, variables, channels)
+        cube = read_cube(cube_path, variables, channels, _scan_kept=False)
+        assert (cube.spec, cube.catalog, cube.valid_time) == (
+            scanned.spec, scanned.catalog, scanned.valid_time)
+        assert cube.values.tobytes() == scanned.values.tobytes()
+        kept = [i for i in channels if variables is None or f"V{i + 1}" in variables]
+        one_run = bool(kept) and kept == list(range(kept[0], kept[-1] + 1))
+        assert (_mapping(cube) is not None) == one_run
+        assert _mapping(scanned) is None
+
+    def test_values_are_read_only(self, cube_path):
+        cube = read_cube(cube_path, ["V3", "V4"], range(1, 5), _scan_kept=False)
+        assert isinstance(_mapping(cube), mmap.mmap)
+        with pytest.raises(ValueError):
+            cube.values.flags.writeable = True
+        with pytest.raises((ValueError, TypeError)):
+            _mapping(cube)[0] = 0
+
+    def test_the_mapping_dies_with_the_cube_and_its_channel_views(self, cube_path):
+        cube = read_cube(cube_path, ["V3", "V4"], range(1, 5), _scan_kept=False)
+        channel = select_channel(cube, "V4")
+        mapping = weakref.ref(_mapping(cube))
+        del cube
+        assert mapping() is not None
+        del channel
+        assert mapping() is None
+
+    @pytest.mark.parametrize("variables, message", [
+        (["V5", "V6"], "shrank before its payload was mapped"),
+        (["V4", "V5"], "shrank while its payload was read"),  # V6 is scanned after the mapping
+    ])
+    def test_file_shrinking_after_the_header_read_is_truncated(self, tmp_path, monkeypatch,
+                                                               variables, message):
+        path = tmp_path / "cube.gvc"
+        write_cube(random_cube(np.random.default_rng(15), n_chan=6, n_lat=30, n_lon=40), path)
+        read_header = cubeio._read_header
+
+        def read_header_then_shrink(f, path):
+            header = read_header(f, path)  # the length check passes here
+            os.truncate(path, os.path.getsize(path) - 4)
+            return header
+
+        monkeypatch.setattr(cubeio, "_read_header", read_header_then_shrink)
+        with pytest.raises(TruncatedPayload, match=re.escape(f"{path}: file {message}")):
+            read_cube(path, variables, range(3, 6), _scan_kept=False)
+
+    def test_only_kept_channels_in_one_run_are_mapped(self, tmp_path, monkeypatch):
+        spec = GridSpec(16, 32, 60.0, -8.0, 0.0, 11.25)
+        catalog = weather_catalog()
+        path = tmp_path / "weather.gvc"
+        values = np.random.default_rng(16).normal(size=(70, 16, 32)).astype(np.float32)
+        write_cube(FieldCube(spec, catalog, utc(2024, 1, 1), values), path)
+        channel_bytes = 4 * 16 * 32
+        mapped, real = [], mmap.mmap
+
+        def spied(fileno, length, *args, **kwargs):
+            mapped.append(length)
+            return real(fileno, length, *args, **kwargs)
+
+        monkeypatch.setattr(cubeio.mmap, "mmap", spied)
+        sparse = read_cube(path, ["Z500", "T850", "T2M", "MSL"], _scan_kept=False)
+        assert len(sparse.catalog) == 4 and mapped == []
+        for channels, n in [(None, 70), (range(4, 8), 4), (range(68, 70), 2)]:
+            mapped.clear()
+            cube = read_cube(path, None, channels, _scan_kept=False)
+            assert len(cube.catalog) == n
+            [length] = mapped
+            assert n * channel_bytes <= length < n * channel_bytes + mmap.ALLOCATIONGRANULARITY
 
 
 class TestReadBuffer:
