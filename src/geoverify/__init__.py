@@ -1,5 +1,6 @@
 """Forecast verification and tropical-cyclone diagnostics toolkit."""
 
+import importlib
 import os
 import sys
 
@@ -16,7 +17,6 @@ if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .climatology import Climatology, build_climatology, climatology_key
 from .grid import (
     FieldCube,
     GridSpec,
@@ -27,19 +27,6 @@ from .grid import (
     select_channel,
     weather_catalog,
 )
-from .metrics import (
-    EvaluationSet,
-    MetricRecord,
-    mbe,
-    month_hour_matrix,
-    mse,
-    normalized_difference,
-    pointwise_rmse,
-    psnr,
-    weighted_acc,
-    weighted_rmse,
-)
-from .regrid import bilinear_upsample
 from .tc import (
     FilterDecision,
     TcPoint,
@@ -50,7 +37,34 @@ from .tc import (
     synthetic_vortex_series,
     track_cyclone,
 )
-from .vqa import VqaItem, closed_accuracy, open_token_recall
+
+#: Names of the submodules that load on first use, each with the public names
+#: it gives the package: a process that runs none of them does not import them.
+_LAZY_MODULES = {
+    "climatology": ("Climatology", "build_climatology", "climatology_key"),
+    "cubeio": (),
+    "metrics": ("EvaluationSet", "MetricRecord", "mbe", "month_hour_matrix", "mse",
+                "normalized_difference", "pointwise_rmse", "psnr", "weighted_acc",
+                "weighted_rmse"),
+    "regrid": ("bilinear_upsample",),
+    "vqa": ("VqaItem", "closed_accuracy", "open_token_recall"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY_NAMES.get(name, name)
+    if module not in _LAZY_MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f"{__name__}.{module}")  # also sets the submodule attribute
+    if name != module:
+        value = globals()[name] = getattr(value, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY_MODULES, *_LAZY_NAMES})
+
 
 __version__ = "0.1.0"
 

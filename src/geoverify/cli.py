@@ -19,8 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import climatology as clim_mod
-from . import cubeio, metrics, regrid, tc, vqa
+# metrics, climatology, regrid and vqa are imported by the subcommands that run
+# them, so a process pays only for what its command uses.
+from . import cubeio, tc
 from .errors import (
     CorruptHeader,
     EmptyInput,
@@ -252,6 +253,9 @@ def _plan(args, variables, clim, eval_set) -> tuple[GridSpec, list, dict]:
 
 
 def cmd_verify(args) -> int:
+    from . import climatology as clim_mod
+    from . import metrics
+
     if args.threads < 1:
         raise InvalidFlags(f"--threads must be at least 1; got {args.threads}")
     variables = [parse_variable_token(tok) for tok in args.variables.split(",") if tok]
@@ -334,6 +338,8 @@ def _downscale_inputs(args, truth_path: Path, truth: FieldCube,
 
     Every check runs before the upsample, so a skipped sample costs none.
     """
+    from . import regrid
+
     stem = truth_path.stem
     coarse = cubeio.read_cube(Path(args.coarse) / truth_path.name, out=buffers["coarse"])
     model = cubeio.read_cube(Path(args.model) / truth_path.name, out=buffers["model"])
@@ -354,6 +360,8 @@ def _downscale_inputs(args, truth_path: Path, truth: FieldCube,
 def _downscale_scores(truth: FieldCube, baseline: FieldCube, model: FieldCube,
                       psnr_peak: float | None) -> list[tuple]:
     """(variable, method, metric, value, peak) of each output channel of one sample."""
+    from . import metrics
+
     weights = latitude_weights(truth.spec)
     scores = []
     for var in truth.catalog:
@@ -374,6 +382,8 @@ def _downscale_scores(truth: FieldCube, baseline: FieldCube, model: FieldCube,
 
 
 def cmd_downscale_eval(args) -> int:
+    from . import metrics
+
     if args.psnr_peak is not None and not 0.0 < args.psnr_peak < math.inf:
         raise InvalidFlags(f"--psnr-peak must be positive and finite; got {args.psnr_peak}")
     truth_paths = cubeio.cube_paths(args.truth)
@@ -540,22 +550,16 @@ def cmd_tc_eval(args) -> int:
 def cmd_tc_filter(args) -> int:
     _check_flags(args, "non-negative", "comparable_tol", "track_threshold_km")
     columns = ["case_id", "model_mbe", "wrf_mbe", "both_under", "both_over", "track_err_km"]
+    filter_case, tol, threshold = tc.filter_case, args.comparable_tol, args.track_threshold_km
     decisions = []
-    for row_no, row in cubeio.read_csv_rows(args.cases, columns):
+    for row_no, (case_id, model_mbe, wrf_mbe, under, over, track_err) in \
+            cubeio.read_csv_rows(args.cases, columns):
         try:
-            decision = tc.filter_case(
-                model_mbe=float(row[1]),
-                wrf_mbe=float(row[2]),
-                both_under=_parse_bool(row[3]),
-                both_over=_parse_bool(row[4]),
-                track_err_km=float(row[5]),
-                comparable_tol=args.comparable_tol,
-                track_threshold_km=args.track_threshold_km,
-                case_id=row[0],
-            )
+            decisions.append(filter_case(float(model_mbe), float(wrf_mbe), _parse_bool(under),
+                                         _parse_bool(over), float(track_err), tol, threshold,
+                                         case_id))
         except (ValueError, InvalidFlags) as e:
             raise ParseError(row_no, str(e)) from None
-        decisions.append(decision)
     if not decisions:
         raise EmptyInput(f"no case rows in {args.cases}")
     params = {
@@ -573,6 +577,8 @@ def cmd_tc_filter(args) -> int:
 # --- climatology and VQA ---------------------------------------------------------------
 
 def cmd_climatology(args) -> int:
+    from . import climatology as clim_mod
+
     headers = _headers_by_time(args.cubes)
     times = sorted(headers)
     for valid in times[1:]:
@@ -591,6 +597,8 @@ def cmd_climatology(args) -> int:
 
 
 def cmd_vqa_score(args) -> int:
+    from . import vqa
+
     if not args.benchmark.strip():
         raise InvalidFlags(f"--benchmark names no benchmark; got {args.benchmark!r}")
     items = vqa.read_vqa_items(args.items)
@@ -611,13 +619,17 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(InvalidFlags.exit_code)
 
 
+#: Spellings of a boolean cell, after stripping and lower-casing.
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _parse_bool(text: str) -> bool:
-    norm = text.strip().lower()
-    if norm in ("1", "true", "yes"):
-        return True
-    if norm in ("0", "false", "no"):
-        return False
-    raise ValueError(f"bad boolean {text!r}")
+    value = _BOOLS.get(text)
+    if value is None:
+        value = _BOOLS.get(text.strip().lower())
+        if value is None:
+            raise ValueError(f"bad boolean {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -124,11 +124,21 @@ def write_cube(cube: FieldCube, path) -> None:
         f.write(np.ascontiguousarray(cube.values, dtype="<f4").data)
 
 
+#: Specs and catalogs of the headers read so far, by their raw bytes, so a header
+#: seen before is not parsed again.  Raw bytes, never values, are the keys:
+#: 0.0 == -0.0, but the sign of a zero reaches the track CSV.  Only valid specs
+#: and catalogs are kept, one per distinct grid or catalog; both are immutable,
+#: so one serves every file, and threads that race to add a key add equal ones.
+_SPECS: dict[bytes, GridSpec] = {}
+_CATALOGS: dict[bytes, VariableCatalog] = {}
+
+
 def _read_header(f, path) -> tuple[GridSpec, VariableCatalog, datetime]:
     """Spec, catalog and valid time from ``f``'s header, leaving ``f`` at the payload.
 
     Any fault, including a payload length that disagrees with the file size,
-    raises a CubeFormatError.
+    raises a CubeFormatError.  Every file is checked in full, also one whose
+    grid or catalog bytes were seen before.
     """
     fixed = f.read(_FIXED_HEADER.size)
     if fixed[:4] != MAGIC:
@@ -141,7 +151,7 @@ def _read_header(f, path) -> tuple[GridSpec, VariableCatalog, datetime]:
     if version != VERSION:
         raise UnsupportedVersion(f"{path}: version {version}")
 
-    entries = []
+    raw = []  # each entry's length prefix and bytes
     for _ in range(n_entries):
         prefix = f.read(2)
         if len(prefix) < 2:
@@ -150,19 +160,30 @@ def _read_header(f, path) -> tuple[GridSpec, VariableCatalog, datetime]:
         entry = f.read(length)
         if len(entry) < length:
             raise TruncatedPayload(f"{path}: truncated catalog entry")
-        try:
-            name, level, role = entry.decode("utf-8").split(",")
-            entries.append(VariableId(name, _parse_level(level), role))
-        except ValueError as e:  # includes UnicodeDecodeError
-            raise CorruptHeader(f"{path}: bad catalog entry: {e}") from None
+        raw += (prefix, entry)
+    catalog_key = b"".join(raw)
+    catalog = _CATALOGS.get(catalog_key)
+    if catalog is None:
+        entries = []
+        for entry in raw[1::2]:
+            try:
+                name, level, role = entry.decode("utf-8").split(",")
+                entries.append(VariableId(name, _parse_level(level), role))
+            except ValueError as e:  # includes UnicodeDecodeError
+                raise CorruptHeader(f"{path}: bad catalog entry: {e}") from None
 
     if orientation != (1 if lat_step < 0 else 0):
         raise CorruptHeader(f"{path}: orientation flag disagrees with lat_step sign")
     if n_chan != n_entries:
         raise CorruptHeader(f"{path}: n_chan {n_chan} != catalog length {n_entries}")
+    spec_key = fixed[7:15] + fixed[19:51]  # n_lat, n_lon and the four floats
+    spec = _SPECS.get(spec_key)
     try:
-        spec = GridSpec(n_lat, n_lon, lat_start, lat_step, lon_start, lon_step)
-        catalog = VariableCatalog(entries)
+        if spec is None:
+            spec = _SPECS[spec_key] = GridSpec(n_lat, n_lon, lat_start, lat_step,
+                                               lon_start, lon_step)
+        if catalog is None:
+            catalog = _CATALOGS[catalog_key] = VariableCatalog(entries)
     except ValueError as e:
         raise CorruptHeader(f"{path}: {e}") from None
     try:

@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import InitVar, dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -89,6 +90,13 @@ class GridSpec:
     def longitudes(self) -> np.ndarray:
         """Longitudes per column, degrees in [0, 360), storage order."""
         return (self.lon_start + np.arange(self.n_lon, dtype=np.float64) * self.lon_step) % 360.0
+
+    @cached_property
+    def _axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(latitudes, longitudes), computed once per instance and read-only."""
+        lats, lons = self.latitudes, self.longitudes
+        lats.flags.writeable = lons.flags.writeable = False
+        return lats, lons
 
     @property
     def north_to_south(self) -> bool:

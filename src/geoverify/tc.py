@@ -97,17 +97,49 @@ class TcTrack:
         raise KeyError(time)
 
 
-def _window_indices(spec: GridSpec, lat0: float, lon0: float, radius_km: float):
-    """Row/column index vectors of a bounding box around a point."""
+def _window_indices(spec: GridSpec, lat0: float, lon0: float, radius_km: float, axes=None):
+    """Row/column index vectors of a bounding box around a point.
+
+    They index ``axes``, the (latitudes, longitudes) of a window of ``spec``,
+    or by default the grid's own axes.
+    """
+    lats, lons = spec._axes if axes is None else axes
     dlat = radius_km / KM_PER_DEG + abs(spec.lat_step)
-    lats = spec.latitudes
     rows = np.nonzero(np.abs(lats - lat0) <= dlat)[0]
     cos0 = max(math.cos(math.radians(lat0)), 0.05)
     dlon = min(radius_km / (KM_PER_DEG * cos0) + spec.lon_step, 180.0)
-    lons = spec.longitudes
     diff = np.abs((lons - lon0 + 180.0) % 360.0 - 180.0)
     cols = np.nonzero(diff <= dlon)[0]
     return rows, cols
+
+
+def _run(index: np.ndarray):
+    """An ascending index vector as a slice when it is one run of adjacent indices.
+
+    Rows always are; columns are not where a box wraps a global grid's seam.
+    """
+    if index.size and index[-1] - index[0] + 1 == index.size:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
+def _window(spec: GridSpec, lat0: float, lon0: float, radius_km: float, within=None):
+    """(rows, cols, distances km) of the nodes in the bounding box of a point.
+
+    Rows and columns are each a slice where they are a run, else an index
+    vector, so ``values[rows][:, cols]`` cuts the window, as a view when both
+    are slices.  With ``within``, the window of a radius no smaller around
+    the same point, whose box holds this one, the box is cut from it: rows
+    and columns index that window, and the distances are its own.
+    """
+    lats, lons = spec._axes
+    if within is None:
+        rows, cols = map(_run, _window_indices(spec, lat0, lon0, radius_km))
+        return rows, cols, _haversine_grid(lat0, lon0, lats[rows], lons[cols])
+    outer_rows, outer_cols, dist = within
+    axes = (lats[outer_rows], lons[outer_cols])
+    rows, cols = map(_run, _window_indices(spec, lat0, lon0, radius_km, axes))
+    return rows, cols, dist[rows][:, cols]
 
 
 class CycloneTracker:
@@ -177,37 +209,34 @@ class CycloneTracker:
         lat_prev, lon_prev = self._center
         search_km, intensity_km = self.search_radius_km, self.intensity_radius_km
         spec = cube.spec
-        lats = spec.latitudes
-        lons = spec.longitudes
+        lats, lons = spec._axes
 
-        rows, cols = _window_indices(spec, lat_prev, lon_prev, search_km)
-        if rows.size == 0 or cols.size == 0:
-            return None
-        dist = _haversine_grid(lat_prev, lon_prev, lats[rows], lons[cols])
+        rows, cols, dist = _window(spec, lat_prev, lon_prev, search_km)
         inside = dist <= search_km
         if not inside.any():
             return None
-        patch = msl[np.ix_(rows, cols)]
+        patch = msl[rows][:, cols]
         masked = np.where(inside, patch, np.inf)
         flat = int(np.argmin(masked))
         r, c = np.unravel_index(flat, masked.shape)
-        lat_c, lon_c = float(lats[rows[r]]), float(lons[cols[c]])
+        lat_c, lon_c = float(lats[rows][r]), float(lons[cols][c])
         msl_c = float(patch[r, c])
 
         # Closed-low test: ring mean minus center depth.
         ring_km = self.ring_width_km
-        ring_rows, ring_cols = _window_indices(spec, lat_c, lon_c, intensity_km + ring_km)
-        ring_dist = _haversine_grid(lat_c, lon_c, lats[ring_rows], lons[ring_cols])
+        ring = rows, cols, ring_dist = _window(spec, lat_c, lon_c, intensity_km + ring_km)
         on_ring = np.abs(ring_dist - intensity_km) <= ring_km / 2.0
         if not on_ring.any():
             return None
-        ring_mean = float(msl[np.ix_(ring_rows, ring_cols)][on_ring].mean())
+        ring_mean = float(msl[rows][:, cols][on_ring].mean())
         if ring_mean - msl_c < self.closed_low_hpa:
             return None
 
-        disk_rows, disk_cols = _window_indices(spec, lat_c, lon_c, intensity_km)
-        disk_dist = _haversine_grid(lat_c, lon_c, lats[disk_rows], lons[disk_cols])
-        ws_patch = ws[np.ix_(disk_rows, disk_cols)]
+        # The disk's box, around the same node with a radius no larger (a node is on
+        # the ring, so ring_km >= 0), lies inside the ring's: it and its distances
+        # are cut from the ring's.
+        disk_rows, disk_cols, disk_dist = _window(spec, lat_c, lon_c, intensity_km, ring)
+        ws_patch = ws[rows][:, cols][disk_rows][:, disk_cols]
         ws_max = float(ws_patch[disk_dist <= intensity_km].max())
         if ws_max < 0.0:
             raise GeoverifyError(f"WS10M max {ws_max} m/s near {cube.valid_time} is negative")
@@ -389,7 +418,7 @@ DECISION_WEAKEN = "Weaken"
 DECISION_KEEP = "Keep"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FilterDecision:
     case_id: str
     decision: str
@@ -413,11 +442,15 @@ def filter_case(
     track position error above the threshold exclude it; (3) both models
     underestimating means the intensity is strengthened; (4) both
     overestimating means it is weakened; (5) otherwise keep unchanged.
+    A non-finite MBE, or a track error that is negative or not finite,
+    raises ValueError.
     """
     if both_under and both_over:
         raise InvalidFlags("both_under and both_over cannot both be true")
     if not (math.isfinite(model_mbe) and math.isfinite(wrf_mbe)):
         raise ValueError("MBEs must be finite")
+    if not 0.0 <= track_err_km < math.inf:
+        raise ValueError(f"track error must be finite and non-negative; got {track_err_km}")
     if abs(model_mbe) < abs(wrf_mbe):
         return FilterDecision(case_id, DECISION_EXCLUDE, "model MBE smaller than WRF MBE")
     if abs(model_mbe - wrf_mbe) <= comparable_tol and track_err_km > track_threshold_km:

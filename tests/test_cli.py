@@ -1961,6 +1961,21 @@ def tc_filter_both_under_and_over(tmp):
     return _tc_filter(tmp, "c1,-2,-5,true,true,5")
 
 
+@failure(3, "row 2: track error must be finite and non-negative; got nan")
+def tc_filter_nan_track_error(tmp):
+    return _tc_filter(tmp, "A,1.2,1.0,0,0,nan")
+
+
+@failure(3, "row 2: track error must be finite and non-negative; got -50.0")
+def tc_filter_negative_track_error(tmp):
+    return _tc_filter(tmp, "B,1.2,1.0,0,0,-50")
+
+
+@failure(3, "row 2: track error must be finite and non-negative; got inf")
+def tc_filter_infinite_track_error(tmp):
+    return _tc_filter(tmp, "C,1.2,1.0,0,0,inf")
+
+
 # An Exclude case (comparable MBEs, 50 km track error) that a NaN or negative
 # tolerance or a NaN threshold would turn into Strengthen.
 EXCLUDE_CASE = "c1,3,2.5,true,false,50"
@@ -2393,3 +2408,80 @@ def test_one_damaged_input_cube_skips_its_downscale_sample(downscale_inputs, dat
             assert code == 0
             assert lines[1:] == ["geoverify: 1 sample(s) skipped"]
             assert {p.name: p.read_bytes() for p in root.glob("ds*.csv")} == expected
+
+
+# --- tc-filter input fuzz: one damaged cases CSV fails with a parse error or is read ---
+
+#: A valid cases CSV: rows 2-4 take the Exclude, Strengthen and Weaken rules.
+CASES_CSV = ("case_id,model_mbe,wrf_mbe,both_under,both_over,track_err_km\n"
+             "c1,-2,-5,true,false,5\n"
+             "c2,-6,-3,1,0,15\n"
+             "c3,6,3,no,yes,3\n")
+
+#: Damages to one data row, each with the exit code of the run that reads it.
+CASE_DAMAGES = {"number": 3, "boolean": 3, "non-finite": 3, "both flags": 3,
+                "dropped field": 3, "comment line": 0, "non-UTF-8 byte": 3, "stray quote": None}
+
+
+def _damage_cases(data) -> tuple[bytes, int | None, int]:
+    """(CASES_CSV with one drawn damage, expected exit code or None for 0 or 3, damaged row)."""
+    lines = CASES_CSV.splitlines(keepends=True)
+    row = data.draw(st.integers(2, len(lines)), label="row")
+    fields = lines[row - 1].rstrip("\n").split(",")
+    kind = data.draw(st.sampled_from(sorted(CASE_DAMAGES)), label="kind")
+    event(kind)
+    if kind == "number":
+        fields[data.draw(st.sampled_from([1, 2, 5]))] = data.draw(
+            st.sampled_from(["lots", "", "1.2.3", "--1"]))
+    elif kind == "boolean":
+        fields[data.draw(st.sampled_from([3, 4]))] = data.draw(
+            st.sampled_from(["maybe", "", "2", "tru"]))
+    elif kind == "non-finite":  # an MBE or the track error
+        fields[data.draw(st.sampled_from([1, 2, 5]))] = data.draw(
+            st.sampled_from(["nan", "NaN", "inf", "-inf"]))
+    elif kind == "both flags":
+        fields[3:5] = ["true", "yes"]
+    elif kind == "dropped field":
+        del fields[data.draw(st.integers(0, len(fields) - 1))]
+    line = ",".join(fields) + "\n"
+    if kind == "stray quote":
+        at = data.draw(st.integers(0, len(line) - 1))
+        line = line[:at] + '"' + line[at:]
+    lines[row - 1] = line
+    if kind == "comment line":
+        lines.insert(data.draw(st.integers(0, len(lines))), '# a note, "quoted\n')
+    raw = "".join(lines).encode("utf-8")
+    if kind == "non-UTF-8 byte":
+        start = raw.index(lines[row - 1].encode("utf-8"))
+        at = start + data.draw(st.integers(0, len(lines[row - 1]) - 1))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return raw, CASE_DAMAGES[kind], row
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_damaged_case_row_fails_tc_filter_naming_it(tmp_path_factory, data):
+    """A bad number, boolean or flag pair, a NaN, a dropped field, a non-UTF-8 byte or a
+    stray quote fails the run with one parse error naming the row; a comment is skipped."""
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+        cases, out = Path(tmp) / "cases.csv", Path(tmp) / "decisions.csv"
+        argv = _argv("tc-filter", cases=cases, out=out)
+        cases.write_text(CASES_CSV)
+        assert main(argv) == 0
+        expected = out.read_bytes()
+        out.unlink()
+        raw, want, row = _damage_cases(data)
+        cases.write_bytes(raw)
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in ((0, 3) if want is None else (want,))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if code:
+            _one_error_line(stderr.getvalue(), code, f"row {row}: ")
+            assert not out.exists()
+        else:
+            assert "Traceback" not in stderr.getvalue()
+            if want == 0:  # the comment line changes nothing
+                assert out.read_bytes() == expected

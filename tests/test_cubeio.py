@@ -12,7 +12,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geoverify import FieldCube, GridSpec, MetricRecord, VariableId, cubeio, select_channel
+from geoverify import (
+    FieldCube,
+    GridSpec,
+    MetricRecord,
+    VariableCatalog,
+    VariableId,
+    cubeio,
+    select_channel,
+)
+from geoverify.cli import _read_cube_at
 from geoverify.cubeio import (
     read_csv_rows,
     read_cube,
@@ -529,6 +538,75 @@ class TestReadHeader:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(TruncatedPayload, match="header implies"):
             read_header(path)
+
+
+def _short_payload(data):
+    del data[-4:]
+
+
+def _flip_orientation(data):
+    data[6] ^= 1
+
+
+def _n_chan_plus_one(data):
+    struct.pack_into("<I", data, 15, struct.unpack_from("<I", data, 15)[0] + 1)
+
+
+def _bad_catalog_entry_byte(data):
+    data[data.index(b"Z,500,input-output") + 1] = 0xFF  # the comma: no longer UTF-8
+
+
+def _an_hour_later(data):
+    struct.pack_into("<q", data, 51, struct.unpack_from("<q", data, 51)[0] + 3600)
+
+
+class TestHeaderCache:
+    """Byte-identical headers are parsed once per process, and every file is checked."""
+
+    @pytest.mark.parametrize("damage, error, fragment", [
+        (_short_payload, TruncatedPayload, "header implies"),
+        (_flip_orientation, CorruptHeader, "orientation"),
+        (_n_chan_plus_one, CorruptHeader, "n_chan 4 != catalog length 3"),
+        (_bad_catalog_entry_byte, CorruptHeader, "bad catalog entry"),
+        (_an_hour_later, CorruptHeader, "valid_time 2024-01-01 07:00:00+00:00 != expected"),
+    ], ids=["short-payload", "orientation", "n_chan", "catalog-entry", "valid-time"])
+    def test_a_file_after_a_good_one_with_its_header_raises_its_own_error(
+            self, make_cube, tmp_path, damage, error, fragment):
+        cube = make_cube()
+        good, bad = tmp_path / "good.gvc", tmp_path / "bad.gvc"
+        write_cube(cube, good)
+        data = bytearray(good.read_bytes())
+        damage(data)
+        bad.write_bytes(bytes(data))
+        read_cube(good)  # its grid and catalog bytes are now known
+        with pytest.raises(error) as info:
+            _read_cube_at(bad, cube.valid_time, "expected", None)
+        assert str(info.value).startswith(f"{bad}: ") and fragment in str(info.value)
+        assert read_cube(good).spec == cube.spec  # and the good file still reads
+
+    def test_identical_headers_share_one_spec_and_catalog(self, make_cube, tmp_path):
+        first, second = tmp_path / "first.gvc", tmp_path / "second.gvc"
+        write_cube(make_cube(), first)
+        write_cube(make_cube(valid_time=utc(2024, 1, 2)), second)
+        spec, catalog, _ = read_header(first)
+        cube = read_cube(second)
+        assert cube.spec is spec and cube.catalog is catalog
+        assert cube.valid_time == utc(2024, 1, 2)
+
+    def test_a_zero_of_either_sign_keeps_its_own_spec(self, tmp_path):
+        """0.0 == -0.0, so a cache keyed by value would hand one grid the other's sign."""
+        specs = []
+        for name, lat_start in (("plus", 0.0), ("minus", -0.0)):
+            spec = GridSpec(3, 4, lat_start, -10.0, 0.0, 90.0)
+            path = tmp_path / f"{name}.gvc"
+            write_cube(FieldCube(spec, VariableCatalog([VariableId("MSL")]), utc(2024, 1, 1),
+                                 np.zeros((1, 3, 4), np.float32)), path)
+            specs.append(read_cube(path).spec)
+        plus, minus = specs
+        assert plus == minus and plus is not minus
+        assert [np.signbit(s.lat_start) for s in specs] == [False, True]
+        assert [np.signbit(s.latitudes[0]) for s in specs] == [False, True]
+        assert [np.signbit(s._axes[0][0]) for s in specs] == [False, True]
 
 
 class TestReadCsvRows:

@@ -27,6 +27,25 @@ class TestGridSpec:
         spec = GridSpec(2, 4, 10.0, -20.0, 270.0, 45.0)
         np.testing.assert_allclose(spec.longitudes, [270, 315, 0, 45])
 
+    def test_axes_are_fresh_writable_arrays(self):
+        """Each call gives a new array: writing to one leaves the grid's axes as they were."""
+        spec = GridSpec(2, 4, 10.0, -20.0, 270.0, 45.0)
+        for axis in ("latitudes", "longitudes"):
+            values = getattr(spec, axis)
+            assert values.flags.writeable and values is not getattr(spec, axis)
+            values[:] = 0.0
+        np.testing.assert_array_equal(spec.latitudes, [10, -10])
+        np.testing.assert_array_equal(spec.longitudes, [270, 315, 0, 45])
+        np.testing.assert_array_equal(spec._axes[1], [270, 315, 0, 45])
+
+    def test_private_axes_are_computed_once_and_read_only(self):
+        spec = GridSpec(2, 4, 10.0, -20.0, 270.0, 45.0)
+        lats, lons = spec._axes
+        assert spec._axes[0] is lats and spec._axes[1] is lons
+        assert not lats.flags.writeable and not lons.flags.writeable
+        np.testing.assert_array_equal(lats, spec.latitudes)
+        np.testing.assert_array_equal(lons, spec.longitudes)
+
     def test_global_detection(self):
         assert GridSpec(3, 8, 45.0, -45.0, 0.0, 45.0).is_global_lon
         assert not GridSpec(3, 7, 45.0, -45.0, 0.0, 45.0).is_global_lon

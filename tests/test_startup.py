@@ -1,4 +1,5 @@
-"""What ``import geoverify`` does to its process: native threads and the environment.
+"""What ``import geoverify`` does to its process: native threads, the environment and
+the submodules it loads.
 
 Each case runs in a fresh interpreter, since OpenBLAS sizes its thread pool
 once, when numpy loads.
@@ -61,3 +62,45 @@ def test_numpy_imported_first_is_left_as_it_is():
     seen = _import_geoverify("import numpy")
     assert seen["after"] == seen["before"]
     assert seen["environ_kept"] and seen["blas"] is None
+
+
+#: Checks in a fresh interpreter which submodules load, and that names still resolve.
+LAZY_SCRIPT = """\
+import json, sys
+lazy = ("metrics", "climatology", "regrid", "vqa")
+loaded = lambda: sorted(m for m in lazy if "geoverify." + m in sys.modules)
+seen = {}
+import geoverify
+seen["import"] = loaded()
+from geoverify import cli
+cli.build_parser()
+seen["cli"] = loaded()
+assert cli.main(["tc-filter", "--cases", sys.argv[1], "--out", sys.argv[2]]) == 0
+seen["tc-filter"] = loaded()
+seen["modules"] = [getattr(geoverify, m).__name__ for m in lazy + ("cubeio",)]
+names = {}
+exec("from geoverify import *", names)
+seen["star"] = sorted(set(geoverify.__all__) - set(names))
+seen["all"] = loaded()
+seen["dir"] = sorted(set(geoverify.__all__) - set(dir(geoverify)))
+print(json.dumps(seen))
+"""
+
+
+def test_submodules_load_on_first_use(tmp_path):
+    """``import geoverify`` and a tc command load none of metrics, climatology, regrid, vqa."""
+    cases = tmp_path / "cases.csv"
+    cases.write_text("case_id,model_mbe,wrf_mbe,both_under,both_over,track_err_km\n"
+                     "c1,-2,-5,true,false,5\n")
+    src = str(Path(geoverify.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", LAZY_SCRIPT, str(cases), str(tmp_path / "d.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "import": [], "cli": [], "tc-filter": [], "star": [],
+        "modules": ["geoverify.metrics", "geoverify.climatology", "geoverify.regrid",
+                    "geoverify.vqa", "geoverify.cubeio"],
+        "all": ["climatology", "metrics", "regrid", "vqa"], "dir": [],
+    }

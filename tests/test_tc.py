@@ -1,9 +1,12 @@
 """Tests for tracking, track/intensity scoring, matching and pair filtering."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoverify import (
     GridSpec,
@@ -15,9 +18,11 @@ from geoverify import (
     synthetic_vortex_series,
     track_cyclone,
 )
+from geoverify import tc
 from geoverify.errors import EmptyInput, InvalidFlags, MissingChannel, SeedOutsideGrid
 from geoverify.tc import (
     CycloneTracker,
+    FilterDecision,
     intensity_errors,
     skill_rows,
     track_errors_km,
@@ -174,6 +179,62 @@ class TestCycloneTracker:
     def test_seed_outside_the_grid_fails_before_any_cube(self):
         with pytest.raises(SeedOutsideGrid):
             CycloneTracker(TcPoint(utc(2024, 9, 1), -5.0, 135.0, 15.0), WNP_SPEC)
+
+
+#: 0.5 degrees over the globe's longitudes, 80N to 10S.
+GLOBAL_SPEC = GridSpec(181, 720, 80.0, -0.5, 0.0, 0.5)
+#: 0.25 degrees from 70N to 50N and 350E to 30E: regional, across the 0/360 meridian.
+REGIONAL_SPEC = GridSpec(81, 161, 70.0, -0.25, 350.0, 0.25)
+
+
+class TestTrackerWindows:
+    """Windows are cut as views where they can be; the nodes and values are unchanged."""
+
+    def test_storm_crossing_the_seam_of_a_global_grid(self):
+        cubes, truth = synthetic_vortex_series(
+            GLOBAL_SPEC, utc(2024, 9, 1), 5, 20.0, 358.0, dlon_per_step=1.0
+        )
+        # The search box around the second fix wraps the seam: its columns are no run.
+        assert isinstance(tc._window(GLOBAL_SPEC, 20.0, 359.0, 250.0)[1], np.ndarray)
+        track = track_cyclone(cubes, truth.points[0])
+        assert track.complete and len(track.points) == 5
+        assert [p.lon for p in truth.points] == [358.0, 359.0, 0.0, 1.0, 2.0]
+        for p, q in zip(track.points, truth.points):
+            assert abs(p.lat - q.lat) <= 0.5
+            assert abs((p.lon - q.lon + 180.0) % 360.0 - 180.0) <= 0.5
+            assert p.ws_max == q.ws_max
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_ring_derived_disk_equals_a_direct_computation(self, data):
+        """The disk cut from the ring's window: same nodes, same distance bits, same ws_max."""
+        spec = data.draw(st.sampled_from([GLOBAL_SPEC, REGIONAL_SPEC]), label="grid")
+        lats, lons = spec.latitudes, spec.longitudes
+        # Rows above 60 degrees (the first 40 of either grid) and the columns at
+        # the seam (the global grid's ends) are drawn often.
+        row = data.draw(st.one_of(st.integers(0, spec.n_lat - 1),
+                                  st.integers(0, min(spec.n_lat, 40) - 1)), label="row")
+        col = data.draw(st.one_of(st.integers(0, spec.n_lon - 1),
+                                  st.sampled_from([0, 1, spec.n_lon - 2, spec.n_lon - 1])),
+                        label="col")
+        intensity_km = data.draw(st.floats(20.0, 400.0), label="intensity_km")
+        ring_km = data.draw(st.floats(0.0, 300.0), label="ring_km")
+        lat_c, lon_c = float(lats[row]), float(lons[col])
+        ws = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed")).random(
+            (spec.n_lat, spec.n_lon)).astype(np.float32)
+
+        ring = rows, cols, _ = tc._window(spec, lat_c, lon_c, intensity_km + ring_km)
+        disk_rows, disk_cols, disk_dist = tc._window(spec, lat_c, lon_c, intensity_km, ring)
+        direct_rows, direct_cols = tc._window_indices(spec, lat_c, lon_c, intensity_km)
+        direct_dist = tc._haversine_grid(lat_c, lon_c, lats[direct_rows], lons[direct_cols])
+
+        assert np.array_equal(np.arange(spec.n_lat)[rows][disk_rows], direct_rows)
+        assert np.array_equal(np.arange(spec.n_lon)[cols][disk_cols], direct_cols)
+        assert np.ascontiguousarray(disk_dist).tobytes() == direct_dist.tobytes()
+        disk = disk_dist <= intensity_km
+        assert np.array_equal(disk, direct_dist <= intensity_km)
+        ws_max = ws[rows][:, cols][disk_rows][:, disk_cols][disk].max()
+        assert ws_max == ws[np.ix_(direct_rows, direct_cols)][direct_dist <= intensity_km].max()
 
 
 def _pooled(forecast, reference, metric):
@@ -343,6 +404,24 @@ class TestFilterCase:
     def test_nonfinite_mbe_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             filter_case(float("nan"), 2.0, both_under=False, both_over=False, track_err_km=0.0)
+
+    @pytest.mark.parametrize("track_err_km", [float("nan"), -50.0, float("inf"), -0.001])
+    def test_bad_track_error_rejected(self, track_err_km):
+        with pytest.raises(ValueError, match="track error must be finite and non-negative"):
+            filter_case(1.2, 1.0, both_under=False, both_over=False, track_err_km=track_err_km)
+
+    def test_zero_track_error_accepted(self):
+        assert filter_case(1.2, 1.0, False, False, 0.0).decision == "Keep"
+
+    def test_decision_is_a_frozen_value(self):
+        decision = filter_case(5.0, -3.0, False, False, 5.0, 1.0, 10.0, "c1")
+        assert [f.name for f in dataclasses.fields(FilterDecision)] == [
+            "case_id", "decision", "reason"]
+        assert decision == FilterDecision("c1", "Keep", "no rule applies")
+        assert hash(decision) == hash(FilterDecision("c1", "Keep", "no rule applies"))
+        assert decision != FilterDecision("c2", "Keep", "no rule applies")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decision.decision = "Exclude"
 
 
 class TestTcTrackType:
