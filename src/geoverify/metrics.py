@@ -113,15 +113,7 @@ def _fields_2d(*fields) -> list[np.ndarray]:
     return arrays
 
 
-def _diff64(forecast, reference) -> np.ndarray:
-    """forecast - reference as a fresh float64 array (exact for f32 inputs)."""
-    f, r = _same_shape(forecast, reference)
-    d = f.astype(np.float64)
-    d -= r
-    return d
-
-
-def _row_sums(forecast, reference, clim_field=None, *, diff: bool = True) -> np.ndarray:
+def _row_sums(forecast, reference, clim_field=None, *, diff=True, sq_sum=None) -> np.ndarray:
     """Per-row float64 sums of 2-D fields of one shape, one block of rows at a time.
 
     Without a climatology the result is ``[sum_j d^2]`` with d = forecast -
@@ -134,6 +126,10 @@ def _row_sums(forecast, reference, clim_field=None, *, diff: bool = True) -> np.
     reference is subtracted as it is, which is faster for RMSE alone.  Each
     row is summed by the same einsum as a whole field, so the sums have the
     bits of whole-field sums without full-size copies.
+
+    ``sq_sum``, a float64 array of the fields' shape, gets each d^2 added in
+    place from the block buffer that held d (formed for it alone with
+    ``diff=False``): a pointwise-RMSE map's sum, with no full-size temporary.
 
     Every input value enters a sum, so a NaN or Inf input makes a sum NaN
     or Inf (for float32 input nothing else does: its squares cannot overflow
@@ -162,12 +158,17 @@ def _row_sums(forecast, reference, clim_field=None, *, diff: bool = True) -> np.
             if clim_field is None:
                 fb -= reference[rows]
                 np.einsum("ij,ij->i", fb, fb, out=out[0, rows])
+                if sq_sum is not None:
+                    sq_sum[rows] += np.square(fb, out=fb)
                 continue
             rb, cb = buf[1, : stop - start], buf[2, : stop - start]
             rb[...] = reference[rows]
-            if diff:
+            if diff or sq_sum is not None:
                 np.subtract(fb, rb, out=cb)
+            if diff:
                 np.einsum("ij,ij->i", cb, cb, out=out[0, rows])
+            if sq_sum is not None:
+                sq_sum[rows] += np.square(cb, out=cb)
             cb[...] = clim_field[rows]
             fb -= cb
             rb -= cb
@@ -186,12 +187,14 @@ def _check_weights(weights: np.ndarray, n_lat: int) -> np.ndarray:
     return w
 
 
-def weighted_rmse(forecast, reference, weights) -> float:
+def weighted_rmse(forecast, reference, weights, *, _sq_sum=None) -> float:
     """Latitude-weighted RMSE of one field pair (the per-time inner term).
 
-    NaN or Inf in either field raises NonFiniteValue.
+    NaN or Inf in either field raises NonFiniteValue.  ``_sq_sum``: see ``weighted_acc``.
     """
-    return weighted_rmse_and_mse(forecast, reference, weights)[0]
+    f, r = _fields_2d(forecast, reference)
+    w = _check_weights(weights, f.shape[0])
+    return _rmse_of_rows(w, _row_sums(f, r, sq_sum=_sq_sum)[0], f.size)
 
 
 def weighted_rmse_and_mse(forecast, reference, weights) -> tuple[float, float]:
@@ -216,7 +219,7 @@ def _mean_of_rows(row_sums: np.ndarray, size: int) -> float:
     return float(row_sums.sum()) / size
 
 
-def weighted_acc(forecast, reference, clim_field, weights, *, _with_rmse: bool = False):
+def weighted_acc(forecast, reference, clim_field, weights, *, _with_rmse=False, _sq_sum=None):
     """Anomaly correlation coefficient of one field pair about a climatology.
 
     Weighted cosine similarity of (forecast - clim) and (reference - clim);
@@ -227,11 +230,11 @@ def weighted_acc(forecast, reference, clim_field, weights, *, _with_rmse: bool =
     ``_with_rmse=True`` is private to ``evaluate_set``, which scores a pair
     for both metrics: the result is then ``(acc, weighted_rmse)``, both from
     the one pass of row sums and each with the bits of its own function's
-    result.
+    result.  ``_sq_sum``, also private, is a map's sum the pass adds d^2 to.
     """
     f, r, c = _fields_2d(forecast, reference, clim_field)
     w = _check_weights(weights, f.shape[0])
-    sums = _row_sums(f, r, c, diff=_with_rmse)
+    sums = _row_sums(f, r, c, diff=_with_rmse, sq_sum=_sq_sum)
     num = float(np.dot(w, sums[-3]))
     den_f = float(np.dot(w, sums[-2]))
     den_r = float(np.dot(w, sums[-1]))
@@ -307,20 +310,12 @@ def pointwise_rmse(forecasts: Sequence[np.ndarray], references: Sequence[np.ndar
     """Per-gridpoint RMSE over time: sqrt of the temporal mean squared error."""
     if len(forecasts) == 0 or len(forecasts) != len(references):
         raise ShapeMismatch("need equal, nonzero numbers of forecast/reference fields")
-    acc = None
+    acc = 0.0
     for f, r in zip(forecasts, references):
-        acc = _add(acc, _squared_diff(f, r))
+        f, r = _same_shape(f, r)
+        d = f.astype(np.float64) - r  # exact for float32 inputs
+        acc += d * d
     return np.sqrt(acc / len(forecasts))
-
-
-def _squared_diff(forecast, reference) -> np.ndarray:
-    d = _diff64(forecast, reference)
-    return d * d
-
-
-def _add(acc: np.ndarray | None, term: np.ndarray) -> np.ndarray:
-    """Running sum that starts from the first term, as pointwise_rmse defines."""
-    return term if acc is None else acc + term
 
 
 # --- evaluation-set pass ---------------------------------------------------
@@ -351,7 +346,9 @@ def evaluate_set(
     charged to the first pair.  Each variable gets the weighted RMSE when
     ``rmse``, the ACC about ``climatologies(valid_time, k)`` when that is
     given (both from one ``weighted_acc`` call when both are wanted), and with
-    ``maps`` a pointwise-RMSE map summed exactly as ``pointwise_rmse`` does.
+    ``maps`` a pointwise-RMSE map with ``pointwise_rmse``'s bits, whose one
+    float64 sum is held for the whole run: the kernel's pass (RMSE's, for a
+    map alone) adds each pair's d^2 to it, and it is finished in place.
 
     Returns one MetricRecord per (variable, lead, metric), the mean of the
     per-pair values, and the float64 maps keyed by (variable, lead), both in
@@ -390,16 +387,17 @@ def evaluate_set(
         for var in group:
             f2, r2 = select_channel(fc, var), select_channel(ref, var)
             c2 = None if clim is None else select_channel(clim, var)
-            if rmse and c2 is not None:  # both scores from one pass of row sums
-                acc, value = weighted_acc(f2, r2, c2, weights, _with_rmse=True)
-                totals[(var, lead, "rmse")] += value
+            if maps and sums[(var, lead)] is None:
+                sums[(var, lead)] = np.zeros(f2.shape)
+            sq_sum = sums.get((var, lead))  # the kernel adds the pair's d^2 to its map
+            if c2 is not None:  # with rmse, both scores from one pass of row sums
+                scores = weighted_acc(f2, r2, c2, weights, _with_rmse=rmse, _sq_sum=sq_sum)
+                acc, value = scores if rmse else (scores, None)
                 totals[(var, lead, "acc")] += acc
-            elif rmse:
-                totals[(var, lead, "rmse")] += weighted_rmse(f2, r2, weights)
-            elif c2 is not None:
-                totals[(var, lead, "acc")] += weighted_acc(f2, r2, c2, weights)
-            if maps:
-                sums[(var, lead)] = _add(sums[(var, lead)], _squared_diff(f2, r2))
+            elif rmse or maps:  # a map without a score still takes the kernel's pass
+                value = weighted_rmse(f2, r2, weights, _sq_sum=sq_sum)
+            if rmse:
+                totals[(var, lead, "rmse")] += value
 
     def score_range(valid, pairs, k):
         """Reads and scores group ``k`` of every pair of ``valid``; each cube dies when done."""
@@ -431,7 +429,9 @@ def evaluate_set(
         MetricRecord(var, lead, metric, total / n, n)
         for (var, lead, metric), total in totals.items()
     ]
-    return records, {key: np.sqrt(acc / n) for key, acc in sums.items()}
+    for acc in sums.values():  # in place: the run holds one array per map
+        np.sqrt(np.divide(acc, n, out=acc), out=acc)
+    return records, sums
 
 
 def _usable_cpus() -> int:

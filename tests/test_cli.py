@@ -522,7 +522,9 @@ class TestVerify:
         assert "no init times" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_rmse_maps_equal_pointwise_rmse_bitwise(self, tmp_path, threads):
+    @pytest.mark.parametrize("wanted", ["rmse", "acc", "rmse,acc"])
+    def test_rmse_maps_equal_pointwise_rmse_bitwise(self, tmp_path, wanted, threads):
+        """The kernel adds each pair's d^2 to its map, whichever scores it makes."""
         from datetime import timedelta
 
         from geoverify import pointwise_rmse, select_channel
@@ -535,11 +537,13 @@ class TestVerify:
         code = main([
             "verify", "--forecast", str(fdir), "--reference", str(rdir),
             "--climatology", str(manifest), "--variables", "Z500,T2M",
-            "--init-times", str(times_file), "--leads", "6,12",
+            "--init-times", str(times_file), "--leads", "6,12", "--metrics", wanted,
             "--threads", str(threads), "--out", str(tmp_path / "r.csv"),
             "--map-dir", str(map_dir),
         ])
         assert code == 0
+        assert sorted(p.name for p in map_dir.iterdir()) == sorted(
+            f"rmsemap_{token}_{lead}.gvc" for token in ("Z500", "T2M") for lead in leads)
         first = min(init_times)
         for token, var in (("Z500", ("Z", 500)), ("T2M", ("T2M", None))):
             for lead in leads:

@@ -1082,6 +1082,88 @@ class TestAccOverSet:
             assert record.value == total / len(t0s)
 
 
+class TestMapsInTheKernelPass:
+    """evaluate_set's maps are summed in the kernels' row-sum pass, whatever it scores."""
+
+    SPEC = GridSpec(6, 8, 60.0, -24.0, 0.0, 45.0)
+    CATALOG = VariableCatalog([VariableId("Z", 500), VariableId("T2M")])
+    T0S = tuple(hour_sequence(utc(2024, 3, 1), 3, step_hours=12))
+    LEADS = (6, 12)
+
+    def _loaders(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (len(self.CATALOG), self.SPEC.n_lat, self.SPEC.n_lon)
+        fc = {(t0, lead): rng.normal(size=shape).astype(np.float32)
+              for t0 in self.T0S for lead in self.LEADS}
+        valids = {t0 + timedelta(hours=lead) for t0, lead in fc}
+        ref = {v: rng.normal(size=shape).astype(np.float32) for v in valids}
+        clim = {v: rng.normal(scale=0.1, size=shape).astype(np.float32) for v in valids}
+        return fc, ref, (
+            lambda t0, lead, _k: FieldCube(
+                self.SPEC, self.CATALOG, t0 + timedelta(hours=lead), fc[(t0, lead)]),
+            lambda valid, _k: FieldCube(self.SPEC, self.CATALOG, valid, ref[valid]),
+            lambda valid, _k: FieldCube(self.SPEC, self.CATALOG, valid, clim[valid]),
+        )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("rmse,acc", [(False, False), (True, False), (False, True),
+                                          (True, True)],
+                             ids=["maps-only", "rmse", "acc", "rmse+acc"])
+    def test_maps_equal_pointwise_rmse_bitwise(self, monkeypatch, threads, rmse, acc):
+        """A run that scores no RMSE still gets the maps, and records keep their bits."""
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
+        fc, ref, (forecasts, references, climatologies) = self._loaders(51)
+        variables = [var.token for var in self.CATALOG]
+
+        def run(maps):
+            return metrics.evaluate_set(
+                forecasts, references, EvaluationSet(self.T0S, self.LEADS), variables,
+                rmse=rmse, climatologies=climatologies if acc else None,
+                groups=[[v] for v in variables], maps=maps, threads=threads)
+
+        records, maps = run(maps=True)
+        assert records == run(maps=False)[0]
+        assert list(maps) == [(var, lead) for lead in self.LEADS for var in self.CATALOG]
+        for (var, lead), got in maps.items():
+            k = self.CATALOG.index_of(var)
+            expected = pointwise_rmse(
+                [fc[(t0, lead)][k] for t0 in self.T0S],
+                [ref[t0 + timedelta(hours=lead)][k] for t0 in self.T0S])
+            assert got.dtype == np.float64
+            assert got.tobytes() == expected.tobytes()
+            assert expected.sum() > 0.0
+
+    def test_maps_hold_one_float64_field_each_and_no_full_size_temporary(self):
+        """3 pairs of one 1024 x 1024 variable: the map's sum plus one row block.
+
+        Summing each pair's d^2 outside the kernel held d, d*d and the new sum
+        beside the old one (3 fields at the peak), and the finish a second map.
+        """
+        spec = GridSpec(1024, 1024, 89.0, -0.17, 0.0, 0.35)
+        catalog = VariableCatalog([VariableId("T2M")])
+        t0s = tuple(hour_sequence(utc(2024, 3, 1), 3, step_hours=24))
+        rng = np.random.default_rng(52)
+
+        def cube(valid):
+            values = rng.normal(size=(1, 1024, 1024)).astype(np.float32)
+            return FieldCube(spec, catalog, valid, values)
+
+        valids = [t0 + timedelta(hours=6) for t0 in t0s]
+        fc = {t0: cube(valid) for t0, valid in zip(t0s, valids)}
+        ref = {valid: cube(valid) for valid in valids}
+        field = 1024 * 1024 * 8
+        tracemalloc.start()
+        try:
+            _, maps = metrics.evaluate_set(
+                lambda t0, _lead, _k: fc[t0], lambda valid, _k: ref[valid],
+                EvaluationSet(t0s, (6,)), ["T2M"], maps=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert maps[(VariableId("T2M"), 6)].nbytes == field
+        assert peak < 1.5 * field
+
+
 class TestPointwiseRmse:
     def test_per_cell_over_time(self):
         f1, f2 = np.array([[1.0, 0.0]] * 2), np.array([[3.0, 0.0]] * 2)
