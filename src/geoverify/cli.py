@@ -127,30 +127,7 @@ def _read_cube_at(path: Path, valid: datetime, expected: str, out) -> FieldCube:
     return cube
 
 
-def _headers_by_time(directory) -> dict:
-    """{header valid time: (path, grid, catalog)} of every cube in ``directory``.
-
-    Reads headers only.  Two cubes at one valid time are a data error.
-    """
-    headers = {}
-    for path in cubeio.cube_paths(directory):
-        spec, catalog, valid = cubeio.read_header(path)
-        if valid in headers:
-            raise GeoverifyError(f"two cubes have valid time {cubeio.format_time(valid)}: "
-                                 f"{headers[valid][0]} and {path}")
-        headers[valid] = (path, spec, catalog)
-    return headers
-
-
 # --- verify -------------------------------------------------------------------
-
-#: Most bytes of scored channels in one channel range of ``verify``: four
-#: channels at 0.25 degrees.  Peak memory grows with it: verify-global (2
-#: threads, 2-vCPU VM, each range viewed through a mapping) peaked at 82, 130
-#: and 210-225 MiB at 8, 16 and 32 MiB, for the same CPU (median 0.92, 0.91
-#: and 0.89 s user+sys of 4 runs each) and the same 15.8k minor faults.
-RANGE_BYTES = 16 << 20
-
 
 class _WorkerBuffers(threading.local):
     """The read buffers of one ``verify`` worker (thread), kept for the whole pass.
@@ -170,7 +147,7 @@ def _cut(catalogs, order, channel_bytes) -> tuple[list, list[list[range]]]:
     ``order`` lists the variables in the first catalog's order.  A cut
     between two of them is allowed when every catalog stores all variables
     before it ahead of all those after it.  A group closes at the last
-    allowed cut before its channels would pass RANGE_BYTES; a group between
+    allowed cut before its channels would pass cubeio.RANGE_BYTES; a group between
     two allowed cuts that passes it stays whole.  A catalog's ranges run
     from channel 0 to its end, each ending at its group's last channel, so
     every channel is in exactly one range.
@@ -183,7 +160,7 @@ def _cut(catalogs, order, channel_bytes) -> tuple[list, list[list[range]]]:
     for stop in range(1, n + 1):
         if stop < n and any(a[stop - 1] > b[stop] for a, b in zip(ahead, behind)):
             continue
-        if (stop - cuts[-1]) * channel_bytes > RANGE_BYTES and end > cuts[-1]:
+        if (stop - cuts[-1]) * channel_bytes > cubeio.RANGE_BYTES and end > cuts[-1]:
             cuts.append(end)
         end = stop
     bounds = list(zip(cuts, cuts[1:] + [n]))
@@ -461,7 +438,7 @@ def cmd_downscale_eval(args) -> int:
 def cmd_tc_track(args) -> int:
     _check_flags(args, "positive", "search_radius_km", "intensity_radius_km", "ring_width_km")
     _check_flags(args, "non-negative", "closed_low_hpa")
-    headers = _headers_by_time(args.cubes)
+    headers = cubeio.headers_by_time(cubeio.cube_paths(args.cubes))
     if not headers:
         raise EmptyInput(f"no cubes in {args.cubes}")
 
@@ -579,20 +556,7 @@ def cmd_tc_filter(args) -> int:
 def cmd_climatology(args) -> int:
     from . import climatology as clim_mod
 
-    headers = _headers_by_time(args.cubes)
-    times = sorted(headers)
-    for valid in times[1:]:
-        path, spec, catalog = headers[valid]
-        if (spec, catalog) != headers[times[0]][1:]:
-            raise SpecMismatch(f"{path}: grid or catalog differs from {headers[times[0]][0]}")
-    buffer = cubeio.ReadBuffer()
-    # In valid-time order, one cube at a time: build_climatology drops each
-    # cube before it asks for the next, which is then read into the same buffer.
-    clim = clim_mod.build_climatology(
-        _read_cube_at(headers[valid][0], valid, "the time in its header", buffer)
-        for valid in times)
-    manifest = clim.save(args.out)
-    print(manifest)
+    print(clim_mod.build_climatology(cubeio.cube_paths(args.cubes), args.out))
     return 0
 
 

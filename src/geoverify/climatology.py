@@ -8,16 +8,17 @@ non-leap lookups never touch it.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+import os
+import shutil
+import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import cubeio
-from .errors import (EmptyInput, GeoverifyError, MissingKey, NonSynopticTime, ParseError,
-                     SpecMismatch)
-from .grid import FieldCube, GridSpec, VariableCatalog
+from .errors import EmptyInput, MissingKey, NonSynopticTime, ParseError, SpecMismatch
+from .grid import GridSpec, VariableCatalog
 
 #: Hours of day that carry climatology keys (6-hourly synoptic times).
 KEY_HOURS = (0, 6, 12, 18)
@@ -37,76 +38,40 @@ def climatology_key(valid_time: datetime) -> tuple[int, int]:
 
 
 class Climatology:
-    """Per-key mean fields over a training sample of cubes.
+    """A climatology on disk: the keys its manifest names, their sample counts and cubes.
 
-    A built climatology holds its means in memory.  One loaded from a
-    manifest holds the path of each key's cube instead, with ``means``
-    empty, and reads a key's cube each time the key is looked up.
+    A key's cube is read each time the key is looked up.
     """
 
-    def __init__(
-        self,
-        spec: GridSpec,
-        catalog: VariableCatalog,
-        means: dict[tuple[int, int], np.ndarray],
-        counts: dict[tuple[int, int], int],
-        paths: dict[tuple[int, int], Path] | None = None,
-    ):
+    def __init__(self, spec: GridSpec, catalog: VariableCatalog,
+                 counts: dict[tuple[int, int], int], paths: dict[tuple[int, int], Path]):
         self.spec = spec
         self.catalog = catalog
-        self.means = means
         self.counts = counts
-        self.paths = paths or {}
-
-    def _key(self, valid_time: datetime) -> tuple[int, int]:
-        key = climatology_key(valid_time)
-        if key not in self.counts:
-            raise MissingKey(f"no climatology for day {key[0]} hour {key[1]:02d}")
-        return key
-
-    def _mean(self, key: tuple[int, int]) -> np.ndarray:
-        return cubeio.read_cube(self.paths[key]).values if self.paths else self.means[key]
-
-    def lookup(self, valid_time: datetime) -> np.ndarray:
-        """Stored C x H x W mean for the key of a valid time."""
-        return self._mean(self._key(valid_time))
-
-    def lookup_channel(self, valid_time: datetime, var) -> np.ndarray:
-        return self.lookup(valid_time)[self.catalog.index_of(var)]
+        self.paths = paths
+        self.means: dict = {}  # always empty; the bench tracer still reads it
 
     def key_path(self, valid_time: datetime) -> Path:
-        """The cube file of a loaded climatology's key for a valid time."""
-        return self.paths[self._key(valid_time)]
+        """The cube file of the key of a valid time; MissingKey if the manifest lacks it."""
+        key = climatology_key(valid_time)
+        if key not in self.paths:
+            raise MissingKey(f"no climatology for day {key[0]} hour {key[1]:02d}")
+        return self.paths[key]
 
-    def save(self, directory) -> Path:
-        """One cube file per key, then a manifest CSV naming them; returns its path.
-
-        The manifest is written last and atomically: a failed save leaves none.
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        rows = []
-        for (doy, hour) in sorted(self.counts):
-            filename = f"clim_d{doy:03d}_h{hour:02d}.gvc"
-            stamp = datetime(2000, 1, 1, hour, tzinfo=timezone.utc) + timedelta(days=doy - 1)
-            cube = FieldCube(
-                self.spec, self.catalog, stamp, self._mean((doy, hour)).astype(np.float32)
-            )
-            cubeio.write_cube(cube, directory / filename)
-            rows.append((doy, hour, self.counts[(doy, hour)], filename))
-        manifest = directory / MANIFEST_NAME
-        cubeio.write_csv(manifest, None, MANIFEST_COLUMNS, rows)
-        return manifest
+    def lookup_channel(self, valid_time: datetime, var) -> np.ndarray:
+        """The stored H x W mean of ``var`` for the key of a valid time."""
+        return cubeio.read_cube(self.key_path(valid_time)).values[self.catalog.index_of(var)]
 
     @classmethod
     def load(cls, manifest_path) -> "Climatology":
         """A climatology that reads its key cubes, as a manifest names them, on lookup.
 
-        A row whose key ``climatology_key`` cannot return, or that repeats an
-        earlier row's key, raises ParseError naming the row; a manifest
-        without rows raises EmptyInput.  Each key cube's header is read and
-        validated, and must have the first one's grid and whole catalog
-        (SpecMismatch otherwise); no payload is read until a key is looked up.
+        A row whose key ``climatology_key`` cannot return, that repeats an
+        earlier row's key, or whose ``n_samples`` is below 1 raises ParseError
+        naming the row; a manifest without rows raises EmptyInput.  Each key
+        cube's header is read and validated, and must have the first one's
+        grid and whole catalog (SpecMismatch otherwise); no payload is read
+        until a key is looked up.
         """
         manifest_path = Path(manifest_path)
         paths: dict[tuple[int, int], Path] = {}
@@ -122,6 +87,8 @@ class Climatology:
                 raise ParseError(row_no, f"doy {key[0]} hour {key[1]} is not a climatology key")
             if key in paths:
                 raise ParseError(row_no, f"repeated key doy {key[0]} hour {key[1]}")
+            if count < 1:
+                raise ParseError(row_no, f"n_samples {count} is below 1")
             paths[key] = manifest_path.parent / filename
             counts[key] = count
             file_spec, file_catalog, _ = cubeio.read_header(paths[key])
@@ -131,43 +98,64 @@ class Climatology:
                 raise SpecMismatch(f"climatology file {filename} mismatches manifest")
         if spec is None:
             raise EmptyInput(f"manifest {manifest_path} lists no keys")
-        return cls(spec, catalog, {}, counts, paths)
+        return cls(spec, catalog, counts, paths)
 
 
-def build_climatology(cubes: Sequence[FieldCube] | Iterator[FieldCube]) -> Climatology:
-    """Arithmetic per-key mean over cubes sharing one grid spec and catalog.
+def build_climatology(paths, directory) -> Path:
+    """Writes the key mean cubes of the cube files ``paths`` and their manifest in ``directory``.
 
-    Accumulation is 64-bit and runs in valid_time order.  ``cubes`` is
-    either a collection (a list or tuple, say), which is sorted first, so
-    any permutation of it produces identical bits; or an iterator (a
-    generator, say), which is summed as it yields, holding one cube at a
-    time, and must yield in ascending valid time (ValueError otherwise).
-    Two cubes with one valid time are a data error: the time would count
-    twice in its mean.
+    Returns the manifest's path.  Every header is read first, so these data
+    errors come before any payload is read: no cubes, two cubes at one valid
+    time, a valid time that is not synoptic, and a cube whose grid or catalog
+    differs from the earliest cube's.  Each key cube is then written one
+    channel range (at most cubeio.RANGE_BYTES) at a time: the range of every
+    cube of the key is added to a float64 sum in valid-time order, and the sum
+    divided by the count is appended as float32.  So memory holds one range's
+    sum and one range read, reads go in (key, range, valid time) order, and
+    any order of ``paths`` gives the same bytes.
+
+    The output is atomic: the key cubes and the manifest are built in a
+    temporary directory beside ``directory`` and moved in only after every key
+    is built, key cubes first and the manifest last.  A failure leaves an
+    existing ``directory`` unchanged and nothing new behind.
     """
-    if not isinstance(cubes, Iterator):
-        cubes = sorted(cubes, key=lambda c: c.valid_time)
-    spec = catalog = last = None
-    sums: dict[tuple[int, int], np.ndarray] = {}
-    counts: dict[tuple[int, int], int] = {}
-    for cube in cubes:
-        if spec is None:
-            spec, catalog = cube.spec, cube.catalog
-        elif cube.valid_time == last:
-            raise GeoverifyError(f"two cubes have valid time {cubeio.format_time(last)}")
-        elif cube.valid_time < last:
-            raise ValueError(f"cube at {cube.valid_time} comes after one at {last}")
-        if cube.spec != spec or cube.catalog != catalog:
-            raise SpecMismatch(f"cube at {cube.valid_time} has a different spec/catalog")
-        last = cube.valid_time
-        key = climatology_key(last)
-        if key not in sums:
-            sums[key] = np.zeros(cube.values.shape, dtype=np.float64)
-            counts[key] = 0
-        sums[key] += cube.values
-        counts[key] += 1
-        del cube  # before the next one is made
-    if spec is None:
+    headers = cubeio.headers_by_time(paths)
+    if not headers:
         raise EmptyInput("no cubes to build a climatology from")
-    means = {key: sums[key] / counts[key] for key in sums}
-    return Climatology(spec, catalog, means, counts)
+    times = sorted(headers)
+    first, spec, catalog = headers[times[0]]
+    keys: dict[tuple[int, int], list[Path]] = {}
+    for valid in times:
+        path, *grid = headers[valid]
+        if grid != [spec, catalog]:
+            raise SpecMismatch(f"{path}: grid or catalog differs from {first}")
+        keys.setdefault(climatology_key(valid), []).append(path)
+    step = max(1, cubeio.RANGE_BYTES // (4 * spec.n_lat * spec.n_lon))
+    ranges = [range(c, min(c + step, len(catalog))) for c in range(0, len(catalog), step)]
+
+    directory = Path(directory)
+    made = [p for p in directory.parents if not p.exists()]  # innermost first
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=f".{directory.name}.", suffix=".tmp", dir=directory.parent))
+    try:
+        buffer, rows = cubeio.ReadBuffer(), []
+        for (doy, hour), key_paths in sorted(keys.items()):
+            name = f"clim_d{doy:03d}_h{hour:02d}.gvc"
+            stamp = datetime(2000, 1, 1, hour, tzinfo=timezone.utc) + timedelta(days=doy - 1)
+            with cubeio.cube_writer(spec, catalog, stamp, tmp / name) as write:
+                for channels in ranges:
+                    total = np.zeros((len(channels), spec.n_lat, spec.n_lon))
+                    for path in key_paths:
+                        total += cubeio.read_cube(path, channels=channels, out=buffer).values
+                    total /= len(key_paths)
+                    write(total)
+            rows.append((doy, hour, len(key_paths), name))
+        cubeio.write_csv(tmp / MANIFEST_NAME, None, MANIFEST_COLUMNS, rows)
+        directory.mkdir(exist_ok=True)
+        for name in [row[3] for row in rows] + [MANIFEST_NAME]:
+            os.replace(tmp / name, directory / name)
+    except BaseException:
+        shutil.rmtree(made[-1] if made else tmp)
+        raise
+    tmp.rmdir()
+    return directory / MANIFEST_NAME

@@ -40,6 +40,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     CorruptHeader,
+    GeoverifyError,
     NonFiniteValue,
     NonMonotonicTime,
     ParseError,
@@ -98,10 +99,15 @@ def _replacing(path, mode: str, **open_args):
         raise
 
 
-def write_cube(cube: FieldCube, path) -> None:
-    """Write a cube atomically; read_cube(write_cube(c)) is bit-identical to c."""
-    spec = cube.spec
-    ts = cube.valid_time.astimezone(timezone.utc)
+@contextmanager
+def cube_writer(spec: GridSpec, catalog: VariableCatalog, valid_time: datetime, path):
+    """Writes a cube's header, then yields ``write(values)``, which appends channels in order.
+
+    The file replaces ``path`` when the block ends, and only when every
+    channel was written (ValueError otherwise); a failure leaves an existing
+    file unchanged and no temporary file behind.
+    """
+    ts = valid_time.astimezone(timezone.utc)
     if ts.microsecond != 0:
         raise ValueError("cube valid_time must be whole seconds for serialization")
     header = _FIXED_HEADER.pack(
@@ -110,18 +116,28 @@ def write_cube(cube: FieldCube, path) -> None:
         1 if spec.north_to_south else 0,
         spec.n_lat,
         spec.n_lon,
-        cube.n_channels,
+        len(catalog),
         spec.lat_start,
         spec.lat_step,
         spec.lon_start,
         spec.lon_step,
         int(ts.timestamp()),
-        len(cube.catalog),
+        len(catalog),
     )
     with _replacing(path, "wb") as f:
         f.write(header)
-        f.write(_encode_catalog(cube.catalog))
-        f.write(np.ascontiguousarray(cube.values, dtype="<f4").data)
+        f.write(_encode_catalog(catalog))
+        start = f.tell()
+        yield lambda values: f.write(np.ascontiguousarray(values, dtype="<f4").data)
+        expected = 4 * len(catalog) * spec.n_lat * spec.n_lon
+        if f.tell() - start != expected:
+            raise ValueError(f"{path}: wrote {f.tell() - start} payload bytes of {expected}")
+
+
+def write_cube(cube: FieldCube, path) -> None:
+    """Write a cube atomically; read_cube(write_cube(c)) is bit-identical to c."""
+    with cube_writer(cube.spec, cube.catalog, cube.valid_time, path) as write:
+        write(cube.values)
 
 
 #: Specs and catalogs of the headers read so far, by their raw bytes, so a header
@@ -204,6 +220,30 @@ def read_header(path) -> tuple[GridSpec, VariableCatalog, datetime]:
     The header is validated exactly as ``read_cube`` validates it."""
     with open(path, "rb") as f:
         return _read_header(f, path)
+
+
+def headers_by_time(paths) -> dict:
+    """{header valid time: (path, grid, catalog)} of every cube file in ``paths``.
+
+    Reads headers only.  Two cubes at one valid time are a data error.
+    """
+    headers = {}
+    for path in paths:
+        spec, catalog, valid = read_header(path)
+        if valid in headers:
+            raise GeoverifyError(f"two cubes have valid time {format_time(valid)}: "
+                                 f"{headers[valid][0]} and {path}")
+        headers[valid] = (path, spec, catalog)
+    return headers
+
+
+#: Most bytes of one channel range, as stored: four channels at 0.25 degrees.
+#: ``verify`` scores and ``climatology`` sums each cube range by range, so their
+#: peak memory grows with it: verify-global (2 threads, 2-vCPU VM, each range
+#: viewed through a mapping) peaked at 82, 130 and 210-225 MiB at 8, 16 and 32
+#: MiB, for the same CPU (median 0.92, 0.91 and 0.89 s user+sys of 4 runs each)
+#: and the same 15.8k minor faults.
+RANGE_BYTES = 16 << 20
 
 
 def _fill(f, path, out: np.ndarray) -> None:

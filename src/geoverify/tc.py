@@ -63,8 +63,12 @@ class TcPoint:
     def __post_init__(self):
         if not -90.0 <= self.lat <= 90.0:
             raise ValueError(f"lat {self.lat} outside [-90, 90]")
-        if self.ws_max < 0.0:
-            raise ValueError(f"ws_max {self.ws_max} negative")
+        if not 0.0 <= self.ws_max < math.inf:
+            raise ValueError(f"ws_max {self.ws_max} negative or not finite")
+        if not math.isfinite(self.lon):
+            raise ValueError(f"lon {self.lon} not finite")
+        if self.msl_min is not None and not math.isfinite(self.msl_min):
+            raise ValueError(f"msl_min {self.msl_min} not finite")
         object.__setattr__(self, "lon", self.lon % 360.0)
 
 

@@ -34,6 +34,8 @@ class VqaItem:
             raise ValueError(f"question_type must be one of {QUESTION_TYPES}")
         if not self.ground_truth.strip():
             raise ValueError("ground_truth must be non-empty")
+        if self.question_type == "open" and not tokenize(self.ground_truth):
+            raise ValueError("an open question's ground_truth must hold a token")
 
 
 def normalize_answer(text: str) -> str:

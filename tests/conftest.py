@@ -1,5 +1,6 @@
 """Shared fixtures: tiny grids, catalogs and cube builders."""
 
+import tempfile
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geoverify import FieldCube, GridSpec, VariableCatalog, VariableId, synthetic_vortex_series
+from geoverify import (FieldCube, GridSpec, VariableCatalog, VariableId, build_climatology,
+                       synthetic_vortex_series)
 from geoverify.cli import time_stem
 from geoverify.cubeio import write_cube, write_tracks
 
@@ -54,6 +56,18 @@ def random_cube(rng, n_chan=2, n_lat=3, n_lon=4, valid_time=None):
     catalog = VariableCatalog([VariableId("V", i) for i in range(1, n_chan + 1)])
     values = rng.normal(size=(n_chan, n_lat, n_lon)).astype(np.float32)
     return FieldCube(spec, catalog, valid_time or utc(2024, 1, 1, 0), values)
+
+
+def write_climatology(cubes, directory):
+    """Builds the climatology of ``cubes`` in ``directory``; returns its manifest's path.
+
+    The cubes are written to files in a temporary directory, which is removed.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"{k}.gvc" for k in range(len(cubes))]
+        for cube, path in zip(cubes, paths):
+            write_cube(cube, path)
+        return build_climatology(paths, directory)
 
 
 def hour_sequence(start, count, step_hours=6):

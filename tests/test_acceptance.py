@@ -20,7 +20,6 @@ from geoverify import (
     VariableId,
     VqaItem,
     bilinear_upsample,
-    build_climatology,
     closed_accuracy,
     filter_case,
     great_circle_km,
@@ -37,7 +36,7 @@ from geoverify.cli import main, time_stem
 from geoverify.cubeio import write_cube
 from geoverify.metrics import evaluate_set
 from geoverify.tc import tracker_catalog
-from conftest import utc
+from conftest import utc, write_climatology
 
 
 def _verdict(number: int, name: str, ok: bool) -> None:
@@ -377,7 +376,7 @@ def _write_verify_fixture(root, init_times, leads, spec, catalog, seed):
                 (rng.normal(size=shape) * 0.5).astype(np.float32),
             )
             write_cube(fc, forecast_dir / f"{time_stem(t0)}_{lead}.gvc")
-    manifest = build_climatology(clim_samples).save(root / "clim")
+    manifest = write_climatology(clim_samples, root / "clim")
     times_file = root / "inits.txt"
     times_file.write_text("".join(f"{t.isoformat()}\n" for t in init_times))
     return forecast_dir, reference_dir, manifest, times_file

@@ -28,13 +28,14 @@ from geoverify import (
     VariableId,
     bilinear_upsample,
     build_climatology,
+    cubeio,
     synthetic_vortex_series,
     tc,
 )
 from geoverify.cli import build_parser, main, parse_leads, time_stem
 from geoverify.cubeio import read_csv_rows, read_cube, read_tracks, write_cube, write_tracks
 from geoverify.errors import InvalidFlags, NonFiniteValue
-from conftest import utc, write_vortex
+from conftest import utc, write_climatology, write_vortex
 
 
 SPEC = GridSpec(5, 8, 60.0, -30.0, 0.0, 45.0)
@@ -107,8 +108,7 @@ def make_verify_fixture(tmp_path, init_times, leads, seed=0):
             clim_cubes.append(
                 _random_field_cube(rng, valid.replace(year=2020), offset=0.1)
             )
-    clim_dir = tmp_path / "clim"
-    manifest = build_climatology(clim_cubes).save(clim_dir)
+    manifest = write_climatology(clim_cubes, tmp_path / "clim")
 
     times_file = tmp_path / "inits.txt"
     times_file.write_text("".join(f"{t.isoformat()}\n" for t in init_times))
@@ -283,8 +283,9 @@ class TestVerify:
     @pytest.mark.parametrize(
         "manifest_text, row",
         [("doy,hour,filename\n1,6,clim_d001_h06.gvc\n", 1),
-         ("doy,hour,n_samples,filename\n1,6,two,clim_d001_h06.gvc\n", 2)],
-        ids=["missing-column", "non-integer-n_samples"],
+         ("doy,hour,n_samples,filename\n1,6,two,clim_d001_h06.gvc\n", 2),
+         ("doy,hour,n_samples,filename\n1,6,-5,clim_d001_h06.gvc\n", 2)],
+        ids=["missing-column", "non-integer-n_samples", "n_samples-below-1"],
     )
     def test_malformed_climatology_manifest_exits_3(self, tmp_path, capsys, manifest_text, row):
         init_times = [utc(2024, 1, 1, 0)]
@@ -566,9 +567,7 @@ class TestVerifyChannelRanges:
 
     @pytest.fixture
     def one_channel_ranges(self, monkeypatch):
-        from geoverify import cli
-
-        monkeypatch.setattr(cli, "RANGE_BYTES", SPEC.n_lat * SPEC.n_lon * 4)
+        monkeypatch.setattr(cubeio, "RANGE_BYTES", SPEC.n_lat * SPEC.n_lon * 4)
 
     def _verify(self, tmp_path, fixture, out, threads=1):
         fdir, rdir, manifest, times_file = fixture
@@ -603,7 +602,8 @@ class TestVerifyChannelRanges:
         assert spans == [range(4 * k, min(4 * k + 4, 70)) for k in range(18)]
 
     def test_cut_is_used_only_where_every_catalog_agrees(self):
-        from geoverify.cli import RANGE_BYTES, _cut
+        from geoverify.cli import _cut
+        from geoverify.cubeio import RANGE_BYTES
 
         a = VariableCatalog([VariableId("V", k) for k in range(1, 9)])
         b = VariableCatalog([a.get(f"V{k}") for k in (2, 1, 5, 3, 4, 7, 6, 8)])
@@ -623,7 +623,7 @@ class TestVerifyChannelRanges:
             self, tmp_path, monkeypatch):
         fixture = make_verify_fixture(tmp_path, self.INITS, [6, 12])
         assert self._verify(tmp_path, fixture, "whole") == 0
-        monkeypatch.setattr("geoverify.cli.RANGE_BYTES", SPEC.n_lat * SPEC.n_lon * 4)
+        monkeypatch.setattr(cubeio, "RANGE_BYTES", SPEC.n_lat * SPEC.n_lon * 4)
         reads = self._counted_reads(monkeypatch)
         assert self._verify(tmp_path, fixture, "ranges") == 0
         # Each forecast, reference and key cube once per range: Z500, then T2M.
@@ -843,11 +843,11 @@ class TestVerifyNonFiniteScoredValue:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     def test_exits_2_naming_the_file_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                                         bad, wanted, side, threads, map_dir):
-        from geoverify import cli, metrics
+        from geoverify import metrics
 
         # One channel a range, and two workers on any machine: Z500 and T2M go to
         # different workers, and the NaN/Inf is in T2M, the second range.
-        monkeypatch.setattr(cli, "RANGE_BYTES", SPEC.n_lat * SPEC.n_lon * 4)
+        monkeypatch.setattr(cubeio, "RANGE_BYTES", SPEC.n_lat * SPEC.n_lon * 4)
         monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
         fdir, rdir, manifest, times_file = make_verify_fixture(
             tmp_path, [utc(2024, 1, 1, 0)], [6, 12])
@@ -1402,24 +1402,28 @@ class TestClimatologyCommand:
             write_cube(cube, cube_dir / f"{99 - self.TIMES.index(cube.valid_time):02d}.gvc")
         return cubes
 
-    def test_each_cube_read_once_in_time_order_with_no_earlier_cube_alive(
-            self, tmp_path, monkeypatch):
-        from geoverify import cubeio
-
+    @pytest.mark.parametrize("one_channel_ranges", [False, True])
+    def test_each_cube_read_once_a_range_in_key_then_time_order_with_no_earlier_cube_alive(
+            self, tmp_path, monkeypatch, one_channel_ranges):
         cube_dir = tmp_path / "cubes"
         self._cubes(cube_dir)
+        if one_channel_ranges:
+            monkeypatch.setattr(cubeio, "RANGE_BYTES", SPEC.n_lat * SPEC.n_lon * 4)
         read_cube, reads, alive = cubeio.read_cube, [], []
 
         def watched(path, variables=None, channels=None, out=None, *, _scan_kept=True):
-            alive.extend(str(p) for p, cube in reads if cube() is not None)
+            alive.extend(str(p) for p, _, cube in reads if cube() is not None)
             cube = read_cube(path, variables, channels, out, _scan_kept=_scan_kept)
-            reads.append((Path(path), weakref.ref(cube)))
+            reads.append((Path(path), channels, weakref.ref(cube)))
             return cube
 
         monkeypatch.setattr(cubeio, "read_cube", watched)
         assert main(_argv("climatology", cubes=cube_dir, out=tmp_path / "clim")) == 0
         assert alive == []
-        assert [p for p, _ in reads] == sorted(cube_dir.glob("*.gvc"), reverse=True)
+        # Files 99..94 hold TIMES in order; a key's two cubes are a year apart.
+        ranges = [range(0, 1), range(1, 2)] if one_channel_ranges else [range(0, 2)]
+        assert [(p.name, c) for p, c, _ in reads] == [
+            (f"{99 - k - year}.gvc", c) for k in (0, 1, 2) for c in ranges for year in (0, 3)]
 
     def test_a_later_cube_with_another_catalog_fails_before_any_read(
             self, tmp_path, monkeypatch, capsys):
@@ -1450,29 +1454,54 @@ class TestClimatologyCommand:
         assert "94.gvc: grid or catalog differs from" in capsys.readouterr().err
         assert not (tmp_path / "clim").exists()
 
-    def test_key_cubes_and_manifest_are_the_bytes_of_a_build_from_a_list(
+    def test_key_cubes_and_manifest_are_the_bytes_of_a_build_from_any_order_of_paths(
             self, tmp_path, buffer_takes):
-        cubes = self._cubes(tmp_path / "cubes")
+        self._cubes(tmp_path / "cubes")
         assert main(_argv("climatology", cubes=tmp_path / "cubes", out=tmp_path / "clim")) == 0
         assert list(buffer_takes.values()) == [[True] * 6]
-        build_climatology(cubes[::-1]).save(tmp_path / "listed")
+        paths = cubeio.cube_paths(tmp_path / "cubes")
+        build_climatology(paths[::-1], tmp_path / "reversed")
+        build_climatology(paths[1::2] + paths[::2], tmp_path / "shuffled")
         written = sorted((tmp_path / "clim").iterdir())
         assert [p.name for p in written] == [
             "clim_d153_h00.gvc", "clim_d153_h12.gvc", "clim_d154_h00.gvc", "manifest.csv"]
-        assert [p.read_bytes() for p in written] == [
-            (tmp_path / "listed" / p.name).read_bytes() for p in written]
+        for other in ("reversed", "shuffled"):
+            assert [p.read_bytes() for p in written] == [
+                (tmp_path / other / p.name).read_bytes() for p in written]
+
+    def test_nan_in_the_last_key_leaves_an_existing_climatology_and_no_temporary_directory(
+            self, tmp_path, capsys):
+        cube_dir = tmp_path / "cubes"
+        self._cubes(cube_dir)
+        out = tmp_path / "clim"
+        assert main(_argv("climatology", cubes=cube_dir, out=out)) == 0
+        last = cube_dir / "00.gvc"
+        write_cube(_random_field_cube(np.random.default_rng(5), utc(2020, 6, 3, 0)), last)
+        _poison(last)
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert main(_argv("climatology", cubes=cube_dir, out=out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"geoverify: data error: {last}: cube values must be finite"]
+        assert _tree(tmp_path) == before
+
+    def test_a_failed_build_into_a_new_nested_directory_leaves_nothing(self, tmp_path):
+        cube_dir = tmp_path / "cubes"
+        self._cubes(cube_dir)
+        _poison(cube_dir / "94.gvc")
+        assert main(_argv("climatology", cubes=cube_dir, out=tmp_path / "a" / "b" / "clim")) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cubes"]
+        assert main(_argv("climatology", cubes=cube_dir, out=cube_dir / "clim")) == 2
+        assert len(list(cube_dir.iterdir())) == 6
 
 
 class TestHeadersByTime:
     def test_indexes_every_cube_by_header_time_without_reading_payloads(
             self, tmp_path, monkeypatch):
-        from geoverify import cubeio
-        from geoverify.cli import _headers_by_time
-
         cube_dir = tmp_path / "cubes"
         cubes = TestClimatologyCommand()._cubes(cube_dir)
         monkeypatch.setattr(cubeio, "read_cube", mock.Mock(side_effect=AssertionError))
-        headers = _headers_by_time(cube_dir)
+        headers = cubeio.headers_by_time(cubeio.cube_paths(cube_dir))
         assert sorted(headers) == TestClimatologyCommand.TIMES
         for k, cube in enumerate(cubes):
             path, spec, catalog = headers[cube.valid_time]
@@ -1480,14 +1509,13 @@ class TestHeadersByTime:
             assert (spec, catalog) == (cube.spec, cube.catalog)
 
     def test_two_cubes_at_one_valid_time_name_both_files(self, tmp_path):
-        from geoverify.cli import _headers_by_time
         from geoverify.errors import GeoverifyError
 
         cube_dir = tmp_path / "cubes"
         TestClimatologyCommand()._cubes(cube_dir)
         shutil.copyfile(cube_dir / "99.gvc", cube_dir / "copy.gvc")
         with pytest.raises(GeoverifyError) as err:
-            _headers_by_time(cube_dir)
+            cubeio.headers_by_time(cubeio.cube_paths(cube_dir))
         message = str(err.value)
         assert message.startswith("two cubes have valid time 2019-06-01T00:00:00Z: ")
         assert "99.gvc" in message and "copy.gvc" in message
@@ -2248,7 +2276,7 @@ def verify_inputs(tmp_path_factory):
 @given(data=st.data())
 def test_one_damaged_input_cube_fails_verify_naming_it(verify_inputs, data):
     """A NaN or Inf anywhere in a payload, a truncation or a broken header field."""
-    from geoverify import cli, metrics
+    from geoverify import metrics
 
     with tempfile.TemporaryDirectory(dir=verify_inputs) as tmp:
         root = Path(tmp) / "run"
@@ -2267,7 +2295,7 @@ def test_one_damaged_input_cube_fails_verify_naming_it(verify_inputs, data):
         stderr = io.StringIO()
         with contextlib.ExitStack() as stack:
             if one_channel_ranges:
-                stack.enter_context(mock.patch.object(cli, "RANGE_BYTES",
+                stack.enter_context(mock.patch.object(cubeio, "RANGE_BYTES",
                                                       SPEC.n_lat * SPEC.n_lon * 4))
             stack.enter_context(mock.patch.object(metrics, "_usable_cpus", lambda: 2))
             caught = stack.enter_context(warnings.catch_warnings(record=True))
@@ -2414,39 +2442,37 @@ def test_one_damaged_input_cube_skips_its_downscale_sample(downscale_inputs, dat
             assert {p.name: p.read_bytes() for p in root.glob("ds*.csv")} == expected
 
 
-# --- tc-filter input fuzz: one damaged cases CSV fails with a parse error or is read ---
+# --- CSV input fuzz: one damaged row fails with a parse error naming it or is read ---
 
-#: A valid cases CSV: rows 2-4 take the Exclude, Strengthen and Weaken rules.
-CASES_CSV = ("case_id,model_mbe,wrf_mbe,both_under,both_over,track_err_km\n"
-             "c1,-2,-5,true,false,5\n"
-             "c2,-6,-3,1,0,15\n"
-             "c3,6,3,no,yes,3\n")
+def _run_capturing(argv) -> tuple[int, str]:
+    """(exit code, stderr) of ``main(argv)``; a RuntimeWarning fails the test."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "Traceback" not in stderr.getvalue()
+    return code, stderr.getvalue()
 
-#: Damages to one data row, each with the exit code of the run that reads it.
-CASE_DAMAGES = {"number": 3, "boolean": 3, "non-finite": 3, "both flags": 3,
-                "dropped field": 3, "comment line": 0, "non-UTF-8 byte": 3, "stray quote": None}
 
+def _damage_row(data, text: str, damages: dict, fields_of) -> tuple[bytes, int | None, int]:
+    """(``text`` with one drawn damage to a data row, expected exit code or None, damaged row).
 
-def _damage_cases(data) -> tuple[bytes, int | None, int]:
-    """(CASES_CSV with one drawn damage, expected exit code or None for 0 or 3, damaged row)."""
-    lines = CASES_CSV.splitlines(keepends=True)
+    ``damages`` maps each kind that ``fields_of(kind, fields, data)`` makes to the exit
+    code of the run that reads it; the kinds every CSV shares are added here.  None
+    expects 0 or 3.
+    """
+    shared = {"dropped field": 3, "comment line": 0, "non-UTF-8 byte": 3, "stray quote": None}
+    damages = {**damages, **shared}
+    lines = text.splitlines(keepends=True)
     row = data.draw(st.integers(2, len(lines)), label="row")
     fields = lines[row - 1].rstrip("\n").split(",")
-    kind = data.draw(st.sampled_from(sorted(CASE_DAMAGES)), label="kind")
+    kind = data.draw(st.sampled_from(sorted(damages)), label="kind")
     event(kind)
-    if kind == "number":
-        fields[data.draw(st.sampled_from([1, 2, 5]))] = data.draw(
-            st.sampled_from(["lots", "", "1.2.3", "--1"]))
-    elif kind == "boolean":
-        fields[data.draw(st.sampled_from([3, 4]))] = data.draw(
-            st.sampled_from(["maybe", "", "2", "tru"]))
-    elif kind == "non-finite":  # an MBE or the track error
-        fields[data.draw(st.sampled_from([1, 2, 5]))] = data.draw(
-            st.sampled_from(["nan", "NaN", "inf", "-inf"]))
-    elif kind == "both flags":
-        fields[3:5] = ["true", "yes"]
-    elif kind == "dropped field":
+    if kind == "dropped field":
         del fields[data.draw(st.integers(0, len(fields) - 1))]
+    elif kind not in shared:
+        fields_of(kind, fields, data)
     line = ",".join(fields) + "\n"
     if kind == "stray quote":
         at = data.draw(st.integers(0, len(line) - 1))
@@ -2459,7 +2485,49 @@ def _damage_cases(data) -> tuple[bytes, int | None, int]:
         start = raw.index(lines[row - 1].encode("utf-8"))
         at = start + data.draw(st.integers(0, len(lines[row - 1]) - 1))
         raw = raw[:at] + b"\xff" + raw[at:]
-    return raw, CASE_DAMAGES[kind], row
+    return raw, damages[kind], row
+
+
+def _one_damaged_csv_run(tmp, argv, damaged, raw, want, row, out):
+    """Runs ``argv`` clean, then with ``damaged`` holding ``raw``, and checks the second run."""
+    assert main(argv) == 0
+    expected = out.read_bytes()
+    out.unlink()
+    damaged.write_bytes(raw)
+    before = _tree(tmp)
+    code, stderr = _run_capturing(argv)
+    assert code in ((0, 3) if want is None else (want,))
+    if code:
+        _one_error_line(stderr, code, f"row {row}: ")
+        assert _tree(tmp) == before
+    elif want == 0:  # the comment line changes nothing
+        assert out.read_bytes() == expected
+
+
+# --- tc-filter input fuzz ------------------------------------------------------------
+
+#: A valid cases CSV: rows 2-4 take the Exclude, Strengthen and Weaken rules.
+CASES_CSV = ("case_id,model_mbe,wrf_mbe,both_under,both_over,track_err_km\n"
+             "c1,-2,-5,true,false,5\n"
+             "c2,-6,-3,1,0,15\n"
+             "c3,6,3,no,yes,3\n")
+
+#: Damages to one case, each with the exit code of the run that reads it.
+CASE_DAMAGES = {"number": 3, "boolean": 3, "non-finite": 3, "both flags": 3}
+
+
+def _damage_case(kind, fields, data):
+    if kind == "number":
+        fields[data.draw(st.sampled_from([1, 2, 5]))] = data.draw(
+            st.sampled_from(["lots", "", "1.2.3", "--1"]))
+    elif kind == "boolean":
+        fields[data.draw(st.sampled_from([3, 4]))] = data.draw(
+            st.sampled_from(["maybe", "", "2", "tru"]))
+    elif kind == "non-finite":  # an MBE or the track error
+        fields[data.draw(st.sampled_from([1, 2, 5]))] = data.draw(
+            st.sampled_from(["nan", "NaN", "inf", "-inf"]))
+    else:
+        fields[3:5] = ["true", "yes"]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -2468,24 +2536,97 @@ def test_one_damaged_case_row_fails_tc_filter_naming_it(tmp_path_factory, data):
     """A bad number, boolean or flag pair, a NaN, a dropped field, a non-UTF-8 byte or a
     stray quote fails the run with one parse error naming the row; a comment is skipped."""
     with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
-        cases, out = Path(tmp) / "cases.csv", Path(tmp) / "decisions.csv"
-        argv = _argv("tc-filter", cases=cases, out=out)
+        tmp = Path(tmp)
+        cases, out = tmp / "cases.csv", tmp / "decisions.csv"
         cases.write_text(CASES_CSV)
-        assert main(argv) == 0
-        expected = out.read_bytes()
-        out.unlink()
-        raw, want, row = _damage_cases(data)
-        cases.write_bytes(raw)
-        stderr = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
-            warnings.simplefilter("always")
-            code = main(argv)
-        assert code in ((0, 3) if want is None else (want,))
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        if code:
-            _one_error_line(stderr.getvalue(), code, f"row {row}: ")
-            assert not out.exists()
-        else:
-            assert "Traceback" not in stderr.getvalue()
-            if want == 0:  # the comment line changes nothing
-                assert out.read_bytes() == expected
+        raw, want, row = _damage_row(data, CASES_CSV, CASE_DAMAGES, _damage_case)
+        _one_damaged_csv_run(tmp, _argv("tc-filter", cases=cases, out=out),
+                             cases, raw, want, row, out)
+
+
+# --- tc-eval input fuzz: one damaged track row fails with a parse error or is read ---
+
+#: A best track and a forecast of storm S1, each with the 6-hourly fixes at rows 2-4.
+BEST_CSV = ("storm_id,name,time,lat,lon,ws_max,msl_min\n"
+            "S1,Alpha,2024-09-01T00:00:00Z,20.0000,130.0000,30,990\n"
+            "S1,Alpha,2024-09-01T06:00:00Z,20.5000,129.0000,35,985\n"
+            "S1,Alpha,2024-09-01T12:00:00Z,21.0000,128.0000,40,\n")
+MODEL_CSV = ("storm_id,name,time,lat,lon,ws_max,msl_min\n"
+             "S1,Alpha,2024-09-01T00:00:00Z,20.1000,130.2000,28,992\n"
+             "S1,Alpha,2024-09-01T06:00:00Z,20.7000,129.1000,33,\n"
+             "S1,Alpha,2024-09-01T12:00:00Z,21.3000,127.8000,41,980\n")
+
+#: Damages to one fix, each with the exit code of the run that reads it.
+TRACK_DAMAGES = {"number": 3, "time": 3, "out of range": 3, "non-finite": 3}
+
+
+def _damage_fix(kind, fields, data):
+    if kind == "number":  # msl_min may be empty; the other numbers may not
+        column = data.draw(st.sampled_from([3, 4, 5, 6]))
+        fields[column] = data.draw(st.sampled_from(
+            ["lots", "1.2.3", "--1"] + ([""] if column < 6 else [])))
+    elif kind == "time":
+        fields[2] = data.draw(st.sampled_from(["", "yesterday", "2024-13-01T00:00:00Z"]))
+    elif kind == "out of range":
+        fields[3:6:2] = data.draw(st.sampled_from([("91", fields[5]), ("-90.5", fields[5]),
+                                                   (fields[3], "-1")]))
+    else:
+        fields[data.draw(st.sampled_from([3, 4, 5, 6]))] = data.draw(
+            st.sampled_from(["nan", "inf", "-inf"]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_damaged_track_row_fails_tc_eval_naming_it(tmp_path_factory, data):
+    """A bad number or time, a fix off the globe, a NaN or Inf, a dropped field, a
+    non-UTF-8 byte or a stray quote in the best track or the forecast fails the run
+    with one parse error naming the row; a comment is skipped."""
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+        tmp = Path(tmp)
+        best, model, out = tmp / "best.csv", tmp / "model.csv", tmp / "tc.csv"
+        best.write_text(BEST_CSV)
+        model.write_text(MODEL_CSV)
+        damaged = data.draw(st.sampled_from([best, model]), label="file")
+        raw, want, row = _damage_row(data, damaged.read_text(), TRACK_DAMAGES, _damage_fix)
+        _one_damaged_csv_run(tmp, _argv("tc-eval", forecast=model, reference=best, out=out),
+                             damaged, raw, want, row, out)
+
+
+# --- vqa-score input fuzz: one damaged item row fails with a parse error or is read ---
+
+#: Two closed and two open items at rows 2-5.
+ITEMS_CSV = ("question_id,type,prediction,ground_truth\n"
+             "q1,closed,yes,yes\n"
+             "q2,closed,no,yes\n"
+             "q3,open,left lower lobe,lower lobe of the left lung\n"
+             "q4,open,a mass,mass\n")
+
+#: Damages to one item, each with the exit code of the run that reads it.
+ITEM_DAMAGES = {"type": 3, "empty ground truth": 3, "tokenless ground truth": None,
+                "extra field": 3}
+
+
+def _damage_item(kind, fields, data):
+    if kind == "type":
+        fields[1] = data.draw(st.sampled_from(["", "opened", "Closed", "yes"]))
+    elif kind == "empty ground truth":
+        fields[3] = data.draw(st.sampled_from(["", "  "]))
+    elif kind == "tokenless ground truth":  # closed items score it; open ones cannot
+        fields[3] = data.draw(st.sampled_from(["?", "...", "_"]))
+    else:
+        fields.insert(data.draw(st.integers(0, len(fields))), "extra")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_damaged_item_row_fails_vqa_score_naming_it(tmp_path_factory, data):
+    """A bad question type, an empty ground truth, a dropped or extra field, a non-UTF-8
+    byte or a stray quote fails the run with one parse error naming the row; a comment
+    is skipped."""
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+        tmp = Path(tmp)
+        items, out = tmp / "items.csv", tmp / "scores.csv"
+        items.write_text(ITEMS_CSV)
+        raw, want, row = _damage_row(data, ITEMS_CSV, ITEM_DAMAGES, _damage_item)
+        _one_damaged_csv_run(tmp, _argv("vqa-score", items=items, out=out),
+                             items, raw, want, row, out)

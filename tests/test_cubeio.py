@@ -66,6 +66,23 @@ class TestCubeRoundTrip:
         write_cube(cube, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_channel_ranges_appended_in_order_give_write_cubes_bytes(self, tmp_path):
+        cube = random_cube(np.random.default_rng(21), n_chan=5)
+        write_cube(cube, tmp_path / "whole.gvc")
+        with cubeio.cube_writer(cube.spec, cube.catalog, cube.valid_time,
+                                tmp_path / "ranges.gvc") as write:
+            for start, stop in ((0, 2), (2, 3), (3, 5)):
+                write(cube.values[start:stop].astype(np.float64))
+        assert (tmp_path / "ranges.gvc").read_bytes() == (tmp_path / "whole.gvc").read_bytes()
+
+    def test_a_writer_left_short_of_its_channels_writes_no_file(self, tmp_path):
+        cube = random_cube(np.random.default_rng(22), n_chan=3)
+        with pytest.raises(ValueError, match="payload bytes"):
+            with cubeio.cube_writer(cube.spec, cube.catalog, cube.valid_time,
+                                    tmp_path / "short.gvc") as write:
+                write(cube.values[:2])
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_magic(self, make_cube, tmp_path):
         path = tmp_path / "cube.gvc"
         write_cube(make_cube(), path)

@@ -440,5 +440,13 @@ class TestTcTrackType:
         with pytest.raises(ValueError):
             TcPoint(utc(2024, 9, 1), 10.0, 130.0, -1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lon", "ws_max", "msl_min"])
+    def test_a_non_finite_fix_is_rejected(self, field, bad):
+        """A NaN longitude was scored as a 20015 km track error, with exit 0."""
+        fix = dict(time=utc(2024, 9, 1), lat=10.0, lon=130.0, ws_max=20.0, msl_min=990.0)
+        with pytest.raises(ValueError, match=f"{field} .* not finite"):
+            TcPoint(**dict(fix, **{field: bad}))
+
     def test_longitude_normalized(self):
         assert TcPoint(utc(2024, 9, 1), 10.0, -30.0, 20.0).lon == 330.0

@@ -127,3 +127,15 @@ class TestVqaCsv:
         )
         with pytest.raises(ParseError):
             read_vqa_items(path)
+
+    def test_open_ground_truth_without_tokens_reports_row(self, tmp_path):
+        """It failed when scored, with a data error that named no row."""
+        path = tmp_path / "items.csv"
+        path.write_text(
+            "question_id,type,prediction,ground_truth\n"
+            "q1,closed,?,?\n"
+            "q2,open,what,?\n"
+        )
+        with pytest.raises(ParseError) as err:
+            read_vqa_items(path)
+        assert err.value.row == 3
