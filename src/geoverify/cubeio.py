@@ -522,9 +522,11 @@ def read_csv_rows(path, columns: list[str]) -> list[tuple[int, list[str]]]:
 
     try:
         text = data.decode("utf-8")
+        lines = io.StringIO(text, newline="")
         # The parser pulls a line only when it needs one, so the flag is
-        # current whenever ``uncommented`` looks at a line.
-        for row in csv.reader(uncommented(io.StringIO(text, newline=""))):
+        # current whenever ``uncommented`` looks at a line.  Text without a
+        # '#' has no comment line to filter.
+        for row in csv.reader(uncommented(lines) if "#" in text else lines):
             row_no += 1
             row_starts = True
             if row:

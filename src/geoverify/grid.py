@@ -120,7 +120,9 @@ class GridSpec:
         if self.is_global_lon:
             return True
         offset = (lon - self.lon_start) % 360.0
-        return offset <= (self.n_lon - 1) * self.lon_step + _ALIGN_TOL_DEG
+        # An offset a rounding error short of 360 degrees lies just west of the first column.
+        return (offset <= (self.n_lon - 1) * self.lon_step + _ALIGN_TOL_DEG
+                or offset >= 360.0 - _ALIGN_TOL_DEG)
 
 
 @dataclass(frozen=True)
@@ -236,8 +238,10 @@ class FieldCube:
     catalog: VariableCatalog
     valid_time: datetime
     values: np.ndarray = field(repr=False)
-    #: Private: False leaves the NaN/Inf scan to a caller that feeds every value
-    #: to a metric kernel, whose row sums raise NonFiniteValue (verify's reads).
+    #: Private: False leaves out the NaN/Inf scan, for a caller that feeds every
+    #: value to a metric kernel, whose row sums raise NonFiniteValue (verify's
+    #: reads), or that makes values finite by construction (bilinear_upsample's
+    #: blends of finite values).
     _scan: InitVar[bool] = field(default=True, kw_only=True)
 
     def __post_init__(self, _scan):

@@ -1014,6 +1014,21 @@ class TestDownscaleEval:
         times_in_report = {line.split(",")[0] for line in out.read_text().splitlines()[2:]}
         assert times_in_report == {"2024-07-01T06:00:00Z"}
 
+    def test_nan_in_a_coarse_cube_skips_its_sample(self, tmp_path, capsys):
+        """read_cube scans the coarse cube it reads; only the upsampled cube goes unscanned."""
+        times = [utc(2024, 2, 2, 18), utc(2024, 7, 1, 6)]
+        dirs = dict(zip(("coarse", "truth", "model"),
+                        self._write_fixture(tmp_path, times, "bilinear")))
+        path = dirs["coarse"] / f"{time_stem(times[0])}.gvc"
+        _poison(path, index=-2 * 20 * 40 + 417)  # in the first channel, T2M
+        out = tmp_path / "ds.csv"
+        assert main(_argv("downscale-eval", out=out, **dirs)) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith(f"geoverify: skipping {time_stem(times[0])}: {path}: ")
+        assert lines[1:] == ["geoverify: 1 sample(s) skipped"]
+        times_in_report = {line.split(",")[0] for line in out.read_text().splitlines()[2:]}
+        assert times_in_report == {"2024-07-01T06:00:00Z"}
+
     @pytest.mark.parametrize("peak, code", [("-1", 4), ("0", 4), ("inf", 4), ("-inf", 4),
                                             ("nan", 4), ("2.5", 0)])
     def test_psnr_peak_must_be_positive(self, tmp_path, peak, code):

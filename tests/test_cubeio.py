@@ -644,6 +644,19 @@ class TestReadCsvRows:
             read_csv_rows(path, ["a", "b"])
         assert err.value.row == row
 
+    @pytest.mark.parametrize("text", [
+        "a,b\n1,2\n\n3,4\n5\n6,7\n",
+        "a,b\n1,2\n# note\n3,4\n5\n6,7\n",
+        "a,b\n1,2\n\n3,4\n5\n# note\n6,7\n",
+    ], ids=["no-comment", "comment-before", "comment-after"])
+    def test_a_bad_row_has_one_number_with_or_without_a_comment_line(self, tmp_path, text):
+        """Text without a '#' is parsed without the comment filter, with the same numbers."""
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_csv_rows(path, ["a", "b"])
+        assert err.value.row == 5
+
     def test_quoted_hash_starts_a_data_row(self, tmp_path):
         """Only a line that starts with an unquoted '#' is a comment."""
         path = tmp_path / "t.csv"

@@ -50,6 +50,13 @@ class TestGridSpec:
         assert GridSpec(3, 8, 45.0, -45.0, 0.0, 45.0).is_global_lon
         assert not GridSpec(3, 7, 45.0, -45.0, 0.0, 45.0).is_global_lon
 
+    def test_contains_a_point_a_rounding_error_west_of_the_first_column(self):
+        """0.7 - 0.6 is 3e-17 short of lon_start 0.1; (lon - lon_start) % 360 made it 360."""
+        spec = GridSpec(5, 5, 10.0, -1.0, 0.1, 0.5)
+        assert spec.contains(8.0, 0.7 - 0.6)
+        assert spec.contains(8.0, 0.1 - 1e-7) and spec.contains(8.0, 2.1 + 1e-7)
+        assert not spec.contains(8.0, 0.1 - 1e-5) and not spec.contains(8.0, 2.1 + 1e-5)
+
     def test_quarter_degree_global_shape(self):
         """The 0.25-degree global grid is 721 x 1440."""
         spec = GridSpec(721, 1440, 90.0, -0.25, 0.0, 0.25)

@@ -1,9 +1,13 @@
 """Tests for bilinear interpolation between lat/lon grids."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from geoverify import FieldCube, GridSpec, VariableCatalog, VariableId, bilinear_upsample
+from geoverify import regrid
 from geoverify.errors import OutOfExtent
 from geoverify.regrid import _ROW_BLOCK_VALUES, _lat_coeffs, _lon_coeffs
 from conftest import utc
@@ -86,6 +90,18 @@ class TestBilinearUpsample:
         with pytest.raises(OutOfExtent):
             bilinear_upsample(cube, east)
 
+    def test_regional_source_takes_a_target_a_rounding_error_west_of_it(self):
+        """0.7 - 0.6 lies 3e-17 degrees west of a first column at 0.1: it gets that column,
+        as a latitude or a longitude that close beyond the other edges gets theirs."""
+        source = GridSpec(6, 8, 50.0, -1.5, 0.1, 1.5)
+        rng = np.random.default_rng(23)
+        cube = _cube_on(source, rng.normal(size=(6, 8)))
+        west = bilinear_upsample(cube, GridSpec(13, 9, 49.0, -0.5, 0.7 - 0.6, 1.25))
+        at_edge = bilinear_upsample(cube, GridSpec(13, 9, 49.0, -0.5, 0.1, 1.25))
+        np.testing.assert_array_equal(west.values[..., 0], at_edge.values[..., 0])
+        with pytest.raises(OutOfExtent):
+            bilinear_upsample(cube, GridSpec(13, 9, 49.0, -0.5, 0.1 - 1e-6, 1.25))
+
     def test_global_source_wraps_longitude(self):
         spec = GridSpec(3, 4, 45.0, -45.0, 0.0, 90.0)
         field = np.array([[0.0, 10.0, 20.0, 30.0]] * 3)
@@ -151,3 +167,110 @@ class TestBitwisePinned:
         assert 721 % (_ROW_BLOCK_VALUES // 1440)       # a short last block
         assert 10 < _ROW_BLOCK_VALUES // 229           # one short block
         assert 36000 > _ROW_BLOCK_VALUES               # one row per block
+
+
+@pytest.fixture
+def no_plan(monkeypatch):
+    """An empty plan cache, restored after the test."""
+    monkeypatch.setattr(regrid, "_last_plan", None)
+
+
+@pytest.fixture
+def coeff_calls(monkeypatch, no_plan):
+    """The number of _lat_coeffs and _lon_coeffs calls, by name, from an empty plan cache."""
+    calls = {"lat": 0, "lon": 0}
+    for axis in calls:
+        real = getattr(regrid, f"_{axis}_coeffs")
+
+        def counted(source, target, axis=axis, real=real):
+            calls[axis] += 1
+            return real(source, target)
+        monkeypatch.setattr(regrid, f"_{axis}_coeffs", counted)
+    return calls
+
+
+def _random_cube(spec, seed, n_chan=1):
+    rng = np.random.default_rng(seed)
+    catalog = VariableCatalog([VariableId(f"V{k}") for k in range(n_chan)])
+    values = rng.normal(280.0, 15.0, size=(n_chan, spec.n_lat, spec.n_lon))
+    return FieldCube(spec, catalog, utc(2024, 7, 1, 12), values.astype(np.float32))
+
+
+class TestPlanCache:
+    """The plan of the last grid pair is kept; every other pair gets its own."""
+
+    def test_one_grid_pair_builds_its_plan_once(self, coeff_calls):
+        cube = _random_cube(COARSE, 24)
+        first = bilinear_upsample(cube, FINE)
+        second = bilinear_upsample(_random_cube(COARSE, 25), FINE)
+        assert coeff_calls == {"lat": 1, "lon": 1}
+        assert not np.array_equal(first.values, second.values)
+        bilinear_upsample(cube, GridSpec(40, 81, 49.9, -0.7, 100.3, 0.7))
+        assert coeff_calls == {"lat": 2, "lon": 2}
+
+    def test_interleaved_grid_pairs_keep_the_four_gather_bits(self, no_plan):
+        global_source = GridSpec(36, 72, 87.5, -5.0, 0.0, 5.0)
+        pairs = [(COARSE, FINE), (global_source, GridSpec(181, 144, 90.0, -1.0, 1.25, 2.5)),
+                 (COARSE, GridSpec(40, 81, 49.9, -0.7, 100.3, 0.7)), (global_source, FINE)]
+        for seed, (source, target) in enumerate(pairs + pairs[::-1] + pairs):
+            cube = _random_cube(source, seed, n_chan=2)
+            out = bilinear_upsample(cube, target)
+            expected = four_gather_blend(cube, target)
+            np.testing.assert_array_equal(out.values.view(np.uint32), expected.view(np.uint32))
+
+    def test_specs_equal_but_for_the_sign_of_a_zero_get_their_own_plan(self, monkeypatch,
+                                                                       no_plan):
+        """On a source of -0.0 values, a target lat_start of 0.0 and one of -0.0 give
+        72 and 81 negative zeros: the cache key is the specs' bits, not ``==``."""
+        source = GridSpec(5, 5, 0.0, -1.0, 0.0, 1.0)
+        cube = _cube_on(source, np.full((5, 5), -0.0))
+        plus, minus = (GridSpec(9, 9, zero, -0.25, 0.0, 0.25) for zero in (0.0, -0.0))
+        assert plus == minus and hash(plus) == hash(minus)
+        outs = [bilinear_upsample(cube, target).values for target in (plus, minus)]
+        monkeypatch.setattr(regrid, "_last_plan", None)
+        fresh = bilinear_upsample(cube, minus).values
+        assert [int(np.signbit(out).sum()) for out in outs] == [72, 81]
+        np.testing.assert_array_equal(outs[1].view(np.uint32), fresh.view(np.uint32))
+
+    def test_threads_upsampling_onto_two_grid_pairs_keep_the_four_gather_bits(self, no_plan):
+        """Each thread swaps the cached plan out from under the others, every few µs."""
+        pairs = [(COARSE, FINE), (COARSE, GridSpec(40, 81, 49.9, -0.7, 100.3, 0.7))]
+        cubes = [_random_cube(source, seed) for seed, (source, _) in enumerate(pairs)]
+        expected = [four_gather_blend(cube, target).view(np.uint32)
+                    for cube, (_, target) in zip(cubes, pairs)]
+
+        def upsample_in_turn(first):
+            outs = ((bilinear_upsample(cubes[k % 2], pairs[k % 2][1]), expected[k % 2])
+                    for k in range(first, first + 20))
+            return all(np.array_equal(out.values.view(np.uint32), want) for out, want in outs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(upsample_in_turn, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [True] * 4
+
+    def test_cached_arrays_are_read_only(self, no_plan):
+        plan = regrid._plan(COARSE, FINE)
+        assert regrid._plan(COARSE, FINE) is plan
+        for arr in plan:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+
+class TestNoRescan:
+    """The upsampled cube is not scanned for NaN/Inf: its values are finite by construction."""
+
+    def test_float32_extremes_upsample_to_finite_values_inside_the_source_range(self):
+        big = np.finfo(np.float32).max
+        rng = np.random.default_rng(26)
+        field = rng.choice([-big, big, 0.0, 1.0], size=(20, 40))
+        field[:4, :4] = big
+        cube = _cube_on(COARSE, field)
+        out = bilinear_upsample(cube, FINE).values
+        assert np.isfinite(out).all()
+        assert out.min() >= -big and out.max() <= big
+        assert (out == big).any() and (out == -big).any()
