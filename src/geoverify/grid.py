@@ -89,7 +89,10 @@ class GridSpec:
     @property
     def longitudes(self) -> np.ndarray:
         """Longitudes per column, degrees in [0, 360), storage order."""
-        return (self.lon_start + np.arange(self.n_lon, dtype=np.float64) * self.lon_step) % 360.0
+        lons = (self.lon_start + np.arange(self.n_lon, dtype=np.float64) * self.lon_step) % 360.0
+        # A longitude a rounding error west of 0 degrees wraps to 360.0: it is 0.
+        lons[lons == 360.0] = 0.0
+        return lons
 
     @cached_property
     def _axes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -160,6 +163,7 @@ class VariableCatalog:
 
     def __init__(self, entries: Iterable[VariableId]):
         self._entries = tuple(entries)
+        self._hash = hash(self._entries)  # verify keys a dict by catalog at every header
         self._index: dict[tuple[str, int | None], int] = {}
         for i, v in enumerate(self._entries):
             if v.key in self._index:
@@ -183,7 +187,7 @@ class VariableCatalog:
         return isinstance(other, VariableCatalog) and self._entries == other._entries
 
     def __hash__(self) -> int:
-        return hash(self._entries)
+        return self._hash
 
     @staticmethod
     def _key_of(var) -> tuple[str, int | None]:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import partial
@@ -419,6 +418,9 @@ def evaluate_set(
 
     workers = min(threads, _usable_cpus())
     if workers > 1:
+        # Imported here: concurrent.futures loads logging, which a serial run never needs.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             score_all(pool.map)
     else:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import io
 import os
 import shutil
@@ -828,6 +829,39 @@ class TestVerifyHeaderPass:
         assert _one_error_line(capsys.readouterr().err, 4, last) == (
             f"geoverify: config error: {last}: variable T2M not in catalog")
         assert _tree(tmp_path) == before
+
+    def test_plan_hashes_as_many_variables_for_one_init_time_as_for_four(self, tmp_path,
+                                                                          monkeypatch):
+        """A catalog hashes its entries once, when it is made, not at each file's lookup."""
+        from geoverify import cli, cubeio
+
+        plan, var_hash, counts, counting = cli._plan, VariableId.__hash__, [], [False]
+
+        def counted_hash(var):
+            if counting[0]:
+                counts[-1] += 1
+            return var_hash(var)
+
+        def counted_plan(*args):
+            counting[0] = True
+            try:
+                return plan(*args)
+            finally:
+                counting[0] = False
+
+        monkeypatch.setattr(VariableId, "__hash__", counted_hash)
+        monkeypatch.setattr(cli, "_plan", counted_plan)
+        for n in (1, 4):
+            (tmp_path / str(n)).mkdir()
+            inits = [utc(2024, 1, 1 + day, 0) for day in range(n)]
+            fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path / str(n), inits,
+                                                                   [6, 12])
+            monkeypatch.setattr(cubeio, "_CATALOGS", {})  # each run makes its catalogs anew
+            counts.append(0)
+            assert main(_argv("verify", forecast=fdir, reference=rdir, climatology=manifest,
+                              variables="Z500,T2M", init_times=times_file, leads="6,12",
+                              out=tmp_path / f"r{n}.csv")) == 0
+        assert counts[0] == counts[1]
 
 
 class TestVerifyNonFiniteScoredValue:
@@ -2144,6 +2178,34 @@ def test_failure_exits_with_its_code_and_writes_nothing(tmp_path, capsys, build,
     assert _tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("collecting", [True, False], ids=["collecting", "paused"])
+@pytest.mark.parametrize("build, code", [
+    (lambda tmp: _tc_filter(tmp, EXCLUDE_CASE), 0),
+    (tc_filter_missing_cases, 2),
+    (tc_filter_bad_number, 3),
+    (tc_filter_nan_comparable_tol, 4),
+], ids=["exit-0", "exit-2", "exit-3", "exit-4"])
+def test_main_pauses_the_collector_and_gives_back_the_callers_state(
+        tmp_path, capsys, monkeypatch, build, code, collecting):
+    from geoverify import cli
+
+    argv, during, cmd_tc_filter = build(tmp_path), [], cli.cmd_tc_filter
+
+    def spied(args):
+        during.append(gc.isenabled())
+        return cmd_tc_filter(args)
+
+    monkeypatch.setattr(cli, "cmd_tc_filter", spied)
+    caller = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if caller else gc.disable)()
+    assert during == [False]
+
+
 # --- flag fuzz: any value of any flag exits 0, 2, 3 or 4 ---------------------------
 
 #: Caps on what a drawn value asks for, so no draw starts many threads or asks
@@ -2238,6 +2300,19 @@ def test_any_flag_values_exit_with_a_documented_code(valid_flags, command, data)
             os.chdir(cwd)
     event(f"exit {code}")
     assert code in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("command", sorted(_option_dests()))
+def test_a_command_leaves_no_more_cyclic_garbage_than_its_parser(valid_flags, command):
+    """main pauses the collector while a command runs, so a command must make no garbage
+    cycles of its own: the parser that main builds is the only one."""
+    _, flags = valid_flags
+    gc.collect()
+    build_parser()
+    parser_garbage = gc.collect()
+    assert parser_garbage > 0
+    assert main(_argv(command, **flags[command])) == 0
+    assert gc.collect() <= parser_garbage
 
 
 # --- verify input fuzz: one damaged input cube fails the run with a data error ------

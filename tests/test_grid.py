@@ -27,6 +27,12 @@ class TestGridSpec:
         spec = GridSpec(2, 4, 10.0, -20.0, 270.0, 45.0)
         np.testing.assert_allclose(spec.longitudes, [270, 315, 0, 45])
 
+    def test_a_longitude_that_rounds_to_360_is_0(self):
+        """(-1e-17) % 360.0 rounds to 360.0: the first column lies at 0, inside [0, 360)."""
+        spec = GridSpec(3, 4, 10.0, -1.0, -1e-17, 1.0)
+        np.testing.assert_array_equal(spec.longitudes, [0.0, 1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(spec._axes[1], [0.0, 1.0, 2.0, 3.0])
+
     def test_axes_are_fresh_writable_arrays(self):
         """Each call gives a new array: writing to one leaves the grid's axes as they were."""
         spec = GridSpec(2, 4, 10.0, -20.0, 270.0, 45.0)
@@ -105,6 +111,11 @@ class TestVariableCatalog:
         cat = weather_catalog(include_input_only=True)
         assert len(cat) == 77
         assert cat.get("LSM").role == "input-only"
+
+    def test_equal_catalogs_hash_equal(self):
+        a, b = weather_catalog(), weather_catalog()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "first"}[b] == "first"
 
     def test_duplicate_entries_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

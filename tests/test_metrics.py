@@ -1,5 +1,6 @@
 """Tests for skill scores, with naive-loop oracles for the weighted metrics."""
 
+import concurrent.futures
 import math
 import os
 import re
@@ -625,7 +626,8 @@ class TestRmseOverSet:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(metrics, "ThreadPoolExecutor", SerialPool)
+        # evaluate_set imports the pool class from concurrent.futures when it starts one.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         # Where the OS gives no affinity mask, the CPU count bounds the pool.
         monkeypatch.delattr(metrics.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(metrics.os, "cpu_count", lambda: cpus)
