@@ -120,14 +120,6 @@ def read_init_times(path) -> list[datetime]:
     return times
 
 
-def _read_cube_at(path: Path, valid: datetime, expected: str, out) -> FieldCube:
-    """read_cube into ``out``; CorruptHeader naming ``path`` if its valid time is not ``valid``."""
-    cube = cubeio.read_cube(path, out=out)
-    if cube.valid_time != valid:
-        raise CorruptHeader(f"{path}: valid_time {cube.valid_time} != {expected}")
-    return cube
-
-
 # --- verify -------------------------------------------------------------------
 
 class _WorkerBuffers(threading.local):
@@ -173,7 +165,7 @@ def _cut(catalogs, order, channel_bytes) -> tuple[list, list[list[range]]]:
 
 
 def _plan(args, variables, clim, eval_set) -> tuple[GridSpec, list, dict]:
-    """(grid, groups, {valid time: {path: channel range per group}}) of a verify run.
+    """(grid, groups, {valid time: {path: (header, channel range per group)}}) of a verify run.
 
     One pass over the run's headers, before any payload is read, valid time by
     valid time in pass order: the first forecast, the reference, the key cube
@@ -182,21 +174,22 @@ def _plan(args, variables, clim, eval_set) -> tuple[GridSpec, list, dict]:
     another valid time raises CorruptHeader, one on another grid than the first
     forecast's SpecMismatch, each naming the file.  A scored variable missing from
     a catalog raises UnknownVariable naming the first file that holds that catalog;
-    one that is input-only in the first forecast raises InvalidFlags.  Equal
-    catalogs share one object; one cut over the distinct ones groups the
-    variables in the first forecast's catalog order.
+    one that is input-only in the first forecast raises InvalidFlags.  One cut
+    over the distinct catalogs groups the variables in the first forecast's
+    catalog order, and equal catalogs share one list of ranges.
     """
     grid, catalogs, files = None, {}, {}
 
-    def add(valid, path, spec, catalog):
+    def add(valid, header):
         nonlocal grid
+        path, spec, catalog = header.path, header.spec, header.catalog
         if catalog not in catalogs:  # each distinct catalog is checked at its first file
             try:
                 for var in variables:
                     catalog.index_of(var)
             except UnknownVariable as e:
                 raise UnknownVariable(f"{path}: {e}") from None
-            catalogs[catalog] = catalog
+            catalogs[catalog] = None
         if grid is None:  # the first forecast's header: the output grid and catalog
             grid = spec
             for name, level in variables:
@@ -204,30 +197,32 @@ def _plan(args, variables, clim, eval_set) -> tuple[GridSpec, list, dict]:
                     raise InvalidFlags(f"variable {name} is input-only and carries no skill metrics")
         if spec != grid:
             raise SpecMismatch(f"{path}: grid differs from the first forecast's grid")
-        files.setdefault(valid, {})[path] = catalogs[catalog]
+        files.setdefault(valid, {})[path] = header
 
-    def header(valid, path, pair, expected):
+    def add_file(valid, path, pair, expected):
         try:
-            spec, catalog, file_valid = cubeio.read_header(path)
+            header = cubeio.read_header(path)
         except FileNotFoundError as e:
             raise MissingCube(*pair, str(e)) from None
-        if file_valid != valid:
-            raise CorruptHeader(f"{path}: valid_time {file_valid} != {expected}")
-        add(valid, path, spec, catalog)
+        if header.valid_time != valid:
+            raise CorruptHeader(f"{path}: valid_time {header.valid_time} != {expected}")
+        add(valid, header)
 
     for valid, pairs in eval_set.by_valid_time().items():
         fc_paths = [forecast_path(args.forecast, *pair) for pair in pairs]
-        header(valid, fc_paths[0], pairs[0], f"init {pairs[0][0]} + {pairs[0][1]}h")
-        header(valid, reference_path(args.reference, valid), pairs[0], f"{valid} of the file name")
+        add_file(valid, fc_paths[0], pairs[0], f"init {pairs[0][0]} + {pairs[0][1]}h")
+        add_file(valid, reference_path(args.reference, valid), pairs[0],
+                 f"{valid} of the file name")
         if clim is not None:
-            add(valid, clim.key_path(valid), clim.spec, clim.catalog)
+            add(valid, clim.key_header(valid))
         for path, (t0, lead) in zip(fc_paths[1:], pairs[1:]):
-            header(valid, path, (t0, lead), f"init {t0} + {lead}h")
+            add_file(valid, path, (t0, lead), f"init {t0} + {lead}h")
     order = sorted(dict.fromkeys(variables), key=next(iter(catalogs)).index_of)
     groups, spans = _cut(list(catalogs), order, 4 * grid.n_lat * grid.n_lon)
     spans_of = dict(zip(catalogs, spans))
-    return grid, groups, {valid: {path: spans_of[catalog] for path, catalog in paths.items()}
-                          for valid, paths in files.items()}
+    return grid, groups, {valid: {path: (header, spans_of[header.catalog])
+                                  for path, header in headers.items()}
+                          for valid, headers in files.items()}
 
 
 def cmd_verify(args) -> int:
@@ -259,7 +254,8 @@ def cmd_verify(args) -> int:
         # Every kept channel is scored, so the kernels' row sums check it for NaN/Inf.
         nonlocal last_valid
         last_valid = valid
-        return cubeio.read_cube(path, groups[k], plan[valid][path][k], out=out, _scan_kept=False)
+        header, spans = plan[valid][path]
+        return cubeio.read_cube(header, groups[k], spans[k], out=out, _scan_kept=False)
 
     try:
         records, rmse_maps = metrics.evaluate_set(
@@ -271,7 +267,7 @@ def cmd_verify(args) -> int:
             variables,
             rmse="rmse" in wanted,
             climatologies=None if clim is None else (
-                lambda valid, k: read(valid, clim.key_path(valid), k, buffers.climatology)),
+                lambda valid, k: read(valid, clim.key_header(valid).path, k, buffers.climatology)),
             groups=groups,
             maps=bool(args.map_dir),
             threads=args.threads,
@@ -281,8 +277,8 @@ def cmd_verify(args) -> int:
         # its files range by range in pass order: the error names the first file
         # that holds a NaN or Inf.
         for k, group in enumerate(groups):
-            for path, spans in plan[last_valid].items():
-                cubeio.read_cube(path, group, spans[k])
+            for header, spans in plan[last_valid].values():
+                cubeio.read_cube(header, group, spans[k])
         raise
     params = {
         "forecast": args.forecast,
@@ -319,8 +315,10 @@ def _downscale_inputs(args, truth_path: Path, truth: FieldCube,
     from . import regrid
 
     stem = truth_path.stem
-    coarse = cubeio.read_cube(Path(args.coarse) / truth_path.name, out=buffers["coarse"])
-    model = cubeio.read_cube(Path(args.model) / truth_path.name, out=buffers["model"])
+    coarse = cubeio.read_cube(cubeio.read_header(Path(args.coarse) / truth_path.name),
+                              out=buffers["coarse"])
+    model = cubeio.read_cube(cubeio.read_header(Path(args.model) / truth_path.name),
+                             out=buffers["model"])
     for side, cube in (("coarse", coarse), ("model", model)):
         if cube.valid_time != truth.valid_time:
             raise GeoverifyError(f"{side} cube valid_time {cubeio.format_time(cube.valid_time)}"
@@ -380,7 +378,7 @@ def cmd_downscale_eval(args) -> int:
         # for 14k, 1.03-1.26 s wall for 0.72-0.98 s, 1.8 MiB lower peak RSS).
         truth = model = None
         try:
-            truth = cubeio.read_cube(truth_path, out=buffers["truth"])
+            truth = cubeio.read_cube(cubeio.read_header(truth_path), out=buffers["truth"])
             first = truth_at.setdefault(truth.valid_time, truth_path)
             if first == truth_path:
                 baseline, model = _downscale_inputs(args, truth_path, truth, buffers)
@@ -400,7 +398,8 @@ def cmd_downscale_eval(args) -> int:
     if not rows:
         raise EmptyInput("no downscaling samples evaluated")
 
-    # Every matrix is built before any file is written: a failure leaves no partial report.
+    # Every matrix is built before any file is written, and the report is written last:
+    # a failure leaves no report.
     matrices = [
         (token, metric, metrics.month_hour_matrix(values, samples[token, metric, "bilinear"]))
         for (token, metric, method), values in samples.items() if method == "model"
@@ -412,6 +411,14 @@ def cmd_downscale_eval(args) -> int:
         "model": args.model,
         "psnr_peak": "reference-range" if args.psnr_peak is None else args.psnr_peak,
     }
+    out_base = Path(args.out)
+    for token, metric, matrix in matrices:
+        capped = int(np.isinf(matrix).sum())
+        matrix[np.isposinf(matrix)] = 1.0
+        matrix[np.isneginf(matrix)] = -1.0
+        matrix_params = dict(params, variable=token, metric=metric, capped_cells=capped)
+        path = out_base.parent / f"{out_base.stem}_nd_{token}_{metric}.csv"
+        cubeio.write_month_hour_matrix(matrix, path, matrix_params)
     rows.sort(key=lambda r: (r[0], r[1].token, r[2], r[3]))
     cubeio.write_csv(
         args.out, params, ["time", "variable", "level", "method", "metric", "value", "peak"],
@@ -419,15 +426,6 @@ def cmd_downscale_eval(args) -> int:
           method, metric, format(value, ".6g"), format(peak, ".6g"))
          for t, var, method, metric, value, peak in rows),
     )
-
-    out_base = Path(args.out)
-    for token, metric, matrix in matrices:
-        capped = int(np.isinf(matrix).sum())
-        matrix[np.isposinf(matrix)] = 1.0
-        matrix[np.isneginf(matrix)] = -1.0
-        matrix_params = dict(params, variable=token, metric=metric, capped_cells=capped)
-        path = out_base.with_name(f"{out_base.stem}_nd_{token}_{metric}.csv")
-        cubeio.write_month_hour_matrix(matrix, path, matrix_params)
 
     if failures:
         print(f"geoverify: {failures} sample(s) skipped", file=sys.stderr)
@@ -456,7 +454,7 @@ def cmd_tc_track(args) -> int:
             )
         tracker = tc.CycloneTracker(
             seed,
-            headers[seed.time][1],
+            headers[seed.time].spec,
             search_radius_km=args.search_radius_km,
             intensity_radius_km=args.intensity_radius_km,
             closed_low_hpa=args.closed_low_hpa,
@@ -467,12 +465,12 @@ def cmd_tc_track(args) -> int:
         trackers.append(tracker)
         starting.setdefault(seed.time, []).append(tracker)
 
-    # One pass in valid-time order: every cube is read and checked in full, steps
+    # One pass in valid-time order: every cube is read in full from its header, steps
     # every active tracker once, and is released before the next one is read
     # into the same buffer.
     active, buffer = [], cubeio.ReadBuffer()
     for valid in sorted(headers):
-        cube = _read_cube_at(headers[valid][0], valid, "the time in its header", buffer)
+        cube = cubeio.read_cube(headers[valid], out=buffer)
         active = [t for t in active + starting.get(valid, []) if t.step(cube)]
         del cube
     out_tracks = [t.track() for t in trackers]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cubeio
 from .errors import EmptyInput, MissingKey, NonSynopticTime, ParseError, SpecMismatch
-from .grid import GridSpec, VariableCatalog
+from .grid import VariableCatalog
 
 #: Hours of day that carry climatology keys (6-hourly synoptic times).
 KEY_HOURS = (0, 6, 12, 18)
@@ -40,27 +40,27 @@ def climatology_key(valid_time: datetime) -> tuple[int, int]:
 class Climatology:
     """A climatology on disk: the keys its manifest names, their sample counts and cubes.
 
-    A key's cube is read each time the key is looked up.
+    Each key cube's header is read once, when the climatology loads; its
+    payload is read from that header each time the key is looked up.
     """
 
-    def __init__(self, spec: GridSpec, catalog: VariableCatalog,
-                 counts: dict[tuple[int, int], int], paths: dict[tuple[int, int], Path]):
-        self.spec = spec
+    def __init__(self, catalog: VariableCatalog, counts: dict[tuple[int, int], int],
+                 headers: dict[tuple[int, int], cubeio.CubeHeader]):
         self.catalog = catalog
         self.counts = counts
-        self.paths = paths
+        self.headers = headers
         self.means: dict = {}  # always empty; the bench tracer still reads it
 
-    def key_path(self, valid_time: datetime) -> Path:
-        """The cube file of the key of a valid time; MissingKey if the manifest lacks it."""
+    def key_header(self, valid_time: datetime) -> cubeio.CubeHeader:
+        """The key cube's header for a valid time; MissingKey if the manifest lacks the key."""
         key = climatology_key(valid_time)
-        if key not in self.paths:
+        if key not in self.headers:
             raise MissingKey(f"no climatology for day {key[0]} hour {key[1]:02d}")
-        return self.paths[key]
+        return self.headers[key]
 
     def lookup_channel(self, valid_time: datetime, var) -> np.ndarray:
         """The stored H x W mean of ``var`` for the key of a valid time."""
-        return cubeio.read_cube(self.key_path(valid_time)).values[self.catalog.index_of(var)]
+        return cubeio.read_cube(self.key_header(valid_time)).values[self.catalog.index_of(var)]
 
     @classmethod
     def load(cls, manifest_path) -> "Climatology":
@@ -74,9 +74,8 @@ class Climatology:
         until a key is looked up.
         """
         manifest_path = Path(manifest_path)
-        paths: dict[tuple[int, int], Path] = {}
+        headers: dict[tuple[int, int], cubeio.CubeHeader] = {}
         counts: dict[tuple[int, int], int] = {}
-        spec = catalog = None
         for row_no, (doy, hour, n_samples, filename) in cubeio.read_csv_rows(
                 manifest_path, MANIFEST_COLUMNS):
             try:
@@ -85,20 +84,18 @@ class Climatology:
                 raise ParseError(row_no, str(e)) from None
             if not 1 <= key[0] <= 366 or key[1] not in KEY_HOURS:
                 raise ParseError(row_no, f"doy {key[0]} hour {key[1]} is not a climatology key")
-            if key in paths:
+            if key in headers:
                 raise ParseError(row_no, f"repeated key doy {key[0]} hour {key[1]}")
             if count < 1:
                 raise ParseError(row_no, f"n_samples {count} is below 1")
-            paths[key] = manifest_path.parent / filename
+            header = headers[key] = cubeio.read_header(manifest_path.parent / filename)
             counts[key] = count
-            file_spec, file_catalog, _ = cubeio.read_header(paths[key])
-            if spec is None:
-                spec, catalog = file_spec, file_catalog
-            elif (file_spec, file_catalog) != (spec, catalog):
+            first = next(iter(headers.values()))
+            if (header.spec, header.catalog) != (first.spec, first.catalog):
                 raise SpecMismatch(f"climatology file {filename} mismatches manifest")
-        if spec is None:
+        if not headers:
             raise EmptyInput(f"manifest {manifest_path} lists no keys")
-        return cls(spec, catalog, counts, paths)
+        return cls(first.catalog, counts, headers)
 
 
 def build_climatology(paths, directory) -> Path:
@@ -123,13 +120,14 @@ def build_climatology(paths, directory) -> Path:
     if not headers:
         raise EmptyInput("no cubes to build a climatology from")
     times = sorted(headers)
-    first, spec, catalog = headers[times[0]]
-    keys: dict[tuple[int, int], list[Path]] = {}
+    first = headers[times[0]]
+    spec, catalog = first.spec, first.catalog
+    keys: dict[tuple[int, int], list[cubeio.CubeHeader]] = {}
     for valid in times:
-        path, *grid = headers[valid]
-        if grid != [spec, catalog]:
-            raise SpecMismatch(f"{path}: grid or catalog differs from {first}")
-        keys.setdefault(climatology_key(valid), []).append(path)
+        header = headers[valid]
+        if (header.spec, header.catalog) != (spec, catalog):
+            raise SpecMismatch(f"{header.path}: grid or catalog differs from {first.path}")
+        keys.setdefault(climatology_key(valid), []).append(header)
     step = max(1, cubeio.RANGE_BYTES // (4 * spec.n_lat * spec.n_lon))
     ranges = [range(c, min(c + step, len(catalog))) for c in range(0, len(catalog), step)]
 
@@ -139,17 +137,17 @@ def build_climatology(paths, directory) -> Path:
     tmp = Path(tempfile.mkdtemp(prefix=f".{directory.name}.", suffix=".tmp", dir=directory.parent))
     try:
         buffer, rows = cubeio.ReadBuffer(), []
-        for (doy, hour), key_paths in sorted(keys.items()):
+        for (doy, hour), key_headers in sorted(keys.items()):
             name = f"clim_d{doy:03d}_h{hour:02d}.gvc"
             stamp = datetime(2000, 1, 1, hour, tzinfo=timezone.utc) + timedelta(days=doy - 1)
             with cubeio.cube_writer(spec, catalog, stamp, tmp / name) as write:
                 for channels in ranges:
                     total = np.zeros((len(channels), spec.n_lat, spec.n_lon))
-                    for path in key_paths:
-                        total += cubeio.read_cube(path, channels=channels, out=buffer).values
-                    total /= len(key_paths)
+                    for header in key_headers:
+                        total += cubeio.read_cube(header, channels=channels, out=buffer).values
+                    total /= len(key_headers)
                     write(total)
-            rows.append((doy, hour, len(key_paths), name))
+            rows.append((doy, hour, len(key_headers), name))
         cubeio.write_csv(tmp / MANIFEST_NAME, None, MANIFEST_COLUMNS, rows)
         directory.mkdir(exist_ok=True)
         for name in [row[3] for row in rows] + [MANIFEST_NAME]:

@@ -31,6 +31,7 @@ import os
 import struct
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -135,7 +136,7 @@ def cube_writer(spec: GridSpec, catalog: VariableCatalog, valid_time: datetime, 
 
 
 def write_cube(cube: FieldCube, path) -> None:
-    """Write a cube atomically; read_cube(write_cube(c)) is bit-identical to c."""
+    """Write a cube atomically; reading it back gives a cube bit-identical to ``cube``."""
     with cube_writer(cube.spec, cube.catalog, cube.valid_time, path) as write:
         write(cube.values)
 
@@ -149,34 +150,48 @@ _SPECS: dict[bytes, GridSpec] = {}
 _CATALOGS: dict[bytes, VariableCatalog] = {}
 
 
-def _read_header(f, path) -> tuple[GridSpec, VariableCatalog, datetime]:
-    """Spec, catalog and valid time from ``f``'s header, leaving ``f`` at the payload.
+@dataclass(frozen=True)
+class CubeHeader:
+    """A cube file's checked header: what ``read_header`` returns and ``read_cube`` reads from."""
+
+    path: str | os.PathLike
+    spec: GridSpec
+    catalog: VariableCatalog
+    valid_time: datetime
+    offset: int  # of the payload, in bytes from the start of the file
+
+
+def read_header(path) -> CubeHeader:
+    """The header of a cube file, checked in full, without reading its payload.
 
     Any fault, including a payload length that disagrees with the file size,
     raises a CubeFormatError.  Every file is checked in full, also one whose
     grid or catalog bytes were seen before.
     """
-    fixed = f.read(_FIXED_HEADER.size)
-    if fixed[:4] != MAGIC:
-        raise BadMagic(f"{path}: bad magic {fixed[:4]!r}")
-    if len(fixed) < _FIXED_HEADER.size:
-        raise TruncatedPayload(f"{path}: truncated header")
-    (_, version, orientation, n_lat, n_lon, n_chan,
-     lat_start, lat_step, lon_start, lon_step,
-     epoch_s, n_entries) = _FIXED_HEADER.unpack(fixed)
-    if version != VERSION:
-        raise UnsupportedVersion(f"{path}: version {version}")
+    with open(path, "rb") as f:
+        fixed = f.read(_FIXED_HEADER.size)
+        if fixed[:4] != MAGIC:
+            raise BadMagic(f"{path}: bad magic {fixed[:4]!r}")
+        if len(fixed) < _FIXED_HEADER.size:
+            raise TruncatedPayload(f"{path}: truncated header")
+        (_, version, orientation, n_lat, n_lon, n_chan,
+         lat_start, lat_step, lon_start, lon_step,
+         epoch_s, n_entries) = _FIXED_HEADER.unpack(fixed)
+        if version != VERSION:
+            raise UnsupportedVersion(f"{path}: version {version}")
 
-    raw = []  # each entry's length prefix and bytes
-    for _ in range(n_entries):
-        prefix = f.read(2)
-        if len(prefix) < 2:
-            raise TruncatedPayload(f"{path}: truncated catalog")
-        (length,) = struct.unpack("<H", prefix)
-        entry = f.read(length)
-        if len(entry) < length:
-            raise TruncatedPayload(f"{path}: truncated catalog entry")
-        raw += (prefix, entry)
+        raw = []  # each entry's length prefix and bytes
+        for _ in range(n_entries):
+            prefix = f.read(2)
+            if len(prefix) < 2:
+                raise TruncatedPayload(f"{path}: truncated catalog")
+            (length,) = struct.unpack("<H", prefix)
+            entry = f.read(length)
+            if len(entry) < length:
+                raise TruncatedPayload(f"{path}: truncated catalog entry")
+            raw += (prefix, entry)
+        offset = f.tell()
+        payload = os.fstat(f.fileno()).st_size - offset
     catalog_key = b"".join(raw)
     catalog = _CATALOGS.get(catalog_key)
     if catalog is None:
@@ -207,33 +222,21 @@ def _read_header(f, path) -> tuple[GridSpec, VariableCatalog, datetime]:
     except (ValueError, OverflowError, OSError) as e:
         raise CorruptHeader(f"{path}: valid time {epoch_s}: {e}") from None
 
-    payload = os.fstat(f.fileno()).st_size - f.tell()
     expected = 4 * n_chan * n_lat * n_lon
     if payload != expected:
         raise TruncatedPayload(f"{path}: payload is {payload} bytes, header implies {expected}")
-    return spec, catalog, valid_time
+    return CubeHeader(path, spec, catalog, valid_time, offset)
 
 
-def read_header(path) -> tuple[GridSpec, VariableCatalog, datetime]:
-    """Grid spec, catalog and valid time of a cube file, without reading its payload.
-
-    The header is validated exactly as ``read_cube`` validates it."""
-    with open(path, "rb") as f:
-        return _read_header(f, path)
-
-
-def headers_by_time(paths) -> dict:
-    """{header valid time: (path, grid, catalog)} of every cube file in ``paths``.
-
-    Reads headers only.  Two cubes at one valid time are a data error.
-    """
+def headers_by_time(paths) -> dict[datetime, CubeHeader]:
+    """{valid time: read_header(path)} for each path; two cubes at one time are a data error."""
     headers = {}
     for path in paths:
-        spec, catalog, valid = read_header(path)
-        if valid in headers:
-            raise GeoverifyError(f"two cubes have valid time {format_time(valid)}: "
-                                 f"{headers[valid][0]} and {path}")
-        headers[valid] = (path, spec, catalog)
+        header = read_header(path)
+        if header.valid_time in headers:
+            raise GeoverifyError(f"two cubes have valid time {format_time(header.valid_time)}: "
+                                 f"{headers[header.valid_time].path} and {path}")
+        headers[header.valid_time] = header
     return headers
 
 
@@ -293,10 +296,11 @@ class ReadBuffer:
         return self._values[:n]
 
 
-def read_cube(path, variables=None, channels: range | None = None,
+def read_cube(header: CubeHeader, variables=None, channels: range | None = None,
               out: ReadBuffer | None = None, *, _scan_kept: bool = True) -> FieldCube:
-    """Read a GVC1 cube file, validating header consistency and finiteness.
+    """The cube of the file whose header ``read_header`` returned, its values checked for NaN/Inf.
 
+    The header is not read again: the payload is read from ``header.offset``.
     With ``variables``, the cube keeps only the channels of the file's
     catalog named there (as tokens, (name, level) pairs or VariableIds), in
     file order; a variable the file lacks is not kept, so ``select_channel``
@@ -305,11 +309,11 @@ def read_cube(path, variables=None, channels: range | None = None,
     values and is checked for NaN/Inf: a file is accepted or rejected
     exactly as by a full read.
 
-    With ``channels``, a step-1 range of file channel indices, the header is
-    still read and validated in full, but only that run of the payload is
-    read: the cube keeps its channels that ``variables`` names (all of them
-    without ``variables``) and the rest of the run is checked for NaN/Inf.
-    A range beyond the file's channels raises CorruptHeader.
+    With ``channels``, a step-1 range of file channel indices, only that run
+    of the payload is read: the cube keeps its channels that ``variables``
+    names (all of them without ``variables``) and the rest of the run is
+    checked for NaN/Inf.  A range beyond the file's channels raises
+    CorruptHeader.
 
     With ``out``, the cube's values are cut from the buffer's storage (see
     ReadBuffer) rather than from a new array.  The scan block is always a
@@ -319,13 +323,13 @@ def read_cube(path, variables=None, channels: range | None = None,
     every kept value: the kept channels are then not scanned for NaN/Inf.
     When they are one run of adjacent channels, they are not copied either:
     the cube's values view a read-only mapping of their pages, and ``out`` is
-    unused.  A file that shrank below its header's payload raises
+    unused.  A file that shrank since its header was read raises
     TruncatedPayload; one truncated while the cube lives raises SIGBUS on
     access.  Unkept channels are always read through the scan block, so they
     do not stay resident.
     """
+    path, spec, catalog = header.path, header.spec, header.catalog
     with open(path, "rb") as f:
-        spec, catalog, valid_time = _read_header(f, path)
         span = range(len(catalog)) if channels is None else channels
         if span.step != 1:
             raise ValueError(f"channels must be a step-1 range, got {channels}")
@@ -338,7 +342,7 @@ def read_cube(path, variables=None, channels: range | None = None,
         if len(keep) < len(catalog):
             catalog = VariableCatalog([catalog.entries[i] for i in sorted(keep)])
         plane = spec.n_lat * spec.n_lon
-        f.seek(4 * plane * span.start, os.SEEK_CUR)
+        f.seek(header.offset + 4 * plane * span.start)
         n_kept = plane * len(keep)
         n_scan = min(FINITE_SCAN_VALUES, plane * (len(span) - len(keep)))
         mapped = not _scan_kept and bool(keep) and max(keep) - min(keep) + 1 == len(keep)
@@ -364,7 +368,7 @@ def read_cube(path, variables=None, channels: range | None = None,
     del scan  # before FieldCube's own finiteness scan allocates
     values = kept.reshape(len(keep), spec.n_lat, spec.n_lon)
     try:
-        return FieldCube(spec, catalog, valid_time, values, _scan=_scan_kept)
+        return FieldCube(spec, catalog, header.valid_time, values, _scan=_scan_kept)
     except ValueError as e:  # the finiteness scan of the kept channels is FieldCube's
         raise NonFiniteValue(f"{path}: {e}") from None
 

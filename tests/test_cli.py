@@ -34,7 +34,14 @@ from geoverify import (
     tc,
 )
 from geoverify.cli import build_parser, main, parse_leads, time_stem
-from geoverify.cubeio import read_csv_rows, read_cube, read_tracks, write_cube, write_tracks
+from geoverify.cubeio import (
+    read_csv_rows,
+    read_cube,
+    read_header,
+    read_tracks,
+    write_cube,
+    write_tracks,
+)
 from geoverify.errors import InvalidFlags, NonFiniteValue
 from conftest import utc, write_climatology, write_vortex
 
@@ -58,9 +65,9 @@ def buffer_takes(monkeypatch):
 
     read_cube, take, reads, takes = cubeio.read_cube, cubeio.ReadBuffer.take, [], {}
 
-    def counted(path, variables=None, channels=None, out=None, *, _scan_kept=True):
+    def counted(header, variables=None, channels=None, out=None, *, _scan_kept=True):
         reads.append(out is not None)
-        return read_cube(path, variables, channels, out, _scan_kept=_scan_kept)
+        return read_cube(header, variables, channels, out, _scan_kept=_scan_kept)
 
     def spied(self, n):
         values = take(self, n)
@@ -384,7 +391,7 @@ class TestVerify:
             "--out", str(tmp_path / "r.csv"), "--map-dir", str(map_dir),
         ])
         assert code == 0
-        cube = read_cube(map_dir / "rmsemap_Z500_6.gvc")
+        cube = read_cube(read_header(map_dir / "rmsemap_Z500_6.gvc"))
         assert cube.values.shape == (1, 5, 8)
         assert (np.asarray(cube.values) >= 0).all()
 
@@ -399,9 +406,9 @@ class TestVerify:
             if name == "full":
                 read_cube = cubeio.read_cube
                 monkeypatch.setattr(cubeio, "read_cube",
-                                    lambda path, variables=None, channels=None, out=None, *,
+                                    lambda header, variables=None, channels=None, out=None, *,
                                     _scan_kept=True:
-                                    read_cube(path, out=out, _scan_kept=_scan_kept))
+                                    read_cube(header, out=out, _scan_kept=_scan_kept))
             code = main([
                 "verify", "--forecast", str(fdir), "--reference", str(rdir),
                 "--climatology", str(manifest), "--variables", "T2M",
@@ -423,9 +430,9 @@ class TestVerify:
         fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6, 12, 18])
         read_cube, reads = cubeio.read_cube, []
 
-        def counted(path, variables=None, channels=None, out=None, *, _scan_kept=True):
-            reads.append(Path(path))
-            return read_cube(path, variables, channels, out, _scan_kept=_scan_kept)
+        def counted(header, variables=None, channels=None, out=None, *, _scan_kept=True):
+            reads.append(Path(header.path))
+            return read_cube(header, variables, channels, out, _scan_kept=_scan_kept)
 
         monkeypatch.setattr(cubeio, "read_cube", counted)
         code = main([
@@ -465,7 +472,7 @@ class TestVerify:
         init_times = [utc(2024, 1, 1, 0)]
         fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6])
         [path] = rdir.glob("*.gvc")
-        ref = read_cube(path)
+        ref = read_cube(read_header(path))
         write_cube(FieldCube(SPEC, VariableCatalog([VariableId("Z", 500)]), ref.valid_time,
                              ref.values[:1]), path)
         code = main([
@@ -552,11 +559,11 @@ class TestVerify:
                 fcs, refs = [], []
                 for t0 in sorted(init_times):
                     fcs.append(select_channel(
-                        read_cube(fdir / f"{time_stem(t0)}_{lead}.gvc"), var))
+                        read_cube(read_header(fdir / f"{time_stem(t0)}_{lead}.gvc")), var))
                     refs.append(select_channel(read_cube(
-                        rdir / f"{time_stem(t0 + timedelta(hours=lead))}.gvc"), var))
+                        read_header(rdir / f"{time_stem(t0 + timedelta(hours=lead))}.gvc")), var))
                 expected = pointwise_rmse(fcs, refs)[None].astype(np.float32)
-                cube = read_cube(map_dir / f"rmsemap_{token}_{lead}.gvc")
+                cube = read_cube(read_header(map_dir / f"rmsemap_{token}_{lead}.gvc"))
                 assert cube.values.tobytes() == expected.tobytes()
                 assert cube.valid_time == first + timedelta(hours=lead)
 
@@ -586,9 +593,9 @@ class TestVerifyChannelRanges:
 
         read_cube, reads = cubeio.read_cube, []
 
-        def counted(path, variables=None, channels=None, out=None, *, _scan_kept=True):
-            reads.append((Path(path).name, channels))
-            return read_cube(path, variables, channels, out, _scan_kept=_scan_kept)
+        def counted(header, variables=None, channels=None, out=None, *, _scan_kept=True):
+            reads.append((Path(header.path).name, channels))
+            return read_cube(header, variables, channels, out, _scan_kept=_scan_kept)
 
         monkeypatch.setattr(cubeio, "read_cube", counted)
         return reads
@@ -1031,7 +1038,7 @@ class TestDownscaleEval:
         dirs = dict(zip(("coarse", "truth", "model"),
                         self._write_fixture(tmp_path, times, "bilinear")))
         path = dirs[side] / f"{time_stem(times[0])}.gvc"
-        write_cube(replace(read_cube(path), valid_time=utc(2024, 3, 13, 18)), path)
+        write_cube(replace(read_cube(read_header(path)), valid_time=utc(2024, 3, 13, 18)), path)
         upsampled = []
         monkeypatch.setattr("geoverify.regrid.bilinear_upsample",
                             lambda cube, spec: upsampled.append(cube.valid_time)
@@ -1095,6 +1102,16 @@ class TestDownscaleEval:
                 c for line in nd[2:] for c in line.split(",")[1:] if c != "NA"
             ]
             assert values and all(float(v) == 0.0 for v in values)
+
+    def test_a_matrix_that_cannot_be_written_exits_2_and_leaves_no_report(self, tmp_path,
+                                                                         capsys):
+        """The report is written last, so a run that fails to write a matrix leaves none."""
+        coarse, truth, model = self._write_fixture(tmp_path, [utc(2024, 2, 2, 18)], "bilinear")
+        (tmp_path / "ds_nd_WS10M_rmse.csv").mkdir()
+        assert main(_argv("downscale-eval", coarse=coarse, truth=truth, model=model,
+                          out=tmp_path / "ds.csv")) == 2
+        assert "ds_nd_WS10M_rmse.csv" in capsys.readouterr().err
+        assert not (tmp_path / "ds.csv").exists()
 
 
 @pytest.mark.skipif(geoverify.metrics._usable_cpus() < 2,
@@ -1364,10 +1381,10 @@ class TestTcTrackStreaming:
         write_storms(directory, names_against_time=True)
         read_cube, reads, alive = cubeio.read_cube, [], []
 
-        def watched(path, variables=None, out=None, *, _scan_kept=True):
+        def watched(header, variables=None, out=None, *, _scan_kept=True):
             alive.extend(str(p) for p, cube in reads if cube() is not None)
-            cube = read_cube(path, variables, out=out, _scan_kept=_scan_kept)
-            reads.append((Path(path), weakref.ref(cube)))
+            cube = read_cube(header, variables, out=out, _scan_kept=_scan_kept)
+            reads.append((Path(header.path), weakref.ref(cube)))
             return cube
 
         monkeypatch.setattr(cubeio, "read_cube", watched)
@@ -1460,10 +1477,10 @@ class TestClimatologyCommand:
             monkeypatch.setattr(cubeio, "RANGE_BYTES", SPEC.n_lat * SPEC.n_lon * 4)
         read_cube, reads, alive = cubeio.read_cube, [], []
 
-        def watched(path, variables=None, channels=None, out=None, *, _scan_kept=True):
+        def watched(header, variables=None, channels=None, out=None, *, _scan_kept=True):
             alive.extend(str(p) for p, _, cube in reads if cube() is not None)
-            cube = read_cube(path, variables, channels, out, _scan_kept=_scan_kept)
-            reads.append((Path(path), channels, weakref.ref(cube)))
+            cube = read_cube(header, variables, channels, out, _scan_kept=_scan_kept)
+            reads.append((Path(header.path), channels, weakref.ref(cube)))
             return cube
 
         monkeypatch.setattr(cubeio, "read_cube", watched)
@@ -1553,9 +1570,10 @@ class TestHeadersByTime:
         headers = cubeio.headers_by_time(cubeio.cube_paths(cube_dir))
         assert sorted(headers) == TestClimatologyCommand.TIMES
         for k, cube in enumerate(cubes):
-            path, spec, catalog = headers[cube.valid_time]
-            assert path.name == f"{99 - k:02d}.gvc"
-            assert (spec, catalog) == (cube.spec, cube.catalog)
+            header = headers[cube.valid_time]
+            assert header.path.name == f"{99 - k:02d}.gvc"
+            assert header.valid_time == cube.valid_time
+            assert (header.spec, header.catalog) == (cube.spec, cube.catalog)
 
     def test_two_cubes_at_one_valid_time_name_both_files(self, tmp_path):
         from geoverify.errors import GeoverifyError
@@ -1569,6 +1587,61 @@ class TestHeadersByTime:
         assert message.startswith("two cubes have valid time 2019-06-01T00:00:00Z: ")
         assert "99.gvc" in message and "copy.gvc" in message
         assert err.value.exit_code == 2
+
+
+class TestOneHeaderParsePerFile:
+    """Each cube file's header is parsed once per run, by read_header, however often
+    its payload is read."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """{path: header parses}, counting each read of a cube's fixed header from byte 0."""
+        parses = {}
+
+        class Counted(io.BufferedReader):
+            def read(self, size=-1):
+                if size == cubeio._FIXED_HEADER.size and self.tell() == 0:
+                    path = Path(self.name)
+                    parses[path] = parses.get(path, 0) + 1
+                return super().read(size)
+
+        def counted_open(file, mode="r", **kwargs):
+            return Counted(io.FileIO(file)) if mode == "rb" else open(file, mode, **kwargs)
+
+        monkeypatch.setattr(cubeio, "open", counted_open, raising=False)
+        return parses
+
+    def test_verify_with_acc_in_one_channel_ranges(self, tmp_path, monkeypatch, parses):
+        monkeypatch.setattr(cubeio, "RANGE_BYTES", SPEC.n_lat * SPEC.n_lon * 4)
+        fdir, rdir, manifest, times_file = make_verify_fixture(
+            tmp_path, [utc(2024, 1, 1, 0), utc(2024, 1, 1, 12)], [6, 12])
+        parses.clear()  # of the fixture's climatology build
+        assert main(_argv("verify", forecast=fdir, reference=rdir, climatology=manifest,
+                          variables="Z500,T2M", init_times=times_file, leads="6,12",
+                          out=tmp_path / "r.csv")) == 0
+        files = [*fdir.glob("*.gvc"), *rdir.glob("*.gvc"), *manifest.parent.glob("*.gvc")]
+        assert parses == dict.fromkeys(files, 1)
+
+    def test_tc_track(self, tmp_path, parses):
+        directory = tmp_path / "storms"
+        write_storms(directory)
+        assert main(_argv("tc-track", cubes=directory, seeds=directory / "seeds.csv",
+                          out=tmp_path / "track.csv")) == 0
+        assert parses == dict.fromkeys(directory.glob("*.gvc"), 1)
+
+    def test_climatology_in_one_channel_ranges(self, tmp_path, monkeypatch, parses):
+        monkeypatch.setattr(cubeio, "RANGE_BYTES", SPEC.n_lat * SPEC.n_lon * 4)
+        cube_dir = tmp_path / "cubes"
+        TestClimatologyCommand()._cubes(cube_dir)
+        assert main(_argv("climatology", cubes=cube_dir, out=tmp_path / "clim")) == 0
+        assert parses == dict.fromkeys(cube_dir.glob("*.gvc"), 1)
+
+    def test_downscale_eval(self, tmp_path, parses):
+        dirs = TestDownscaleEval()._write_fixture(tmp_path, [utc(2024, 2, 2, 18)], "bilinear")
+        coarse, truth, model = dirs
+        assert main(_argv("downscale-eval", coarse=coarse, truth=truth, model=model,
+                          out=tmp_path / "ds.csv")) == 0
+        assert parses == dict.fromkeys([p for d in dirs for p in d.glob("*.gvc")], 1)
 
 
 class TestVqaCommand:
@@ -1639,21 +1712,21 @@ def _poison(path, index=-1, value=np.nan):
 
 def _drop_last_channel(path):
     """Rewrites a cube file without its last channel."""
-    cube = read_cube(path)
+    cube = read_cube(read_header(path))
     write_cube(FieldCube(cube.spec, VariableCatalog(list(cube.catalog)[:-1]), cube.valid_time,
                          cube.values[:-1]), path)
 
 
 def _reverse_channels(path):
     """Rewrites a cube file with its channels stored in reverse order."""
-    cube = read_cube(path)
+    cube = read_cube(read_header(path))
     write_cube(FieldCube(cube.spec, VariableCatalog(list(cube.catalog)[::-1]), cube.valid_time,
                          cube.values[::-1]), path)
 
 
 def _insert_t850(path):
     """Rewrites a SPEC, CATALOG cube file with a T850 channel of zeros between its two."""
-    cube = read_cube(path)
+    cube = read_cube(read_header(path))
     catalog = VariableCatalog([CATALOG.entries[0], VariableId("T", 850), CATALOG.entries[1]])
     write_cube(FieldCube(cube.spec, catalog, cube.valid_time,
                          np.insert(cube.values, 1, 0.0, axis=0)), path)
@@ -1661,7 +1734,7 @@ def _insert_t850(path):
 
 def _move_lat_start(path, lat_start=59.0):
     """Rewrites a cube file with its grid's first latitude at ``lat_start``; same shape."""
-    cube = read_cube(path)
+    cube = read_cube(read_header(path))
     write_cube(FieldCube(replace(cube.spec, lat_start=lat_start), cube.catalog, cube.valid_time,
                          cube.values), path)
 
@@ -1743,7 +1816,7 @@ def verify_impossible_climatology_manifest_key(tmp):
 def verify_climatology_keys_with_different_catalogs(tmp):
     """A key no valid time uses must still share the first key's whole catalog."""
     argv = _verify(tmp)
-    key = read_cube(tmp / "clim" / "clim_d001_h06.gvc")
+    key = read_cube(read_header(tmp / "clim" / "clim_d001_h06.gvc"))
     write_cube(FieldCube(key.spec, VariableCatalog(list(key.catalog)[::-1]), key.valid_time,
                          key.values[::-1]), tmp / "clim" / "clim_d002_h06.gvc")
     with open(tmp / "clim" / "manifest.csv", "a") as f:
@@ -1852,7 +1925,7 @@ def downscale_nan_in_the_truth_cube(tmp):
 def downscale_coarse_cube_at_another_valid_time(tmp):
     argv = _downscale(tmp, [utc(2024, 2, 2, 18)])
     [path] = (tmp / "coarse").glob("*.gvc")
-    write_cube(replace(read_cube(path), valid_time=utc(2024, 3, 13, 18)), path)
+    write_cube(replace(read_cube(read_header(path)), valid_time=utc(2024, 3, 13, 18)), path)
     return argv
 
 
@@ -1931,7 +2004,7 @@ def tc_track_nonpositive_radius(tmp):
 def tc_track_negative_wind(tmp):
     argv = _tc_track(tmp)
     for path in (tmp / "vortex").glob("*.gvc"):
-        cube = read_cube(path)
+        cube = read_cube(read_header(path))
         values = np.array(cube.values)
         values[cube.catalog.index_of(("WS10M", None))] = -1.0
         write_cube(FieldCube(cube.spec, cube.catalog, cube.valid_time, values), path)

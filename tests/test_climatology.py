@@ -40,7 +40,7 @@ def _build(tmp_path, cubes, name="clim") -> Climatology:
 
 def _mean(clim, valid_time) -> np.ndarray:
     """The key cube's values for a valid time, as built."""
-    return cubeio.read_cube(clim.key_path(valid_time)).values
+    return cubeio.read_cube(clim.key_header(valid_time)).values
 
 
 class TestBuildClimatology:
@@ -102,7 +102,7 @@ class TestBuildClimatology:
             b"60,6,1,clim_d060_h06.gvc\n"
             b"61,6,2,clim_d061_h06.gvc\n"
         )
-        assert cubeio.read_header(manifest.parent / "clim_d060_h06.gvc")[2] == \
+        assert cubeio.read_header(manifest.parent / "clim_d060_h06.gvc").valid_time == \
             utc(2000, 2, 29, 6)
 
     def test_any_order_of_paths_gives_the_same_bytes(self, tmp_path):
@@ -144,7 +144,7 @@ class TestBuildClimatology:
         clim = _build(tmp_path, [random_cube(np.random.default_rng(7),
                                              valid_time=utc(2020, 6, 1, 12))])
         with pytest.raises(MissingKey):
-            clim.key_path(utc(2020, 6, 1, 18))
+            clim.key_header(utc(2020, 6, 1, 18))
 
     def test_empty_input(self, tmp_path):
         with pytest.raises(EmptyInput):
@@ -169,7 +169,7 @@ class TestClimatologySerialization:
         ]
         back = _build(tmp_path, cubes)
         assert back.counts == {(153, 12): 1, (153, 18): 1}
-        assert set(back.paths) == set(back.counts)
+        assert set(back.headers) == set(back.counts)
         for cube in cubes:
             for var in cube.catalog:
                 np.testing.assert_array_equal(back.lookup_channel(cube.valid_time, var),
@@ -227,7 +227,7 @@ class TestClimatologySerialization:
         for hour in (12, 18):
             t = utc(2024, 6, 1, hour)
             for variables, channels in ((["V1"], range(0, 1)), (["V3", "V2"], range(1, 4))):
-                part = cubeio.read_cube(clim.key_path(t), variables, channels)
+                part = cubeio.read_cube(clim.key_header(t), variables, channels)
                 assert [v.token for v in part.catalog] == sorted(variables)
                 for var in variables:
                     assert select_channel(part, var).tobytes() == \

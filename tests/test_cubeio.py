@@ -21,7 +21,6 @@ from geoverify import (
     cubeio,
     select_channel,
 )
-from geoverify.cli import _read_cube_at
 from geoverify.cubeio import (
     read_csv_rows,
     read_cube,
@@ -53,7 +52,7 @@ class TestCubeRoundTrip:
         cube = make_cube()
         path = tmp_path / "cube.gvc"
         write_cube(cube, path)
-        back = read_cube(path)
+        back = read_cube(read_header(path))
         assert back.spec == cube.spec
         assert back.catalog == cube.catalog
         assert back.valid_time == cube.valid_time
@@ -90,7 +89,7 @@ class TestCubeRoundTrip:
         data[:4] = b"XXXX"
         path.write_bytes(bytes(data))
         with pytest.raises(BadMagic):
-            read_cube(path)
+            read_cube(read_header(path))
 
     def test_unsupported_version(self, make_cube, tmp_path):
         path = tmp_path / "cube.gvc"
@@ -99,7 +98,7 @@ class TestCubeRoundTrip:
         data[4] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(UnsupportedVersion):
-            read_cube(path)
+            read_cube(read_header(path))
 
     def test_truncated_payload(self, make_cube, tmp_path):
         path = tmp_path / "cube.gvc"
@@ -107,14 +106,14 @@ class TestCubeRoundTrip:
         data = path.read_bytes()
         path.write_bytes(data[:-5])
         with pytest.raises(TruncatedPayload):
-            read_cube(path)
+            read_cube(read_header(path))
 
     def test_trailing_bytes_rejected(self, make_cube, tmp_path):
         path = tmp_path / "cube.gvc"
         write_cube(make_cube(), path)
         path.write_bytes(path.read_bytes() + b"\x00\x00")
         with pytest.raises(TruncatedPayload):
-            read_cube(path)
+            read_cube(read_header(path))
 
     def test_nonfinite_payload_rejected(self, make_cube, tmp_path):
         path = tmp_path / "cube.gvc"
@@ -125,7 +124,7 @@ class TestCubeRoundTrip:
         data[-4:] = nan
         path.write_bytes(bytes(data))
         with pytest.raises(NonFiniteValue):
-            read_cube(path)
+            read_cube(read_header(path))
 
     def test_orientation_flag_cross_checked(self, make_cube, tmp_path):
         path = tmp_path / "cube.gvc"
@@ -134,7 +133,7 @@ class TestCubeRoundTrip:
         data[6] ^= 1
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptHeader, match="orientation"):
-            read_cube(path)
+            read_cube(read_header(path))
 
     @pytest.mark.parametrize(
         "entry",
@@ -146,7 +145,7 @@ class TestCubeRoundTrip:
         write_cube(make_cube(), path)
         path.write_bytes(path.read_bytes().replace(b"Z,500,input-output", entry, 1))
         with pytest.raises(CorruptHeader, match="catalog entry"):
-            read_cube(path)
+            read_cube(read_header(path))
 
 
     def test_nan_lon_step_is_corrupt_header(self, make_cube, tmp_path):
@@ -156,7 +155,7 @@ class TestCubeRoundTrip:
         struct.pack_into("<d", data, 43, float("nan"))  # lon_step, the fourth f64 at byte 19
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptHeader, match="lon_step"):
-            read_cube(path)
+            read_cube(read_header(path))
 
 
 class TestWriteCube:
@@ -177,7 +176,7 @@ class TestWriteCube:
 
 
 class TestSelectiveRead:
-    """read_cube(path, variables) keeps some channels and still validates all of them."""
+    """read_cube(header, variables) keeps some channels and still validates all of them."""
 
     # Six 30 x 40 channels: a 28 KiB payload, more than the reader's 8 KiB buffer holds.
     PLANE = 30 * 40
@@ -205,21 +204,21 @@ class TestSelectiveRead:
     @pytest.mark.parametrize("block", [7, FINITE_SCAN_VALUES])
     def test_channels_bitwise_equal_to_full_read(self, cube_path, monkeypatch, selection, block):
         monkeypatch.setattr(cubeio, "FINITE_SCAN_VALUES", block)
-        full = read_cube(cube_path)
-        part = read_cube(cube_path, selection)
+        full = read_cube(read_header(cube_path))
+        part = read_cube(read_header(cube_path), selection)
         assert [v.token for v in part.catalog] == ["V2", "V3", "V5"]
         assert (part.spec, part.valid_time) == (full.spec, full.valid_time)
         for var in selection:
             assert select_channel(part, var).tobytes() == select_channel(full, var).tobytes()
 
     def test_every_channel_named_is_the_full_read(self, cube_path):
-        full = read_cube(cube_path)
-        part = read_cube(cube_path, [v.token for v in full.catalog][::-1])
+        full = read_cube(read_header(cube_path))
+        part = read_cube(read_header(cube_path), [v.token for v in full.catalog][::-1])
         assert part.catalog == full.catalog
         assert part.values.tobytes() == full.values.tobytes()
 
     def test_variable_the_file_lacks_is_not_kept(self, cube_path):
-        part = read_cube(cube_path, ["V2", "Z500"])
+        part = read_cube(read_header(cube_path), ["V2", "Z500"])
         assert [v.token for v in part.catalog] == ["V2"]
         with pytest.raises(UnknownVariable):
             select_channel(part, "Z500")
@@ -237,21 +236,15 @@ class TestSelectiveRead:
         self._poison(cube_path, index, bad)
         for variables in (None, self.SELECTION):
             with pytest.raises(NonFiniteValue, match="finite"):
-                read_cube(cube_path, variables)
+                read_cube(read_header(cube_path), variables)
 
     @pytest.mark.parametrize("variables", [None, SELECTION, ["V6"]],
                              ids=["full", "last-channel-scanned", "last-channel-kept"])
-    def test_file_shrinking_mid_read_is_truncated(self, cube_path, monkeypatch, variables):
-        read_header = cubeio._read_header
-
-        def read_header_then_shrink(f, path):
-            header = read_header(f, path)  # the length check passes here
-            os.truncate(path, os.path.getsize(path) - 4)
-            return header
-
-        monkeypatch.setattr(cubeio, "_read_header", read_header_then_shrink)
+    def test_file_shrinking_mid_read_is_truncated(self, cube_path, variables):
+        header = read_header(cube_path)  # the length check passes here
+        os.truncate(cube_path, os.path.getsize(cube_path) - 4)
         with pytest.raises(TruncatedPayload, match="shrank"):
-            read_cube(cube_path, variables)
+            read_cube(header, variables)
 
     @pytest.mark.parametrize(
         "damage, error",
@@ -265,11 +258,11 @@ class TestSelectiveRead:
         cube_path.write_bytes(damage(cube_path.read_bytes()))
         for variables in (None, self.SELECTION):
             with pytest.raises(error):
-                read_cube(cube_path, variables)
+                read_cube(read_header(cube_path), variables)
 
 
 class TestChannelRange:
-    """read_cube(path, variables, channels) reads one run of channels and checks all of it."""
+    """read_cube(header, variables, channels) reads one run of channels and checks all of it."""
 
     PLANE = 30 * 40  # six channels V1..V6, as in TestSelectiveRead
 
@@ -286,8 +279,8 @@ class TestChannelRange:
     def test_channels_bitwise_equal_to_full_read(self, cube_path, monkeypatch,
                                                  variables, channels, block):
         monkeypatch.setattr(cubeio, "FINITE_SCAN_VALUES", block)
-        full = read_cube(cube_path)
-        part = read_cube(cube_path, variables, channels)
+        full = read_cube(read_header(cube_path))
+        part = read_cube(read_header(cube_path), variables, channels)
         kept = [v for i, v in enumerate(full.catalog) if i in channels
                 and (variables is None or v.token in variables)]
         assert list(part.catalog) == kept
@@ -302,10 +295,10 @@ class TestChannelRange:
         data[offset:offset + 4] = np.float32(np.nan).tobytes()
         cube_path.write_bytes(bytes(data))
         for channels in (range(0, 2), range(3, 6)):
-            read_cube(cube_path, variables, channels)
+            read_cube(read_header(cube_path), variables, channels)
         for channels in (range(2, 3), range(1, 4), range(0, 6)):
             with pytest.raises(NonFiniteValue, match="finite"):
-                read_cube(cube_path, variables, channels)
+                read_cube(read_header(cube_path), variables, channels)
 
     def test_without_the_kept_scan_only_the_unkept_channels_are_checked(self, cube_path):
         """verify's reads leave the kept channels to the metric kernels' NaN/Inf check."""
@@ -313,37 +306,31 @@ class TestChannelRange:
         offset = len(data) - 6 * self.PLANE * 4 + 4 * (2 * self.PLANE + 5)  # inside V3
         data[offset:offset + 4] = np.float32(np.nan).tobytes()
         cube_path.write_bytes(bytes(data))
-        cube = read_cube(cube_path, ["V3"], range(1, 4), _scan_kept=False)
+        cube = read_cube(read_header(cube_path), ["V3"], range(1, 4), _scan_kept=False)
         assert np.isnan(select_channel(cube, "V3")).sum() == 1
         with pytest.raises(NonFiniteValue, match="finite"):
-            read_cube(cube_path, ["V2", "V4"], range(1, 4), _scan_kept=False)
+            read_cube(read_header(cube_path), ["V2", "V4"], range(1, 4), _scan_kept=False)
         with pytest.raises(NonFiniteValue, match="finite"):
-            read_cube(cube_path, ["V3"], range(1, 4))
+            read_cube(read_header(cube_path), ["V3"], range(1, 4))
 
     @pytest.mark.parametrize("damage", [lambda d: d[:-4], lambda d: d + b"\0\0\0\0"],
                              ids=["short", "long"])
     def test_a_file_of_the_wrong_length_fails_for_every_range(self, cube_path, damage):
         cube_path.write_bytes(damage(cube_path.read_bytes()))
         with pytest.raises(TruncatedPayload, match="header implies"):
-            read_cube(cube_path, None, range(0, 1))
+            read_cube(read_header(cube_path), None, range(0, 1))
 
-    def test_file_shrinking_inside_the_range_is_truncated(self, cube_path, monkeypatch):
-        read_header = cubeio._read_header
-
-        def read_header_then_shrink(f, path):
-            header = read_header(f, path)
-            os.truncate(path, os.path.getsize(path) - 3 * self.PLANE * 4)
-            return header
-
-        monkeypatch.setattr(cubeio, "_read_header", read_header_then_shrink)
+    def test_file_shrinking_inside_the_range_is_truncated(self, cube_path):
+        header = read_header(cube_path)
+        os.truncate(cube_path, os.path.getsize(cube_path) - 3 * self.PLANE * 4)
         with pytest.raises(TruncatedPayload, match="shrank"):
-            read_cube(cube_path, ["V2"], range(1, 4))
+            read_cube(header, ["V2"], range(1, 4))
 
     def test_range_beyond_the_catalog_is_a_corrupt_header(self, cube_path):
         with pytest.raises(CorruptHeader, match="outside its 6 channels"):
-            read_cube(cube_path, None, range(4, 7))
+            read_cube(read_header(cube_path), None, range(4, 7))
         with pytest.raises(ValueError, match="step-1"):
-            read_cube(cube_path, None, range(0, 6, 2))
+            read_cube(read_header(cube_path), None, range(0, 6, 2))
 
 
 def _mapping(cube):
@@ -377,8 +364,8 @@ class TestMappedRead:
     def test_bitwise_equal_to_the_scanned_read(self, cube_path, bounds, variables):
         assert self._payload_offset(cube_path) % 4 != 0
         channels = range(*bounds)
-        scanned = read_cube(cube_path, variables, channels)
-        cube = read_cube(cube_path, variables, channels, _scan_kept=False)
+        scanned = read_cube(read_header(cube_path), variables, channels)
+        cube = read_cube(read_header(cube_path), variables, channels, _scan_kept=False)
         assert (cube.spec, cube.catalog, cube.valid_time) == (
             scanned.spec, scanned.catalog, scanned.valid_time)
         assert cube.values.tobytes() == scanned.values.tobytes()
@@ -388,7 +375,7 @@ class TestMappedRead:
         assert _mapping(scanned) is None
 
     def test_values_are_read_only(self, cube_path):
-        cube = read_cube(cube_path, ["V3", "V4"], range(1, 5), _scan_kept=False)
+        cube = read_cube(read_header(cube_path), ["V3", "V4"], range(1, 5), _scan_kept=False)
         assert isinstance(_mapping(cube), mmap.mmap)
         with pytest.raises(ValueError):
             cube.values.flags.writeable = True
@@ -396,7 +383,7 @@ class TestMappedRead:
             _mapping(cube)[0] = 0
 
     def test_the_mapping_dies_with_the_cube_and_its_channel_views(self, cube_path):
-        cube = read_cube(cube_path, ["V3", "V4"], range(1, 5), _scan_kept=False)
+        cube = read_cube(read_header(cube_path), ["V3", "V4"], range(1, 5), _scan_kept=False)
         channel = select_channel(cube, "V4")
         mapping = weakref.ref(_mapping(cube))
         del cube
@@ -408,20 +395,14 @@ class TestMappedRead:
         (["V5", "V6"], "shrank before its payload was mapped"),
         (["V4", "V5"], "shrank while its payload was read"),  # V6 is scanned after the mapping
     ])
-    def test_file_shrinking_after_the_header_read_is_truncated(self, tmp_path, monkeypatch,
-                                                               variables, message):
+    def test_file_shrinking_after_the_header_read_is_truncated(self, tmp_path, variables,
+                                                               message):
         path = tmp_path / "cube.gvc"
         write_cube(random_cube(np.random.default_rng(15), n_chan=6, n_lat=30, n_lon=40), path)
-        read_header = cubeio._read_header
-
-        def read_header_then_shrink(f, path):
-            header = read_header(f, path)  # the length check passes here
-            os.truncate(path, os.path.getsize(path) - 4)
-            return header
-
-        monkeypatch.setattr(cubeio, "_read_header", read_header_then_shrink)
+        header = read_header(path)  # the length check passes here
+        os.truncate(path, os.path.getsize(path) - 4)
         with pytest.raises(TruncatedPayload, match=re.escape(f"{path}: file {message}")):
-            read_cube(path, variables, range(3, 6), _scan_kept=False)
+            read_cube(header, variables, range(3, 6), _scan_kept=False)
 
     def test_only_kept_channels_in_one_run_are_mapped(self, tmp_path, monkeypatch):
         spec = GridSpec(16, 32, 60.0, -8.0, 0.0, 11.25)
@@ -437,11 +418,11 @@ class TestMappedRead:
             return real(fileno, length, *args, **kwargs)
 
         monkeypatch.setattr(cubeio.mmap, "mmap", spied)
-        sparse = read_cube(path, ["Z500", "T850", "T2M", "MSL"], _scan_kept=False)
+        sparse = read_cube(read_header(path), ["Z500", "T850", "T2M", "MSL"], _scan_kept=False)
         assert len(sparse.catalog) == 4 and mapped == []
         for channels, n in [(None, 70), (range(4, 8), 4), (range(68, 70), 2)]:
             mapped.clear()
-            cube = read_cube(path, None, channels, _scan_kept=False)
+            cube = read_cube(read_header(path), None, channels, _scan_kept=False)
             assert len(cube.catalog) == n
             [length] = mapped
             assert n * channel_bytes <= length < n * channel_bytes + mmap.ALLOCATIONGRANULARITY
@@ -471,8 +452,8 @@ class TestReadBuffer:
         for path in paths:
             for variables, channels in [(None, None), (["V5", "V3"], range(2, 5)),
                                         (["V1"], range(0, 6)), (None, range(3, 3))]:
-                expected = read_cube(path, variables, channels)
-                cube = read_cube(path, variables, channels, out=buffer)
+                expected = read_cube(read_header(path), variables, channels)
+                cube = read_cube(read_header(path), variables, channels, out=buffer)
                 assert (cube.spec, cube.catalog, cube.valid_time) == (
                     expected.spec, expected.catalog, expected.valid_time)
                 assert cube.values.tobytes() == expected.values.tobytes()
@@ -480,23 +461,23 @@ class TestReadBuffer:
 
     def test_a_released_cube_s_storage_is_refilled(self, paths):
         buffer = cubeio.ReadBuffer()
-        cube = read_cube(paths[0], out=buffer)
+        cube = read_cube(read_header(paths[0]), out=buffer)
         address = self._address(cube)
         del cube
-        assert self._address(read_cube(paths[1], out=buffer)) == address
+        assert self._address(read_cube(read_header(paths[1]), out=buffer)) == address
 
     def test_a_referenced_cube_keeps_its_values_after_a_second_read_into_its_buffer(
             self, paths):
-        expected = [read_cube(path).values.tobytes() for path in paths]
+        expected = [read_cube(read_header(path)).values.tobytes() for path in paths]
         buffer = cubeio.ReadBuffer()
-        first = read_cube(paths[0], out=buffer)
-        second = read_cube(paths[1], out=buffer)
+        first = read_cube(read_header(paths[0]), out=buffer)
+        second = read_cube(read_header(paths[1]), out=buffer)
         assert first.values.tobytes() == expected[0]
         assert second.values.tobytes() == expected[1]
         # A channel view alone keeps the storage too.
         channel = select_channel(second, "V4")
         del first, second
-        third = read_cube(paths[0], out=buffer)
+        third = read_cube(read_header(paths[0]), out=buffer)
         assert channel.tobytes() == expected[1][3 * 4 * self.PLANE:4 * 4 * self.PLANE]
         assert third.values.tobytes() == expected[0]
 
@@ -517,7 +498,7 @@ class TestReadBuffer:
             tracemalloc.start()
             try:
                 for k in range(10):
-                    cube = read_cube(paths[k % 2], ["V3", "V5"], range(2, 5), out=out)
+                    cube = read_cube(read_header(paths[k % 2]), ["V3", "V5"], range(2, 5), out=out)
                     del cube
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -526,7 +507,7 @@ class TestReadBuffer:
         tracemalloc.start()
         try:
             buffer = cubeio.ReadBuffer()
-            read_cube(paths[0], ["V3", "V5"], range(2, 5), out=buffer)  # sizes the buffer
+            read_cube(read_header(paths[0]), ["V3", "V5"], range(2, 5), out=buffer)  # sizes it
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -538,16 +519,34 @@ class TestReadBuffer:
 
 class TestReadHeader:
     def test_header_without_payload_scan(self, make_cube, tmp_path):
-        """read_header gives read_cube's header but never looks at payload values."""
+        """read_header gives the file's header but never looks at payload values."""
         cube = make_cube()
         path = tmp_path / "cube.gvc"
         write_cube(cube, path)
         data = bytearray(path.read_bytes())
         data[-4:] = np.float32(np.nan).tobytes()
         path.write_bytes(bytes(data))
-        assert read_header(path) == (cube.spec, cube.catalog, cube.valid_time)
+        header = read_header(path)
+        assert (header.path, header.spec, header.catalog, header.valid_time) == \
+            (path, cube.spec, cube.catalog, cube.valid_time)
+        assert header.offset == len(data) - cube.values.nbytes
         with pytest.raises(NonFiniteValue):
-            read_cube(path)
+            read_cube(header)
+
+    def test_read_cube_reads_the_payload_without_parsing_the_header_again(self, make_cube,
+                                                                         tmp_path):
+        cube = make_cube()
+        path = tmp_path / "cube.gvc"
+        write_cube(cube, path)
+        header = read_header(path)
+        with open(path, "r+b") as f:
+            f.write(b"XXXX")  # a bad magic, which read_header would reject
+        back = read_cube(header)
+        assert back.values.tobytes() == cube.values.tobytes()
+        assert (back.spec, back.catalog, back.valid_time) == \
+            (cube.spec, cube.catalog, cube.valid_time)
+        with pytest.raises(BadMagic):
+            read_header(path)
 
     def test_payload_length_checked_against_file_size(self, make_cube, tmp_path):
         path = tmp_path / "cube.gvc"
@@ -573,10 +572,6 @@ def _bad_catalog_entry_byte(data):
     data[data.index(b"Z,500,input-output") + 1] = 0xFF  # the comma: no longer UTF-8
 
 
-def _an_hour_later(data):
-    struct.pack_into("<q", data, 51, struct.unpack_from("<q", data, 51)[0] + 3600)
-
-
 class TestHeaderCache:
     """Byte-identical headers are parsed once per process, and every file is checked."""
 
@@ -585,8 +580,7 @@ class TestHeaderCache:
         (_flip_orientation, CorruptHeader, "orientation"),
         (_n_chan_plus_one, CorruptHeader, "n_chan 4 != catalog length 3"),
         (_bad_catalog_entry_byte, CorruptHeader, "bad catalog entry"),
-        (_an_hour_later, CorruptHeader, "valid_time 2024-01-01 07:00:00+00:00 != expected"),
-    ], ids=["short-payload", "orientation", "n_chan", "catalog-entry", "valid-time"])
+    ], ids=["short-payload", "orientation", "n_chan", "catalog-entry"])
     def test_a_file_after_a_good_one_with_its_header_raises_its_own_error(
             self, make_cube, tmp_path, damage, error, fragment):
         cube = make_cube()
@@ -595,19 +589,19 @@ class TestHeaderCache:
         data = bytearray(good.read_bytes())
         damage(data)
         bad.write_bytes(bytes(data))
-        read_cube(good)  # its grid and catalog bytes are now known
+        read_header(good)  # its grid and catalog bytes are now known
         with pytest.raises(error) as info:
-            _read_cube_at(bad, cube.valid_time, "expected", None)
+            read_header(bad)
         assert str(info.value).startswith(f"{bad}: ") and fragment in str(info.value)
-        assert read_cube(good).spec == cube.spec  # and the good file still reads
+        assert read_cube(read_header(good)).spec == cube.spec  # and the good file still reads
 
     def test_identical_headers_share_one_spec_and_catalog(self, make_cube, tmp_path):
         first, second = tmp_path / "first.gvc", tmp_path / "second.gvc"
         write_cube(make_cube(), first)
         write_cube(make_cube(valid_time=utc(2024, 1, 2)), second)
-        spec, catalog, _ = read_header(first)
-        cube = read_cube(second)
-        assert cube.spec is spec and cube.catalog is catalog
+        header = read_header(first)
+        cube = read_cube(read_header(second))
+        assert cube.spec is header.spec and cube.catalog is header.catalog
         assert cube.valid_time == utc(2024, 1, 2)
 
     def test_a_zero_of_either_sign_keeps_its_own_spec(self, tmp_path):
@@ -618,7 +612,7 @@ class TestHeaderCache:
             path = tmp_path / f"{name}.gvc"
             write_cube(FieldCube(spec, VariableCatalog([VariableId("MSL")]), utc(2024, 1, 1),
                                  np.zeros((1, 3, 4), np.float32)), path)
-            specs.append(read_cube(path).spec)
+            specs.append(read_cube(read_header(path)).spec)
         plus, minus = specs
         assert plus == minus and plus is not minus
         assert [np.signbit(s.lat_start) for s in specs] == [False, True]
