@@ -43,7 +43,7 @@ from .tc import (
 _LAZY_MODULES = {
     "climatology": ("Climatology", "build_climatology", "climatology_key"),
     "cubeio": (),
-    "metrics": ("EvaluationSet", "MetricRecord", "mbe", "month_hour_matrix", "mse",
+    "metrics": ("EvaluationSet", "MetricRecord", "month_hour_matrix", "mse",
                 "normalized_difference", "pointwise_rmse", "psnr", "weighted_acc",
                 "weighted_rmse"),
     "regrid": ("bilinear_upsample",),
@@ -88,7 +88,6 @@ __all__ = [
     "filter_case",
     "great_circle_km",
     "latitude_weights",
-    "mbe",
     "month_hour_matrix",
     "mse",
     "normalized_difference",

@@ -289,9 +289,7 @@ def cmd_verify(args) -> int:
         "leads": args.leads,
         "metrics": ",".join(wanted),
     }
-    if args.map_dir:  # the maps go first, so a failure to write one leaves no report
-        out_dir = Path(args.map_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    with cubeio.staged_outputs() as stage:
         for (var, lead), rmse_map in rmse_maps.items():
             cube = FieldCube(
                 spec,
@@ -299,8 +297,8 @@ def cmd_verify(args) -> int:
                 eval_set.init_times[0] + timedelta(hours=lead),
                 rmse_map[None].astype(np.float32),
             )
-            cubeio.write_cube(cube, out_dir / f"rmsemap_{var.token}_{lead}.gvc")
-    cubeio.write_report(records, args.out, params)
+            cubeio.write_cube(cube, stage(Path(args.map_dir) / f"rmsemap_{var.token}_{lead}.gvc"))
+        cubeio.write_report(records, stage(args.out), params)
     return 0
 
 
@@ -398,8 +396,6 @@ def cmd_downscale_eval(args) -> int:
     if not rows:
         raise EmptyInput("no downscaling samples evaluated")
 
-    # Every matrix is built before any file is written, and the report is written last:
-    # a failure leaves no report.
     matrices = [
         (token, metric, metrics.month_hour_matrix(values, samples[token, metric, "bilinear"]))
         for (token, metric, method), values in samples.items() if method == "model"
@@ -412,20 +408,22 @@ def cmd_downscale_eval(args) -> int:
         "psnr_peak": "reference-range" if args.psnr_peak is None else args.psnr_peak,
     }
     out_base = Path(args.out)
-    for token, metric, matrix in matrices:
-        capped = int(np.isinf(matrix).sum())
-        matrix[np.isposinf(matrix)] = 1.0
-        matrix[np.isneginf(matrix)] = -1.0
-        matrix_params = dict(params, variable=token, metric=metric, capped_cells=capped)
-        path = out_base.parent / f"{out_base.stem}_nd_{token}_{metric}.csv"
-        cubeio.write_month_hour_matrix(matrix, path, matrix_params)
-    rows.sort(key=lambda r: (r[0], r[1].token, r[2], r[3]))
-    cubeio.write_csv(
-        args.out, params, ["time", "variable", "level", "method", "metric", "value", "peak"],
-        ((cubeio.format_time(t), var.name, "surface" if var.level is None else var.level,
-          method, metric, format(value, ".6g"), format(peak, ".6g"))
-         for t, var, method, metric, value, peak in rows),
-    )
+    with cubeio.staged_outputs() as stage:
+        for token, metric, matrix in matrices:
+            capped = int(np.isinf(matrix).sum())
+            matrix[np.isposinf(matrix)] = 1.0
+            matrix[np.isneginf(matrix)] = -1.0
+            matrix_params = dict(params, variable=token, metric=metric, capped_cells=capped)
+            path = out_base.parent / f"{out_base.stem}_nd_{token}_{metric}.csv"
+            cubeio.write_month_hour_matrix(matrix, stage(path), matrix_params)
+        rows.sort(key=lambda r: (r[0], r[1].token, r[2], r[3]))
+        cubeio.write_csv(
+            stage(args.out), params,
+            ["time", "variable", "level", "method", "metric", "value", "peak"],
+            ((cubeio.format_time(t), var.name, "surface" if var.level is None else var.level,
+              method, metric, format(value, ".6g"), format(peak, ".6g"))
+             for t, var, method, metric, value, peak in rows),
+        )
 
     if failures:
         print(f"geoverify: {failures} sample(s) skipped", file=sys.stderr)

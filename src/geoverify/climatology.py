@@ -8,9 +8,6 @@ non-leap lookups never touch it.
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -111,10 +108,10 @@ def build_climatology(paths, directory) -> Path:
     sum and one range read, reads go in (key, range, valid time) order, and
     any order of ``paths`` gives the same bytes.
 
-    The output is atomic: the key cubes and the manifest are built in a
-    temporary directory beside ``directory`` and moved in only after every key
-    is built, key cubes first and the manifest last.  A failure leaves an
-    existing ``directory`` unchanged and nothing new behind.
+    The key cubes and then the manifest are written through one
+    ``cubeio.staged_outputs``: they replace their targets only after every key
+    is built, the manifest last.  A failure leaves an existing ``directory``
+    unchanged and nothing new behind, not even a parent directory it made.
     """
     headers = cubeio.headers_by_time(paths)
     if not headers:
@@ -132,15 +129,12 @@ def build_climatology(paths, directory) -> Path:
     ranges = [range(c, min(c + step, len(catalog))) for c in range(0, len(catalog), step)]
 
     directory = Path(directory)
-    made = [p for p in directory.parents if not p.exists()]  # innermost first
-    directory.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(prefix=f".{directory.name}.", suffix=".tmp", dir=directory.parent))
-    try:
-        buffer, rows = cubeio.ReadBuffer(), []
+    buffer, rows = cubeio.ReadBuffer(), []
+    with cubeio.staged_outputs() as stage:
         for (doy, hour), key_headers in sorted(keys.items()):
             name = f"clim_d{doy:03d}_h{hour:02d}.gvc"
             stamp = datetime(2000, 1, 1, hour, tzinfo=timezone.utc) + timedelta(days=doy - 1)
-            with cubeio.cube_writer(spec, catalog, stamp, tmp / name) as write:
+            with cubeio.cube_writer(spec, catalog, stamp, stage(directory / name)) as write:
                 for channels in ranges:
                     total = np.zeros((len(channels), spec.n_lat, spec.n_lon))
                     for header in key_headers:
@@ -148,12 +142,5 @@ def build_climatology(paths, directory) -> Path:
                     total /= len(key_headers)
                     write(total)
             rows.append((doy, hour, len(key_headers), name))
-        cubeio.write_csv(tmp / MANIFEST_NAME, None, MANIFEST_COLUMNS, rows)
-        directory.mkdir(exist_ok=True)
-        for name in [row[3] for row in rows] + [MANIFEST_NAME]:
-            os.replace(tmp / name, directory / name)
-    except BaseException:
-        shutil.rmtree(made[-1] if made else tmp)
-        raise
-    tmp.rmdir()
+        cubeio.write_csv(stage(directory / MANIFEST_NAME), None, MANIFEST_COLUMNS, rows)
     return directory / MANIFEST_NAME

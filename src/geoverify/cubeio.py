@@ -30,7 +30,7 @@ import mmap
 import os
 import struct
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -81,22 +81,44 @@ def _encode_catalog(catalog: VariableCatalog) -> bytes:
 
 
 @contextmanager
-def _replacing(path, mode: str, **open_args):
-    """A file opened on a temporary name in ``path``'s directory that replaces ``path``.
+def staged_outputs():
+    """Yields ``stage(path)``, which returns the temporary name to write ``path``'s new file under.
 
-    ``path`` is replaced only when the block exits without an exception; a
-    failure leaves an existing file unchanged and no temporary file behind.
+    When the block ends without an exception, each staged file replaces its
+    target, in the order staged.  The renames are not one atomic step, so a
+    run stages the file that marks it complete (its report, a manifest) last:
+    a crash between two renames leaves no new report.  A failure removes
+    every staged file and every directory that ``stage`` made, innermost
+    first, and leaves every target as it was.
+
+    ``stage`` raises IsADirectoryError, before anything is written, when
+    ``path`` has no name or is a directory.  It makes ``path``'s missing
+    parent directories.  The temporary name, ``.{name}.{pid}.tmp``, lies
+    beside the target, so no rename crosses file systems.
     """
-    path = Path(path)
-    if not path.name:  # "", "." or "/"
-        raise IsADirectoryError(f"{str(path)!r} is a directory")
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    staged: dict[Path, Path] = {}  # target: temporary name, in the order staged
+    made: list[Path] = []          # directories ``stage`` made, outermost first
+
+    def stage(path) -> Path:
+        path = Path(path)
+        if not path.name or path.is_dir():  # "", "." and "/" have no name
+            raise IsADirectoryError(f"{str(path)!r} is a directory")
+        missing = itertools.takewhile(lambda p: not p.exists(), path.parents)
+        made.extend(reversed(list(missing)))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        staged[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        return staged[path]
+
     try:
-        with open(tmp, mode, **open_args) as f:
-            yield f
-        os.replace(tmp, path)
+        yield stage
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
+        for directory in reversed(made):
+            with suppress(OSError):  # one mkdir failed to make, or one a replaced target is in
+                directory.rmdir()
         raise
 
 
@@ -105,8 +127,9 @@ def cube_writer(spec: GridSpec, catalog: VariableCatalog, valid_time: datetime, 
     """Writes a cube's header, then yields ``write(values)``, which appends channels in order.
 
     The file replaces ``path`` when the block ends, and only when every
-    channel was written (ValueError otherwise); a failure leaves an existing
-    file unchanged and no temporary file behind.
+    channel was written (ValueError otherwise); it is the one-file case of
+    ``staged_outputs``, so a failure leaves an existing file unchanged and no
+    temporary file behind.
     """
     ts = valid_time.astimezone(timezone.utc)
     if ts.microsecond != 0:
@@ -125,7 +148,7 @@ def cube_writer(spec: GridSpec, catalog: VariableCatalog, valid_time: datetime, 
         int(ts.timestamp()),
         len(catalog),
     )
-    with _replacing(path, "wb") as f:
+    with staged_outputs() as stage, open(stage(path), "wb") as f:
         f.write(header)
         f.write(_encode_catalog(catalog))
         start = f.tell()
@@ -430,10 +453,10 @@ def write_csv(path, params: Mapping | None, header: Sequence[str], rows: Iterabl
     so a field holding a comma or a quote is quoted as ``read_csv_rows`` parses
     it, and callers format numbers themselves.  A row whose first field starts
     with '#' has every field quoted, so the reader does not take it for a
-    comment.  A failure leaves an existing file unchanged and no partial or
-    temporary file behind.
+    comment.  The file is the one-file case of ``staged_outputs``: a failure
+    leaves an existing file unchanged and no partial or temporary file behind.
     """
-    with _replacing(path, "w", encoding="utf-8", newline="") as f:
+    with staged_outputs() as stage, open(stage(path), "w", encoding="utf-8", newline="") as f:
         if params:
             f.write(f"# params: {' '.join(f'{k}={v}' for k, v in params.items())}\n")
         writer = csv.writer(f, lineterminator="\n")

@@ -104,10 +104,6 @@ class ZeroAnomalyVariance(GeoverifyError):
     """Weighted sum of squared anomalies is zero; ACC undefined."""
 
 
-class EmptySeries(GeoverifyError):
-    """Scalar series is empty."""
-
-
 class PerfectMatch(GeoverifyError):
     """MSE is zero; PSNR is infinite and signalled as an error."""
 

@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    EmptySeries,
     MissingCube,
     NonFiniteValue,
     NonPositivePeak,
@@ -253,17 +252,6 @@ def mse(forecast, reference) -> float:
     f, r = (np.atleast_1d(a) for a in _same_shape(forecast, reference))
     as_rows = (math.prod(f.shape[:-1]), f.shape[-1])
     return _mean_of_rows(_row_sums(f.reshape(as_rows), r.reshape(as_rows))[0], f.size)
-
-
-def mbe(forecast, reference) -> float:
-    """Mean bias error of paired scalar series; negative = underestimation."""
-    f = np.asarray(forecast, dtype=np.float64).ravel()
-    r = np.asarray(reference, dtype=np.float64).ravel()
-    if f.size == 0 or r.size == 0:
-        raise EmptySeries("mbe needs at least one sample")
-    if f.size != r.size:
-        raise ShapeMismatch(f"series lengths {f.size} != {r.size}")
-    return float((f - r).sum()) / f.size
 
 
 def psnr(candidate, reference, peak: float) -> float:

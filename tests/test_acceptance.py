@@ -24,7 +24,6 @@ from geoverify import (
     filter_case,
     great_circle_km,
     latitude_weights,
-    mbe,
     open_token_recall,
     psnr,
     synthetic_vortex_series,
@@ -79,13 +78,6 @@ def loop_weighted_acc(forecast, reference, clim, weights):
     return num / math.sqrt(den_f * den_r)
 
 
-def loop_mbe(forecast, reference):
-    total = 0.0
-    for f, r in zip(forecast, reference):
-        total += float(f) - float(r)
-    return total / len(forecast)
-
-
 def loop_psnr(candidate, reference, peak):
     total = 0.0
     count = 0
@@ -120,7 +112,6 @@ def test_criterion_01_metric_oracle_equivalence():
                 assert _isclose(
                     weighted_acc(f, r, clim, w), loop_weighted_acc(f, r, clim, w_oracle)
                 )
-                assert _isclose(mbe(f.ravel(), r.ravel()), loop_mbe(f.ravel(), r.ravel()))
                 assert _isclose(psnr(f, r, 5.0), loop_psnr(f, r, 5.0))
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"oracle sweep took {elapsed:.2f}s"

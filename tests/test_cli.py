@@ -1105,13 +1105,14 @@ class TestDownscaleEval:
 
     def test_a_matrix_that_cannot_be_written_exits_2_and_leaves_no_report(self, tmp_path,
                                                                          capsys):
-        """The report is written last, so a run that fails to write a matrix leaves none."""
+        """A run that fails to write a matrix leaves no report and no other matrix."""
         coarse, truth, model = self._write_fixture(tmp_path, [utc(2024, 2, 2, 18)], "bilinear")
         (tmp_path / "ds_nd_WS10M_rmse.csv").mkdir()
         assert main(_argv("downscale-eval", coarse=coarse, truth=truth, model=model,
                           out=tmp_path / "ds.csv")) == 2
         assert "ds_nd_WS10M_rmse.csv" in capsys.readouterr().err
-        assert not (tmp_path / "ds.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "coarse", "ds_nd_WS10M_rmse.csv", "model", "truth"]
 
 
 @pytest.mark.skipif(geoverify.metrics._usable_cpus() < 2,
@@ -1878,6 +1879,21 @@ def verify_map_dir_is_a_file(tmp):
     return _verify(tmp)
 
 
+# A run's output files replace their targets together, after every one is
+# written: a target that cannot be written leaves no map, matrix or report.
+
+@failure(2, "rmsemap_T2M_6.gvc")
+def verify_a_directory_at_a_map_path(tmp):
+    (tmp / "maps" / "rmsemap_T2M_6.gvc").mkdir(parents=True)
+    return _verify(tmp)
+
+
+@failure(2, "directory")
+def verify_out_is_a_directory_with_a_new_map_dir(tmp):
+    (tmp / "out").mkdir()
+    return _verify(tmp, out=tmp / "out", map_dir=tmp / "a" / "b" / "maps")
+
+
 def _downscale(tmp, times, **flags):
     coarse, truth, model = TestDownscaleEval()._write_fixture(tmp, times, "bilinear")
     args = dict(coarse=coarse, truth=truth, model=model, out=tmp / "ds.csv")
@@ -1947,6 +1963,18 @@ def downscale_zero_psnr_peak(tmp):
 @failure(4, "--psnr-peak")
 def downscale_infinite_psnr_peak(tmp):
     return _downscale(tmp, [utc(2024, 2, 2, 18)], psnr_peak="inf")
+
+
+@failure(2, "ds_nd_WS10M_rmse.csv")
+def downscale_a_directory_at_a_matrix_path(tmp):
+    (tmp / "ds_nd_WS10M_rmse.csv").mkdir()
+    return _downscale(tmp, [utc(2024, 2, 2, 18)])
+
+
+@failure(2, "directory")
+def downscale_out_is_a_directory(tmp):
+    (tmp / "out").mkdir()
+    return _downscale(tmp, [utc(2024, 2, 2, 18)], out=tmp / "out")
 
 
 def _tc_track(tmp, **flags):

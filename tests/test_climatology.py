@@ -1,5 +1,6 @@
 """Tests for per-(day-of-year, hour) climatological means."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -204,7 +205,9 @@ class TestClimatologySerialization:
         monkeypatch.setattr(cubeio, "cube_writer", failing_second_key)
         with pytest.raises(OSError, match="disk full"):
             build_climatology(paths, tmp_path / "clim")
-        assert [p.name for p in calls] == ["clim_d153_h12.gvc", "clim_d153_h18.gvc"]
+        # Each key cube is written under its staged name, not its target's.
+        assert [p.name for p in calls] == [f".clim_d153_h{hour}.gvc.{os.getpid()}.tmp"
+                                           for hour in (12, 18)]
         assert sorted(tmp_path.iterdir()) == paths
 
     def test_key_cubes_must_share_the_whole_catalog(self, tmp_path):

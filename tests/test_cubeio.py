@@ -6,6 +6,7 @@ import re
 import struct
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +174,80 @@ class TestWriteCube:
             write_cube(make_cube(valid_time=utc(2024, 1, 2)), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["cube.gvc"]
+
+
+def _tree(root):
+    """Every path under root with its bytes, None for a directory."""
+    return {p: (p.read_bytes() if p.is_file() else None) for p in root.rglob("*")}
+
+
+class TestStagedOutputs:
+    def test_targets_are_replaced_together_in_the_order_staged(self, tmp_path, monkeypatch):
+        (tmp_path / "report.csv").write_text("old report\n")
+        targets = [tmp_path / "maps" / "b.gvc", tmp_path / "a" / "b" / "m.csv",
+                   tmp_path / "report.csv"]
+        replaced = []
+        replace = os.replace
+
+        def spy(src, dst):
+            replaced.append(dst)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        with cubeio.staged_outputs() as stage:
+            for k, target in enumerate(targets):
+                tmp = stage(target)
+                assert tmp == target.with_name(f".{target.name}.{os.getpid()}.tmp")
+                tmp.write_text(f"new {k}\n")
+            assert replaced == []
+            assert (tmp_path / "report.csv").read_text() == "old report\n"
+        assert replaced == targets
+        assert [t.read_text() for t in targets] == ["new 0\n", "new 1\n", "new 2\n"]
+        assert sorted(p.name for p in tmp_path.rglob(".*")) == []
+
+    def test_a_failure_removes_staged_files_and_made_directories_innermost_first(
+            self, tmp_path, monkeypatch):
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "report.csv").write_text("old report\n")
+        (tmp_path / "old" / "m.gvc").write_bytes(b"old map")
+        before = _tree(tmp_path)
+        removed = []
+        rmdir = Path.rmdir
+
+        def spy(self):
+            removed.append(self)
+            rmdir(self)
+
+        monkeypatch.setattr(Path, "rmdir", spy)
+        with pytest.raises(RuntimeError, match="run failed"):
+            with cubeio.staged_outputs() as stage:
+                stage(tmp_path / "new" / "a" / "x.gvc").write_bytes(b"x")
+                stage(tmp_path / "old" / "m.gvc").write_bytes(b"new map")
+                stage(tmp_path / "new" / "b" / "y.gvc").write_bytes(b"y")
+                stage(tmp_path / "old" / "report.csv").write_text("new report\n")
+                raise RuntimeError("run failed")
+        assert removed == [tmp_path / "new" / "b", tmp_path / "new" / "a", tmp_path / "new"]
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("target", ["", ".", "d"])
+    def test_a_directory_target_raises_at_stage_before_any_file_is_written(self, tmp_path,
+                                                                          monkeypatch, target):
+        (tmp_path / "d").mkdir()
+        monkeypatch.chdir(tmp_path)
+        before = _tree(tmp_path)
+        named = re.escape(repr(str(Path(target))))  # "" is the working directory, "."
+        with pytest.raises(IsADirectoryError, match=f"^{named} is a directory$"):
+            with cubeio.staged_outputs() as stage:
+                stage(tmp_path / "new" / "x.csv").write_text("x\n")
+                stage(target)
+                pytest.fail("stage returned a name for a directory")
+        assert _tree(tmp_path) == before
+
+    def test_a_report_into_a_new_directory_is_written(self, tmp_path):
+        path = tmp_path / "a" / "b" / "report.csv"
+        write_csv(path, None, ["h"], [("v",)])
+        assert path.read_text() == "h\nv\n"
+        assert [p.name for p in path.parent.iterdir()] == ["report.csv"]
 
 
 class TestSelectiveRead:

@@ -27,7 +27,6 @@ from geoverify import (
     VariableCatalog,
     VariableId,
     latitude_weights,
-    mbe,
     month_hour_matrix,
     normalized_difference,
     pointwise_rmse,
@@ -36,7 +35,6 @@ from geoverify import (
     weighted_rmse,
 )
 from geoverify.errors import (
-    EmptySeries,
     MissingCube,
     NonFiniteValue,
     NonPositivePeak,
@@ -74,13 +72,6 @@ def oracle_weighted_acc(forecast, reference, clim, weights):
             den_f += w * fa * fa
             den_r += w * ra * ra
     return num / math.sqrt(den_f * den_r)
-
-
-def oracle_mbe(forecast, reference):
-    total = 0.0
-    for f, r in zip(forecast, reference):
-        total += float(f) - float(r)
-    return total / len(forecast)
 
 
 def oracle_psnr(candidate, reference, peak):
@@ -390,26 +381,6 @@ class TestNonFiniteInput:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteValue):
                 weighted_rmse(f, r, self.WEIGHTS)
-
-
-class TestMbe:
-    def test_identical_series(self):
-        assert mbe([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
-
-    def test_underestimation_is_negative(self):
-        assert mbe([10.0, 10.0], [12.0, 14.0]) == -3.0
-
-    def test_single_element(self):
-        assert mbe([5.0], [3.0]) == 2.0
-
-    def test_empty_series(self):
-        with pytest.raises(EmptySeries):
-            mbe([], [])
-
-    def test_matches_oracle(self):
-        rng = np.random.default_rng(13)
-        f, r = rng.normal(size=40), rng.normal(size=40)
-        assert mbe(f, r) == pytest.approx(oracle_mbe(f, r), rel=1e-12)
 
 
 class TestPsnr:
