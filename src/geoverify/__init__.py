@@ -43,7 +43,7 @@ from .tc import (
 _LAZY_MODULES = {
     "climatology": ("Climatology", "build_climatology", "climatology_key"),
     "cubeio": (),
-    "metrics": ("EvaluationSet", "MetricRecord", "month_hour_matrix", "mse",
+    "metrics": ("EvaluationSet", "MetricRecord", "month_hour_matrix",
                 "normalized_difference", "pointwise_rmse", "psnr", "weighted_acc",
                 "weighted_rmse"),
     "regrid": ("bilinear_upsample",),
@@ -89,7 +89,6 @@ __all__ = [
     "great_circle_km",
     "latitude_weights",
     "month_hour_matrix",
-    "mse",
     "normalized_difference",
     "open_token_recall",
     "parse_variable_token",

@@ -39,6 +39,7 @@ from .grid import (
     FieldCube,
     GridSpec,
     VariableCatalog,
+    VariableId,
     latitude_weights,
     parse_variable_token,
     select_channel,
@@ -241,11 +242,19 @@ def cmd_verify(args) -> int:
     with _flag_values():
         eval_set = metrics.EvaluationSet(read_init_times(args.init_times), parse_leads(args.leads))
 
-    clim = None
-    if "acc" in wanted:
-        if not args.climatology:
-            raise InvalidFlags("computing acc requires --climatology MANIFEST")
-        clim = clim_mod.Climatology.load(args.climatology)
+    if "acc" in wanted and not args.climatology:
+        raise InvalidFlags("computing acc requires --climatology MANIFEST")
+
+    def map_path(var, lead):
+        return Path(args.map_dir) / f"rmsemap_{var.token}_{lead}.gvc"
+
+    cubeio.output_path(args.out)
+    if args.map_dir:
+        for var in variables:
+            for lead in eval_set.lead_hours:
+                cubeio.output_path(map_path(VariableId(*var), lead))
+
+    clim = clim_mod.Climatology.load(args.climatology) if "acc" in wanted else None
 
     spec, groups, plan = _plan(args, variables, clim, eval_set)
     buffers, last_valid = _WorkerBuffers(), None  # the valid time of the last read
@@ -297,7 +306,7 @@ def cmd_verify(args) -> int:
                 eval_set.init_times[0] + timedelta(hours=lead),
                 rmse_map[None].astype(np.float32),
             )
-            cubeio.write_cube(cube, stage(Path(args.map_dir) / f"rmsemap_{var.token}_{lead}.gvc"))
+            cubeio.write_cube(cube, stage(map_path(var, lead)))
         cubeio.write_report(records, stage(args.out), params)
     return 0
 
@@ -360,6 +369,7 @@ def cmd_downscale_eval(args) -> int:
 
     if args.psnr_peak is not None and not 0.0 < args.psnr_peak < math.inf:
         raise InvalidFlags(f"--psnr-peak must be positive and finite; got {args.psnr_peak}")
+    cubeio.output_path(args.out)
     truth_paths = cubeio.cube_paths(args.truth)
     if not truth_paths:
         raise EmptyInput(f"no truth cubes in {args.truth}")

@@ -80,6 +80,18 @@ def _encode_catalog(catalog: VariableCatalog) -> bytes:
     return b"".join(parts)
 
 
+def output_path(path) -> Path:
+    """``path`` as a Path; IsADirectoryError when it has no name or is a directory.
+
+    ``stage`` applies it to each file it stages; a run applies it to every
+    target it can name before it reads any input, to fail before any work.
+    """
+    path = Path(path)
+    if not path.name or path.is_dir():  # "", "." and "/" have no name
+        raise IsADirectoryError(f"{str(path)!r} is a directory")
+    return path
+
+
 @contextmanager
 def staged_outputs():
     """Yields ``stage(path)``, which returns the temporary name to write ``path``'s new file under.
@@ -91,18 +103,16 @@ def staged_outputs():
     every staged file and every directory that ``stage`` made, innermost
     first, and leaves every target as it was.
 
-    ``stage`` raises IsADirectoryError, before anything is written, when
-    ``path`` has no name or is a directory.  It makes ``path``'s missing
-    parent directories.  The temporary name, ``.{name}.{pid}.tmp``, lies
-    beside the target, so no rename crosses file systems.
+    ``stage`` raises ``output_path``'s IsADirectoryError before anything is
+    written.  It makes ``path``'s missing parent directories.  The temporary
+    name, ``.{name}.{pid}.tmp``, lies beside the target, so no rename crosses
+    file systems.
     """
     staged: dict[Path, Path] = {}  # target: temporary name, in the order staged
     made: list[Path] = []          # directories ``stage`` made, outermost first
 
     def stage(path) -> Path:
-        path = Path(path)
-        if not path.name or path.is_dir():  # "", "." and "/" have no name
-            raise IsADirectoryError(f"{str(path)!r} is a directory")
+        path = output_path(path)
         missing = itertools.takewhile(lambda p: not p.exists(), path.parents)
         made.extend(reversed(list(missing)))
         path.parent.mkdir(parents=True, exist_ok=True)

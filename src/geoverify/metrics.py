@@ -196,10 +196,10 @@ def weighted_rmse(forecast, reference, weights, *, _sq_sum=None) -> float:
 
 
 def weighted_rmse_and_mse(forecast, reference, weights) -> tuple[float, float]:
-    """(weighted_rmse, mse) of one 2-D field pair from one pass of row sums.
+    """(weighted_rmse, unweighted MSE) of one 2-D field pair from one pass of row sums.
 
-    Each value has the bits of its own function's result.  NaN or Inf in
-    either field raises NonFiniteValue.
+    The RMSE has ``weighted_rmse``'s bits, the MSE the bits ``psnr`` takes
+    its MSE with.  NaN or Inf in either field raises NonFiniteValue.
     """
     f, r = _fields_2d(forecast, reference)
     w = _check_weights(weights, f.shape[0])
@@ -244,23 +244,18 @@ def weighted_acc(forecast, reference, clim_field, weights, *, _with_rmse=False, 
     return acc
 
 
-def mse(forecast, reference) -> float:
-    """Unweighted mean squared error, summed without BLAS (same bits at any thread count).
-
-    NaN or Inf in either field raises NonFiniteValue.
-    """
-    f, r = (np.atleast_1d(a) for a in _same_shape(forecast, reference))
-    as_rows = (math.prod(f.shape[:-1]), f.shape[-1])
-    return _mean_of_rows(_row_sums(f.reshape(as_rows), r.reshape(as_rows))[0], f.size)
-
-
 def psnr(candidate, reference, peak: float) -> float:
     """Peak signal-to-noise ratio in dB: 10*log10(peak^2 / MSE), unweighted.
 
-    A perfect match (MSE = 0) is signalled as PerfectMatch rather than
-    returned as infinity; NaN or Inf in either field raises NonFiniteValue.
+    Fields of any shape; the MSE is summed without BLAS (same bits at any
+    thread count).  A perfect match (MSE = 0) is signalled as PerfectMatch
+    rather than returned as infinity; NaN or Inf in either field raises
+    NonFiniteValue.
     """
-    return psnr_from_mse(mse(candidate, reference), peak)
+    c, r = (np.atleast_1d(a) for a in _same_shape(candidate, reference))
+    as_rows = (math.prod(c.shape[:-1]), c.shape[-1])
+    err = _mean_of_rows(_row_sums(c.reshape(as_rows), r.reshape(as_rows))[0], c.size)
+    return psnr_from_mse(err, peak)
 
 
 def psnr_from_mse(err: float, peak: float) -> float:

@@ -101,22 +101,6 @@ class TcTrack:
         raise KeyError(time)
 
 
-def _window_indices(spec: GridSpec, lat0: float, lon0: float, radius_km: float, axes=None):
-    """Row/column index vectors of a bounding box around a point.
-
-    They index ``axes``, the (latitudes, longitudes) of a window of ``spec``,
-    or by default the grid's own axes.
-    """
-    lats, lons = spec._axes if axes is None else axes
-    dlat = radius_km / KM_PER_DEG + abs(spec.lat_step)
-    rows = np.nonzero(np.abs(lats - lat0) <= dlat)[0]
-    cos0 = max(math.cos(math.radians(lat0)), 0.05)
-    dlon = min(radius_km / (KM_PER_DEG * cos0) + spec.lon_step, 180.0)
-    diff = np.abs((lons - lon0 + 180.0) % 360.0 - 180.0)
-    cols = np.nonzero(diff <= dlon)[0]
-    return rows, cols
-
-
 def _run(index: np.ndarray):
     """An ascending index vector as a slice when it is one run of adjacent indices.
 
@@ -127,23 +111,24 @@ def _run(index: np.ndarray):
     return index
 
 
-def _window(spec: GridSpec, lat0: float, lon0: float, radius_km: float, within=None):
-    """(rows, cols, distances km) of the nodes in the bounding box of a point.
+def _window(spec: GridSpec, lat0: float, lon0: float, radius_km: float):
+    """(rows, cols, distances km) of the nodes in the bounding box of a point's disk.
 
-    Rows and columns are each a slice where they are a run, else an index
-    vector, so ``values[rows][:, cols]`` cuts the window, as a view when both
-    are slices.  With ``within``, the window of a radius no smaller around
-    the same point, whose box holds this one, the box is cut from it: rows
-    and columns index that window, and the distances are its own.
+    The box holds every node within ``radius_km`` of the point, at any
+    latitude: its columns span the disk's exact half-width, and every
+    longitude where the disk reaches a pole.  Rows and columns are each a
+    slice where they are a run, else an index vector, so
+    ``values[rows][:, cols]`` cuts the window, as a view when both are slices.
     """
     lats, lons = spec._axes
-    if within is None:
-        rows, cols = map(_run, _window_indices(spec, lat0, lon0, radius_km))
-        return rows, cols, _haversine_grid(lat0, lon0, lats[rows], lons[cols])
-    outer_rows, outer_cols, dist = within
-    axes = (lats[outer_rows], lons[outer_cols])
-    rows, cols = map(_run, _window_indices(spec, lat0, lon0, radius_km, axes))
-    return rows, cols, dist[rows][:, cols]
+    rows = np.nonzero(np.abs(lats - lat0) <= radius_km / KM_PER_DEG + abs(spec.lat_step))[0]
+    d, phi0 = radius_km / EARTH_RADIUS_KM, math.radians(lat0)
+    dlon = 180.0  # the disk reaches a pole
+    if d < math.pi / 2.0 - abs(phi0):
+        dlon = min(math.degrees(math.asin(math.sin(d) / math.cos(phi0))) + spec.lon_step, 180.0)
+    cols = np.nonzero(np.abs((lons - lon0 + 180.0) % 360.0 - 180.0) <= dlon)[0]
+    rows, cols = _run(rows), _run(cols)
+    return rows, cols, _haversine_grid(lat0, lon0, lats[rows], lons[cols])
 
 
 class CycloneTracker:
@@ -228,7 +213,7 @@ class CycloneTracker:
 
         # Closed-low test: ring mean minus center depth.
         ring_km = self.ring_width_km
-        ring = rows, cols, ring_dist = _window(spec, lat_c, lon_c, intensity_km + ring_km)
+        rows, cols, ring_dist = _window(spec, lat_c, lon_c, intensity_km + ring_km)
         on_ring = np.abs(ring_dist - intensity_km) <= ring_km / 2.0
         if not on_ring.any():
             return None
@@ -236,12 +221,8 @@ class CycloneTracker:
         if ring_mean - msl_c < self.closed_low_hpa:
             return None
 
-        # The disk's box, around the same node with a radius no larger (a node is on
-        # the ring, so ring_km >= 0), lies inside the ring's: it and its distances
-        # are cut from the ring's.
-        disk_rows, disk_cols, disk_dist = _window(spec, lat_c, lon_c, intensity_km, ring)
-        ws_patch = ws[rows][:, cols][disk_rows][:, disk_cols]
-        ws_max = float(ws_patch[disk_dist <= intensity_km].max())
+        # The ring's window holds the intensity disk (a node is on the ring, so ring_km >= 0).
+        ws_max = float(ws[rows][:, cols][ring_dist <= intensity_km].max())
         if ws_max < 0.0:
             raise GeoverifyError(f"WS10M max {ws_max} m/s near {cube.valid_time} is negative")
         self._center = (lat_c, lon_c)

@@ -2279,6 +2279,22 @@ def test_failure_exits_with_its_code_and_writes_nothing(tmp_path, capsys, build,
     assert _tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("build", [verify_out_is_a_directory_with_a_new_map_dir,
+                                   verify_a_directory_at_a_map_path,
+                                   downscale_out_is_a_directory],
+                         ids=lambda build: build.__name__)
+def test_an_output_that_cannot_be_written_fails_before_any_cube_is_read(tmp_path, monkeypatch,
+                                                                       build):
+    argv = build(tmp_path)
+
+    def read(*args, **kwargs):
+        raise AssertionError("a cube was read before the run's outputs were checked")
+
+    monkeypatch.setattr(cubeio, "read_header", read)
+    monkeypatch.setattr(cubeio, "read_cube", read)
+    assert main(argv) == 2
+
+
 @pytest.mark.parametrize("collecting", [True, False], ids=["collecting", "paused"])
 @pytest.mark.parametrize("build, code", [
     (lambda tmp: _tc_filter(tmp, EXCLUDE_CASE), 0),

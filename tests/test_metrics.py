@@ -276,8 +276,13 @@ class TestRowBlockedKernel:
     @pytest.mark.parametrize("shape", [(1,), (1000,), (100000,), (321, 481), (3, 50, 481)],
                              ids=lambda shape: "x".join(map(str, shape)))
     def test_mse_equals_whole_field_formula(self, shape):
+        """The MSE downscale-eval reports; psnr cuts fields of any shape into the same rows."""
         f, r = _fields(shape, 2, seed=len(shape))
-        assert metrics.mse(f, r) == whole_field_mse(f, r)
+        as_rows = (math.prod(shape[:-1]), shape[-1])
+        err = metrics.weighted_rmse_and_mse(f.reshape(as_rows), r.reshape(as_rows),
+                                            np.ones(as_rows[0]))[1]
+        assert err == whole_field_mse(f, r)
+        assert psnr(f, r, 40.0).hex() == metrics.psnr_from_mse(err, 40.0).hex()
 
     @pytest.mark.parametrize("shape", [(1, 1440), (100, 1440), (5, 70000), (321, 481), (721, 1440)],
                              ids=lambda shape: "x".join(map(str, shape)))
@@ -286,7 +291,7 @@ class TestRowBlockedKernel:
         w = np.random.default_rng(20).uniform(0.0, 2.0, size=shape[0])
         rmse, err = metrics.weighted_rmse_and_mse(f, r, w)
         assert rmse.hex() == weighted_rmse(f, r, w).hex()
-        assert err.hex() == metrics.mse(f, r).hex()
+        assert err.hex() == whole_field_mse(f, r).hex()
 
     @settings(max_examples=40, deadline=None)
     @given(n_lon=st.sampled_from([1, 9, 481, 1440, 8193, 70000]), blocks=st.integers(0, 4),
@@ -326,7 +331,7 @@ class TestRowBlockedKernel:
             "rmse": lambda: weighted_rmse(f, r, w),
             "acc": lambda: weighted_acc(f, r, c, w),
             "rmse+acc": lambda: weighted_acc(f, r, c, w, _with_rmse=True),
-            "mse": lambda: metrics.mse(f, r),
+            "mse": lambda: metrics.weighted_rmse_and_mse(f, r, w)[1],
         }[score]
         tracemalloc.start()
         try:
@@ -339,7 +344,7 @@ class TestRowBlockedKernel:
 
 def _non_finite_cases():
     """(score, field) pairs: every field each score sums, the climatology only for ACC."""
-    for score in ("weighted_rmse", "weighted_rmse_and_mse", "mse", "psnr", "weighted_acc",
+    for score in ("weighted_rmse", "weighted_rmse_and_mse", "psnr_from_mse", "psnr", "weighted_acc",
                   "weighted_acc_with_rmse"):
         with_clim = score.startswith("weighted_acc")
         sides = ("forecast", "reference") + (("climatology",) if with_clim else ())
@@ -362,7 +367,8 @@ class TestNonFiniteInput:
         call = {
             "weighted_rmse": lambda: weighted_rmse(f, r, self.WEIGHTS),
             "weighted_rmse_and_mse": lambda: metrics.weighted_rmse_and_mse(f, r, self.WEIGHTS),
-            "mse": lambda: metrics.mse(f, r),
+            "psnr_from_mse": lambda: metrics.psnr_from_mse(
+                metrics.weighted_rmse_and_mse(f, r, self.WEIGHTS)[1], 1.0),
             "psnr": lambda: psnr(f, r, 1.0),
             "weighted_acc": lambda: weighted_acc(f, r, c, self.WEIGHTS),
             "weighted_acc_with_rmse": lambda: weighted_acc(f, r, c, self.WEIGHTS,
@@ -422,7 +428,8 @@ class TestPsnr:
     def test_from_mse_equals_psnr(self, peak):
         rng = np.random.default_rng(21)
         c, r = (rng.normal(280.0, 5.0, size=(31, 47)).astype(np.float32) for _ in range(2))
-        assert metrics.psnr_from_mse(metrics.mse(c, r), peak).hex() == psnr(c, r, peak).hex()
+        err = metrics.weighted_rmse_and_mse(c, r, np.ones(c.shape[0]))[1]
+        assert metrics.psnr_from_mse(err, peak).hex() == psnr(c, r, peak).hex()
 
     def test_from_mse_of_zero_is_a_perfect_match(self):
         with pytest.raises(PerfectMatch):
@@ -436,18 +443,19 @@ class TestPsnr:
     @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                         reason="a second BLAS thread needs a second CPU")
     def test_same_bits_at_any_blas_thread_count(self):
-        """OpenBLAS splits a long dot product across its threads; mse must not.
+        """OpenBLAS splits a long dot product across its threads; the MSE must not.
 
         Unit-variance fields, so the squared differences do not all sum exactly
         and a different summation order shows in the last bits.
         """
         script = (
             "import numpy as np\n"
-            "from geoverify.metrics import mse, psnr\n"
+            "from geoverify.metrics import psnr, weighted_rmse_and_mse\n"
             "rng = np.random.default_rng(15)\n"
             "r = rng.normal(size=(401, 601)).astype(np.float32)\n"
             "c = rng.normal(size=r.shape).astype(np.float32)\n"
-            "print(mse(c, r).hex(), psnr(c, r, 40.0).hex())\n"
+            "err = weighted_rmse_and_mse(c, r, np.ones(r.shape[0]))[1]\n"
+            "print(err.hex(), psnr(c, r, 40.0).hex())\n"
         )
         src = str(Path(metrics.__file__).resolve().parents[1])
         outputs = []

@@ -185,6 +185,8 @@ class TestCycloneTracker:
 GLOBAL_SPEC = GridSpec(181, 720, 80.0, -0.5, 0.0, 0.5)
 #: 0.25 degrees from 70N to 50N and 350E to 30E: regional, across the 0/360 meridian.
 REGIONAL_SPEC = GridSpec(81, 161, 70.0, -0.25, 350.0, 0.25)
+#: 0.25 degrees over the globe's longitudes, from the north pole to 70N.
+POLAR_SPEC = GridSpec(81, 1440, 90.0, -0.25, 0.0, 0.25)
 
 
 class TestTrackerWindows:
@@ -204,37 +206,58 @@ class TestTrackerWindows:
             assert abs((p.lon - q.lon + 180.0) % 360.0 - 180.0) <= 0.5
             assert p.ws_max == q.ws_max
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=80, deadline=None, derandomize=True)
     @given(data=st.data())
-    def test_ring_derived_disk_equals_a_direct_computation(self, data):
-        """The disk cut from the ring's window: same nodes, same distance bits, same ws_max."""
-        spec = data.draw(st.sampled_from([GLOBAL_SPEC, REGIONAL_SPEC]), label="grid")
+    def test_the_box_holds_every_node_of_the_disk(self, data):
+        """Every node within the radius, by distance over the whole grid, is in the window."""
+        spec = data.draw(st.sampled_from([GLOBAL_SPEC, REGIONAL_SPEC, POLAR_SPEC]), label="grid")
         lats, lons = spec.latitudes, spec.longitudes
-        # Rows above 60 degrees (the first 40 of either grid) and the columns at
-        # the seam (the global grid's ends) are drawn often.
-        row = data.draw(st.one_of(st.integers(0, spec.n_lat - 1),
-                                  st.integers(0, min(spec.n_lat, 40) - 1)), label="row")
-        col = data.draw(st.one_of(st.integers(0, spec.n_lon - 1),
-                                  st.sampled_from([0, 1, spec.n_lon - 2, spec.n_lon - 1])),
-                        label="col")
-        intensity_km = data.draw(st.floats(20.0, 400.0), label="intensity_km")
-        ring_km = data.draw(st.floats(0.0, 300.0), label="ring_km")
-        lat_c, lon_c = float(lats[row]), float(lons[col])
-        ws = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed")).random(
-            (spec.n_lat, spec.n_lon)).astype(np.float32)
+        # Centres above 80 degrees, where a box that is too narrow misses nodes, are drawn often.
+        lat_hi = float(lats.max())
+        lat0 = data.draw(st.one_of(st.floats(float(lats.min()), lat_hi),
+                                   st.floats(min(80.0, lat_hi), lat_hi)), label="lat0")
+        lon0 = data.draw(st.floats(0.0, 360.0, exclude_max=True), label="lon0")
+        radius_km = data.draw(st.floats(20.0, 600.0), label="radius_km")
 
-        ring = rows, cols, _ = tc._window(spec, lat_c, lon_c, intensity_km + ring_km)
-        disk_rows, disk_cols, disk_dist = tc._window(spec, lat_c, lon_c, intensity_km, ring)
-        direct_rows, direct_cols = tc._window_indices(spec, lat_c, lon_c, intensity_km)
-        direct_dist = tc._haversine_grid(lat_c, lon_c, lats[direct_rows], lons[direct_cols])
+        rows, cols, dist = tc._window(spec, lat0, lon0, radius_km)
+        inside = np.zeros((spec.n_lat, spec.n_lon), dtype=bool)
+        inside[np.ix_(np.arange(spec.n_lat)[rows], np.arange(spec.n_lon)[cols])] = True
+        near = tc._haversine_grid(lat0, lon0, lats, lons) <= radius_km
+        assert not (near & ~inside).any()
+        assert np.count_nonzero(dist <= radius_km) == np.count_nonzero(near)
 
-        assert np.array_equal(np.arange(spec.n_lat)[rows][disk_rows], direct_rows)
-        assert np.array_equal(np.arange(spec.n_lon)[cols][disk_cols], direct_cols)
-        assert np.ascontiguousarray(disk_dist).tobytes() == direct_dist.tobytes()
-        disk = disk_dist <= intensity_km
-        assert np.array_equal(disk, direct_dist <= intensity_km)
-        ws_max = ws[rows][:, cols][disk_rows][:, disk_cols][disk].max()
-        assert ws_max == ws[np.ix_(direct_rows, direct_cols)][direct_dist <= intensity_km].max()
+
+class TestFixIntensity:
+    """A fix's ws_max is the largest WS10M over every node within intensity_radius_km."""
+
+    @staticmethod
+    def _fix_ws_max(spec, lat_c, lon_c, ws):
+        """The tracked ws_max, and the brute-force maximum, of a low at a node with winds ``ws``."""
+        [cube], truth = synthetic_vortex_series(spec, utc(2024, 9, 1), 1, lat_c, lon_c)
+        values = np.stack([np.asarray(cube.values)[0], ws]).astype(np.float32)
+        cube = FieldCube(spec, cube.catalog, cube.valid_time, values)
+        track = track_cyclone([cube], truth.points[0])
+        assert track.complete and (track.points[0].lat, track.points[0].lon) == (lat_c, lon_c)
+        near = tc._haversine_grid(lat_c, lon_c, spec.latitudes, spec.longitudes) <= 250.0
+        return track.points[0].ws_max, float(values[1][near].max())
+
+    def test_tropical_centre(self):
+        ws = np.random.default_rng(33).random((WNP_SPEC.n_lat, WNP_SPEC.n_lon)) * 30.0
+        tracked, brute = self._fix_ws_max(WNP_SPEC, 20.0, 130.0, ws)
+        assert tracked == brute
+
+    def test_centre_at_85n_with_the_maximum_at_the_disks_widest_node(self):
+        lats, lons = POLAR_SPEC.latitudes, POLAR_SPEC.longitudes
+        ws = np.random.default_rng(85).random((POLAR_SPEC.n_lat, POLAR_SPEC.n_lon)) * 30.0
+        near = tc._haversine_grid(85.0, 10.0, lats, lons) <= 250.0
+        # The node of the disk farthest east of the centre, beyond a box of half-width
+        # 250 km / (km per degree * cos 85) plus one column.
+        dlon = np.where(near, (lons - 10.0 + 180.0) % 360.0 - 180.0, -np.inf)
+        r, c = np.unravel_index(np.argmax(dlon), dlon.shape)
+        assert dlon[r, c] > 250.0 / (tc.KM_PER_DEG * math.cos(math.radians(85.0))) + 0.25
+        ws[r, c] = 50.0
+        tracked, brute = self._fix_ws_max(POLAR_SPEC, 85.0, 10.0, ws)
+        assert tracked == brute == 50.0
 
 
 def _pooled(forecast, reference, metric):
