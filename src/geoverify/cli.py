@@ -12,7 +12,6 @@ import argparse
 import gc
 import math
 import sys
-import threading
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from itertools import accumulate
@@ -122,18 +121,6 @@ def read_init_times(path) -> list[datetime]:
 
 
 # --- verify -------------------------------------------------------------------
-
-class _WorkerBuffers(threading.local):
-    """The read buffers of one ``verify`` worker (thread), kept for the whole pass.
-
-    Only ranges whose scored channels lie in several runs use them; a single
-    run is viewed through a mapping of the file (see cubeio.read_cube)."""
-
-    def __init__(self):
-        self.forecast = cubeio.ReadBuffer()
-        self.reference = cubeio.ReadBuffer()
-        self.climatology = cubeio.ReadBuffer()
-
 
 def _cut(catalogs, order, channel_bytes) -> tuple[list, list[list[range]]]:
     """Groups of the variables ``order``, and each catalog's channel range per group.
@@ -257,26 +244,25 @@ def cmd_verify(args) -> int:
     clim = clim_mod.Climatology.load(args.climatology) if "acc" in wanted else None
 
     spec, groups, plan = _plan(args, variables, clim, eval_set)
-    buffers, last_valid = _WorkerBuffers(), None  # the valid time of the last read
+    last_valid = None  # the valid time of the last read
 
-    def read(valid, path, k, out):
+    def read(valid, path, k):
         # Every kept channel is scored, so the kernels' row sums check it for NaN/Inf.
         nonlocal last_valid
         last_valid = valid
         header, spans = plan[valid][path]
-        return cubeio.read_cube(header, groups[k], spans[k], out=out, _scan_kept=False)
+        return cubeio.read_cube(header, groups[k], spans[k], _scan_kept=False)
 
     try:
         records, rmse_maps = metrics.evaluate_set(
             lambda t0, lead, k: read(t0 + timedelta(hours=lead),
-                                     forecast_path(args.forecast, t0, lead), k, buffers.forecast),
-            lambda valid, k: read(valid, reference_path(args.reference, valid), k,
-                                  buffers.reference),
+                                     forecast_path(args.forecast, t0, lead), k),
+            lambda valid, k: read(valid, reference_path(args.reference, valid), k),
             eval_set,
             variables,
             rmse="rmse" in wanted,
             climatologies=None if clim is None else (
-                lambda valid, k: read(valid, clim.key_header(valid).path, k, buffers.climatology)),
+                lambda valid, k: read(valid, clim.key_header(valid).path, k)),
             groups=groups,
             maps=bool(args.map_dir),
             threads=args.threads,
@@ -313,8 +299,7 @@ def cmd_verify(args) -> int:
 
 # --- downscale-eval -------------------------------------------------------------
 
-def _downscale_inputs(args, truth_path: Path, truth: FieldCube,
-                      buffers) -> tuple[FieldCube, FieldCube]:
+def _downscale_inputs(args, truth_path: Path, truth: FieldCube) -> tuple[FieldCube, FieldCube]:
     """(bilinear baseline, model) for one truth cube; GeoverifyError skips the sample.
 
     Every check runs before the upsample, so a skipped sample costs none.
@@ -322,10 +307,8 @@ def _downscale_inputs(args, truth_path: Path, truth: FieldCube,
     from . import regrid
 
     stem = truth_path.stem
-    coarse = cubeio.read_cube(cubeio.read_header(Path(args.coarse) / truth_path.name),
-                              out=buffers["coarse"])
-    model = cubeio.read_cube(cubeio.read_header(Path(args.model) / truth_path.name),
-                             out=buffers["model"])
+    coarse = cubeio.read_cube(cubeio.read_header(Path(args.coarse) / truth_path.name))
+    model = cubeio.read_cube(cubeio.read_header(Path(args.model) / truth_path.name))
     for side, cube in (("coarse", coarse), ("model", model)):
         if cube.valid_time != truth.valid_time:
             raise GeoverifyError(f"{side} cube valid_time {cubeio.format_time(cube.valid_time)}"
@@ -374,22 +357,38 @@ def cmd_downscale_eval(args) -> int:
     if not truth_paths:
         raise EmptyInput(f"no truth cubes in {args.truth}")
 
+    out_base = Path(args.out)
+
+    def matrix_path(token, metric):
+        return out_base.parent / f"{out_base.stem}_nd_{token}_{metric}.csv"
+
     rows = []          # (time, var, method, metric, value, peak)
     samples: dict = {} # (var token, metric, method) -> list of (time, value)
     truth_at: dict = {} # header valid time -> the first truth path read at it
     failures = 0
-    buffers = {side: cubeio.ReadBuffer() for side in ("truth", "coarse", "model")}
     for truth_path in truth_paths:
-        # The last sample's cubes die before their buffers are refilled.  The baseline, in
-        # no buffer, is kept: when freed, its pages went back to the OS and the next
+        # The last sample's truth and model die before the next ones are read.  The
+        # baseline is kept: when freed, its pages went back to the OS and the next
         # upsample faulted in new ones (bench downscale, 2-vCPU VM: 120k minor faults
         # for 14k, 1.03-1.26 s wall for 0.72-0.98 s, 1.8 MiB lower peak RSS).
         truth = model = None
         try:
-            truth = cubeio.read_cube(cubeio.read_header(truth_path), out=buffers["truth"])
+            header = cubeio.read_header(truth_path)
+        except (GeoverifyError, OSError) as e:
+            header = e  # raised in the try below, which skips the sample
+        if not truth_at and isinstance(header, cubeio.CubeHeader):
+            # Outside the try: an unwritable matrix path fails the run, not the sample.
+            for var in header.catalog:
+                if var.role == "input-output":
+                    cubeio.output_path(matrix_path(var.token, "rmse"))
+                    cubeio.output_path(matrix_path(var.token, "psnr"))
+        try:
+            if isinstance(header, Exception):
+                raise header
+            truth = cubeio.read_cube(header)
             first = truth_at.setdefault(truth.valid_time, truth_path)
             if first == truth_path:
-                baseline, model = _downscale_inputs(args, truth_path, truth, buffers)
+                baseline, model = _downscale_inputs(args, truth_path, truth)
         except (GeoverifyError, OSError) as e:
             print(f"geoverify: skipping {truth_path.stem}: {e}", file=sys.stderr)
             failures += 1
@@ -417,15 +416,14 @@ def cmd_downscale_eval(args) -> int:
         "model": args.model,
         "psnr_peak": "reference-range" if args.psnr_peak is None else args.psnr_peak,
     }
-    out_base = Path(args.out)
     with cubeio.staged_outputs() as stage:
         for token, metric, matrix in matrices:
             capped = int(np.isinf(matrix).sum())
             matrix[np.isposinf(matrix)] = 1.0
             matrix[np.isneginf(matrix)] = -1.0
             matrix_params = dict(params, variable=token, metric=metric, capped_cells=capped)
-            path = out_base.parent / f"{out_base.stem}_nd_{token}_{metric}.csv"
-            cubeio.write_month_hour_matrix(matrix, stage(path), matrix_params)
+            cubeio.write_month_hour_matrix(matrix, stage(matrix_path(token, metric)),
+                                           matrix_params)
         rows.sort(key=lambda r: (r[0], r[1].token, r[2], r[3]))
         cubeio.write_csv(
             stage(args.out), params,
@@ -474,11 +472,10 @@ def cmd_tc_track(args) -> int:
         starting.setdefault(seed.time, []).append(tracker)
 
     # One pass in valid-time order: every cube is read in full from its header, steps
-    # every active tracker once, and is released before the next one is read
-    # into the same buffer.
-    active, buffer = [], cubeio.ReadBuffer()
+    # every active tracker once, and is released before the next one is read.
+    active = []
     for valid in sorted(headers):
-        cube = cubeio.read_cube(headers[valid], out=buffer)
+        cube = cubeio.read_cube(headers[valid])
         active = [t for t in active + starting.get(valid, []) if t.step(cube)]
         del cube
     out_tracks = [t.track() for t in trackers]

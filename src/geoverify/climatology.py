@@ -129,7 +129,7 @@ def build_climatology(paths, directory) -> Path:
     ranges = [range(c, min(c + step, len(catalog))) for c in range(0, len(catalog), step)]
 
     directory = Path(directory)
-    buffer, rows = cubeio.ReadBuffer(), []
+    rows = []
     with cubeio.staged_outputs() as stage:
         for (doy, hour), key_headers in sorted(keys.items()):
             name = f"clim_d{doy:03d}_h{hour:02d}.gvc"
@@ -138,7 +138,7 @@ def build_climatology(paths, directory) -> Path:
                 for channels in ranges:
                     total = np.zeros((len(channels), spec.n_lat, spec.n_lon))
                     for header in key_headers:
-                        total += cubeio.read_cube(header, channels=channels, out=buffer).values
+                        total += cubeio.read_cube(header, channels=channels).values
                     total /= len(key_headers)
                     write(total)
             rows.append((doy, hour, len(key_headers), name))

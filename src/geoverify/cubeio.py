@@ -29,7 +29,6 @@ import itertools
 import mmap
 import os
 import struct
-import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -81,7 +80,8 @@ def _encode_catalog(catalog: VariableCatalog) -> bytes:
 
 
 def output_path(path) -> Path:
-    """``path`` as a Path; IsADirectoryError when it has no name or is a directory.
+    """``path`` as a Path; IsADirectoryError when it has no name or is a directory,
+    NotADirectoryError when its nearest existing ancestor is not a directory.
 
     ``stage`` applies it to each file it stages; a run applies it to every
     target it can name before it reads any input, to fail before any work.
@@ -89,6 +89,9 @@ def output_path(path) -> Path:
     path = Path(path)
     if not path.name or path.is_dir():  # "", "." and "/" have no name
         raise IsADirectoryError(f"{str(path)!r} is a directory")
+    ancestor = next((p for p in path.parents if p.exists()), None)
+    if ancestor is not None and not ancestor.is_dir():
+        raise NotADirectoryError(f"{str(ancestor)!r} is not a directory")
     return path
 
 
@@ -305,41 +308,18 @@ def _map(f, path, n: int) -> np.ndarray:
     return np.frombuffer(pages, "<f4", n, offset - start)
 
 
-class ReadBuffer:
-    """float32 storage that ``read_cube`` refills instead of allocating per read.
-
-    One reader uses it at a time.  A read takes the storage only when no
-    array still views it, growing it when the read needs more values;
-    while a cube read into it, or a channel of one, is alive, the next read
-    allocates, so a live cube is never overwritten.
-    """
-
-    def __init__(self):
-        self._values = np.empty(0, dtype="<f4")
-        # References to the storage when nothing views it: this attribute's,
-        # counted in the very expression ``take`` uses.
-        self._free = sys.getrefcount(self._values)
-
-    def take(self, n: int) -> np.ndarray:
-        """``n`` float32 values: the storage when unviewed, else a new array."""
-        if sys.getrefcount(self._values) != self._free:
-            return np.empty(n, dtype="<f4")
-        if self._values.size < n:
-            self._values = np.empty(n, dtype="<f4")
-        return self._values[:n]
-
-
-def read_cube(header: CubeHeader, variables=None, channels: range | None = None,
-              out: ReadBuffer | None = None, *, _scan_kept: bool = True) -> FieldCube:
+def read_cube(header: CubeHeader, variables=None, channels: range | None = None, *,
+              _scan_kept: bool = True) -> FieldCube:
     """The cube of the file whose header ``read_header`` returned, its values checked for NaN/Inf.
 
     The header is not read again: the payload is read from ``header.offset``.
     With ``variables``, the cube keeps only the channels of the file's
     catalog named there (as tokens, (name, level) pairs or VariableIds), in
     file order; a variable the file lacks is not kept, so ``select_channel``
-    raises UnknownVariable for it as after a full read.  Every other channel
-    still streams through one reused buffer of at most FINITE_SCAN_VALUES
-    values and is checked for NaN/Inf: a file is accepted or rejected
+    raises UnknownVariable for it as after a full read.  The kept channels
+    are read into one new array.  Every other channel still streams through
+    one scan block of at most FINITE_SCAN_VALUES values, freed before the
+    read returns, and is checked for NaN/Inf: a file is accepted or rejected
     exactly as by a full read.
 
     With ``channels``, a step-1 range of file channel indices, only that run
@@ -348,18 +328,13 @@ def read_cube(header: CubeHeader, variables=None, channels: range | None = None,
     checked for NaN/Inf.  A range beyond the file's channels raises
     CorruptHeader.
 
-    With ``out``, the cube's values are cut from the buffer's storage (see
-    ReadBuffer) rather than from a new array.  The scan block is always a
-    new array, freed before the read returns, so no buffer holds one.
-
     ``_scan_kept=False`` is private to ``verify``, whose metric kernels check
     every kept value: the kept channels are then not scanned for NaN/Inf.
     When they are one run of adjacent channels, they are not copied either:
-    the cube's values view a read-only mapping of their pages, and ``out`` is
-    unused.  A file that shrank since its header was read raises
-    TruncatedPayload; one truncated while the cube lives raises SIGBUS on
-    access.  Unkept channels are always read through the scan block, so they
-    do not stay resident.
+    the cube's values view a read-only mapping of their pages.  A file that
+    shrank since its header was read raises TruncatedPayload; one truncated
+    while the cube lives raises SIGBUS on access.  Unkept channels are always
+    read through the scan block, so they do not stay resident.
     """
     path, spec, catalog = header.path, header.spec, header.catalog
     with open(path, "rb") as f:
@@ -379,7 +354,7 @@ def read_cube(header: CubeHeader, variables=None, channels: range | None = None,
         n_kept = plane * len(keep)
         n_scan = min(FINITE_SCAN_VALUES, plane * (len(span) - len(keep)))
         mapped = not _scan_kept and bool(keep) and max(keep) - min(keep) + 1 == len(keep)
-        kept = None if mapped else (out or ReadBuffer()).take(n_kept)
+        kept = None if mapped else np.empty(n_kept, dtype="<f4")
         scan = np.empty(n_scan, dtype="<f4")
         pos, finite = 0, True
         # One readinto per run of adjacent kept channels: a full read is one call.

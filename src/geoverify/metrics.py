@@ -321,7 +321,9 @@ def evaluate_set(
     called for is the one being scored when an error is raised.  ``groups``
     cuts the variables into groups, each variable named in exactly one, or
     ValueError is raised before any load; without it there is one group of
-    all variables.  The groups are the same at every valid time.  For group k,
+    all variables.  The groups are the same at every valid time.  With
+    neither ``rmse`` nor ``climatologies`` there is nothing to score, and
+    ValueError is raised before any load too.  For group k,
     ``forecasts(t0, lead, k)`` and ``references(valid_time, k)`` load cubes
     holding at least the group's variables; a KeyError or FileNotFoundError
     from either becomes MissingCube for the pair, and the reference is
@@ -329,8 +331,8 @@ def evaluate_set(
     ``rmse``, the ACC about ``climatologies(valid_time, k)`` when that is
     given (both from one ``weighted_acc`` call when both are wanted), and with
     ``maps`` a pointwise-RMSE map with ``pointwise_rmse``'s bits, whose one
-    float64 sum is held for the whole run: the kernel's pass (RMSE's, for a
-    map alone) adds each pair's d^2 to it, and it is finished in place.
+    float64 sum is held for the whole run: the kernel's pass adds each pair's
+    d^2 to it, and it is finished in place.
 
     Returns one MetricRecord per (variable, lead, metric), the mean of the
     per-pair values, and the float64 maps keyed by (variable, lead), both in
@@ -339,19 +341,21 @@ def evaluate_set(
     starts no thread.  A worker reads the first pair's forecast, the
     reference and the climatology of its group, then each later pair's
     forecast after releasing the one before and every channel view of it,
-    so memory holds at most three cubes per worker.  A loader may refill a
-    released cube's storage (see cubeio.ReadBuffer), or view the file through
-    a read-only mapping that is unmapped with the cube.  When several loads
-    fail, the first in that order, group by group, is raised.  A valid time
-    gives each (variable, lead) one value, from one worker, and valid-time
-    order is init order for one lead, so each sum adds its values in init
-    order and results are bitwise identical at any thread count.
+    so memory holds at most three cubes per worker.  A loader may read each
+    cube into a new array, or view the file through a read-only mapping
+    that is unmapped with the cube.  When several loads fail, the first in
+    that order, group by group, is raised.  A valid time gives each
+    (variable, lead) one value, from one worker, and valid-time order is
+    init order for one lead, so each sum adds its values in init order and
+    results are bitwise identical at any thread count.
     """
     var_ids = list(dict.fromkeys(_resolve_var(v) for v in variables))
     groups = [var_ids] if groups is None else [[_resolve_var(v) for v in g] for g in groups]
     named = [var for g in groups for var in g]
     if len(named) != len(var_ids) or set(named) != set(var_ids):
         raise ValueError("groups must name each variable once")
+    if not rmse and climatologies is None:
+        raise ValueError("nothing to score: rmse=False and no climatologies")
     names = (["rmse"] if rmse else []) + (["acc"] if climatologies is not None else [])
     leads = eval_set.lead_hours
     totals = {(var, lead, m): 0.0 for lead in leads for var in var_ids for m in names}
@@ -376,7 +380,7 @@ def evaluate_set(
                 scores = weighted_acc(f2, r2, c2, weights, _with_rmse=rmse, _sq_sum=sq_sum)
                 acc, value = scores if rmse else (scores, None)
                 totals[(var, lead, "acc")] += acc
-            elif rmse or maps:  # a map without a score still takes the kernel's pass
+            else:
                 value = weighted_rmse(f2, r2, weights, _sq_sum=sq_sum)
             if rmse:
                 totals[(var, lead, "rmse")] += value

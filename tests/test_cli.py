@@ -55,32 +55,6 @@ def _random_field_cube(rng, valid_time, offset=0.0):
     return FieldCube(SPEC, CATALOG, valid_time, values.astype(np.float32))
 
 
-@pytest.fixture
-def buffer_takes(monkeypatch):
-    """{id of each read buffer: whether each read into it refilled its storage}.
-
-    Also checks, when the test ends, that every cube read went through a buffer.
-    """
-    from geoverify import cubeio
-
-    read_cube, take, reads, takes = cubeio.read_cube, cubeio.ReadBuffer.take, [], {}
-
-    def counted(header, variables=None, channels=None, out=None, *, _scan_kept=True):
-        reads.append(out is not None)
-        return read_cube(header, variables, channels, out, _scan_kept=_scan_kept)
-
-    def spied(self, n):
-        values = take(self, n)
-        takes.setdefault(id(self), []).append(values.base is self._values)
-        return values
-
-    monkeypatch.setattr(cubeio, "read_cube", counted)
-    monkeypatch.setattr(cubeio.ReadBuffer, "take", spied)
-    yield takes
-    assert reads and all(reads)
-    assert sum(map(len, takes.values())) == len(reads)
-
-
 def make_verify_fixture(tmp_path, init_times, leads, seed=0):
     """Forecast/reference cube dirs, an init-times file and a climatology."""
     rng = np.random.default_rng(seed)
@@ -406,9 +380,8 @@ class TestVerify:
             if name == "full":
                 read_cube = cubeio.read_cube
                 monkeypatch.setattr(cubeio, "read_cube",
-                                    lambda header, variables=None, channels=None, out=None, *,
-                                    _scan_kept=True:
-                                    read_cube(header, out=out, _scan_kept=_scan_kept))
+                                    lambda header, variables=None, channels=None, *,
+                                    _scan_kept=True: read_cube(header, _scan_kept=_scan_kept))
             code = main([
                 "verify", "--forecast", str(fdir), "--reference", str(rdir),
                 "--climatology", str(manifest), "--variables", "T2M",
@@ -430,9 +403,9 @@ class TestVerify:
         fdir, rdir, manifest, times_file = make_verify_fixture(tmp_path, init_times, [6, 12, 18])
         read_cube, reads = cubeio.read_cube, []
 
-        def counted(header, variables=None, channels=None, out=None, *, _scan_kept=True):
+        def counted(header, variables=None, channels=None, *, _scan_kept=True):
             reads.append(Path(header.path))
-            return read_cube(header, variables, channels, out, _scan_kept=_scan_kept)
+            return read_cube(header, variables, channels, _scan_kept=_scan_kept)
 
         monkeypatch.setattr(cubeio, "read_cube", counted)
         code = main([
@@ -593,9 +566,9 @@ class TestVerifyChannelRanges:
 
         read_cube, reads = cubeio.read_cube, []
 
-        def counted(header, variables=None, channels=None, out=None, *, _scan_kept=True):
+        def counted(header, variables=None, channels=None, *, _scan_kept=True):
             reads.append((Path(header.path).name, channels))
-            return read_cube(header, variables, channels, out, _scan_kept=_scan_kept)
+            return read_cube(header, variables, channels, _scan_kept=_scan_kept)
 
         monkeypatch.setattr(cubeio, "read_cube", counted)
         return reads
@@ -667,51 +640,27 @@ class TestVerifyChannelRanges:
         assert {c for _, c in reads} == {range(0, 2)}
         assert self._outputs(tmp_path, "reversed") == self._outputs(tmp_path, "stored")
 
-    def _verify_overlapping_pairs(self, tmp_path, monkeypatch, threads, spy, between=False):
-        """Runs verify of inits 6 h apart at leads 6, 12, 18, where up to three pairs share
-        a valid time, and returns ``spy()``, called once the inputs are written.  With
-        ``between``, every cube stores T850 between Z500 and T2M."""
-        from geoverify import metrics
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.usefixtures("one_channel_ranges")
+    def test_single_run_ranges_take_no_buffer(self, tmp_path, monkeypatch, threads):
+        """Each range keeps one channel: its values are a view of a mapping of its pages.
+
+        Inits are 6 h apart at leads 6, 12, 18, so up to three pairs share a valid time.
+        """
+        from geoverify import cubeio, metrics
 
         monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
         fdir, rdir, manifest, times_file = make_verify_fixture(
             tmp_path, [utc(2024, 1, 1, h) for h in (0, 6, 12)], [6, 12, 18])
-        if between:
-            for directory in (fdir, rdir, manifest.parent):
-                for path in directory.glob("*.gvc"):
-                    _insert_t850(path)
-        spied = spy()
+        mmap, calls = cubeio.mmap.mmap, []
+        monkeypatch.setattr(cubeio.mmap, "mmap", lambda *args, **kwargs: calls.append("map")
+                            or mmap(*args, **kwargs))
+        reads = self._counted_reads(monkeypatch)
         assert main(_argv("verify", forecast=fdir, reference=rdir, climatology=manifest,
                           variables="Z500,T2M", init_times=times_file, leads="6,12,18",
                           threads=threads, out=tmp_path / "out.csv")) == 0
-        return spied
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.usefixtures("one_channel_ranges")
-    def test_single_run_ranges_take_no_buffer(self, tmp_path, monkeypatch, threads):
-        """Each range keeps one channel: its values are a view of a mapping of its pages."""
-        from geoverify import cubeio
-
-        def spy():
-            mmap, calls = cubeio.mmap.mmap, []
-            monkeypatch.setattr(cubeio.ReadBuffer, "take", lambda self, n: calls.append("take"))
-            monkeypatch.setattr(cubeio.mmap, "mmap", lambda *args, **kwargs: calls.append("map")
-                                or mmap(*args, **kwargs))
-            return calls, self._counted_reads(monkeypatch)
-
-        calls, reads = self._verify_overlapping_pairs(tmp_path, monkeypatch, threads, spy)
         assert len(reads) == (9 + 5 + 5) * 2  # 9 forecasts, 5 references and 5 keys, 2 ranges
         assert calls == ["map"] * len(reads)
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_multi_run_ranges_refill_each_workers_three_buffers(
-            self, tmp_path, monkeypatch, request, threads):
-        """Z500 and T2M, with T850 between them, are kept in two runs of one range."""
-        takes = self._verify_overlapping_pairs(
-            tmp_path, monkeypatch, threads, lambda: request.getfixturevalue("buffer_takes"),
-            between=True)
-        assert 3 <= len(takes) <= 3 * threads
-        assert all(all(refills) for refills in takes.values())
 
     @pytest.mark.usefixtures("one_channel_ranges")
     def test_report_and_maps_equal_at_1_2_3_threads(self, tmp_path, monkeypatch):
@@ -976,13 +925,6 @@ class TestDownscaleEval:
         nd = (tmp_path / "ds_nd_T2M_psnr.csv").read_text().splitlines()
         assert "capped_cells=1" in nd[0]
         assert nd[3] == "2,NA,NA,NA,1"
-
-    def test_truth_coarse_and_model_each_refill_one_buffer(self, tmp_path, buffer_takes):
-        times = [utc(2024, 2, 2, 18), utc(2024, 2, 3, 0), utc(2024, 2, 3, 6)]
-        coarse, truth, model = self._write_fixture(tmp_path, times, "bilinear")
-        assert main(_argv("downscale-eval", coarse=coarse, truth=truth, model=model,
-                          out=tmp_path / "ds.csv")) == 0
-        assert list(buffer_takes.values()) == [[True] * 3] * 3
 
     def test_single_sample_single_cell(self, tmp_path):
         times = [utc(2024, 2, 2, 18)]
@@ -1382,9 +1324,9 @@ class TestTcTrackStreaming:
         write_storms(directory, names_against_time=True)
         read_cube, reads, alive = cubeio.read_cube, [], []
 
-        def watched(header, variables=None, out=None, *, _scan_kept=True):
+        def watched(header, variables=None, *, _scan_kept=True):
             alive.extend(str(p) for p, cube in reads if cube() is not None)
-            cube = read_cube(header, variables, out=out, _scan_kept=_scan_kept)
+            cube = read_cube(header, variables, _scan_kept=_scan_kept)
             reads.append((Path(header.path), weakref.ref(cube)))
             return cube
 
@@ -1394,12 +1336,6 @@ class TestTcTrackStreaming:
         paths = [p for p, _ in reads]
         assert paths == sorted(directory.glob("*.gvc"), reverse=True)  # valid-time order
         assert len(paths) == 6
-
-    def test_every_cube_is_read_into_one_buffer(self, tmp_path, buffer_takes):
-        directory = tmp_path / "storms"
-        write_storms(directory)
-        assert self._run(directory, tmp_path / "track.csv") == 0
-        assert list(buffer_takes.values()) == [[True] * 6]
 
     def test_channel_order_is_read_from_each_cube(self, tmp_path):
         """Storing step 2 as [WS10M, MSL] changes no byte of the tracks."""
@@ -1478,9 +1414,9 @@ class TestClimatologyCommand:
             monkeypatch.setattr(cubeio, "RANGE_BYTES", SPEC.n_lat * SPEC.n_lon * 4)
         read_cube, reads, alive = cubeio.read_cube, [], []
 
-        def watched(header, variables=None, channels=None, out=None, *, _scan_kept=True):
+        def watched(header, variables=None, channels=None, *, _scan_kept=True):
             alive.extend(str(p) for p, _, cube in reads if cube() is not None)
-            cube = read_cube(header, variables, channels, out, _scan_kept=_scan_kept)
+            cube = read_cube(header, variables, channels, _scan_kept=_scan_kept)
             reads.append((Path(header.path), channels, weakref.ref(cube)))
             return cube
 
@@ -1522,10 +1458,9 @@ class TestClimatologyCommand:
         assert not (tmp_path / "clim").exists()
 
     def test_key_cubes_and_manifest_are_the_bytes_of_a_build_from_any_order_of_paths(
-            self, tmp_path, buffer_takes):
+            self, tmp_path):
         self._cubes(tmp_path / "cubes")
         assert main(_argv("climatology", cubes=tmp_path / "cubes", out=tmp_path / "clim")) == 0
-        assert list(buffer_takes.values()) == [[True] * 6]
         paths = cubeio.cube_paths(tmp_path / "cubes")
         build_climatology(paths[::-1], tmp_path / "reversed")
         build_climatology(paths[1::2] + paths[::2], tmp_path / "shuffled")
@@ -1725,14 +1660,6 @@ def _reverse_channels(path):
                          cube.values[::-1]), path)
 
 
-def _insert_t850(path):
-    """Rewrites a SPEC, CATALOG cube file with a T850 channel of zeros between its two."""
-    cube = read_cube(read_header(path))
-    catalog = VariableCatalog([CATALOG.entries[0], VariableId("T", 850), CATALOG.entries[1]])
-    write_cube(FieldCube(cube.spec, catalog, cube.valid_time,
-                         np.insert(cube.values, 1, 0.0, axis=0)), path)
-
-
 def _move_lat_start(path, lat_start=59.0):
     """Rewrites a cube file with its grid's first latitude at ``lat_start``; same shape."""
     cube = read_cube(read_header(path))
@@ -1873,10 +1800,16 @@ def verify_unknown_variable(tmp):
     return _verify(tmp, variables="Q700")
 
 
-@failure(2, "File exists")
+@failure(2, "maps' is not a directory")
 def verify_map_dir_is_a_file(tmp):
-    (tmp / "maps").write_text("not a directory\n")
+    (tmp / "maps").write_text("a regular file\n")
     return _verify(tmp)
+
+
+@failure(2, "file' is not a directory")
+def verify_out_under_a_file(tmp):
+    (tmp / "file").write_text("a regular file\n")
+    return _verify(tmp, out=tmp / "file" / "sub" / "r.csv")
 
 
 # A run's output files replace their targets together, after every one is
@@ -2281,6 +2214,8 @@ def test_failure_exits_with_its_code_and_writes_nothing(tmp_path, capsys, build,
 
 @pytest.mark.parametrize("build", [verify_out_is_a_directory_with_a_new_map_dir,
                                    verify_a_directory_at_a_map_path,
+                                   verify_map_dir_is_a_file,
+                                   verify_out_under_a_file,
                                    downscale_out_is_a_directory],
                          ids=lambda build: build.__name__)
 def test_an_output_that_cannot_be_written_fails_before_any_cube_is_read(tmp_path, monkeypatch,
@@ -2293,6 +2228,19 @@ def test_an_output_that_cannot_be_written_fails_before_any_cube_is_read(tmp_path
     monkeypatch.setattr(cubeio, "read_header", read)
     monkeypatch.setattr(cubeio, "read_cube", read)
     assert main(argv) == 2
+
+
+def test_a_matrix_path_that_cannot_be_written_fails_before_any_payload_is_read(
+        tmp_path, monkeypatch, capsys):
+    """The matrix paths come from the first truth header, so only that header is read."""
+    argv = downscale_a_directory_at_a_matrix_path(tmp_path)
+
+    def read(*args, **kwargs):
+        raise AssertionError("a payload was read before the matrix paths were checked")
+
+    monkeypatch.setattr(cubeio, "read_cube", read)
+    assert main(argv) == 2
+    assert "ds_nd_WS10M_rmse.csv" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["collecting", "paused"])

@@ -4,7 +4,6 @@ import mmap
 import os
 import re
 import struct
-import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -435,7 +434,7 @@ class TestMappedRead:
            variables=st.none() | st.sets(st.sampled_from([f"V{k}" for k in range(1, 7)])))
     @example(bounds=(1, 6), variables=None)           # channel 1 starts past the first granule
     @example(bounds=(3, 6), variables={"V4", "V5"})   # a run inside the range
-    @example(bounds=(0, 6), variables={"V2", "V5"})   # two runs: read into a buffer
+    @example(bounds=(0, 6), variables={"V2", "V5"})   # two runs: copied
     def test_bitwise_equal_to_the_scanned_read(self, cube_path, bounds, variables):
         assert self._payload_offset(cube_path) % 4 != 0
         channels = range(*bounds)
@@ -501,95 +500,6 @@ class TestMappedRead:
             assert len(cube.catalog) == n
             [length] = mapped
             assert n * channel_bytes <= length < n * channel_bytes + mmap.ALLOCATIONGRANULARITY
-
-
-class TestReadBuffer:
-    """read_cube(..., out=ReadBuffer()) refills one buffer instead of allocating per read."""
-
-    PLANE = 30 * 40  # six channels V1..V6, as in TestChannelRange
-
-    @pytest.fixture
-    def paths(self, tmp_path):
-        paths = [tmp_path / f"cube{k}.gvc" for k in range(2)]
-        for k, path in enumerate(paths):
-            write_cube(random_cube(np.random.default_rng(20 + k), n_chan=6, n_lat=30, n_lon=40),
-                       path)
-        return paths
-
-    @staticmethod
-    def _address(cube):
-        return cube.values.__array_interface__["data"][0]
-
-    @pytest.mark.parametrize("block", [7, FINITE_SCAN_VALUES])
-    def test_reads_into_one_buffer_bitwise_equal_reads_without(self, paths, monkeypatch, block):
-        monkeypatch.setattr(cubeio, "FINITE_SCAN_VALUES", block)
-        buffer = cubeio.ReadBuffer()
-        for path in paths:
-            for variables, channels in [(None, None), (["V5", "V3"], range(2, 5)),
-                                        (["V1"], range(0, 6)), (None, range(3, 3))]:
-                expected = read_cube(read_header(path), variables, channels)
-                cube = read_cube(read_header(path), variables, channels, out=buffer)
-                assert (cube.spec, cube.catalog, cube.valid_time) == (
-                    expected.spec, expected.catalog, expected.valid_time)
-                assert cube.values.tobytes() == expected.values.tobytes()
-                del cube
-
-    def test_a_released_cube_s_storage_is_refilled(self, paths):
-        buffer = cubeio.ReadBuffer()
-        cube = read_cube(read_header(paths[0]), out=buffer)
-        address = self._address(cube)
-        del cube
-        assert self._address(read_cube(read_header(paths[1]), out=buffer)) == address
-
-    def test_a_referenced_cube_keeps_its_values_after_a_second_read_into_its_buffer(
-            self, paths):
-        expected = [read_cube(read_header(path)).values.tobytes() for path in paths]
-        buffer = cubeio.ReadBuffer()
-        first = read_cube(read_header(paths[0]), out=buffer)
-        second = read_cube(read_header(paths[1]), out=buffer)
-        assert first.values.tobytes() == expected[0]
-        assert second.values.tobytes() == expected[1]
-        # A channel view alone keeps the storage too.
-        channel = select_channel(second, "V4")
-        del first, second
-        third = read_cube(read_header(paths[0]), out=buffer)
-        assert channel.tobytes() == expected[1][3 * 4 * self.PLANE:4 * 4 * self.PLANE]
-        assert third.values.tobytes() == expected[0]
-
-    def test_ten_range_reads_into_one_buffer_trace_well_under_one_range(self, tmp_path):
-        """Ten reads of a 3-channel range, two channels kept, peak under half its bytes.
-
-        What is left is one read's scan block for the unkept channel (a third
-        of the range) and the finiteness scan's bool temporaries, one byte per
-        four-byte value scanned at a time.
-        """
-        paths = [tmp_path / f"big{k}.gvc" for k in range(2)]
-        for k, path in enumerate(paths):
-            write_cube(random_cube(np.random.default_rng(k), n_chan=6, n_lat=200, n_lon=300),
-                       path)
-        range_bytes = 3 * 4 * 200 * 300
-
-        def peak_of_ten_reads(out):
-            tracemalloc.start()
-            try:
-                for k in range(10):
-                    cube = read_cube(read_header(paths[k % 2]), ["V3", "V5"], range(2, 5), out=out)
-                    del cube
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        tracemalloc.start()
-        try:
-            buffer = cubeio.ReadBuffer()
-            read_cube(read_header(paths[0]), ["V3", "V5"], range(2, 5), out=buffer)  # sizes it
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        # The buffer keeps the two kept channels, not the scan block of the third.
-        assert 2 / 3 * range_bytes <= held < 2 / 3 * range_bytes + 4096
-        assert peak_of_ten_reads(buffer) < range_bytes / 2
-        assert peak_of_ten_reads(None) > range_bytes  # each read allocates the whole range
 
 
 class TestReadHeader:

@@ -1087,11 +1087,10 @@ class TestMapsInTheKernelPass:
         )
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("rmse,acc", [(False, False), (True, False), (False, True),
-                                          (True, True)],
-                             ids=["maps-only", "rmse", "acc", "rmse+acc"])
+    @pytest.mark.parametrize("rmse,acc", [(True, False), (False, True), (True, True)],
+                             ids=["rmse", "acc", "rmse+acc"])
     def test_maps_equal_pointwise_rmse_bitwise(self, monkeypatch, threads, rmse, acc):
-        """A run that scores no RMSE still gets the maps, and records keep their bits."""
+        """A run that scores ACC alone still gets the maps, and records keep their bits."""
         monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
         fc, ref, (forecasts, references, climatologies) = self._loaders(51)
         variables = [var.token for var in self.CATALOG]
@@ -1113,6 +1112,16 @@ class TestMapsInTheKernelPass:
             assert got.dtype == np.float64
             assert got.tobytes() == expected.tobytes()
             assert expected.sum() > 0.0
+
+    @pytest.mark.parametrize("maps", [False, True])
+    def test_nothing_to_score_raises_before_any_load(self, maps):
+        """rmse=False without climatologies scores nothing: maps alone are no score."""
+        loads = []
+        with pytest.raises(ValueError, match="nothing to score"):
+            metrics.evaluate_set(lambda *args: loads.append(args), lambda *args: loads.append(args),
+                                 EvaluationSet(self.T0S, self.LEADS), ["T2M"], rmse=False,
+                                 maps=maps)
+        assert loads == []
 
     def test_maps_hold_one_float64_field_each_and_no_full_size_temporary(self):
         """3 pairs of one 1024 x 1024 variable: the map's sum plus one row block.
