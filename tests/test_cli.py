@@ -662,6 +662,29 @@ class TestVerifyChannelRanges:
         assert len(reads) == (9 + 5 + 5) * 2  # 9 forecasts, 5 references and 5 keys, 2 ranges
         assert calls == ["map"] * len(reads)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_multi_run_ranges_give_the_bytes_of_adjacent_channels(
+            self, tmp_path, monkeypatch, threads):
+        """With T850 stored between Z500 and T2M, each file is one range of two kept runs,
+        copied into an array of its own rather than mapped."""
+        from geoverify import metrics
+
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
+        fixture = make_verify_fixture(tmp_path, self.INITS, [6, 12])
+        assert self._verify(tmp_path, fixture, "adjacent", threads) == 0
+        for directory in (fixture[0], fixture[1], fixture[2].parent):
+            for path in directory.glob("*.gvc"):
+                _insert_t850(path)
+        mmap, calls = cubeio.mmap.mmap, []
+        monkeypatch.setattr(cubeio.mmap, "mmap", lambda *args, **kwargs: calls.append("map")
+                            or mmap(*args, **kwargs))
+        reads = self._counted_reads(monkeypatch)
+        assert self._verify(tmp_path, fixture, "between", threads) == 0
+        assert len(reads) == 6 + 6 + 6  # each forecast, reference and key once, whole
+        assert {c for _, c in reads} == {range(0, 3)}
+        assert calls == []
+        assert self._outputs(tmp_path, "between") == self._outputs(tmp_path, "adjacent")
+
     @pytest.mark.usefixtures("one_channel_ranges")
     def test_report_and_maps_equal_at_1_2_3_threads(self, tmp_path, monkeypatch):
         from geoverify import metrics
@@ -1658,6 +1681,14 @@ def _reverse_channels(path):
     cube = read_cube(read_header(path))
     write_cube(FieldCube(cube.spec, VariableCatalog(list(cube.catalog)[::-1]), cube.valid_time,
                          cube.values[::-1]), path)
+
+
+def _insert_t850(path):
+    """Rewrites a SPEC, CATALOG cube file with a T850 channel of zeros between its two."""
+    cube = read_cube(read_header(path))
+    catalog = VariableCatalog([CATALOG.entries[0], VariableId("T", 850), CATALOG.entries[1]])
+    write_cube(FieldCube(cube.spec, catalog, cube.valid_time,
+                         np.insert(cube.values, 1, 0.0, axis=0)), path)
 
 
 def _move_lat_start(path, lat_start=59.0):

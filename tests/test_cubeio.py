@@ -4,6 +4,7 @@ import mmap
 import os
 import re
 import struct
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -500,6 +501,62 @@ class TestMappedRead:
             assert len(cube.catalog) == n
             [length] = mapped
             assert n * channel_bytes <= length < n * channel_bytes + mmap.ALLOCATIONGRANULARITY
+
+
+class TestOwnArray:
+    """Every read that is not mapped copies its kept channels into a new array of its own."""
+
+    PLANE = 200 * 300  # six channels V1..V6, 240 kB each
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("own")
+        paths = [directory / f"cube{k}.gvc" for k in range(2)]
+        for k, path in enumerate(paths):
+            write_cube(random_cube(np.random.default_rng(20 + k), n_chan=6, n_lat=200, n_lon=300),
+                       path)
+        return paths
+
+    @pytest.mark.parametrize("variables, channels", [
+        (None, None), (["V5", "V3"], range(2, 5)), (["V1"], range(0, 6)), (None, range(3, 3)),
+    ], ids=["whole", "two-runs", "one-of-six", "empty"])
+    def test_a_cube_keeps_its_values_through_later_reads(self, paths, variables, channels):
+        expected = [read_cube(read_header(path), variables, channels).values.tobytes()
+                    for path in paths]
+        first = read_cube(read_header(paths[0]), variables, channels)
+        # A channel view alone keeps the values too.
+        channel = None if not first.catalog else select_channel(first, list(first.catalog)[-1])
+        second = read_cube(read_header(paths[1]), variables, channels)
+        assert _mapping(first) is None and _mapping(second) is None
+        assert not np.shares_memory(first.values, second.values)
+        del first
+        third = read_cube(read_header(paths[0]), variables, channels)
+        assert second.values.tobytes() == expected[1]
+        assert third.values.tobytes() == expected[0]
+        if channel is not None:
+            assert channel.tobytes() == expected[0][-4 * self.PLANE:]
+
+    def test_a_range_read_holds_its_kept_channels_and_nothing_once_released(self, paths):
+        """Two of a 3-channel range kept: the scan block of the third is freed by the return."""
+        header = read_header(paths[0])
+        range_bytes = 3 * 4 * self.PLANE
+        tracemalloc.start()
+        try:
+            cube = read_cube(header, ["V3", "V5"], range(2, 5))
+            held = tracemalloc.get_traced_memory()[0]
+            del cube
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 2 / 3 * range_bytes <= held < 2 / 3 * range_bytes + 4096
+        assert left < 4096
+
+    def test_there_is_no_array_to_read_into(self, paths):
+        header = read_header(paths[0])
+        with pytest.raises(TypeError):
+            read_cube(header, None, None, np.empty(6 * self.PLANE, "<f4"))
+        with pytest.raises(TypeError):
+            read_cube(header, out=np.empty(6 * self.PLANE, "<f4"))
 
 
 class TestReadHeader:
