@@ -25,7 +25,6 @@ from .grid import (
     latitude_weights,
     parse_variable_token,
     select_channel,
-    weather_catalog,
 )
 from .tc import (
     FilterDecision,
@@ -34,7 +33,6 @@ from .tc import (
     concurrent_match,
     filter_case,
     great_circle_km,
-    synthetic_vortex_series,
     track_cyclone,
 )
 
@@ -95,9 +93,7 @@ __all__ = [
     "pointwise_rmse",
     "psnr",
     "select_channel",
-    "synthetic_vortex_series",
     "track_cyclone",
-    "weather_catalog",
     "weighted_acc",
     "weighted_rmse",
 ]

@@ -350,8 +350,11 @@ def _downscale_scores(truth: FieldCube, baseline: FieldCube, model: FieldCube,
 def cmd_downscale_eval(args) -> int:
     from . import metrics
 
-    if args.psnr_peak is not None and not 0.0 < args.psnr_peak < math.inf:
-        raise InvalidFlags(f"--psnr-peak must be positive and finite; got {args.psnr_peak}")
+    # PSNR squares the peak: 1e-200 would square to 0 and 1e200 to inf.
+    if args.psnr_peak is not None and not (
+            0.0 < args.psnr_peak and 0.0 < args.psnr_peak * args.psnr_peak < math.inf):
+        raise InvalidFlags(f"--psnr-peak must be positive with a positive finite square; "
+                           f"got {args.psnr_peak}")
     cubeio.output_path(args.out)
     truth_paths = cubeio.cube_paths(args.truth)
     if not truth_paths:
@@ -364,7 +367,7 @@ def cmd_downscale_eval(args) -> int:
 
     rows = []          # (time, var, method, metric, value, peak)
     samples: dict = {} # (var token, metric, method) -> list of (time, value)
-    truth_at: dict = {} # header valid time -> the first truth path read at it
+    truth_at: dict = {} # header valid time -> the first truth path whose header was read
     failures = 0
     for truth_path in truth_paths:
         # The last sample's truth and model die before the next ones are read.  The
@@ -376,28 +379,29 @@ def cmd_downscale_eval(args) -> int:
             header = cubeio.read_header(truth_path)
         except (GeoverifyError, OSError) as e:
             header = e  # raised in the try below, which skips the sample
-        if not truth_at and isinstance(header, cubeio.CubeHeader):
-            # Outside the try: an unwritable matrix path fails the run, not the sample.
-            for var in header.catalog:
-                if var.role == "input-output":
-                    cubeio.output_path(matrix_path(var.token, "rmse"))
-                    cubeio.output_path(matrix_path(var.token, "psnr"))
+        # Outside the try: an unwritable matrix path and a repeated valid time fail the
+        # run, not the sample, whatever either payload holds.
+        if isinstance(header, cubeio.CubeHeader):
+            if not truth_at:
+                for var in header.catalog:
+                    if var.role == "input-output":
+                        cubeio.output_path(matrix_path(var.token, "rmse"))
+                        cubeio.output_path(matrix_path(var.token, "psnr"))
+            first = truth_at.setdefault(header.valid_time, truth_path)
+            if first != truth_path:
+                # Scored twice, the time would count twice in its month-hour cell.
+                raise GeoverifyError(f"two truth cubes have valid time "
+                                     f"{cubeio.format_time(header.valid_time)}: "
+                                     f"{first} and {truth_path}")
         try:
             if isinstance(header, Exception):
                 raise header
             truth = cubeio.read_cube(header)
-            first = truth_at.setdefault(truth.valid_time, truth_path)
-            if first == truth_path:
-                baseline, model = _downscale_inputs(args, truth_path, truth)
+            baseline, model = _downscale_inputs(args, truth_path, truth)
         except (GeoverifyError, OSError) as e:
             print(f"geoverify: skipping {truth_path.stem}: {e}", file=sys.stderr)
             failures += 1
             continue
-        if first != truth_path:
-            # A data error, not a skipped sample: scored twice, the time would count
-            # twice in its month-hour cell.
-            raise GeoverifyError(f"two truth cubes have valid time "
-                                 f"{cubeio.format_time(truth.valid_time)}: {first} and {truth_path}")
         for var, method, metric, value, peak in _downscale_scores(truth, baseline, model,
                                                                   args.psnr_peak):
             rows.append((truth.valid_time, var, method, metric, value, peak))

@@ -35,16 +35,14 @@ def climatology_key(valid_time: datetime) -> tuple[int, int]:
 
 
 class Climatology:
-    """A climatology on disk: the keys its manifest names, their sample counts and cubes.
+    """A climatology on disk: the keys its manifest names and their cubes.
 
     Each key cube's header is read once, when the climatology loads; its
     payload is read from that header each time the key is looked up.
     """
 
-    def __init__(self, catalog: VariableCatalog, counts: dict[tuple[int, int], int],
-                 headers: dict[tuple[int, int], cubeio.CubeHeader]):
+    def __init__(self, catalog: VariableCatalog, headers: dict[tuple[int, int], cubeio.CubeHeader]):
         self.catalog = catalog
-        self.counts = counts
         self.headers = headers
         self.means: dict = {}  # always empty; the bench tracer still reads it
 
@@ -72,7 +70,6 @@ class Climatology:
         """
         manifest_path = Path(manifest_path)
         headers: dict[tuple[int, int], cubeio.CubeHeader] = {}
-        counts: dict[tuple[int, int], int] = {}
         for row_no, (doy, hour, n_samples, filename) in cubeio.read_csv_rows(
                 manifest_path, MANIFEST_COLUMNS):
             try:
@@ -86,13 +83,12 @@ class Climatology:
             if count < 1:
                 raise ParseError(row_no, f"n_samples {count} is below 1")
             header = headers[key] = cubeio.read_header(manifest_path.parent / filename)
-            counts[key] = count
             first = next(iter(headers.values()))
             if (header.spec, header.catalog) != (first.spec, first.catalog):
                 raise SpecMismatch(f"climatology file {filename} mismatches manifest")
         if not headers:
             raise EmptyInput(f"manifest {manifest_path} lists no keys")
-        return cls(first.catalog, counts, headers)
+        return cls(first.catalog, headers)
 
 
 def build_climatology(paths, directory) -> Path:

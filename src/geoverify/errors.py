@@ -109,7 +109,7 @@ class PerfectMatch(GeoverifyError):
 
 
 class NonPositivePeak(GeoverifyError):
-    """PSNR peak value must be positive and finite."""
+    """PSNR peak must be positive and finite, and peak^2 / MSE a positive finite float64."""
     exit_code = 4
 
 

@@ -19,18 +19,6 @@ import numpy as np
 
 from .errors import UnknownVariable, ZeroWeightSum
 
-#: Pressure levels (hPa) of the canonical 70-channel weather catalog.
-PRESSURE_LEVELS = (50, 100, 150, 200, 250, 300, 400, 500, 600, 700, 850, 925, 1000)
-
-#: Upper-air variable names, outer ordering of the canonical catalog.
-UPPER_AIR_NAMES = ("Z", "T", "U", "V", "Q")
-
-#: Surface variable names in table order.
-SURFACE_NAMES = ("T2M", "MSL", "U10M", "V10M", "WS10M")
-
-#: Static/temporal inputs that never enter skill metrics.
-INPUT_ONLY_NAMES = ("OR", "LSM", "LAT", "LON", "HOUR", "DOY", "STEP")
-
 ROLE_INPUT_OUTPUT = "input-output"
 ROLE_INPUT_ONLY = "input-only"
 
@@ -209,24 +197,6 @@ class VariableCatalog:
 
     def get(self, var) -> VariableId:
         return self._entries[self.index_of(var)]
-
-
-def weather_catalog(include_input_only: bool = False) -> VariableCatalog:
-    """The canonical 70-channel catalog: 5 upper-air x 13 levels + 5 surface.
-
-    Upper-air variables are ordered (Z, T, U, V, Q) outer with pressure
-    levels ascending inner, followed by the surface variables in table
-    order.  Optionally appends the input-only static/temporal channels.
-    """
-    entries = [
-        VariableId(name, level)
-        for name in UPPER_AIR_NAMES
-        for level in PRESSURE_LEVELS
-    ]
-    entries += [VariableId(name) for name in SURFACE_NAMES]
-    if include_input_only:
-        entries += [VariableId(name, role=ROLE_INPUT_ONLY) for name in INPUT_ONLY_NAMES]
-    return VariableCatalog(entries)
 
 
 @dataclass(frozen=True)

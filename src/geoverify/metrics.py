@@ -261,14 +261,19 @@ def psnr(candidate, reference, peak: float) -> float:
 def psnr_from_mse(err: float, peak: float) -> float:
     """PSNR in dB of a pair whose unweighted MSE is ``err``, as ``psnr`` defines it.
 
-    NonPositivePeak unless the peak is positive and finite; PerfectMatch
-    when ``err`` is zero.
+    NonPositivePeak unless the peak is positive and finite, and unless
+    ``peak * peak / err`` is a positive finite float64 (a peak of 1e-200
+    squares to 0, one of 1e200 to inf); PerfectMatch when ``err`` is zero.
     """
     if not 0.0 < peak < math.inf:
         raise NonPositivePeak(f"peak {peak} must be positive and finite")
     if err == 0.0:
         raise PerfectMatch("candidate equals reference; PSNR infinite")
-    return 10.0 * math.log10(peak * peak / err)
+    ratio = peak * peak / err
+    if not 0.0 < ratio < math.inf:
+        raise NonPositivePeak(f"peak {peak} squared over MSE {err} is {ratio}, "
+                              f"not a positive finite float64")
+    return 10.0 * math.log10(ratio)
 
 
 def dynamic_range(reference) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import (
     SeedOutsideGrid,
     UnknownVariable,
 )
-from .grid import FieldCube, GridSpec, VariableCatalog, VariableId, select_channel
+from .grid import FieldCube, GridSpec, select_channel
 
 EARTH_RADIUS_KM = 6371.0
 KM_PER_DEG = math.pi * EARTH_RADIUS_KM / 180.0
@@ -450,58 +450,3 @@ def filter_case(
         return FilterDecision(case_id, DECISION_WEAKEN, "both models overestimate WS10M")
     return FilterDecision(case_id, DECISION_KEEP, "no rule applies")
 
-
-# --- synthetic vortex fixtures ---------------------------------------------------
-
-def tracker_catalog() -> VariableCatalog:
-    """Minimal two-channel catalog (MSL, WS10M) for tracker fixtures."""
-    return VariableCatalog([VariableId("MSL"), VariableId("WS10M")])
-
-
-def synthetic_vortex_series(
-    spec: GridSpec,
-    start_time: datetime,
-    steps: int,
-    center_lat: float,
-    center_lon: float,
-    *,
-    dlat_per_step: float = 0.0,
-    dlon_per_step: float = 0.0,
-    step_hours: int = 6,
-    background_hpa: float = 1013.0,
-    depth_hpa: float = 30.0,
-    r0_km: float = 150.0,
-    ws_peak: float = 40.0,
-    ring_km: float = 100.0,
-    storm_id: str = "SYNTH",
-) -> tuple[list[FieldCube], TcTrack]:
-    """Cubes with a translating Gaussian low plus a wind ring, and the truth track.
-
-    MSL(r) = background - depth * exp(-(r/r0)^2); WS10M(r) peaks at exactly
-    ``ws_peak`` on the radius ``ring_km``.  The truth track records the
-    continuous centers and, as ws_max, the planted field maximum over grid
-    nodes within 250 km of each center (what a perfect tracker recovers).
-    """
-    catalog = tracker_catalog()
-    lats = spec.latitudes
-    lons = spec.longitudes
-    cubes = []
-    truth_points = []
-    for k in range(steps):
-        lat_c = center_lat + k * dlat_per_step
-        lon_c = (center_lon + k * dlon_per_step) % 360.0
-        r = _haversine_grid(lat_c, lon_c, lats, lons)
-        msl = background_hpa - depth_hpa * np.exp(-((r / r0_km) ** 2))
-        rr = r / ring_km
-        ws = ws_peak * rr * np.exp(0.5 * (1.0 - rr ** 2))
-        values = np.stack([msl, ws]).astype(np.float32)
-        t = start_time + timedelta(hours=k * step_hours)
-        cube = FieldCube(spec, catalog, t, values)
-        cubes.append(cube)
-        near = r <= 250.0
-        if not near.any():
-            raise ValueError(f"no grid node within 250 km of the center ({lat_c}, {lon_c}) "
-                             f"at step {k}")
-        planted = float(values[1][near].max())
-        truth_points.append(TcPoint(t, lat_c, lon_c, planted, float(values[0].min())))
-    return cubes, TcTrack(storm_id=storm_id, points=tuple(truth_points))

@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geoverify import (FieldCube, GridSpec, VariableCatalog, VariableId, build_climatology,
-                       synthetic_vortex_series)
+from geoverify import FieldCube, GridSpec, VariableCatalog, VariableId, build_climatology
 from geoverify.cli import time_stem
 from geoverify.cubeio import write_cube, write_tracks
+from synthetic import synthetic_vortex_series
 
 
 def utc(year, month, day, hour=0):

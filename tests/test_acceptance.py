@@ -26,7 +26,6 @@ from geoverify import (
     latitude_weights,
     open_token_recall,
     psnr,
-    synthetic_vortex_series,
     track_cyclone,
     weighted_acc,
     weighted_rmse,
@@ -34,8 +33,8 @@ from geoverify import (
 from geoverify.cli import main, time_stem
 from geoverify.cubeio import write_cube
 from geoverify.metrics import evaluate_set
-from geoverify.tc import tracker_catalog
 from conftest import utc, write_climatology
+from synthetic import synthetic_vortex_series, tracker_catalog
 
 
 def _verdict(number: int, name: str, ok: bool) -> None:

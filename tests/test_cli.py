@@ -30,7 +30,6 @@ from geoverify import (
     bilinear_upsample,
     build_climatology,
     cubeio,
-    synthetic_vortex_series,
     tc,
 )
 from geoverify.cli import build_parser, main, parse_leads, time_stem
@@ -44,6 +43,7 @@ from geoverify.cubeio import (
 )
 from geoverify.errors import InvalidFlags, NonFiniteValue
 from conftest import utc, write_climatology, write_vortex
+from synthetic import synthetic_vortex_series, tracker_catalog, weather_catalog
 
 
 SPEC = GridSpec(5, 8, 60.0, -30.0, 0.0, 45.0)
@@ -326,8 +326,6 @@ class TestVerify:
         assert err.value.code == 4
 
     def test_input_only_variable_exits_4(self, tmp_path):
-        from geoverify import weather_catalog
-
         init_times = [utc(2024, 1, 1, 0)]
         fdir = tmp_path / "forecast"
         rdir = tmp_path / "reference"
@@ -575,7 +573,6 @@ class TestVerifyChannelRanges:
 
     def test_cut_of_the_025_degree_weather_catalog_keeps_four_channels_a_range(self):
         from geoverify.cli import _cut
-        from geoverify.grid import weather_catalog
 
         catalog = weather_catalog()
         groups, [spans] = _cut([catalog], list(catalog), 721 * 1440 * 4)
@@ -1035,6 +1032,15 @@ class TestDownscaleEval:
         times_in_report = {line.split(",")[0] for line in out.read_text().splitlines()[2:]}
         assert times_in_report == {"2024-07-01T06:00:00Z"}
 
+    @pytest.mark.parametrize("poisoned", [None, "20240202T180000Z.gvc", "copy.gvc"])
+    def test_two_truth_cubes_at_one_valid_time_are_named(self, tmp_path, capsys, poisoned):
+        """Found from the copy's header, so a NaN in either payload cannot hide it."""
+        assert main(_repeated_truth(tmp_path, poisoned)) == 2
+        truth = tmp_path / "truth"
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"geoverify: data error: two truth cubes have valid time 2024-02-02T18:00:00Z: "
+            f"{truth / '20240202T180000Z.gvc'} and {truth / 'copy.gvc'}")
+
     @pytest.mark.parametrize("peak, code", [("-1", 4), ("0", 4), ("inf", 4), ("-inf", 4),
                                             ("nan", 4), ("2.5", 0)])
     def test_psnr_peak_must_be_positive(self, tmp_path, peak, code):
@@ -1305,7 +1311,7 @@ def write_storms(directory, steps=6, names_against_time=False):
     write_tracks(seeds, directory / "seeds.csv")
     cubes = []
     for k in range(steps):
-        cube = FieldCube(STORM_SPEC, tc.tracker_catalog(), start + timedelta(hours=6 * k),
+        cube = FieldCube(STORM_SPEC, tracker_catalog(), start + timedelta(hours=6 * k),
                          np.stack([msl[k], ws[k]]).astype(np.float32))
         name = f"{99 - k:02d}" if names_against_time else time_stem(cube.valid_time)
         write_cube(cube, directory / f"{name}.gvc")
@@ -1409,11 +1415,10 @@ class TestClimatologyCommand:
         out_dir = tmp_path / "clim"
         assert main(["climatology", "--cubes", str(cube_dir), "--out", str(out_dir)]) == 0
         manifest = out_dir / "manifest.csv"
-        assert manifest.exists()
+        assert manifest.read_text().splitlines()[1:] == ["153,12,2,clim_d153_h12.gvc"]
         from geoverify.climatology import Climatology
 
-        clim = Climatology.load(manifest)
-        assert clim.counts[(153, 12)] == 2
+        assert set(Climatology.load(manifest).headers) == {(153, 12)}
 
     #: Six cubes over three keys, two years each, in time order.
     TIMES = sorted(utc(year, 6, day, hour) for year in (2019, 2020)
@@ -1909,14 +1914,34 @@ def downscale_coarse_cube_at_another_valid_time(tmp):
     return argv
 
 
-@failure(2, "two truth cubes have valid time 2024-02-02T18:00:00Z")
-def downscale_repeated_truth_valid_time(tmp):
-    """A second truth, coarse and model triple at one valid time, under another name."""
+def _repeated_truth(tmp, poisoned=None):
+    """A second truth, coarse and model triple at one valid time, under another name.
+
+    ``poisoned`` names the truth file, "20240202T180000Z.gvc" (read first) or
+    "copy.gvc", whose payload gets a NaN.
+    """
     argv = _downscale(tmp, [utc(2024, 2, 2, 18)])
     for side in ("coarse", "truth", "model"):
         [path] = (tmp / side).glob("*.gvc")
         (tmp / side / "copy.gvc").write_bytes(path.read_bytes())
+    if poisoned:
+        _poison(tmp / "truth" / poisoned)
     return argv
+
+
+@failure(2, "two truth cubes have valid time 2024-02-02T18:00:00Z")
+def downscale_repeated_truth_valid_time(tmp):
+    return _repeated_truth(tmp)
+
+
+@failure(2, "two truth cubes have valid time 2024-02-02T18:00:00Z")
+def downscale_repeated_truth_valid_time_nan_in_the_first(tmp):
+    return _repeated_truth(tmp, "20240202T180000Z.gvc")
+
+
+@failure(2, "two truth cubes have valid time 2024-02-02T18:00:00Z")
+def downscale_repeated_truth_valid_time_nan_in_the_copy(tmp):
+    return _repeated_truth(tmp, "copy.gvc")
 
 
 @failure(4, "--psnr-peak")
@@ -1927,6 +1952,16 @@ def downscale_zero_psnr_peak(tmp):
 @failure(4, "--psnr-peak")
 def downscale_infinite_psnr_peak(tmp):
     return _downscale(tmp, [utc(2024, 2, 2, 18)], psnr_peak="inf")
+
+
+@failure(4, "--psnr-peak")
+def downscale_psnr_peak_squaring_to_zero(tmp):
+    return _downscale(tmp, [utc(2024, 2, 2, 18)], psnr_peak="1e-200")
+
+
+@failure(4, "--psnr-peak")
+def downscale_psnr_peak_squaring_to_inf(tmp):
+    return _downscale(tmp, [utc(2024, 2, 2, 18)], psnr_peak="1e200")
 
 
 @failure(2, "ds_nd_WS10M_rmse.csv")
@@ -2515,7 +2550,7 @@ def test_one_damaged_input_cube_fails_tc_track_naming_it(tc_track_inputs, data):
         paths = sorted(cubes.glob("*.gvc"))
         assert len(paths) == 6
         path = data.draw(st.sampled_from(paths), label="file")
-        _damage(path, data, len(tc.tracker_catalog()) * STORM_SPEC.n_lat * STORM_SPEC.n_lon)
+        _damage(path, data, len(tracker_catalog()) * STORM_SPEC.n_lat * STORM_SPEC.n_lon)
         out = Path(tmp) / "track.csv"
         before = _tree(Path(tmp))
         stderr = io.StringIO()

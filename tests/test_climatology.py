@@ -82,7 +82,7 @@ class TestBuildClimatology:
             for hour in (0, 12):
                 cubes.append(random_cube(rng, valid_time=utc(year, 7, 15, hour)))
         clim = _build(tmp_path, cubes)
-        assert clim.counts == {(197, 0): 4, (197, 12): 4}
+        assert set(clim.headers) == {(197, 0), (197, 12)}
         for hour in (0, 12):
             expected = np.zeros(cubes[0].values.shape)
             group = [c for c in cubes if c.valid_time.hour == hour]
@@ -169,8 +169,7 @@ class TestClimatologySerialization:
             random_cube(rng, valid_time=utc(2020, 6, 1, 18)),
         ]
         back = _build(tmp_path, cubes)
-        assert back.counts == {(153, 12): 1, (153, 18): 1}
-        assert set(back.headers) == set(back.counts)
+        assert set(back.headers) == {(153, 12), (153, 18)}
         for cube in cubes:
             for var in cube.catalog:
                 np.testing.assert_array_equal(back.lookup_channel(cube.valid_time, var),

@@ -43,9 +43,10 @@ from geoverify.errors import (
     UnknownVariable,
     UnsupportedVersion,
 )
-from geoverify.grid import FINITE_SCAN_VALUES, weather_catalog
+from geoverify.grid import FINITE_SCAN_VALUES
 from geoverify.tc import TcPoint, TcTrack
 from conftest import random_cube, utc
+from synthetic import weather_catalog
 
 
 class TestCubeRoundTrip:

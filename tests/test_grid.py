@@ -12,10 +12,10 @@ from geoverify import (
     latitude_weights,
     parse_variable_token,
     select_channel,
-    weather_catalog,
 )
 from geoverify.errors import UnknownVariable, ZeroWeightSum
 from conftest import utc
+from synthetic import weather_catalog
 
 
 class TestGridSpec:

@@ -440,6 +440,14 @@ class TestPsnr:
         with pytest.raises(NonPositivePeak):
             metrics.psnr_from_mse(1.0, peak)
 
+    @pytest.mark.parametrize("err, peak", [(1.0, 1e-200), (1.0, 1e200), (1e300, 1e-100),
+                                           (1e-300, 1e10)])
+    def test_from_mse_refuses_a_ratio_that_leaves_float64(self, err, peak):
+        """peak * peak / err underflows to 0 or overflows to inf: NonPositivePeak, no
+        ValueError from log10(0) and no infinite PSNR."""
+        with pytest.raises(NonPositivePeak, match="not a positive finite float64"):
+            metrics.psnr_from_mse(err, peak)
+
     @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                         reason="a second BLAS thread needs a second CPU")
     def test_same_bits_at_any_blas_thread_count(self):

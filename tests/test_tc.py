@@ -15,7 +15,6 @@ from geoverify import (
     concurrent_match,
     filter_case,
     great_circle_km,
-    synthetic_vortex_series,
     track_cyclone,
 )
 from geoverify import tc
@@ -26,10 +25,10 @@ from geoverify.tc import (
     intensity_errors,
     skill_rows,
     track_errors_km,
-    tracker_catalog,
 )
 from geoverify.grid import FieldCube, VariableCatalog, VariableId
 from conftest import hour_sequence, utc
+from synthetic import synthetic_vortex_series, tracker_catalog
 
 WNP_SPEC = GridSpec(81, 121, 40.0, -0.25, 120.0, 0.25)
 
