@@ -300,22 +300,21 @@ def cmd_verify(args) -> int:
 # --- downscale-eval -------------------------------------------------------------
 
 def _downscale_inputs(args, truth_path: Path, truth: FieldCube) -> tuple[FieldCube, FieldCube]:
-    """(bilinear baseline, model) for one truth cube; GeoverifyError skips the sample.
+    """(bilinear baseline, model) of the truth cube's channels; GeoverifyError skips the sample.
 
     Every check runs before the upsample, so a skipped sample costs none.
     """
     from . import regrid
 
     stem = truth_path.stem
-    coarse = cubeio.read_cube(cubeio.read_header(Path(args.coarse) / truth_path.name))
-    model = cubeio.read_cube(cubeio.read_header(Path(args.model) / truth_path.name))
+    coarse, model = (cubeio.read_cube(cubeio.read_header(Path(directory) / truth_path.name),
+                                      truth.catalog) for directory in (args.coarse, args.model))
     for side, cube in (("coarse", coarse), ("model", model)):
         if cube.valid_time != truth.valid_time:
             raise GeoverifyError(f"{side} cube valid_time {cubeio.format_time(cube.valid_time)}"
                                  f" != truth valid_time {cubeio.format_time(truth.valid_time)}"
                                  f" for {stem}")
-        missing = [var.token for var in truth.catalog
-                   if var.role == "input-output" and var not in cube.catalog]
+        missing = [var.token for var in truth.catalog if var not in cube.catalog]
         if missing:
             raise GeoverifyError(f"{side} cube lacks {','.join(missing)} for {stem}")
     if model.spec != truth.spec:
@@ -325,14 +324,12 @@ def _downscale_inputs(args, truth_path: Path, truth: FieldCube) -> tuple[FieldCu
 
 def _downscale_scores(truth: FieldCube, baseline: FieldCube, model: FieldCube,
                       psnr_peak: float | None) -> list[tuple]:
-    """(variable, method, metric, value, peak) of each output channel of one sample."""
+    """(variable, method, metric, value, peak) of each channel of one sample's truth."""
     from . import metrics
 
     weights = latitude_weights(truth.spec)
     scores = []
     for var in truth.catalog:
-        if var.role != "input-output":
-            continue
         t2 = select_channel(truth, var)
         peak = metrics.dynamic_range(t2) if psnr_peak is None else psnr_peak
         for method, cube in (("bilinear", baseline), ("model", model)):
@@ -382,11 +379,11 @@ def cmd_downscale_eval(args) -> int:
         # Outside the try: an unwritable matrix path and a repeated valid time fail the
         # run, not the sample, whatever either payload holds.
         if isinstance(header, cubeio.CubeHeader):
+            scored = [var for var in header.catalog if var.role == "input-output"]
             if not truth_at:
-                for var in header.catalog:
-                    if var.role == "input-output":
-                        cubeio.output_path(matrix_path(var.token, "rmse"))
-                        cubeio.output_path(matrix_path(var.token, "psnr"))
+                for var in scored:
+                    cubeio.output_path(matrix_path(var.token, "rmse"))
+                    cubeio.output_path(matrix_path(var.token, "psnr"))
             first = truth_at.setdefault(header.valid_time, truth_path)
             if first != truth_path:
                 # Scored twice, the time would count twice in its month-hour cell.
@@ -396,7 +393,7 @@ def cmd_downscale_eval(args) -> int:
         try:
             if isinstance(header, Exception):
                 raise header
-            truth = cubeio.read_cube(header)
+            truth = cubeio.read_cube(header, scored)
             baseline, model = _downscale_inputs(args, truth_path, truth)
         except (GeoverifyError, OSError) as e:
             print(f"geoverify: skipping {truth_path.stem}: {e}", file=sys.stderr)
@@ -475,11 +472,10 @@ def cmd_tc_track(args) -> int:
         trackers.append(tracker)
         starting.setdefault(seed.time, []).append(tracker)
 
-    # One pass in valid-time order: every cube is read in full from its header, steps
-    # every active tracker once, and is released before the next one is read.
+    # One pass in valid-time order, holding one cube of the tracked channels at a time.
     active = []
     for valid in sorted(headers):
-        cube = cubeio.read_cube(headers[valid])
+        cube = cubeio.read_cube(headers[valid], tc.TRACKED_CHANNELS)
         active = [t for t in active + starting.get(valid, []) if t.step(cube)]
         del cube
     out_tracks = [t.track() for t in trackers]
@@ -631,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_downscale_eval)
 
     p = sub.add_parser("tc-track", help="track MSL minima from seed fixes")
-    p.add_argument("--cubes", required=True, help="dir of <ISO>.gvc cubes (MSL, WS10M)")
+    p.add_argument("--cubes", required=True, help="dir of <ISO>.gvc cubes; keeps MSL, WS10M")
     p.add_argument("--seeds", required=True, help="track CSV; first fix per storm seeds")
     p.add_argument("--search-radius-km", type=float, default=250.0)
     p.add_argument("--intensity-radius-km", type=float, default=250.0)

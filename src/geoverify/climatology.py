@@ -14,21 +14,17 @@ from pathlib import Path
 import numpy as np
 
 from . import cubeio
-from .errors import EmptyInput, MissingKey, NonSynopticTime, ParseError, SpecMismatch
+from .errors import EmptyInput, MissingKey, ParseError, SpecMismatch
 from .grid import VariableCatalog
-
-#: Hours of day that carry climatology keys (6-hourly synoptic times).
-KEY_HOURS = (0, 6, 12, 18)
+from .metrics import SYNOPTIC_HOURS, synoptic_utc
 
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_COLUMNS = ["doy", "hour", "n_samples", "filename"]
 
 
 def climatology_key(valid_time: datetime) -> tuple[int, int]:
-    """(day-of-year on the 366-day calendar, hour) for a synoptic valid time."""
-    t = valid_time.astimezone(timezone.utc) if valid_time.tzinfo else valid_time
-    if t.hour not in KEY_HOURS or t.minute or t.second or t.microsecond:
-        raise NonSynopticTime(f"{valid_time} is not a 6-hourly synoptic time")
+    """(day-of-year on the 366-day calendar, hour) for a valid time that passes ``synoptic_utc``."""
+    t = synoptic_utc(valid_time)
     # Year 2000 is a leap year, so (month, day) -> 1..366 with Feb 29 = 60.
     doy = datetime(2000, t.month, t.day).timetuple().tm_yday
     return doy, t.hour
@@ -76,7 +72,7 @@ class Climatology:
                 key, count = (int(doy), int(hour)), int(n_samples)
             except ValueError as e:
                 raise ParseError(row_no, str(e)) from None
-            if not 1 <= key[0] <= 366 or key[1] not in KEY_HOURS:
+            if not 1 <= key[0] <= 366 or key[1] not in SYNOPTIC_HOURS:
                 raise ParseError(row_no, f"doy {key[0]} hour {key[1]} is not a climatology key")
             if key in headers:
                 raise ParseError(row_no, f"repeated key doy {key[0]} hour {key[1]}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
@@ -444,16 +444,26 @@ def _resolve_var(var) -> VariableId:
 
 # --- month x hour normalized-difference matrices --------------------------------
 
+def synoptic_utc(valid_time: datetime) -> datetime:
+    """``valid_time`` in UTC (a naive one is taken as UTC); NonSynopticTime unless it
+    is one of SYNOPTIC_HOURS with no minutes, seconds or microseconds."""
+    t = valid_time.astimezone(timezone.utc) if valid_time.tzinfo else valid_time
+    if t.hour not in SYNOPTIC_HOURS or t.minute or t.second or t.microsecond:
+        raise NonSynopticTime(f"{valid_time} is not a 6-hourly synoptic time")
+    return t
+
+
 def month_hour_matrix(
     model_samples: Iterable[tuple[datetime, float]],
     baseline_samples: Iterable[tuple[datetime, float]],
 ) -> np.ndarray:
     """12 x 4 normalized differences keyed by valid month and UTC hour.
 
-    Each populated cell aggregates first (mean of per-sample metrics for
-    model and baseline separately) and then takes the normalized difference
-    of the two aggregates.  Cells without samples on both sides, or with a
-    zero baseline aggregate, are NaN (missing, never zero).
+    Each sample's time must pass ``synoptic_utc``.  Each populated cell
+    aggregates first (mean of per-sample metrics for model and baseline
+    separately) and then takes the normalized difference of the two
+    aggregates.  Cells without samples on both sides, or with a zero
+    baseline aggregate, are NaN (missing, never zero).
     """
     col = {h: k for k, h in enumerate(SYNOPTIC_HOURS)}
 
@@ -461,8 +471,7 @@ def month_hour_matrix(
         sums = np.zeros((12, 4))
         counts = np.zeros((12, 4), dtype=int)
         for t, value in samples:
-            if t.hour not in col:
-                raise NonSynopticTime(f"sample hour {t.hour} not a synoptic hour {SYNOPTIC_HOURS}")
+            t = synoptic_utc(t)
             i, j = t.month - 1, col[t.hour]
             sums[i, j] += value
             counts[i, j] += 1

@@ -28,6 +28,9 @@ from .grid import FieldCube, GridSpec, select_channel
 EARTH_RADIUS_KM = 6371.0
 KM_PER_DEG = math.pi * EARTH_RADIUS_KM / 180.0
 
+#: The (name, level) keys of the channels the tracker reads: MSL, then WS10M.
+TRACKED_CHANNELS = (("MSL", None), ("WS10M", None))
+
 
 def great_circle_km(a: tuple[float, float], b: tuple[float, float]) -> float:
     """Haversine distance in km between two (lat, lon) points in degrees."""
@@ -177,8 +180,7 @@ class CycloneTracker:
         if not self.active:
             raise ValueError(f"the tracker of {self.storm_id} has stopped")
         try:
-            msl = select_channel(cube, ("MSL", None))
-            ws = select_channel(cube, ("WS10M", None))
+            msl, ws = [select_channel(cube, key) for key in TRACKED_CHANNELS]
         except UnknownVariable as e:
             raise MissingChannel(f"cube at {cube.valid_time}: {e}") from None
         if not self.points and cube.valid_time != self.seed.time:

@@ -671,7 +671,7 @@ class TestVerifyChannelRanges:
         assert self._verify(tmp_path, fixture, "adjacent", threads) == 0
         for directory in (fixture[0], fixture[1], fixture[2].parent):
             for path in directory.glob("*.gvc"):
-                _insert_t850(path)
+                _insert_channel(path, 1, VariableId("T", 850))
         mmap, calls = cubeio.mmap.mmap, []
         monkeypatch.setattr(cubeio.mmap, "mmap", lambda *args, **kwargs: calls.append("map")
                             or mmap(*args, **kwargs))
@@ -1032,6 +1032,58 @@ class TestDownscaleEval:
         times_in_report = {line.split(",")[0] for line in out.read_text().splitlines()[2:]}
         assert times_in_report == {"2024-07-01T06:00:00Z"}
 
+    def _add_unscored_channels(self, dirs):
+        """Stores an input-only LSM between T2M and WS10M in every cube, and a Q850, which
+        truth lacks, first in every coarse cube."""
+        rng = np.random.default_rng(11)
+        for side, directory in dirs.items():
+            spec = self.COARSE_SPEC if side == "coarse" else self.FINE_SPEC
+            for path in sorted(directory.glob("*.gvc")):
+                _insert_channel(path, 1, VariableId("LSM", role="input-only"),
+                                rng.uniform(size=(spec.n_lat, spec.n_lon)))
+                if side == "coarse":
+                    _insert_channel(path, 0, VariableId("Q", 850),
+                                    rng.normal(size=(spec.n_lat, spec.n_lon)))
+
+    def test_unscored_channels_are_neither_kept_nor_upsampled(self, tmp_path, monkeypatch):
+        """Every cube keeps and every upsample gets truth's input-output channels only, and
+        the outputs keep the bytes of a run on cubes without the other channels."""
+        times = [utc(2024, 2, 2, 18), utc(2024, 7, 1, 6)]
+        dirs = dict(zip(("coarse", "truth", "model"),
+                        self._write_fixture(tmp_path, times, "bilinear")))
+        argv = _argv("downscale-eval", out=tmp_path / "ds.csv", **dirs)
+        assert main(argv) == 0
+        expected = {p.name: p.read_bytes() for p in tmp_path.glob("ds*.csv")}
+        assert len(expected) == 5
+        self._add_unscored_channels(dirs)
+        kept, upsampled = _kept_channels(monkeypatch), []
+        monkeypatch.setattr("geoverify.regrid.bilinear_upsample",
+                            lambda cube, spec: upsampled.append([v.token for v in cube.catalog])
+                            or bilinear_upsample(cube, spec))
+        assert main(argv) == 0
+        assert kept == [["T2M", "WS10M"]] * 6
+        assert upsampled == [["T2M", "WS10M"]] * 2
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("ds*.csv")} == expected
+
+    @pytest.mark.parametrize("side", ["coarse", "truth", "model"])
+    def test_nan_in_an_input_only_channel_skips_its_sample(self, tmp_path, capsys, side):
+        """The channels a sample does not keep are still checked for NaN/Inf."""
+        times = [utc(2024, 2, 2, 18), utc(2024, 7, 1, 6)]
+        dirs = dict(zip(("coarse", "truth", "model"),
+                        self._write_fixture(tmp_path, times, "bilinear")))
+        self._add_unscored_channels(dirs)
+        path = dirs[side] / f"{time_stem(times[0])}.gvc"
+        spec = self.COARSE_SPEC if side == "coarse" else self.FINE_SPEC
+        _poison(path, index=-spec.n_lat * spec.n_lon - 7)  # in LSM, the last channel but one
+        out = tmp_path / "ds.csv"
+        assert main(_argv("downscale-eval", out=out, **dirs)) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"geoverify: skipping {time_stem(times[0])}: {path}: cube values must be finite",
+            "geoverify: 1 sample(s) skipped",
+        ]
+        times_in_report = {line.split(",")[0] for line in out.read_text().splitlines()[2:]}
+        assert times_in_report == {"2024-07-01T06:00:00Z"}
+
     @pytest.mark.parametrize("poisoned", [None, "20240202T180000Z.gvc", "copy.gvc"])
     def test_two_truth_cubes_at_one_valid_time_are_named(self, tmp_path, capsys, poisoned):
         """Found from the copy's header, so a NaN in either payload cannot hide it."""
@@ -1366,6 +1418,24 @@ class TestTcTrackStreaming:
         assert paths == sorted(directory.glob("*.gvc"), reverse=True)  # valid-time order
         assert len(paths) == 6
 
+    def test_each_cube_keeps_only_the_tracked_channels(self, tmp_path, monkeypatch):
+        """Channels the tracker does not read, before and between its two, change no byte
+        of the tracks and are not kept."""
+        directory = tmp_path / "storms"
+        write_storms(directory)
+        out = tmp_path / "track.csv"
+        assert self._run(directory, out) == 0
+        before = out.read_bytes()
+        rng = np.random.default_rng(5)
+        for path in directory.glob("*.gvc"):
+            _insert_channel(path, 0, VariableId("T2M"), rng.normal(size=(STORM_SPEC.n_lat,
+                                                                          STORM_SPEC.n_lon)))
+            _insert_channel(path, 2, VariableId("Z", 500), 5500.0)
+        kept = _kept_channels(monkeypatch)
+        assert self._run(directory, out) == 0
+        assert kept == [["MSL", "WS10M"]] * 6
+        assert out.read_bytes() == before
+
     def test_channel_order_is_read_from_each_cube(self, tmp_path):
         """Storing step 2 as [WS10M, MSL] changes no byte of the tracks."""
         directory = write_vortex(tmp_path / "vortex")
@@ -1688,12 +1758,27 @@ def _reverse_channels(path):
                          cube.values[::-1]), path)
 
 
-def _insert_t850(path):
-    """Rewrites a SPEC, CATALOG cube file with a T850 channel of zeros between its two."""
+def _insert_channel(path, index, var, value=0.0):
+    """Rewrites a cube file with a channel ``var`` before its channel ``index``, holding
+    ``value``: a number or an H x W field."""
     cube = read_cube(read_header(path))
-    catalog = VariableCatalog([CATALOG.entries[0], VariableId("T", 850), CATALOG.entries[1]])
-    write_cube(FieldCube(cube.spec, catalog, cube.valid_time,
-                         np.insert(cube.values, 1, 0.0, axis=0)), path)
+    entries = list(cube.catalog)
+    write_cube(FieldCube(cube.spec, VariableCatalog(entries[:index] + [var] + entries[index:]),
+                         cube.valid_time, np.insert(cube.values, index, value, axis=0)), path)
+
+
+def _kept_channels(monkeypatch) -> list:
+    """Makes ``cubeio.read_cube`` record the tokens each cube it returns keeps, in a list
+    that this returns."""
+    read_cube, kept = cubeio.read_cube, []
+
+    def watched(header, variables=None):
+        cube = read_cube(header, variables)
+        kept.append([var.token for var in cube.catalog])
+        return cube
+
+    monkeypatch.setattr(cubeio, "read_cube", watched)
+    return kept
 
 
 def _move_lat_start(path, lat_start=59.0):
@@ -1874,6 +1959,12 @@ def downscale_truth_at_a_non_synoptic_time(tmp):
     return _downscale(tmp, [utc(2024, 2, 2, 3)])
 
 
+# A 06:30 truth was counted in the h06 cell of every matrix, and the run exited 0.
+@failure(2, "synoptic")
+def downscale_truth_at_a_non_synoptic_minute(tmp):
+    return _downscale(tmp, [utc(2024, 2, 2, 6).replace(minute=30)])
+
+
 @failure(2, "no truth cubes")
 def downscale_no_truth_cubes(tmp):
     argv = _downscale(tmp, [utc(2024, 2, 2, 18)])
@@ -1992,6 +2083,17 @@ def tc_track_no_cubes(tmp):
 def tc_track_nan_in_a_cube(tmp):
     argv = _tc_track(tmp)
     _poison(sorted((tmp / "vortex").glob("*.gvc"))[-1])
+    return argv
+
+
+@failure(2, "finite")
+def tc_track_nan_in_a_channel_the_tracker_does_not_read(tmp):
+    """Every cube carries T2M after MSL and WS10M; the last cube's T2M holds a NaN."""
+    argv = _tc_track(tmp)
+    paths = sorted((tmp / "vortex").glob("*.gvc"))
+    for path in paths:
+        _insert_channel(path, 2, VariableId("T2M"), 290.0)
+    _poison(paths[-1])
     return argv
 
 

@@ -1208,8 +1208,12 @@ class TestMonthHourMatrix:
         with pytest.raises(ValueError, match="synoptic"):
             month_hour_matrix([(t, 1.0)], [(t, 1.0)])
 
-    def test_off_synoptic_hour_is_a_data_error(self):
-        t = utc(2024, 1, 1, 3)
+    # A synoptic hour past the hour, such as 06:30, was counted in its hour's column.
+    @pytest.mark.parametrize("t", [utc(2024, 1, 1, 3), utc(2024, 1, 1, 6).replace(minute=30),
+                                   utc(2024, 1, 1, 6).replace(second=1),
+                                   utc(2024, 1, 1, 6).replace(microsecond=1)],
+                             ids=["03:00", "06:30", "06:00:01", "06:00:00.000001"])
+    def test_off_synoptic_hour_is_a_data_error(self, t):
         with pytest.raises(NonSynopticTime) as err:
             month_hour_matrix([(t, 1.0)], [(t, 1.0)])
         assert err.value.exit_code == 2

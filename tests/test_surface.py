@@ -11,8 +11,8 @@ def test_every_public_name_but_the_traced_three_has_a_caller_in_the_package():
     only for its tests; a fixture builder belongs in ``tests/``.
 
     ``psnr``, ``pointwise_rmse`` and ``track_cyclone`` have no caller in the package
-    but stay while bench/tracer.py wraps them: ROADMAP item 3 (run stats from the
-    program) frees them, and item 4 then cuts them.
+    but stay while bench/tracer.py wraps them: ROADMAP item 3 deletes them together
+    with the tracer's wraps.
     """
     package = Path(geoverify.__file__).parent
     referenced = set()
