@@ -29,6 +29,7 @@ from .errors import (
     InvalidFlags,
     MissingCube,
     NonFiniteValue,
+    NonSynopticTime,
     ParseError,
     PerfectMatch,
     SpecMismatch,
@@ -299,27 +300,33 @@ def cmd_verify(args) -> int:
 
 # --- downscale-eval -------------------------------------------------------------
 
-def _downscale_inputs(args, truth_path: Path, truth: FieldCube) -> tuple[FieldCube, FieldCube]:
-    """(bilinear baseline, model) of the truth cube's channels; GeoverifyError skips the sample.
+def _downscale_inputs(args, truth_path: Path,
+                      truth: FieldCube) -> tuple[FieldCube, cubeio.CubeHeader]:
+    """(bilinear baseline, model header) of the truth cube's channels; GeoverifyError skips
+    the sample.
 
-    Every check runs before the upsample, so a skipped sample costs none.
+    The coarse and model headers are read and every check runs on them before either
+    payload is read, so a sample that fails one costs no upsample and no coarse or model
+    payload.  The caller reads the model payload once the baseline is assigned, so a NaN
+    in it costs its sample an upsample.  The caller's previous baseline stays alive
+    through the upsample on purpose: its freed pages would be faulted in again.
     """
     from . import regrid
 
     stem = truth_path.stem
-    coarse, model = (cubeio.read_cube(cubeio.read_header(Path(directory) / truth_path.name),
-                                      truth.catalog) for directory in (args.coarse, args.model))
-    for side, cube in (("coarse", coarse), ("model", model)):
-        if cube.valid_time != truth.valid_time:
-            raise GeoverifyError(f"{side} cube valid_time {cubeio.format_time(cube.valid_time)}"
+    coarse, model = (cubeio.read_header(Path(directory) / truth_path.name)
+                     for directory in (args.coarse, args.model))
+    for side, header in (("coarse", coarse), ("model", model)):
+        if header.valid_time != truth.valid_time:
+            raise GeoverifyError(f"{side} cube valid_time {cubeio.format_time(header.valid_time)}"
                                  f" != truth valid_time {cubeio.format_time(truth.valid_time)}"
                                  f" for {stem}")
-        missing = [var.token for var in truth.catalog if var not in cube.catalog]
+        missing = [var.token for var in truth.catalog if var not in header.catalog]
         if missing:
             raise GeoverifyError(f"{side} cube lacks {','.join(missing)} for {stem}")
     if model.spec != truth.spec:
         raise GeoverifyError(f"model grid differs from truth grid for {stem}")
-    return regrid.bilinear_upsample(coarse, truth.spec), model
+    return regrid.bilinear_upsample(cubeio.read_cube(coarse, truth.catalog), truth.spec), model
 
 
 def _downscale_scores(truth: FieldCube, baseline: FieldCube, model: FieldCube,
@@ -367,10 +374,15 @@ def cmd_downscale_eval(args) -> int:
     truth_at: dict = {} # header valid time -> the first truth path whose header was read
     failures = 0
     for truth_path in truth_paths:
-        # The last sample's truth and model die before the next ones are read.  The
-        # baseline is kept: when freed, its pages went back to the OS and the next
-        # upsample faulted in new ones (bench downscale, 2-vCPU VM: 120k minor faults
-        # for 14k, 1.03-1.26 s wall for 0.72-0.98 s, 1.8 MiB lower peak RSS).
+        # Per sample: the truth payload, the coarse and model headers and every check
+        # on them, the coarse payload and the upsample, and only then the model
+        # payload, so a NaN in it costs its sample an upsample.  A sample holds three
+        # full cubes at most: truth and the last and new baselines while upsampling,
+        # truth, baseline and model while scoring.  The last sample's truth and model
+        # die before the next ones are read.  The last baseline lives through the
+        # upsample on purpose: when freed before it, its pages went back to the OS and
+        # the upsample faulted in new ones (bench downscale, 2-vCPU VM: 120k minor
+        # faults for 14k, 1.03-1.26 s wall for 0.72-0.98 s, 1.8 MiB lower peak RSS).
         truth = model = None
         try:
             header = cubeio.read_header(truth_path)
@@ -390,11 +402,18 @@ def cmd_downscale_eval(args) -> int:
                 raise GeoverifyError(f"two truth cubes have valid time "
                                      f"{cubeio.format_time(header.valid_time)}: "
                                      f"{first} and {truth_path}")
+            # month_hour_matrix would refuse the time too, but only after every upsample.
+            try:
+                metrics.synoptic_utc(header.valid_time)
+            except NonSynopticTime as e:
+                raise NonSynopticTime(f"{truth_path}: {e}") from None
         try:
             if isinstance(header, Exception):
                 raise header
             truth = cubeio.read_cube(header, scored)
-            baseline, model = _downscale_inputs(args, truth_path, truth)
+            # Assigned before the model is read: this frees the last sample's baseline.
+            baseline, model_header = _downscale_inputs(args, truth_path, truth)
+            model = cubeio.read_cube(model_header, scored)
         except (GeoverifyError, OSError) as e:
             print(f"geoverify: skipping {truth_path.stem}: {e}", file=sys.stderr)
             failures += 1

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -1001,10 +1002,7 @@ class TestDownscaleEval:
                         self._write_fixture(tmp_path, times, "bilinear")))
         path = dirs[side] / f"{time_stem(times[0])}.gvc"
         write_cube(replace(read_cube(read_header(path)), valid_time=utc(2024, 3, 13, 18)), path)
-        upsampled = []
-        monkeypatch.setattr("geoverify.regrid.bilinear_upsample",
-                            lambda cube, spec: upsampled.append(cube.valid_time)
-                            or bilinear_upsample(cube, spec))
+        upsampled = _upsampled_times(monkeypatch)
         out = tmp_path / "ds.csv"
         assert main(_argv("downscale-eval", out=out, **dirs)) == 0
         assert capsys.readouterr().err.splitlines() == [
@@ -1017,20 +1015,75 @@ class TestDownscaleEval:
         times_in_report = {line.split(",")[0] for line in out.read_text().splitlines()[2:]}
         assert times_in_report == {"2024-07-01T06:00:00Z"}
 
-    def test_nan_in_a_coarse_cube_skips_its_sample(self, tmp_path, capsys):
-        """read_cube scans the coarse cube it reads; only the upsampled cube goes unscanned."""
+    @pytest.mark.parametrize("side", ["coarse", "model"])
+    def test_nan_in_a_scored_channel_skips_its_sample(self, tmp_path, capsys, monkeypatch,
+                                                      side):
+        """read_cube scans the coarse and model cubes it reads; only the upsampled cube goes
+        unscanned.  The model payload is read after the upsample, so its NaN costs one."""
         times = [utc(2024, 2, 2, 18), utc(2024, 7, 1, 6)]
         dirs = dict(zip(("coarse", "truth", "model"),
                         self._write_fixture(tmp_path, times, "bilinear")))
-        path = dirs["coarse"] / f"{time_stem(times[0])}.gvc"
-        _poison(path, index=-2 * 20 * 40 + 417)  # in the first channel, T2M
+        path = dirs[side] / f"{time_stem(times[0])}.gvc"
+        spec = self.COARSE_SPEC if side == "coarse" else self.FINE_SPEC
+        _poison(path, index=-2 * spec.n_lat * spec.n_lon + 417)  # in the first channel, T2M
+        upsampled = _upsampled_times(monkeypatch)
         out = tmp_path / "ds.csv"
         assert main(_argv("downscale-eval", out=out, **dirs)) == 0
         lines = capsys.readouterr().err.splitlines()
         assert lines[0].startswith(f"geoverify: skipping {time_stem(times[0])}: {path}: ")
         assert lines[1:] == ["geoverify: 1 sample(s) skipped"]
+        assert upsampled == (times[1:] if side == "coarse" else times)
         times_in_report = {line.split(",")[0] for line in out.read_text().splitlines()[2:]}
         assert times_in_report == {"2024-07-01T06:00:00Z"}
+
+    def test_a_non_synoptic_truth_time_fails_at_its_header_naming_the_file(
+            self, tmp_path, capsys, monkeypatch):
+        """Found from the 12:30 header, after the two samples before it and before any
+        read of its own sample."""
+        times = [utc(2024, 2, 2, 0), utc(2024, 2, 2, 6), utc(2024, 2, 2, 12).replace(minute=30)]
+        dirs = dict(zip(("coarse", "truth", "model"),
+                        self._write_fixture(tmp_path, times, "bilinear")))
+        upsampled = _upsampled_times(monkeypatch)
+        assert main(_argv("downscale-eval", out=tmp_path / "ds.csv", **dirs)) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"geoverify: data error: {dirs['truth'] / '20240202T123000Z.gvc'}: "
+            f"2024-02-02 12:30:00+00:00 is not a 6-hourly synoptic time")
+        assert upsampled == times[:2]
+        assert not list(tmp_path.glob("ds*"))
+
+    def test_a_sample_never_holds_four_cubes(self, tmp_path, monkeypatch):
+        """Three samples of 16-channel cubes, each twice the size of the bilinear plan.
+
+        While it upsamples, a sample holds its truth and the last and new baselines;
+        while it scores, truth, baseline and model.  The traced peak stays under three
+        cubes, the plan and half a cube for the coarse cube and working buffers: a
+        fourth cube would exceed it by at least half a cube.
+        """
+        rng = np.random.default_rng(3)
+        fine = GridSpec(161, 241, 48.0, -0.25, 102.0, 0.25)
+        coarse_spec = GridSpec(23, 33, 50.0, -2.0, 100.0, 2.0)
+        catalog = VariableCatalog([VariableId("T", level) for level in range(100, 1700, 100)])
+        dirs = {side: tmp_path / side for side in ("coarse", "truth", "model")}
+        for directory in dirs.values():
+            directory.mkdir()
+        for t in (utc(2024, 2, 2, 0), utc(2024, 2, 2, 6), utc(2024, 2, 2, 12)):
+            coarse = FieldCube(coarse_spec, catalog, t, rng.normal(
+                size=(len(catalog), coarse_spec.n_lat, coarse_spec.n_lon)).astype(np.float32))
+            truth = bilinear_upsample(coarse, fine)
+            truth, model = (replace(truth, values=truth.values + rng.normal(
+                scale=0.1, size=truth.values.shape).astype(np.float32)) for _ in range(2))
+            for side, cube in (("coarse", coarse), ("truth", truth), ("model", model)):
+                write_cube(cube, dirs[side] / f"{time_stem(t)}.gvc")
+        monkeypatch.setattr("geoverify.regrid._last_plan", None)
+        tracemalloc.start()
+        try:
+            assert main(_argv("downscale-eval", out=tmp_path / "ds.csv", **dirs)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cube = len(catalog) * 4 * fine.n_lat * fine.n_lon
+        plan = sum(a.nbytes for a in geoverify.regrid._last_plan[1])
+        assert peak < 3 * cube + plan + cube // 2
 
     def _add_unscored_channels(self, dirs):
         """Stores an input-only LSM between T2M and WS10M in every cube, and a Q850, which
@@ -1779,6 +1832,16 @@ def _kept_channels(monkeypatch) -> list:
 
     monkeypatch.setattr(cubeio, "read_cube", watched)
     return kept
+
+
+def _upsampled_times(monkeypatch) -> list:
+    """Makes ``regrid.bilinear_upsample`` record the valid time of each cube it upsamples,
+    in a list that this returns."""
+    upsampled = []
+    monkeypatch.setattr("geoverify.regrid.bilinear_upsample",
+                        lambda cube, spec: upsampled.append(cube.valid_time)
+                        or bilinear_upsample(cube, spec))
+    return upsampled
 
 
 def _move_lat_start(path, lat_start=59.0):
