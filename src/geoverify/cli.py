@@ -300,35 +300,6 @@ def cmd_verify(args) -> int:
 
 # --- downscale-eval -------------------------------------------------------------
 
-def _downscale_inputs(args, truth_path: Path,
-                      truth: FieldCube) -> tuple[FieldCube, cubeio.CubeHeader]:
-    """(bilinear baseline, model header) of the truth cube's channels; GeoverifyError skips
-    the sample.
-
-    The coarse and model headers are read and every check runs on them before either
-    payload is read, so a sample that fails one costs no upsample and no coarse or model
-    payload.  The caller reads the model payload once the baseline is assigned, so a NaN
-    in it costs its sample an upsample.  The caller's previous baseline stays alive
-    through the upsample on purpose: its freed pages would be faulted in again.
-    """
-    from . import regrid
-
-    stem = truth_path.stem
-    coarse, model = (cubeio.read_header(Path(directory) / truth_path.name)
-                     for directory in (args.coarse, args.model))
-    for side, header in (("coarse", coarse), ("model", model)):
-        if header.valid_time != truth.valid_time:
-            raise GeoverifyError(f"{side} cube valid_time {cubeio.format_time(header.valid_time)}"
-                                 f" != truth valid_time {cubeio.format_time(truth.valid_time)}"
-                                 f" for {stem}")
-        missing = [var.token for var in truth.catalog if var not in header.catalog]
-        if missing:
-            raise GeoverifyError(f"{side} cube lacks {','.join(missing)} for {stem}")
-    if model.spec != truth.spec:
-        raise GeoverifyError(f"model grid differs from truth grid for {stem}")
-    return regrid.bilinear_upsample(cubeio.read_cube(coarse, truth.catalog), truth.spec), model
-
-
 def _downscale_scores(truth: FieldCube, baseline: FieldCube, model: FieldCube,
                       psnr_peak: float | None) -> list[tuple]:
     """(variable, method, metric, value, peak) of each channel of one sample's truth."""
@@ -352,7 +323,7 @@ def _downscale_scores(truth: FieldCube, baseline: FieldCube, model: FieldCube,
 
 
 def cmd_downscale_eval(args) -> int:
-    from . import metrics
+    from . import metrics, regrid
 
     # PSNR squares the peak: 1e-200 would square to 0 and 1e200 to inf.
     if args.psnr_peak is not None and not (
@@ -369,54 +340,76 @@ def cmd_downscale_eval(args) -> int:
     def matrix_path(token, metric):
         return out_base.parent / f"{out_base.stem}_nd_{token}_{metric}.csv"
 
+    failures = 0
+
+    def skip(truth_path, error):
+        nonlocal failures
+        print(f"geoverify: skipping {truth_path.stem}: {error}", file=sys.stderr)
+        failures += 1
+
+    # Header pass, before any payload is read: a repeated or non-synoptic truth time
+    # fails the run; any other header fault skips its sample.
+    kept = []            # (truth path, truth/coarse/model headers, scored variables)
+    truth_at: dict = {}  # header valid time -> the first truth path whose header was read
+    for truth_path in truth_paths:
+        try:
+            truth_header = cubeio.read_header(truth_path)
+        except (GeoverifyError, OSError) as e:
+            skip(truth_path, e)
+            continue
+        valid, stem = truth_header.valid_time, truth_path.stem
+        first = truth_at.setdefault(valid, truth_path)
+        if first != truth_path:
+            # Scored twice, the time would count twice in its month-hour cell.
+            raise GeoverifyError(f"two truth cubes have valid time {cubeio.format_time(valid)}: "
+                                 f"{first} and {truth_path}")
+        # month_hour_matrix would refuse the time too, but only after every upsample.
+        try:
+            metrics.synoptic_utc(valid)
+        except NonSynopticTime as e:
+            raise NonSynopticTime(f"{truth_path}: {e}") from None
+        scored = [var for var in truth_header.catalog if var.role == "input-output"]
+        try:
+            coarse, model_header = (cubeio.read_header(Path(directory) / truth_path.name)
+                                    for directory in (args.coarse, args.model))
+            for side, header in (("coarse", coarse), ("model", model_header)):
+                if header.valid_time != valid:
+                    raise GeoverifyError(f"{side} cube valid_time "
+                                         f"{cubeio.format_time(header.valid_time)} != truth "
+                                         f"valid_time {cubeio.format_time(valid)} for {stem}")
+                missing = [var.token for var in scored if var not in header.catalog]
+                if missing:
+                    raise GeoverifyError(f"{side} cube lacks {','.join(missing)} for {stem}")
+            if model_header.spec != truth_header.spec:
+                raise GeoverifyError(f"model grid differs from truth grid for {stem}")
+        except (GeoverifyError, OSError) as e:
+            skip(truth_path, e)
+            continue
+        kept.append((truth_path, truth_header, coarse, model_header, scored))
+    # An unwritable matrix path fails the run, not a sample, before any payload is read.
+    for token in dict.fromkeys(var.token for *_, scored in kept for var in scored):
+        cubeio.output_path(matrix_path(token, "rmse"))
+        cubeio.output_path(matrix_path(token, "psnr"))
+
+    # Payload pass: the truth payload, the coarse payload and the upsample, and only
+    # then the model payload, so a NaN in it costs its sample an upsample.  A sample
+    # holds three full cubes at most: truth and the last and new baselines while
+    # upsampling, truth, baseline and model while scoring.  The last sample's truth
+    # and model die before the next ones are read.  The last baseline lives through
+    # the upsample on purpose: when freed before it, its pages went back to the OS and
+    # the upsample faulted in new ones (bench downscale, 2-vCPU VM: 120k minor faults
+    # for 14k, 1.03-1.26 s wall for 0.72-0.98 s, 1.8 MiB lower peak RSS).
     rows = []          # (time, var, method, metric, value, peak)
     samples: dict = {} # (var token, metric, method) -> list of (time, value)
-    truth_at: dict = {} # header valid time -> the first truth path whose header was read
-    failures = 0
-    for truth_path in truth_paths:
-        # Per sample: the truth payload, the coarse and model headers and every check
-        # on them, the coarse payload and the upsample, and only then the model
-        # payload, so a NaN in it costs its sample an upsample.  A sample holds three
-        # full cubes at most: truth and the last and new baselines while upsampling,
-        # truth, baseline and model while scoring.  The last sample's truth and model
-        # die before the next ones are read.  The last baseline lives through the
-        # upsample on purpose: when freed before it, its pages went back to the OS and
-        # the upsample faulted in new ones (bench downscale, 2-vCPU VM: 120k minor
-        # faults for 14k, 1.03-1.26 s wall for 0.72-0.98 s, 1.8 MiB lower peak RSS).
+    for truth_path, truth_header, coarse, model_header, scored in kept:
         truth = model = None
         try:
-            header = cubeio.read_header(truth_path)
-        except (GeoverifyError, OSError) as e:
-            header = e  # raised in the try below, which skips the sample
-        # Outside the try: an unwritable matrix path and a repeated valid time fail the
-        # run, not the sample, whatever either payload holds.
-        if isinstance(header, cubeio.CubeHeader):
-            scored = [var for var in header.catalog if var.role == "input-output"]
-            if not truth_at:
-                for var in scored:
-                    cubeio.output_path(matrix_path(var.token, "rmse"))
-                    cubeio.output_path(matrix_path(var.token, "psnr"))
-            first = truth_at.setdefault(header.valid_time, truth_path)
-            if first != truth_path:
-                # Scored twice, the time would count twice in its month-hour cell.
-                raise GeoverifyError(f"two truth cubes have valid time "
-                                     f"{cubeio.format_time(header.valid_time)}: "
-                                     f"{first} and {truth_path}")
-            # month_hour_matrix would refuse the time too, but only after every upsample.
-            try:
-                metrics.synoptic_utc(header.valid_time)
-            except NonSynopticTime as e:
-                raise NonSynopticTime(f"{truth_path}: {e}") from None
-        try:
-            if isinstance(header, Exception):
-                raise header
-            truth = cubeio.read_cube(header, scored)
+            truth = cubeio.read_cube(truth_header, scored)
             # Assigned before the model is read: this frees the last sample's baseline.
-            baseline, model_header = _downscale_inputs(args, truth_path, truth)
+            baseline = regrid.bilinear_upsample(cubeio.read_cube(coarse, scored), truth.spec)
             model = cubeio.read_cube(model_header, scored)
         except (GeoverifyError, OSError) as e:
-            print(f"geoverify: skipping {truth_path.stem}: {e}", file=sys.stderr)
-            failures += 1
+            skip(truth_path, e)
             continue
         for var, method, metric, value, peak in _downscale_scores(truth, baseline, model,
                                                                   args.psnr_peak):
@@ -463,6 +456,7 @@ def cmd_downscale_eval(args) -> int:
 def cmd_tc_track(args) -> int:
     _check_flags(args, "positive", "search_radius_km", "intensity_radius_km", "ring_width_km")
     _check_flags(args, "non-negative", "closed_low_hpa")
+    cubeio.output_path(args.out)
     headers = cubeio.headers_by_time(cubeio.cube_paths(args.cubes))
     if not headers:
         raise EmptyInput(f"no cubes in {args.cubes}")

@@ -979,13 +979,17 @@ class TestDownscaleEval:
         assert times_in_report == {"2024-07-01T06:00:00Z"}
 
     @pytest.mark.parametrize("side", ["coarse", "model"])
-    def test_cube_lacking_a_channel_skips_the_sample(self, tmp_path, capsys, side):
+    def test_cube_lacking_a_channel_skips_the_sample(self, tmp_path, capsys, monkeypatch, side):
+        """The skipped sample's headers are checked before any payload is read, so it
+        reads none, its truth's included: only the other sample's three cubes are read."""
         times = [utc(2024, 2, 2, 18), utc(2024, 7, 1, 6)]
         dirs = dict(zip(("coarse", "truth", "model"),
                         self._write_fixture(tmp_path, times, "bilinear")))
         _drop_last_channel(dirs[side] / f"{time_stem(times[0])}.gvc")
+        kept = _kept_channels(monkeypatch)
         out = tmp_path / "ds.csv"
         assert main(_argv("downscale-eval", out=out, **dirs)) == 0
+        assert kept == [["T2M", "WS10M"]] * 3
         assert capsys.readouterr().err.splitlines() == [
             f"geoverify: skipping {time_stem(times[0])}: {side} cube lacks WS10M"
             f" for {time_stem(times[0])}",
@@ -1038,17 +1042,18 @@ class TestDownscaleEval:
 
     def test_a_non_synoptic_truth_time_fails_at_its_header_naming_the_file(
             self, tmp_path, capsys, monkeypatch):
-        """Found from the 12:30 header, after the two samples before it and before any
-        read of its own sample."""
+        """Found from the 12:30 header, the last one, before any payload of any sample
+        is read."""
         times = [utc(2024, 2, 2, 0), utc(2024, 2, 2, 6), utc(2024, 2, 2, 12).replace(minute=30)]
         dirs = dict(zip(("coarse", "truth", "model"),
                         self._write_fixture(tmp_path, times, "bilinear")))
         upsampled = _upsampled_times(monkeypatch)
+        _refuse_payload_reads(monkeypatch)
         assert main(_argv("downscale-eval", out=tmp_path / "ds.csv", **dirs)) == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"geoverify: data error: {dirs['truth'] / '20240202T123000Z.gvc'}: "
             f"2024-02-02 12:30:00+00:00 is not a 6-hourly synoptic time")
-        assert upsampled == times[:2]
+        assert upsampled == []
         assert not list(tmp_path.glob("ds*"))
 
     def test_a_sample_never_holds_four_cubes(self, tmp_path, monkeypatch):
@@ -1138,9 +1143,13 @@ class TestDownscaleEval:
         assert times_in_report == {"2024-07-01T06:00:00Z"}
 
     @pytest.mark.parametrize("poisoned", [None, "20240202T180000Z.gvc", "copy.gvc"])
-    def test_two_truth_cubes_at_one_valid_time_are_named(self, tmp_path, capsys, poisoned):
-        """Found from the copy's header, so a NaN in either payload cannot hide it."""
-        assert main(_repeated_truth(tmp_path, poisoned)) == 2
+    def test_two_truth_cubes_at_one_valid_time_are_named(self, tmp_path, capsys, monkeypatch,
+                                                         poisoned):
+        """Found from the copy's header before any payload is read, so a NaN in either
+        payload cannot hide it."""
+        argv = _repeated_truth(tmp_path, poisoned)
+        _refuse_payload_reads(monkeypatch)
+        assert main(argv) == 2
         truth = tmp_path / "truth"
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"geoverify: data error: two truth cubes have valid time 2024-02-02T18:00:00Z: "
@@ -1834,6 +1843,14 @@ def _kept_channels(monkeypatch) -> list:
     return kept
 
 
+def _refuse_payload_reads(monkeypatch):
+    """Makes ``cubeio.read_cube`` fail the test if it is called."""
+    def read(*args, **kwargs):
+        raise AssertionError("a payload was read")
+
+    monkeypatch.setattr(cubeio, "read_cube", read)
+
+
 def _upsampled_times(monkeypatch) -> list:
     """Makes ``regrid.bilinear_upsample`` record the valid time of each cube it upsamples,
     in a list that this returns."""
@@ -2124,6 +2141,16 @@ def downscale_a_directory_at_a_matrix_path(tmp):
     return _downscale(tmp, [utc(2024, 2, 2, 18)])
 
 
+@failure(2, "ds_nd_Q850_rmse.csv")
+def downscale_a_directory_at_a_later_samples_matrix_path(tmp):
+    """Only the second sample's truth, coarse and model cubes carry Q850."""
+    argv = _downscale(tmp, [utc(2024, 2, 2, 18), utc(2024, 7, 1, 6)])
+    for side in ("coarse", "truth", "model"):
+        _insert_channel(tmp / side / "20240701T060000Z.gvc", 2, VariableId("Q", 850))
+    (tmp / "ds_nd_Q850_rmse.csv").mkdir()
+    return argv
+
+
 @failure(2, "directory")
 def downscale_out_is_a_directory(tmp):
     (tmp / "out").mkdir()
@@ -2134,6 +2161,12 @@ def _tc_track(tmp, **flags):
     vortex = write_vortex(tmp / "vortex")
     args = dict(cubes=vortex, seeds=vortex / "seeds.csv", out=tmp / "track.csv")
     return _argv("tc-track", **dict(args, **flags))
+
+
+@failure(2, "directory")
+def tc_track_out_is_a_directory(tmp):
+    (tmp / "out").mkdir()
+    return _tc_track(tmp, out=tmp / "out")
 
 
 @failure(2, "no cubes")
@@ -2447,7 +2480,8 @@ def test_failure_exits_with_its_code_and_writes_nothing(tmp_path, capsys, build,
                                    verify_a_directory_at_a_map_path,
                                    verify_map_dir_is_a_file,
                                    verify_out_under_a_file,
-                                   downscale_out_is_a_directory],
+                                   downscale_out_is_a_directory,
+                                   tc_track_out_is_a_directory],
                          ids=lambda build: build.__name__)
 def test_an_output_that_cannot_be_written_fails_before_any_cube_is_read(tmp_path, monkeypatch,
                                                                        build):
@@ -2461,17 +2495,18 @@ def test_an_output_that_cannot_be_written_fails_before_any_cube_is_read(tmp_path
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize("build, name", [
+    (downscale_a_directory_at_a_matrix_path, "ds_nd_WS10M_rmse.csv"),
+    (downscale_a_directory_at_a_later_samples_matrix_path, "ds_nd_Q850_rmse.csv"),
+], ids=["first-sample", "later-sample"])
 def test_a_matrix_path_that_cannot_be_written_fails_before_any_payload_is_read(
-        tmp_path, monkeypatch, capsys):
-    """The matrix paths come from the first truth header, so only that header is read."""
-    argv = downscale_a_directory_at_a_matrix_path(tmp_path)
-
-    def read(*args, **kwargs):
-        raise AssertionError("a payload was read before the matrix paths were checked")
-
-    monkeypatch.setattr(cubeio, "read_cube", read)
+        tmp_path, monkeypatch, capsys, build, name):
+    """Every header is read first; the matrix paths of every input-output channel of every
+    sample kept by those headers are checked before any payload is read."""
+    argv = build(tmp_path)
+    _refuse_payload_reads(monkeypatch)
     assert main(argv) == 2
-    assert "ds_nd_WS10M_rmse.csv" in capsys.readouterr().err
+    assert name in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["collecting", "paused"])
