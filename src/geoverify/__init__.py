@@ -26,15 +26,6 @@ from .grid import (
     parse_variable_token,
     select_channel,
 )
-from .tc import (
-    FilterDecision,
-    TcPoint,
-    TcTrack,
-    concurrent_match,
-    filter_case,
-    great_circle_km,
-    track_cyclone,
-)
 
 #: Names of the submodules that load on first use, each with the public names
 #: it gives the package: a process that runs none of them does not import them.
@@ -45,6 +36,8 @@ _LAZY_MODULES = {
                 "normalized_difference", "pointwise_rmse", "psnr", "weighted_acc",
                 "weighted_rmse"),
     "regrid": ("bilinear_upsample",),
+    "tc": ("FilterDecision", "TcPoint", "TcTrack", "concurrent_match", "filter_case",
+           "great_circle_km", "track_cyclone"),
     "vqa": ("VqaItem", "closed_accuracy", "open_token_recall"),
 }
 _LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}

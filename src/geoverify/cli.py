@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-# metrics, climatology, regrid and vqa are imported by the subcommands that run
-# them, so a process pays only for what its command uses.
-from . import cubeio, tc
+# metrics, climatology, regrid, tc and vqa are imported by the subcommands that
+# run them, so a process pays only for what its command uses.
+from . import cubeio
 from .errors import (
     CorruptHeader,
     EmptyInput,
@@ -454,6 +454,8 @@ def cmd_downscale_eval(args) -> int:
 # --- tropical cyclones ------------------------------------------------------------
 
 def cmd_tc_track(args) -> int:
+    from . import tc
+
     _check_flags(args, "positive", "search_radius_km", "intensity_radius_km", "ring_width_km")
     _check_flags(args, "non-negative", "closed_low_hpa")
     cubeio.output_path(args.out)
@@ -511,6 +513,8 @@ def cmd_tc_track(args) -> int:
 
 
 def cmd_tc_eval(args) -> int:
+    from . import tc
+
     forecast_paths = [p for p in args.forecast.split(",") if p]
     if not forecast_paths:
         raise InvalidFlags(f"--forecast names no track CSV; got {args.forecast!r}")
@@ -542,6 +546,8 @@ def cmd_tc_eval(args) -> int:
 
 
 def cmd_tc_filter(args) -> int:
+    from . import tc
+
     _check_flags(args, "non-negative", "comparable_tol", "track_threshold_km")
     columns = ["case_id", "model_mbe", "wrf_mbe", "both_under", "both_over", "track_err_km"]
     filter_case, tol, threshold = tc.filter_case, args.comparable_tol, args.track_threshold_km

@@ -55,7 +55,6 @@ from .grid import (
     VariableId,
     all_finite,
 )
-from .tc import TcPoint, TcTrack
 
 MAGIC = b"GVC1"
 VERSION = 1
@@ -285,11 +284,6 @@ def headers_by_time(paths) -> dict[datetime, CubeHeader]:
 RANGE_BYTES = 16 << 20
 
 
-def _fill(f, path, out: np.ndarray) -> None:
-    if f.readinto(out) != out.nbytes:
-        raise TruncatedPayload(f"{path}: file shrank while its payload was read")
-
-
 def _map(f, path, n: int) -> np.ndarray:
     """A read-only view of ``f``'s next ``n`` float32 values, leaving ``f`` after them.
 
@@ -316,11 +310,11 @@ def read_cube(header: CubeHeader, variables=None, channels: range | None = None,
     With ``variables``, the cube keeps only the channels of the file's
     catalog named there (as tokens, (name, level) pairs or VariableIds), in
     file order; a variable the file lacks is not kept, so ``select_channel``
-    raises UnknownVariable for it as after a full read.  The kept channels
-    are read into one new array.  Every other channel still streams through
-    one scan block of at most FINITE_SCAN_VALUES values, freed before the
-    read returns, and is checked for NaN/Inf: a file is accepted or rejected
-    exactly as by a full read.
+    raises UnknownVariable for it as after a full read.  The payload is read
+    in blocks of at most FINITE_SCAN_VALUES values, each checked for NaN/Inf
+    as it lands: kept channels into one new array, every other channel into
+    one scan block that the read frees before it returns.  So a file is
+    accepted or rejected exactly as by a full read.
 
     With ``channels``, a step-1 range of file channel indices, only that run
     of the payload is read: the cube keeps its channels that ``variables``
@@ -351,34 +345,31 @@ def read_cube(header: CubeHeader, variables=None, channels: range | None = None,
             catalog = VariableCatalog([catalog.entries[i] for i in sorted(keep)])
         plane = spec.n_lat * spec.n_lon
         f.seek(header.offset + 4 * plane * span.start)
-        n_kept = plane * len(keep)
         n_scan = min(FINITE_SCAN_VALUES, plane * (len(span) - len(keep)))
         mapped = not _scan_kept and bool(keep) and max(keep) - min(keep) + 1 == len(keep)
-        kept = None if mapped else np.empty(n_kept, dtype="<f4")
+        kept = None if mapped else np.empty(plane * len(keep), dtype="<f4")
         scan = np.empty(n_scan, dtype="<f4")
         pos, finite = 0, True
-        # One readinto per run of adjacent kept channels: a full read is one call.
+        # Each block is checked while it is in cache, and the rest of the payload is
+        # still read after a NaN, so a file that shrank raises TruncatedPayload first.
         for is_kept, run in itertools.groupby(span, keep.__contains__):
             count = plane * len(list(run))
             if is_kept and mapped:
                 kept = _map(f, path, count)
                 continue
+            for start in range(0, count, FINITE_SCAN_VALUES):
+                n = min(FINITE_SCAN_VALUES, count - start)
+                block = kept[pos + start:pos + start + n] if is_kept else scan[:n]
+                if f.readinto(block) != block.nbytes:
+                    raise TruncatedPayload(f"{path}: file shrank while its payload was read")
+                if finite and (_scan_kept or not is_kept):
+                    finite = all_finite(block)
             if is_kept:
-                _fill(f, path, kept[pos:pos + count])
                 pos += count
-                continue
-            for start in range(0, count, scan.size):
-                n = min(scan.size, count - start)
-                _fill(f, path, scan[:n])
-                finite = finite and all_finite(scan[:n])
         if not finite:
             raise NonFiniteValue(f"{path}: cube values must be finite")
-    del scan  # before FieldCube's own finiteness scan allocates
     values = kept.reshape(len(keep), spec.n_lat, spec.n_lon)
-    try:
-        return FieldCube(spec, catalog, header.valid_time, values, _scan=_scan_kept)
-    except ValueError as e:  # the finiteness scan of the kept channels is FieldCube's
-        raise NonFiniteValue(f"{path}: {e}") from None
+    return FieldCube(spec, catalog, header.valid_time, values, _scan=False)
 
 
 # --- track CSV ---------------------------------------------------------------
@@ -404,6 +395,8 @@ def read_tracks(path) -> list[TcTrack]:
     raises ParseError with its row number, and duplicate or unevenly spaced
     times within a storm raise NonMonotonicTime.
     """
+    from .tc import TcPoint, TcTrack  # tc loads only in a process that reads tracks
+
     groups: dict[str, list[TcPoint]] = {}
     names: dict[str, str] = {}
     for row_no, row in read_csv_rows(path, TRACK_COLUMNS):

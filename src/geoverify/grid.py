@@ -69,25 +69,21 @@ class GridSpec:
         if not (-90.0 - 1e-9 <= lat_end <= 90.0 + 1e-9):
             raise ValueError(f"last latitude {lat_end} outside [-90, 90]")
 
-    @property
+    @cached_property
     def latitudes(self) -> np.ndarray:
-        """Latitudes per row, degrees, in storage order."""
-        return self.lat_start + np.arange(self.n_lat, dtype=np.float64) * self.lat_step
+        """Latitudes per row, degrees, in storage order; computed once, read-only."""
+        lats = self.lat_start + np.arange(self.n_lat, dtype=np.float64) * self.lat_step
+        lats.flags.writeable = False
+        return lats
 
-    @property
+    @cached_property
     def longitudes(self) -> np.ndarray:
-        """Longitudes per column, degrees in [0, 360), storage order."""
+        """Longitudes per column, degrees in [0, 360), storage order; computed once, read-only."""
         lons = (self.lon_start + np.arange(self.n_lon, dtype=np.float64) * self.lon_step) % 360.0
         # A longitude a rounding error west of 0 degrees wraps to 360.0: it is 0.
         lons[lons == 360.0] = 0.0
+        lons.flags.writeable = False
         return lons
-
-    @cached_property
-    def _axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(latitudes, longitudes), computed once per instance and read-only."""
-        lats, lons = self.latitudes, self.longitudes
-        lats.flags.writeable = lons.flags.writeable = False
-        return lats, lons
 
     @property
     def north_to_south(self) -> bool:
@@ -212,10 +208,11 @@ class FieldCube:
     catalog: VariableCatalog
     valid_time: datetime
     values: np.ndarray = field(repr=False)
-    #: Private: False leaves out the NaN/Inf scan, for a caller that feeds every
-    #: value to a metric kernel, whose row sums raise NonFiniteValue (verify's
-    #: reads), or that makes values finite by construction (bilinear_upsample's
-    #: blends of finite values).
+    #: Private: False leaves out the NaN/Inf scan.  Its two callers:
+    #: ``cubeio.read_cube``, which checks each block as it reads it (verify's reads
+    #: leave their kept values to the metric kernels, whose row sums raise
+    #: NonFiniteValue), and ``regrid.bilinear_upsample``, whose blends of finite
+    #: values are finite by construction.
     _scan: InitVar[bool] = field(default=True, kw_only=True)
 
     def __post_init__(self, _scan):

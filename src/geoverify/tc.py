@@ -123,7 +123,7 @@ def _window(spec: GridSpec, lat0: float, lon0: float, radius_km: float):
     slice where they are a run, else an index vector, so
     ``values[rows][:, cols]`` cuts the window, as a view when both are slices.
     """
-    lats, lons = spec._axes
+    lats, lons = spec.latitudes, spec.longitudes
     rows = np.nonzero(np.abs(lats - lat0) <= radius_km / KM_PER_DEG + abs(spec.lat_step))[0]
     d, phi0 = radius_km / EARTH_RADIUS_KM, math.radians(lat0)
     dlon = 180.0  # the disk reaches a pole
@@ -200,7 +200,7 @@ class CycloneTracker:
         lat_prev, lon_prev = self._center
         search_km, intensity_km = self.search_radius_km, self.intensity_radius_km
         spec = cube.spec
-        lats, lons = spec._axes
+        lats, lons = spec.latitudes, spec.longitudes
 
         rows, cols, dist = _window(spec, lat_prev, lon_prev, search_km)
         inside = dist <= search_km

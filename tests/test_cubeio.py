@@ -314,13 +314,46 @@ class TestSelectiveRead:
             with pytest.raises(NonFiniteValue, match="finite"):
                 read_cube(read_header(cube_path), variables)
 
+    @pytest.mark.parametrize("nan_at", [None, PLANE + 3, 2 * PLANE + 7],
+                             ids=["finite", "nan-in-V2", "nan-in-V3"])
     @pytest.mark.parametrize("variables", [None, SELECTION, ["V6"]],
                              ids=["full", "last-channel-scanned", "last-channel-kept"])
-    def test_file_shrinking_mid_read_is_truncated(self, cube_path, variables):
+    def test_file_shrinking_mid_read_is_truncated(self, cube_path, variables, nan_at):
+        """The read goes on past a NaN, in a kept block or a scanned one, so a file
+        that shrank after its header was read raises TruncatedPayload, not NonFiniteValue."""
+        if nan_at is not None:
+            self._poison(cube_path, nan_at, np.nan)
         header = read_header(cube_path)  # the length check passes here
         os.truncate(cube_path, os.path.getsize(cube_path) - 4)
         with pytest.raises(TruncatedPayload, match="shrank"):
             read_cube(header, variables)
+
+    @pytest.mark.parametrize("variables, runs", [
+        (None, [6]),
+        (["V2", "V3", "V5"], [1, 2, 1, 1, 1]),
+        (["V1", "V6"], [1, 4, 1]),
+    ], ids=["full", "two-kept-runs", "first-and-last-kept"])
+    def test_each_block_is_checked_once_as_it_is_read(self, cube_path, monkeypatch,
+                                                      variables, runs):
+        """A kept run of several blocks is checked block by block, as the scanned runs
+        are: no check spans two blocks or the kept array, and none sees a value twice."""
+        from geoverify import grid
+
+        block = 500  # a 1200-value channel is three blocks, the last one short
+        monkeypatch.setattr(cubeio, "FINITE_SCAN_VALUES", block)
+        checked = []
+        for module in (grid, cubeio):
+            def spy(values, check=module.all_finite):
+                checked.append(np.array(values).reshape(-1))  # a copy: the scan block is reused
+                return check(values)
+
+            monkeypatch.setattr(module, "all_finite", spy)
+        read_cube(read_header(cube_path), variables)
+        sizes = [min(block, n * self.PLANE - start) for n in runs
+                 for start in range(0, n * self.PLANE, block)]
+        assert [c.size for c in checked] == sizes
+        payload = cube_path.read_bytes()[-6 * self.PLANE * 4:]
+        assert np.concatenate(checked).tobytes() == payload
 
     @pytest.mark.parametrize(
         "damage, error",
@@ -660,7 +693,6 @@ class TestHeaderCache:
         assert plus == minus and plus is not minus
         assert [np.signbit(s.lat_start) for s in specs] == [False, True]
         assert [np.signbit(s.latitudes[0]) for s in specs] == [False, True]
-        assert [np.signbit(s._axes[0][0]) for s in specs] == [False, True]
 
 
 class TestReadCsvRows:

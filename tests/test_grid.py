@@ -31,26 +31,17 @@ class TestGridSpec:
         """(-1e-17) % 360.0 rounds to 360.0: the first column lies at 0, inside [0, 360)."""
         spec = GridSpec(3, 4, 10.0, -1.0, -1e-17, 1.0)
         np.testing.assert_array_equal(spec.longitudes, [0.0, 1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(spec._axes[1], [0.0, 1.0, 2.0, 3.0])
 
-    def test_axes_are_fresh_writable_arrays(self):
-        """Each call gives a new array: writing to one leaves the grid's axes as they were."""
+    def test_axes_are_computed_once_and_read_only(self):
+        """Each grid computes its axes once; no caller can write into the shared arrays."""
         spec = GridSpec(2, 4, 10.0, -20.0, 270.0, 45.0)
         for axis in ("latitudes", "longitudes"):
             values = getattr(spec, axis)
-            assert values.flags.writeable and values is not getattr(spec, axis)
-            values[:] = 0.0
+            assert values is getattr(spec, axis) and not values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                values[:] = 0.0
         np.testing.assert_array_equal(spec.latitudes, [10, -10])
         np.testing.assert_array_equal(spec.longitudes, [270, 315, 0, 45])
-        np.testing.assert_array_equal(spec._axes[1], [270, 315, 0, 45])
-
-    def test_private_axes_are_computed_once_and_read_only(self):
-        spec = GridSpec(2, 4, 10.0, -20.0, 270.0, 45.0)
-        lats, lons = spec._axes
-        assert spec._axes[0] is lats and spec._axes[1] is lons
-        assert not lats.flags.writeable and not lons.flags.writeable
-        np.testing.assert_array_equal(lats, spec.latitudes)
-        np.testing.assert_array_equal(lons, spec.longitudes)
 
     def test_global_detection(self):
         assert GridSpec(3, 8, 45.0, -45.0, 0.0, 45.0).is_global_lon

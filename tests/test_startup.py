@@ -72,7 +72,7 @@ def test_numpy_imported_first_is_left_as_it_is():
 #: Checks in a fresh interpreter which submodules load, and that names still resolve.
 LAZY_SCRIPT = """\
 import json, sys
-lazy = ("metrics", "climatology", "regrid", "vqa")
+lazy = ("metrics", "climatology", "regrid", "tc", "vqa")
 loaded = lambda: sorted(m for m in lazy if "geoverify." + m in sys.modules)
 seen = {}
 import geoverify
@@ -110,13 +110,14 @@ def _run_tc_filter_script(script, tmp_path):
 
 
 def test_submodules_load_on_first_use(tmp_path):
-    """``import geoverify`` and a tc command load none of metrics, climatology, regrid, vqa;
-    ``geoverify.metrics`` loads no thread pool module, which a serial run never uses."""
+    """``import geoverify`` and the CLI's parser load none of metrics, climatology, regrid,
+    tc, vqa, and a tc command loads tc alone; ``geoverify.metrics`` loads no thread pool
+    module, which a serial run never uses."""
     assert _run_tc_filter_script(LAZY_SCRIPT, tmp_path) == {
-        "import": [], "cli": [], "tc-filter": [], "pool": [], "star": [],
+        "import": [], "cli": [], "tc-filter": ["tc"], "pool": [], "star": [],
         "modules": ["geoverify.metrics", "geoverify.climatology", "geoverify.regrid",
-                    "geoverify.vqa", "geoverify.cubeio"],
-        "all": ["climatology", "metrics", "regrid", "vqa"], "dir": [],
+                    "geoverify.tc", "geoverify.vqa", "geoverify.cubeio"],
+        "all": ["climatology", "metrics", "regrid", "tc", "vqa"], "dir": [],
     }
 
 
