@@ -40,6 +40,7 @@ from .grid import (
     GridSpec,
     VariableCatalog,
     VariableId,
+    all_finite,
     latitude_weights,
     parse_variable_token,
     select_channel,
@@ -287,13 +288,14 @@ def cmd_verify(args) -> int:
     }
     with cubeio.staged_outputs() as stage:
         for (var, lead), rmse_map in rmse_maps.items():
-            cube = FieldCube(
-                spec,
-                VariableCatalog([var]),
-                eval_set.init_times[0] + timedelta(hours=lead),
-                rmse_map[None].astype(np.float32),
-            )
-            cubeio.write_cube(cube, stage(map_path(var, lead)))
+            path = map_path(var, lead)
+            with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf
+                values = rmse_map[None].astype(np.float32)
+            if not all_finite(values):
+                raise GeoverifyError(f"{path}: an RMSE value is beyond float32's range")
+            cube = FieldCube(spec, VariableCatalog([var]),
+                             eval_set.init_times[0] + timedelta(hours=lead), values, _scan=False)
+            cubeio.write_cube(cube, stage(path))
         cubeio.write_report(records, stage(args.out), params)
     return 0
 

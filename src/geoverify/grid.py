@@ -208,11 +208,11 @@ class FieldCube:
     catalog: VariableCatalog
     valid_time: datetime
     values: np.ndarray = field(repr=False)
-    #: Private: False leaves out the NaN/Inf scan.  Its two callers:
+    #: Private: False leaves out the NaN/Inf scan.  Its callers:
     #: ``cubeio.read_cube``, which checks each block as it reads it (verify's reads
     #: leave their kept values to the metric kernels, whose row sums raise
-    #: NonFiniteValue), and ``regrid.bilinear_upsample``, whose blends of finite
-    #: values are finite by construction.
+    #: NonFiniteValue), ``regrid.bilinear_upsample``, whose blends of finite
+    #: values are finite by construction, and verify's RMSE maps, checked as cast.
     _scan: InitVar[bool] = field(default=True, kw_only=True)
 
     def __post_init__(self, _scan):

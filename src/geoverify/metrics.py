@@ -60,6 +60,11 @@ class EvaluationSet:
                 raise ValueError(f"duplicate {label} in evaluation set")
         object.__setattr__(self, "init_times", tuple(sorted(self.init_times)))
         object.__setattr__(self, "lead_hours", tuple(sorted(self.lead_hours)))
+        t0, lead = self.init_times[-1], self.lead_hours[-1]
+        try:
+            t0 + timedelta(hours=lead)
+        except OverflowError:
+            raise ValueError(f"valid time {t0} + {lead}h is past the calendar") from None
 
     def by_valid_time(self) -> dict[datetime, list[tuple[datetime, int]]]:
         """{valid time: its (init, lead) pairs in init order}, in valid-time order."""

@@ -141,8 +141,15 @@ class CycloneTracker:
     raises SeedOutsideGrid if the seed lies outside that grid.  ``step``
     takes the cubes from the seed's time on, one per call.  The tracker
     keeps its fixes, never a cube, so a caller may drop each cube once
-    every tracker has stepped through it.  ``track_cyclone`` documents the
-    search and the flags.
+    every tracker has stepped through it.
+
+    At each step the candidate center is the grid node with the lowest MSL
+    within ``search_radius_km`` of the previous center.  The low must be
+    closed: its MSL at least ``closed_low_hpa`` below the mean over the
+    ring of nodes at ``intensity_radius_km`` (+- half ``ring_width_km``)
+    from the candidate, else the storm is lost.  Each fix records ws_max as
+    the maximum WS10M within ``intensity_radius_km`` of the center and
+    msl_min as the MSL at the center node.
     """
 
     def __init__(
@@ -242,46 +249,15 @@ class CycloneTracker:
                        complete=self.active)
 
 
-def track_cyclone(
-    cubes: Sequence[FieldCube],
-    seed: TcPoint,
-    *,
-    search_radius_km: float = 250.0,
-    intensity_radius_km: float = 250.0,
-    closed_low_hpa: float = 0.5,
-    ring_width_km: float = 100.0,
-    storm_id: str = "TRACK",
-    name: str = "",
-) -> TcTrack:
-    """Follow an MSL minimum through time-ordered cubes from a seed fix.
+def track_cyclone(cubes: Sequence[FieldCube], seed: TcPoint, **settings) -> TcTrack:
+    """A ``CycloneTracker`` built with ``settings``, stepped through time-ordered
+    ``cubes`` until the storm is lost; its track.
 
-    At each step the candidate center is the grid node with the lowest MSL
-    within ``search_radius_km`` of the previous center.  The low must be
-    closed: its MSL at least ``closed_low_hpa`` below the mean over the
-    ring of nodes at ``intensity_radius_km`` (+- half ``ring_width_km``)
-    from the candidate, else tracking stops.  Each fix records ws_max as
-    the maximum WS10M within ``intensity_radius_km`` of the center and
-    msl_min as the MSL at the center node.
-
-    This is a loop of ``CycloneTracker.step`` over ``cubes``, the step that
-    ``tc-track`` drives over one cube at a time.  The first cube must be
-    at the seed's time and its grid must hold the seed; each cube must
-    hold MSL and WS10M, in any channel order.  Returns a TcTrack whose
-    ``complete`` flag is False when tracking stopped before the last cube;
-    if the very first detection fails the track holds only the seed.
+    The first cube must be at the seed's time and its grid must hold the seed.
     """
     if not cubes:
         raise ValueError("no cubes to track through")
-    tracker = CycloneTracker(
-        seed,
-        cubes[0].spec,
-        search_radius_km=search_radius_km,
-        intensity_radius_km=intensity_radius_km,
-        closed_low_hpa=closed_low_hpa,
-        ring_width_km=ring_width_km,
-        storm_id=storm_id,
-        name=name,
-    )
+    tracker = CycloneTracker(seed, cubes[0].spec, **settings)
     for cube in cubes:
         if not tracker.step(cube):
             break

@@ -25,14 +25,13 @@ from geoverify import (
     great_circle_km,
     latitude_weights,
     open_token_recall,
-    psnr,
-    track_cyclone,
     weighted_acc,
     weighted_rmse,
 )
 from geoverify.cli import main, time_stem
 from geoverify.cubeio import write_cube
-from geoverify.metrics import evaluate_set
+from geoverify.metrics import evaluate_set, psnr
+from geoverify.tc import track_cyclone
 from conftest import utc, write_climatology
 from synthetic import synthetic_vortex_series, tracker_catalog
 

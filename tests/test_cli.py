@@ -508,8 +508,9 @@ class TestVerify:
         """The kernel adds each pair's d^2 to its map, whichever scores it makes."""
         from datetime import timedelta
 
-        from geoverify import pointwise_rmse, select_channel
+        from geoverify import select_channel
         from geoverify.cubeio import read_cube
+        from geoverify.metrics import pointwise_rmse
 
         init_times = [utc(2024, 1, 2, 0), utc(2024, 1, 1, 0), utc(2024, 1, 1, 12)]
         leads = [6, 12]
@@ -1991,6 +1992,25 @@ def verify_bad_leads(tmp):
     return _verify(tmp, leads="6:x")
 
 
+# A valid time past the calendar raised OverflowError out of the run's plan.
+
+@failure(4, "past the calendar")
+def verify_a_lead_past_the_calendar(tmp):
+    return _verify(tmp, leads="1000000000")
+
+
+@failure(4, "past the calendar")
+def verify_a_lead_beyond_a_c_int_of_hours(tmp):
+    return _verify(tmp, leads="999999999999")
+
+
+@failure(4, "past the calendar")
+def verify_an_init_time_at_the_calendar_end(tmp):
+    argv = _verify(tmp)
+    (tmp / "inits.txt").write_text("9999-12-31T18:00:00Z\n")
+    return argv
+
+
 @failure(4, "--climatology")
 def verify_acc_without_climatology(tmp):
     return _verify(tmp, climatology="")
@@ -2020,6 +2040,18 @@ def verify_out_under_a_file(tmp):
 def verify_a_directory_at_a_map_path(tmp):
     (tmp / "maps" / "rmsemap_T2M_6.gvc").mkdir(parents=True)
     return _verify(tmp)
+
+
+# Finite float32 inputs can give an RMSE beyond float32's range: the cast of its
+# map to float32 made inf, and FieldCube raised a bare ValueError.
+
+@failure(2, "rmsemap_T2M_6.gvc: an RMSE value is beyond float32's range")
+def verify_an_rmse_map_value_beyond_float32(tmp):
+    argv = _verify(tmp, metrics="rmse", climatology=None)
+    big = np.finfo(np.float32).max
+    _poison(next((tmp / "forecast").glob("*.gvc")), value=big)
+    _poison(next((tmp / "reference").glob("*.gvc")), value=-big)
+    return argv
 
 
 @failure(2, "directory")

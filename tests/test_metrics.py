@@ -29,8 +29,6 @@ from geoverify import (
     latitude_weights,
     month_hour_matrix,
     normalized_difference,
-    pointwise_rmse,
-    psnr,
     weighted_acc,
     weighted_rmse,
 )
@@ -44,6 +42,7 @@ from geoverify.errors import (
     ZeroAnomalyVariance,
     ZeroBaseline,
 )
+from geoverify.metrics import pointwise_rmse, psnr
 from conftest import hour_sequence, utc
 
 
@@ -573,6 +572,14 @@ class TestRmseOverSet:
     def test_duplicates_rejected(self, init_times, leads, label):
         with pytest.raises(ValueError, match=f"duplicate {label}"):
             EvaluationSet(init_times, leads)
+
+    @pytest.mark.parametrize("init_time, lead", [
+        (utc(2024, 1, 1), 10**9), (utc(2024, 1, 1), 10**12), (utc(9999, 12, 31, 18), 6),
+    ])
+    def test_a_valid_time_past_the_calendar_is_rejected(self, init_time, lead):
+        """The last init time plus the longest lead, whatever order they are given in."""
+        with pytest.raises(ValueError, match="past the calendar"):
+            EvaluationSet((init_time, utc(2000, 1, 1)), (lead, 1))
 
     def test_missing_cube(self):
         spec = GridSpec(2, 4, 45.0, -90.0, 0.0, 90.0)

@@ -17,12 +17,12 @@ from geoverify import (
     great_circle_km,
     latitude_weights,
     open_token_recall,
-    psnr,
     weighted_acc,
     weighted_rmse,
 )
 from geoverify.cubeio import read_cube, read_header, write_cube, write_report
 from geoverify.errors import CubeFormatError
+from geoverify.metrics import psnr
 from conftest import utc
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)

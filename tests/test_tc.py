@@ -15,7 +15,6 @@ from geoverify import (
     concurrent_match,
     filter_case,
     great_circle_km,
-    track_cyclone,
 )
 from geoverify import tc
 from geoverify.errors import EmptyInput, InvalidFlags, MissingChannel, SeedOutsideGrid
@@ -24,6 +23,7 @@ from geoverify.tc import (
     FilterDecision,
     intensity_errors,
     skill_rows,
+    track_cyclone,
     track_errors_km,
 )
 from geoverify.grid import FieldCube, VariableCatalog, VariableId
