@@ -504,7 +504,8 @@ def cmd_tc_track(args) -> int:
         "closed_low_hpa": args.closed_low_hpa,
         "ring_width_km": args.ring_width_km,
     }
-    cubeio.write_tracks(out_tracks, args.out, params)
+    with cubeio.staged_outputs() as stage:
+        cubeio.write_tracks(out_tracks, stage(args.out), params)
     incomplete = [t.storm_id for t in out_tracks if not t.complete]
     if incomplete:
         print(
@@ -540,10 +541,10 @@ def cmd_tc_eval(args) -> int:
         "reference": args.reference,
         "sources": ",".join(source_names),
     }
-    cubeio.write_csv(
-        args.out, params, ["source", "storm_id", "lead_hours", "metric", "value", "n_samples"],
-        (row[:4] + (format(row[4], ".6g"), row[5]) for row in rows),
-    )
+    with cubeio.staged_outputs() as stage:
+        cubeio.write_csv(stage(args.out), params,
+                         ["source", "storm_id", "lead_hours", "metric", "value", "n_samples"],
+                         (row[:4] + (format(row[4], ".6g"), row[5]) for row in rows))
     return 0
 
 
@@ -569,10 +570,9 @@ def cmd_tc_filter(args) -> int:
         "comparable_tol": args.comparable_tol,
         "track_threshold_km": args.track_threshold_km,
     }
-    cubeio.write_csv(
-        args.out, params, ["case_id", "decision", "reason"],
-        ((d.case_id, d.decision, d.reason) for d in decisions),
-    )
+    with cubeio.staged_outputs() as stage:
+        cubeio.write_csv(stage(args.out), params, ["case_id", "decision", "reason"],
+                         ((d.case_id, d.decision, d.reason) for d in decisions))
     return 0
 
 
@@ -593,7 +593,8 @@ def cmd_vqa_score(args) -> int:
     items = vqa.read_vqa_items(args.items)
     records = vqa.score_items(items, benchmark=args.benchmark)
     params = {"items": args.items, "benchmark": args.benchmark}
-    cubeio.write_report(records, args.out, params)
+    with cubeio.staged_outputs() as stage:
+        cubeio.write_report(records, stage(args.out), params)
     return 0
 
 

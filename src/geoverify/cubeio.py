@@ -98,12 +98,13 @@ def output_path(path) -> Path:
 def staged_outputs():
     """Yields ``stage(path)``, which returns the temporary name to write ``path``'s new file under.
 
-    When the block ends without an exception, each staged file replaces its
-    target, in the order staged.  The renames are not one atomic step, so a
-    run stages the file that marks it complete (its report, a manifest) last:
-    a crash between two renames leaves no new report.  A failure removes
-    every staged file and every directory that ``stage`` made, innermost
-    first, and leaves every target as it was.
+    It is the only code that renames an output, and the writers write the name
+    they are given, so each file is renamed once.  When the block ends without
+    an exception, each staged file replaces its target, in the order staged.
+    The renames are not one atomic step, so a run stages the file that marks it
+    complete (its report, a manifest) last: a crash between two renames leaves
+    no new report.  A failure removes every staged file and every directory that
+    ``stage`` made, innermost first, and leaves every target as it was.
 
     ``stage`` raises ``output_path``'s IsADirectoryError before anything is
     written.  It makes ``path``'s missing parent directories.  The temporary
@@ -138,10 +139,9 @@ def staged_outputs():
 def cube_writer(spec: GridSpec, catalog: VariableCatalog, valid_time: datetime, path):
     """Writes a cube's header, then yields ``write(values)``, which appends channels in order.
 
-    The file replaces ``path`` when the block ends, and only when every
-    channel was written (ValueError otherwise); it is the one-file case of
-    ``staged_outputs``, so a failure leaves an existing file unchanged and no
-    temporary file behind.
+    The block raises ValueError when it ends before every channel was written.
+    The file is written at ``path`` itself: the caller stages ``path`` through
+    ``staged_outputs`` to keep an existing file when the write fails.
     """
     ts = valid_time.astimezone(timezone.utc)
     if ts.microsecond != 0:
@@ -160,7 +160,7 @@ def cube_writer(spec: GridSpec, catalog: VariableCatalog, valid_time: datetime, 
         int(ts.timestamp()),
         len(catalog),
     )
-    with staged_outputs() as stage, open(stage(path), "wb") as f:
+    with open(path, "wb") as f:
         f.write(header)
         f.write(_encode_catalog(catalog))
         start = f.tell()
@@ -171,7 +171,7 @@ def cube_writer(spec: GridSpec, catalog: VariableCatalog, valid_time: datetime, 
 
 
 def write_cube(cube: FieldCube, path) -> None:
-    """Write a cube atomically; reading it back gives a cube bit-identical to ``cube``."""
+    """Write a cube at ``path``; reading it back gives a cube bit-identical to ``cube``."""
     with cube_writer(cube.spec, cube.catalog, cube.valid_time, path) as write:
         write(cube.values)
 
@@ -275,13 +275,12 @@ def headers_by_time(paths) -> dict[datetime, CubeHeader]:
     return headers
 
 
-#: Most bytes of one channel range, as stored: four channels at 0.25 degrees.
+#: Most bytes of one channel range, as stored: two channels at 0.25 degrees.
 #: ``verify`` scores and ``climatology`` sums each cube range by range, so their
-#: peak memory grows with it: verify-global (2 threads, 2-vCPU VM, each range
-#: viewed through a mapping) peaked at 82, 130 and 210-225 MiB at 8, 16 and 32
-#: MiB, for the same CPU (median 0.92, 0.91 and 0.89 s user+sys of 4 runs each)
-#: and the same 15.8k minor faults.
-RANGE_BYTES = 16 << 20
+#: peak memory grows with it: at 8 MiB, not 16, verify-global's child fell from 129
+#: to 81 MiB (2-vCPU VM), with median wall and CPU inside the IQR of 16 MiB's runs
+#: in 36 alternating pairs; sparse verify fell from 81 to 58, climatology 93 to 61.
+RANGE_BYTES = 8 << 20
 
 
 def _map(f, path, n: int) -> np.ndarray:
@@ -425,16 +424,16 @@ def read_tracks(path) -> list[TcTrack]:
 
 
 def write_csv(path, params: Mapping | None, header: Sequence[str], rows: Iterable) -> None:
-    """Write a CSV atomically: a "# params:" line when params are given, the header, the rows.
+    """Write a CSV at ``path``: a "# params:" line when params are given, the header, the rows.
 
     Each row is a sequence of fields written by ``csv.writer`` after ``str()``,
     so a field holding a comma or a quote is quoted as ``read_csv_rows`` parses
     it, and callers format numbers themselves.  A row whose first field starts
     with '#' has every field quoted, so the reader does not take it for a
-    comment.  The file is the one-file case of ``staged_outputs``: a failure
-    leaves an existing file unchanged and no partial or temporary file behind.
+    comment.  A failure leaves a partial file: the caller stages ``path``
+    through ``staged_outputs`` to keep an existing file.
     """
-    with staged_outputs() as stage, open(stage(path), "w", encoding="utf-8", newline="") as f:
+    with open(path, "w", encoding="utf-8", newline="") as f:
         if params:
             f.write(f"# params: {' '.join(f'{k}={v}' for k, v in params.items())}\n")
         writer = csv.writer(f, lineterminator="\n")

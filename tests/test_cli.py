@@ -116,6 +116,16 @@ class TestVerify:
         assert lines[2].startswith("Z,500,6,acc,")
         assert lines[3].startswith("Z,500,6,rmse,")
 
+    def test_an_out_name_that_fits_the_name_limit_once_staged_is_written(self, tmp_path):
+        # The staged name ".<name>.<pid>.tmp" is exactly as long as the file system
+        # allows; a name staged twice over would pass the limit.
+        wrap = len(f"..{os.getpid()}.tmp")
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        out = tmp_path / ("r" * (limit - wrap - len(".csv")) + ".csv")
+        assert len(out.name) + wrap == limit < len(out.name) + 2 * wrap
+        assert main(_verify(tmp_path, out=out)) == 0
+        assert out.read_text().splitlines()[1] == "variable,level,lead_hours,metric,value"
+
     def test_missing_climatology_manifest_exits_2(self, tmp_path, capsys):
         init_times = [utc(2024, 1, 1, 0)]
         fdir, rdir, _, times_file = make_verify_fixture(tmp_path, init_times, [6])
@@ -573,13 +583,13 @@ class TestVerifyChannelRanges:
         monkeypatch.setattr(cubeio, "read_cube", counted)
         return reads
 
-    def test_cut_of_the_025_degree_weather_catalog_keeps_four_channels_a_range(self):
+    def test_cut_of_the_025_degree_weather_catalog_keeps_two_channels_a_range(self):
         from geoverify.cli import _cut
 
         catalog = weather_catalog()
         groups, [spans] = _cut([catalog], list(catalog), 721 * 1440 * 4)
-        assert [len(g) for g in groups] == [4] * 17 + [2]
-        assert spans == [range(4 * k, min(4 * k + 4, 70)) for k in range(18)]
+        assert [len(g) for g in groups] == [2] * 35
+        assert spans == [range(2 * k, 2 * k + 2) for k in range(35)]
 
     def test_cut_is_used_only_where_every_catalog_agrees(self):
         from geoverify.cli import _cut
@@ -2539,6 +2549,55 @@ def test_a_matrix_path_that_cannot_be_written_fails_before_any_payload_is_read(
     _refuse_payload_reads(monkeypatch)
     assert main(argv) == 2
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("build, outputs", [
+    (_verify, 3),
+    (lambda tmp: _downscale(tmp, [utc(2024, 2, 2, 18)]), 5),
+    (lambda tmp: _climatology(tmp, utc(2024, 1, 1, 0), utc(2024, 1, 1, 6)), 3),
+    (_tc_track, 1),
+    (_tc_eval, 1),
+    (lambda tmp: _tc_filter(tmp, EXCLUDE_CASE), 1),
+    (lambda tmp: _vqa(tmp, "q1,closed,yes,yes\n"), 1),
+], ids=["verify-map-dir", "downscale-eval", "climatology", "tc-track", "tc-eval", "tc-filter",
+        "vqa-score"])
+def test_each_output_file_is_renamed_once_from_its_staged_name(tmp_path, monkeypatch, build,
+                                                                 outputs):
+    argv = build(tmp_path)
+    before = _tree(tmp_path)
+    renames, replace = [], os.replace
+
+    def spy(src, dst):
+        renames.append((Path(src), Path(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    assert main(argv) == 0
+    written = [p for p, data in _tree(tmp_path).items() if data is not None and p not in before]
+    assert len(written) == outputs
+    assert sorted(dst for _, dst in renames) == sorted(written)
+    assert [src for src, _ in renames] == [
+        dst.with_name(f".{dst.name}.{os.getpid()}.tmp") for _, dst in renames]
+
+
+def test_a_tc_filter_write_that_fails_after_its_header_keeps_the_old_out(
+        tmp_path, monkeypatch, capsys):
+    argv = _tc_filter(tmp_path, EXCLUDE_CASE)
+    (tmp_path / "d.csv").write_text("# params: run=1\nold,decisions\n")
+    before = _tree(tmp_path)
+    write_csv = cubeio.write_csv
+
+    def rows():
+        raise OSError("disk full")
+        yield
+
+    def failing(path, params, header, _):
+        write_csv(path, params, header, rows())
+
+    monkeypatch.setattr(cubeio, "write_csv", failing)
+    assert main(argv) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["collecting", "paused"])

@@ -77,10 +77,11 @@ class TestCubeRoundTrip:
         assert (tmp_path / "ranges.gvc").read_bytes() == (tmp_path / "whole.gvc").read_bytes()
 
     def test_a_writer_left_short_of_its_channels_writes_no_file(self, tmp_path):
+        # The writer writes its path itself; the staged block around it removes the file.
         cube = random_cube(np.random.default_rng(22), n_chan=3)
         with pytest.raises(ValueError, match="payload bytes"):
-            with cubeio.cube_writer(cube.spec, cube.catalog, cube.valid_time,
-                                    tmp_path / "short.gvc") as write:
+            with cubeio.staged_outputs() as stage, cubeio.cube_writer(
+                    cube.spec, cube.catalog, cube.valid_time, stage(tmp_path / "s.gvc")) as write:
                 write(cube.values[:2])
         assert list(tmp_path.iterdir()) == []
 
@@ -172,7 +173,8 @@ class TestWriteCube:
 
         monkeypatch.setattr(cubeio, "_encode_catalog", failing_catalog)
         with pytest.raises(OSError, match="disk full"):
-            write_cube(make_cube(valid_time=utc(2024, 1, 2)), path)
+            with cubeio.staged_outputs() as stage:
+                write_cube(make_cube(valid_time=utc(2024, 1, 2)), stage(path))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["cube.gvc"]
 
@@ -245,8 +247,17 @@ class TestStagedOutputs:
         assert _tree(tmp_path) == before
 
     def test_a_report_into_a_new_directory_is_written(self, tmp_path):
+        def rows():
+            yield ("v",)
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            with cubeio.staged_outputs() as stage:
+                write_csv(stage(tmp_path / "x" / "y" / "report.csv"), None, ["h"], rows())
+        assert list(tmp_path.iterdir()) == []
         path = tmp_path / "a" / "b" / "report.csv"
-        write_csv(path, None, ["h"], [("v",)])
+        with cubeio.staged_outputs() as stage:
+            write_csv(stage(path), None, ["h"], [("v",)])
         assert path.read_text() == "h\nv\n"
         assert [p.name for p in path.parent.iterdir()] == ["report.csv"]
 
@@ -894,7 +905,8 @@ class TestWriteCsv:
             raise RuntimeError("row source failed")
 
         with pytest.raises(RuntimeError, match="row source failed"):
-            write_csv(path, {"run": 2}, ["new", "report"], rows())
+            with cubeio.staged_outputs() as stage:
+                write_csv(stage(path), {"run": 2}, ["new", "report"], rows())
         assert path.read_text() == "# params: run=1\nold,report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
